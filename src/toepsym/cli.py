@@ -13,19 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .conjugations import (
-    BlockHadamard,
+    CONJECTURE,
+    FAMILIES,
+    NECESSARY_ONLY,
     BlockMixed,
     ConjugationSpec,
-    GeneralPermutation,
-    MuLambda,
-    Reversal,
     Transposition,
-    covered_transposition_case,
-    is_block,
     spec_from_json,
     spec_to_json,
     verify_axioms,
@@ -62,33 +60,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _parse_complex_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
-
-
 def parse_spec_text(text: str) -> ConjugationSpec:
-    """Mini-syntax mirroring the JSON schema: ``reversal:N``,
-    ``transposition:p:i:j``, ``general:p:s0,s1,...``, ``mulambda:re,im:re,im``,
-    ``block_c``, ``block_ctilde``."""
-    parts = text.split(":")
-    family = parts[0]
-    if family == "reversal" and len(parts) == 2:
-        return Reversal(int(parts[1]))
-    if family == "transposition" and len(parts) == 4:
-        return Transposition(int(parts[1]), int(parts[2]), int(parts[3]))
-    if family == "general" and len(parts) == 3:
-        sigma = tuple(int(v) for v in parts[2].split(","))
-        return GeneralPermutation(int(parts[1]), sigma)
-    if family == "mulambda" and len(parts) == 3:
-        return MuLambda(_parse_complex_pair(parts[1]), _parse_complex_pair(parts[2]))
-    if family == "block_c" and len(parts) == 1:
-        return BlockHadamard()
-    if family == "block_ctilde" and len(parts) == 1:
-        return BlockMixed()
-    raise ValueError(f"unrecognized spec {text!r}")
+    """Mini-syntax mirroring the JSON schema: the family name followed by one
+    ``:``-separated token per JSON field, e.g. ``transposition:4:0:2``,
+    ``general:3:2,1,0`` or ``mulambda:1,0:0,1``."""
+    name, *tokens = text.split(":")
+    cls = FAMILIES.get(name)
+    if cls is None or len(tokens) != len(cls.wire_fields):
+        raise ValueError(f"unrecognized spec {text!r}")
+    return cls(*(field.from_text(token) for field, token in zip(cls.wire_fields, tokens)))
 
 
 def _load_spec(args) -> ConjugationSpec:
@@ -103,7 +83,7 @@ def _load_spec(args) -> ConjugationSpec:
 
 
 def _load_symbol(args, spec: ConjugationSpec):
-    block = is_block(spec)
+    block = spec.is_block
     if args.symbol is not None and args.symbol_file:
         raise ValueError("give either --symbol or --symbol-file, not both")
     if args.symbol_file:
@@ -122,7 +102,7 @@ def _load_symbol(args, spec: ConjugationSpec):
 
 
 def _emit(payload: dict, output: str | None):
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -185,14 +165,14 @@ def _cmd_explore(args) -> int:
     spec = _load_spec(args)
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(spec, Transposition) and not covered_transposition_case(spec.p, spec.i, spec.j):
-        report = explore_transposition(spec.p, spec.i, spec.j, args.band,
-                                       args.trials, args.seed, tol=args.tol)
-    elif isinstance(spec, BlockMixed):
+    if spec.characterization not in (CONJECTURE, NECESSARY_ONLY):
+        raise ValueError(f"explore needs an uncharacterized {Transposition.name} "
+                         f"or {BlockMixed.name} spec")
+    if spec.is_block:
         report = explore_block_mixed(args.band, args.trials, args.seed, tol=args.tol)
     else:
-        raise ValueError(
-            "explore needs an uncharacterized transposition or block_ctilde spec")
+        report = explore_transposition(spec.p, spec.i, spec.j, args.band,
+                                       args.trials, args.seed, tol=args.tol)
     payload = {"command": "explore", "spec": spec_to_json(spec)}
     payload.update(report)
     _emit(payload, args.output)
@@ -217,8 +197,8 @@ def _default_tol() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{TOL_ENV_VAR} must be positive")
+    if not 0 < value < math.inf:  # also false for NaN
+        raise ValueError(f"{TOL_ENV_VAR} must be finite and positive")
     return value
 
 

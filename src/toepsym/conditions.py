@@ -28,6 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conjugations import (
+    CONJECTURE,
+    IFF,
+    NECESSARY_ONLY,
     BlockHadamard,
     BlockMixed,
     ConjugationSpec,
@@ -35,14 +38,11 @@ from .conjugations import (
     MuLambda,
     Reversal,
     Transposition,
-    covered_transposition_case,
-    is_block,
-    period,
-    residue_permutation,
 )
 from .symbols import (
     LaurentSymbol,
     MatrixSymbol,
+    complex_to_pair,
     project_to_conditions,
     random_matrix_symbol,
     random_symbol,
@@ -50,10 +50,6 @@ from .symbols import (
 from .symmetry import SYMMETRY_TOL, SymmetryReport, is_c_symmetric, report_to_json
 
 COEFF_TOL = 1e-12
-
-IFF = "iff"
-NECESSARY_ONLY = "necessary_only"
-CONJECTURE = "conjecture"
 
 SCALAR_COMPONENT = "phi"
 
@@ -180,60 +176,51 @@ def evaluate_block_relations(msym: MatrixSymbol, relations: Sequence[Relation],
 # --- raw relation sets --------------------------------------------------------
 
 
-class _RelationSet:
-    """Collector that drops duplicate relations (equalities are unordered)."""
-
-    def __init__(self):
-        self.relations: list[Relation] = []
-        self._seen: set = set()
-
-    def add(self, rel: Relation):
-        if rel.kind == "equality" and rel.rhs_scale == 1:
-            sides = tuple(sorted(((rel.lhs_component, rel.lhs_index),
-                                  (rel.rhs_component, rel.rhs_index))))
-            key = ("eq", sides)
-        elif rel.kind == "equality":
-            key = ("eqs", rel.lhs_component, rel.lhs_index,
-                   rel.rhs_component, rel.rhs_index, rel.rhs_scale)
-        else:
-            key = ("vanish", rel.lhs_component, rel.lhs_index)
-        if key not in self._seen:
-            self._seen.add(key)
-            self.relations.append(rel)
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _add_pair_family(out: _RelationSet, c: int, d: int, p: int, window: int, family: str):
+def _add_pair_family(out: dict[tuple[int, int], Relation], c: int, d: int, p: int,
+                     window: int, family: str):
     """All instances of ``value(c + p*l) == value(d - p*l)`` whose referenced
     indices stay inside ``[-window, window]``; outside, finite support makes
-    both sides zero and the instance vacuous."""
+    both sides zero and the instance vacuous.  ``out`` is keyed by the
+    unordered index pair, so an equality already present in either
+    orientation keeps its first form and family."""
     lo = max(_ceil_div(-window - c, p), _ceil_div(d - window, p))
     hi = min((window - c) // p, (d + window) // p)
     for l in range(lo, hi + 1):
-        out.add(Relation("equality", c + p * l, d - p * l, family=family))
+        a, b = c + p * l, d - p * l
+        key = (a, b) if a <= b else (b, a)
+        if key not in out:
+            out[key] = Relation("equality", a, b, family=family)
+
+
+def _raw_relations(p: int, sigma: Sequence[int], band: int,
+                   cells: Sequence[tuple[int, int, str]]) -> list[Relation]:
+    """Entry identities of the truncated operator equation for the residue
+    involution ``sigma``: each residue cell ``(m0, s0, family)`` forces
+    ``c_(m0 - sigma(s0) + p*l) == c_(s0 - sigma(m0) - p*l)`` for every ``l``.
+    Cells are taken in order; repeated relations are dropped."""
+    if band < 0:
+        raise ValueError("band must be >= 0")
+    window = band + 2 * p
+    out: dict[tuple[int, int], Relation] = {}
+    for m0, s0, family in cells:
+        _add_pair_family(out, m0 - sigma[s0], s0 - sigma[m0], p, window, family)
+    return list(out.values())
 
 
 def raw_relations_general(p: int, sigma: Sequence[int], band: int) -> list[Relation]:
-    """Entry identities of the truncated operator equation for an arbitrary
-    residue involution: for residues ``m0, s0`` the matrix entries force
-    ``c_(m0 - sigma(s0) + p*l) == c_(s0 - sigma(m0) - p*l)`` for every ``l``.
+    """The raw table of an arbitrary residue involution, every residue cell
+    in row-major order, labelled ``raw``.
 
     This set is an exact characterization of the truncated identity, for any
     involution, and anchors all cross-checks.
     """
-    spec = GeneralPermutation(p, tuple(sigma))
-    if band < 0:
-        raise ValueError("band must be >= 0")
-    window = band + 2 * p
-    out = _RelationSet()
-    sig = spec.sigma
-    for m0 in range(p):
-        for s0 in range(p):
-            _add_pair_family(out, m0 - sig[s0], s0 - sig[m0], p, window, "raw")
-    return out.relations
+    sigma = GeneralPermutation(p, tuple(sigma)).sigma
+    cells = [(m0, s0, "raw") for m0 in range(p) for s0 in range(p)]
+    return _raw_relations(p, sigma, band, cells)
 
 
 def raw_relations_transposition(p: int, i: int, j: int, band: int) -> list[Relation]:
@@ -244,25 +231,13 @@ def raw_relations_transposition(p: int, i: int, j: int, band: int) -> list[Relat
     residue with ``i`` or ``j``) and ``bystander`` (rows between two
     bystanders).  Deduplicated; reflexive instances are kept.
     """
-    Transposition(p, i, j)  # range validation
-    if band < 0:
-        raise ValueError("band must be >= 0")
-    window = band + 2 * p
-    out = _RelationSet()
-    _add_pair_family(out, 0, 0, p, window, "multiples")
-    _add_pair_family(out, j - i, j - i, p, window, "gap")
-    _add_pair_family(out, i - j, i - j, p, window, "gap")
+    sigma = Transposition(p, i, j).sigma
     others = [a for a in range(p) if a not in (i, j)]
+    cells = [(i, j, "multiples"), (j, j, "gap"), (i, i, "gap")]
     for a in others:
-        _add_pair_family(out, a - i, j - a, p, window, "cross")
-        _add_pair_family(out, a - j, i - a, p, window, "cross")
-        _add_pair_family(out, i - a, a - j, p, window, "cross")
-        _add_pair_family(out, j - a, a - i, p, window, "cross")
-    for a in others:
-        for b in others:
-            if b != a:
-                _add_pair_family(out, b - a, a - b, p, window, "bystander")
-    return out.relations
+        cells += [(a, j, "cross"), (a, i, "cross"), (i, a, "cross"), (j, a, "cross")]
+    cells += [(b, a, "bystander") for a in others for b in others if b != a]
+    return _raw_relations(p, sigma, band, cells)
 
 
 def interchange_sign_relations(p: int, q: int, band: int) -> list[Relation]:
@@ -286,7 +261,7 @@ def interchange_sign_relations(p: int, q: int, band: int) -> list[Relation]:
         raise ValueError("band must be >= 0")
     window = band + 2 * p
     gap = p - q
-    out = _RelationSet()
+    out: dict[tuple[int, int], Relation] = {}
     pairs = set()
     for c in range(-(p - 1), p):
         if c == 0 or abs(c) == gap:
@@ -303,7 +278,7 @@ def interchange_sign_relations(p: int, q: int, band: int) -> list[Relation]:
     top = p - 2 if q == 1 else p - 1
     for c in range(1, top):
         _add_pair_family(out, c, -c, p, window, "sign")
-    return out.relations
+    return list(out.values())
 
 
 # --- closed-form condition sets -------------------------------------------------
@@ -328,8 +303,7 @@ def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int,
     (the conditions are then still sufficient, and conjectured necessary; the
     explorer probes the gap).
     """
-    Transposition(p, i, j)
-    mode = IFF if covered_transposition_case(p, i, j) else CONJECTURE
+    mode = Transposition(p, i, j).characterization
     rels = _period_conditions(p, sym.bandwidth)
     return evaluate_scalar_relations(sym, rels, mode, tol)
 
@@ -445,7 +419,7 @@ def condition_reports(symbol, spec: ConjugationSpec,
     """
     if isinstance(spec, Transposition):
         closed_form = check_transposition(symbol, spec.p, spec.i, spec.j, tol)
-        if covered_transposition_case(spec.p, spec.i, spec.j):
+        if spec.characterization == IFF:
             return closed_form, None
         raw = raw_relations_transposition(spec.p, spec.i, spec.j, symbol.bandwidth)
         return evaluate_scalar_relations(symbol, raw, IFF, tol), closed_form
@@ -497,24 +471,19 @@ class TrialResult:
     satisfying_input: bool
 
 
-def _projectable(spec: ConjugationSpec) -> bool:
-    if isinstance(spec, (Reversal, MuLambda)):
-        return True
-    return isinstance(spec, Transposition) and covered_transposition_case(spec.p, spec.i, spec.j)
-
-
 def _trial_symbol(spec: ConjugationSpec, seed: int, band: int, density: float,
                   satisfying: bool):
-    if is_block(spec):
+    exact_closed_form = spec.characterization == IFF
+    if spec.is_block:
         if not satisfying:
             return random_matrix_symbol(seed, band, density)
-        if isinstance(spec, BlockHadamard):
+        if exact_closed_form:
             return random_block_hadamard_symmetric(seed, band, density)
         return random_block_mixed_symmetric(seed, band, density)
     sym = random_symbol(seed, band, density)
     if not satisfying:
         return sym
-    if _projectable(spec):
+    if exact_closed_form:
         return project_to_conditions(sym, spec)
     return project_to_raw(sym, spec, band)
 
@@ -610,9 +579,7 @@ def _raw_components(spec: ConjugationSpec, band: int) -> tuple[tuple[tuple[int, 
     """Connected components of the raw equality graph over the enumeration
     window, with a flag marking components pinned to zero because they touch
     an index outside the support band."""
-    p = period(spec)
-    sigma = residue_permutation(spec)
-    relations = raw_relations_general(p, sigma, band)
+    relations = raw_relations_general(spec.period, spec.sigma, band)
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -650,7 +617,7 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
     The output satisfies every raw relation exactly, hence is exactly
     symmetric under the truncated conjugation.
     """
-    if not isinstance(spec, (GeneralPermutation, Transposition, Reversal)):
+    if spec.sigma is None:
         raise ValueError("raw projection applies to residue-permutation families only")
     if band is None:
         band = sym.bandwidth
@@ -685,9 +652,9 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if covered_transposition_case(p, i, j):
-        raise ValueError("this residue swap is characterized; nothing to explore")
     spec = Transposition(p, i, j)
+    if spec.characterization == IFF:
+        raise ValueError("this residue swap is characterized; nothing to explore")
     raw = raw_relations_transposition(p, i, j, band)
     candidates = []
     anomalies = []
@@ -706,7 +673,7 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
         elif not closed_form.satisfied:
             candidates.append({"seed": s, "residual": oracle.residual,
                                "symbol": sym.to_json()})
-    return {"family": "transposition", "p": p, "i": i, "j": j, "band": band,
+    return {"family": Transposition.name, "p": p, "i": i, "j": j, "band": band,
             "trials": trials, "seed": seed, "zero_projections": zero_projections,
             "candidates": candidates, "anomalies": anomalies}
 
@@ -787,16 +754,12 @@ def explore_block_mixed(band: int, trials: int, seed: int,
         elif not oracle.symmetric:
             candidates.append({"seed": s, "residual": oracle.residual,
                                "symbol": msym.to_json()})
-    return {"family": "block_ctilde", "band": band, "trials": trials, "seed": seed,
+    return {"family": BlockMixed.name, "band": band, "trials": trials, "seed": seed,
             "nullspace_dim": int(dim), "degenerate": degenerate,
             "candidates": candidates, "anomalies": anomalies}
 
 
 # --- JSON views ------------------------------------------------------------------
-
-
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
 
 
 def violation_to_json(v: Violation) -> dict:
@@ -807,8 +770,8 @@ def violation_to_json(v: Violation) -> dict:
         "rhs": None if rel.kind == "vanish" else rel.rhs_index,
         "lhs_component": rel.lhs_component,
         "rhs_component": None if rel.kind == "vanish" else rel.rhs_component,
-        "lhs_value": _pair(v.lhs_value),
-        "rhs_value": _pair(v.rhs_value),
+        "lhs_value": complex_to_pair(v.lhs_value),
+        "rhs_value": complex_to_pair(v.rhs_value),
     }
 
 

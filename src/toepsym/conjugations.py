@@ -20,18 +20,87 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
+
+from .symbols import complex_from_pair, complex_to_pair
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 UNIT_MODULUS_TOL = 1e-12
 AXIOM_TOL = 1e-13
 
+# Status of a family's closed-form coefficient characterization; condition
+# reports carry the same strings as their ``mode``.
+IFF = "iff"
+NECESSARY_ONLY = "necessary_only"
+CONJECTURE = "conjecture"
+
+
+class WireField(NamedTuple):
+    """One constructor argument of a family: its JSON key, the attribute it
+    fills and its JSON codecs.  In the CLI mini-syntax the field is one
+    ``:``-separated token, a JSON list written comma-separated."""
+
+    key: str
+    attr: str
+    to_json: Callable
+    from_json: Callable
+    is_list: bool = False
+
+    def from_text(self, token: str):
+        return self.from_json(token.split(",") if self.is_list else token)
+
+
+def _int_field(key: str) -> WireField:
+    return WireField(key, key, int, int)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+class ConjugationSpec:
+    """A conjugation family.  Each subclass is the single definition of its
+    family: ``name`` (JSON and CLI), ``wire_fields`` (constructor arguments in
+    order), ``period`` (the block period whose divisibility makes truncation
+    exact), ``is_block``, ``characterization`` (``IFF``, ``CONJECTURE``,
+    ``NECESSARY_ONLY``, or ``None`` when only the raw relation table applies)
+    and ``matrix(size)``, the unitary ``A`` of the truncated action
+    ``x -> A conj(x)``.  The residue-permutation families also carry
+    ``sigma``; the others set it to ``None``."""
+
+    name: ClassVar[str]
+    wire_fields: ClassVar[tuple[WireField, ...]] = ()
+    is_block: ClassVar[bool] = False
+    characterization: ClassVar[str | None] = IFF
+
+
+class _ResiduePermutation(ConjugationSpec):
+    """Conjugate, then permute the residues of every length-``period`` block
+    by the involution ``sigma``."""
+
+    @property
+    def period(self) -> int:
+        return self.p
+
+    def to_general(self) -> "GeneralPermutation":
+        return GeneralPermutation(self.period, self.sigma)
+
+    def matrix(self, size: int) -> np.ndarray:
+        p, m = self.period, np.arange(size)
+        mat = np.zeros((size, size), dtype=complex)
+        mat[m, np.take(self.sigma, m % p) + p * (m // p)] = 1.0
+        return mat
+
 
 @dataclass(frozen=True)
-class GeneralPermutation:
+class GeneralPermutation(_ResiduePermutation):
     """Involution ``sigma`` on residues 0..p-1, repeated on every block."""
+
+    name = "general"
+    wire_fields = (_int_field("p"), WireField("sigma", "sigma", list, _ints, is_list=True))
+    characterization = None
 
     p: int
     sigma: tuple[int, ...]
@@ -39,7 +108,7 @@ class GeneralPermutation:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        sigma = tuple(int(v) for v in self.sigma)
+        sigma = _ints(self.sigma)
         object.__setattr__(self, "sigma", sigma)
         if sorted(sigma) != list(range(self.p)):
             raise ValueError("sigma must be a permutation of 0..p-1")
@@ -48,8 +117,11 @@ class GeneralPermutation:
 
 
 @dataclass(frozen=True)
-class Transposition:
+class Transposition(_ResiduePermutation):
     """Swap residues ``i`` and ``j`` modulo ``p``, fix the rest."""
+
+    name = "transposition"
+    wire_fields = (_int_field("p"), _int_field("i"), _int_field("j"))
 
     p: int
     i: int
@@ -61,15 +133,23 @@ class Transposition:
         if not 0 <= self.i < self.j < self.p:
             raise ValueError("need 0 <= i < j < p")
 
-    def to_general(self) -> GeneralPermutation:
+    @property
+    def sigma(self) -> tuple[int, ...]:
         sigma = list(range(self.p))
         sigma[self.i], sigma[self.j] = self.j, self.i
-        return GeneralPermutation(self.p, tuple(sigma))
+        return tuple(sigma)
+
+    @property
+    def characterization(self) -> str:
+        return IFF if covered_transposition_case(self.p, self.i, self.j) else CONJECTURE
 
 
 @dataclass(frozen=True)
-class Reversal:
+class Reversal(_ResiduePermutation):
     """Reverse every block of ``n`` consecutive coefficients."""
+
+    name = "reversal"
+    wire_fields = (_int_field("n"),)
 
     n: int
 
@@ -77,15 +157,26 @@ class Reversal:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def to_general(self) -> GeneralPermutation:
-        return GeneralPermutation(self.n, tuple(self.n - 1 - m for m in range(self.n)))
+    @property
+    def period(self) -> int:
+        return self.n
+
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        return tuple(self.n - 1 - m for m in range(self.n))
 
 
 @dataclass(frozen=True)
-class MuLambda:
+class MuLambda(ConjugationSpec):
     """Diagonal twist ``f(z) -> mu * conj(f(lam * conj(z)))`` with unimodular
     ``mu`` and ``lam``; values within 1e-12 of the circle are normalized onto
-    it, anything further off is rejected."""
+    it, anything further off (or not finite) is rejected."""
+
+    name = "mulambda"
+    wire_fields = (WireField("mu", "mu", complex_to_pair, complex_from_pair, is_list=True),
+                   WireField("lambda", "lam", complex_to_pair, complex_from_pair, is_list=True))
+    period = 1
+    sigma = None
 
     mu: complex = 1.0 + 0j
     lam: complex = 1.0 + 0j
@@ -94,53 +185,64 @@ class MuLambda:
         for name in ("mu", "lam"):
             value = complex(getattr(self, name))
             r = abs(value)
-            if abs(r - 1.0) > UNIT_MODULUS_TOL:
+            if not abs(r - 1.0) <= UNIT_MODULUS_TOL:  # also false for NaN
                 raise ValueError(f"{name} must have unit modulus, got |{name}| = {r}")
             object.__setattr__(self, name, value / r)
 
+    def matrix(self, size: int) -> np.ndarray:
+        weights = self.mu * np.conj(self.lam) ** np.arange(size)
+        # repeated powers drift off the circle by ~k*eps; renormalizing keeps
+        # the involution defect at one rounding per entry regardless of size
+        weights /= np.abs(weights)
+        return np.diag(weights).astype(complex)
+
+
+class _PairBlock(ConjugationSpec):
+    """2x2 block operator ``(1/sqrt 2) [[C2, X], [X, -C2]]`` on pairs of
+    coefficient vectors, ``C2`` the block-of-two reversal and ``X`` the
+    family's off-diagonal piece."""
+
+    period = 2
+    is_block = True
+    sigma = None
+
+    def matrix(self, size: int) -> np.ndarray:
+        s = np.kron(np.eye(size // 2), [[0.0, 1.0], [1.0, 0.0]])
+        x = self._off_diagonal(s)
+        return (np.block([[s, x], [x, -s]]) * INV_SQRT2).astype(complex)
+
 
 @dataclass(frozen=True)
-class BlockHadamard:
+class BlockHadamard(_PairBlock):
     """2x2 block operator ``(1/sqrt 2) [[C2, C2], [C2, -C2]]`` built from the
     block-of-two reversal ``C2``."""
 
+    name = "block_c"
+
+    def _off_diagonal(self, s: np.ndarray) -> np.ndarray:
+        return s
+
 
 @dataclass(frozen=True)
-class BlockMixed:
+class BlockMixed(_PairBlock):
     """2x2 block operator ``(1/sqrt 2) [[C2, C1], [C1, -C2]]`` mixing the
     block-of-two reversal with plain coefficient conjugation ``C1``."""
 
+    name = "block_ctilde"
+    characterization = NECESSARY_ONLY
 
-ConjugationSpec = Union[GeneralPermutation, Transposition, Reversal,
-                        MuLambda, BlockHadamard, BlockMixed]
-
-_PERMUTATION_FAMILIES = (GeneralPermutation, Transposition, Reversal)
-_BLOCK_FAMILIES = (BlockHadamard, BlockMixed)
+    def _off_diagonal(self, s: np.ndarray) -> np.ndarray:
+        return np.eye(len(s))
 
 
-def is_block(spec: ConjugationSpec) -> bool:
-    return isinstance(spec, _BLOCK_FAMILIES)
+FAMILIES: dict[str, type[ConjugationSpec]] = {
+    cls.name: cls for cls in (GeneralPermutation, Transposition, Reversal,
+                              MuLambda, BlockHadamard, BlockMixed)}
 
 
 def period(spec: ConjugationSpec) -> int:
     """Block period whose divisibility makes truncation exact."""
-    if isinstance(spec, (GeneralPermutation, Transposition)):
-        return spec.p
-    if isinstance(spec, Reversal):
-        return spec.n
-    if isinstance(spec, MuLambda):
-        return 1
-    if isinstance(spec, _BLOCK_FAMILIES):
-        return 2
-    raise TypeError(f"not a conjugation spec: {spec!r}")
-
-
-def residue_permutation(spec: ConjugationSpec) -> tuple[int, ...]:
-    if isinstance(spec, GeneralPermutation):
-        return spec.sigma
-    if isinstance(spec, (Transposition, Reversal)):
-        return spec.to_general().sigma
-    raise TypeError(f"{spec!r} is not a permutation-type conjugation")
+    return spec.period
 
 
 def covered_transposition_case(p: int, i: int, j: int) -> bool:
@@ -176,14 +278,6 @@ class AntilinearOperator:
         return self.matrix @ np.conj(x)
 
 
-def _pair_reversal_matrix(size: int) -> np.ndarray:
-    mat = np.zeros((size, size))
-    for m in range(0, size, 2):
-        mat[m, m + 1] = 1.0
-        mat[m + 1, m] = 1.0
-    return mat
-
-
 def truncated_matrix(spec: ConjugationSpec, size: int) -> AntilinearOperator:
     """Exact truncation of the conjugation to the first ``size`` coefficients
     (``2 * size`` for block families, ordered first component then second).
@@ -192,32 +286,9 @@ def truncated_matrix(spec: ConjugationSpec, size: int) -> AntilinearOperator:
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    if isinstance(spec, _PERMUTATION_FAMILIES):
-        p = period(spec)
-        if size % p != 0:
-            raise ValueError(f"size {size} is not a multiple of the block period {p}")
-        sigma = residue_permutation(spec)
-        mat = np.zeros((size, size), dtype=complex)
-        for m in range(size):
-            mat[m, sigma[m % p] + p * (m // p)] = 1.0
-        return AntilinearOperator(mat)
-    if isinstance(spec, MuLambda):
-        weights = spec.mu * np.conj(spec.lam) ** np.arange(size)
-        # repeated powers drift off the circle by ~k*eps; renormalizing keeps
-        # the involution defect at one rounding per entry regardless of size
-        weights /= np.abs(weights)
-        return AntilinearOperator(np.diag(weights).astype(complex))
-    if isinstance(spec, _BLOCK_FAMILIES):
-        if size % 2 != 0:
-            raise ValueError(f"size {size} is not a multiple of the block period 2")
-        s = _pair_reversal_matrix(size)
-        if isinstance(spec, BlockHadamard):
-            mat = np.block([[s, s], [s, -s]]) * INV_SQRT2
-        else:
-            eye = np.eye(size)
-            mat = np.block([[s, eye], [eye, -s]]) * INV_SQRT2
-        return AntilinearOperator(mat.astype(complex))
-    raise TypeError(f"not a conjugation spec: {spec!r}")
+    if size % spec.period != 0:
+        raise ValueError(f"size {size} is not a multiple of the block period {spec.period}")
+    return AntilinearOperator(spec.matrix(size))
 
 
 @dataclass(frozen=True)
@@ -250,25 +321,9 @@ def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
 # --- JSON wire format ---------------------------------------------------------
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def spec_to_json(spec: ConjugationSpec) -> dict:
-    if isinstance(spec, GeneralPermutation):
-        return {"family": "general", "p": spec.p, "sigma": list(spec.sigma)}
-    if isinstance(spec, Transposition):
-        return {"family": "transposition", "p": spec.p, "i": spec.i, "j": spec.j}
-    if isinstance(spec, Reversal):
-        return {"family": "reversal", "n": spec.n}
-    if isinstance(spec, MuLambda):
-        return {"family": "mulambda", "mu": _complex_pair(spec.mu),
-                "lambda": _complex_pair(spec.lam)}
-    if isinstance(spec, BlockHadamard):
-        return {"family": "block_c"}
-    if isinstance(spec, BlockMixed):
-        return {"family": "block_ctilde"}
-    raise TypeError(f"not a conjugation spec: {spec!r}")
+    return {"family": spec.name,
+            **{field.key: field.to_json(getattr(spec, field.attr)) for field in spec.wire_fields}}
 
 
 def spec_from_json(obj: dict) -> ConjugationSpec:
@@ -276,21 +331,12 @@ def spec_from_json(obj: dict) -> ConjugationSpec:
         family = obj["family"]
     except (TypeError, KeyError) as exc:
         raise ValueError("conjugation spec JSON must carry a 'family' key") from exc
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValueError(f"unknown conjugation family {family!r}")
     try:
-        if family == "general":
-            return GeneralPermutation(int(obj["p"]), tuple(int(v) for v in obj["sigma"]))
-        if family == "transposition":
-            return Transposition(int(obj["p"]), int(obj["i"]), int(obj["j"]))
-        if family == "reversal":
-            return Reversal(int(obj["n"]))
-        if family == "mulambda":
-            mu = complex(*obj["mu"])
-            lam = complex(*obj["lambda"])
-            return MuLambda(mu, lam)
-        if family == "block_c":
-            return BlockHadamard()
-        if family == "block_ctilde":
-            return BlockMixed()
+        return cls(*(field.from_json(obj[field.key]) for field in cls.wire_fields))
     except KeyError as exc:
         raise ValueError(f"spec JSON for {family!r} is missing field {exc.args[0]!r}") from exc
-    raise ValueError(f"unknown conjugation family {family!r}")
+    except TypeError as exc:
+        raise ValueError(f"spec JSON for {family!r} has a malformed field: {exc}") from exc

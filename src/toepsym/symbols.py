@@ -8,6 +8,7 @@ instances are immutable after construction.
 
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -22,6 +23,24 @@ class SymbolSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+def complex_to_pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def complex_from_pair(pair) -> complex:
+    """Decode a JSON ``[re, im]`` pair; anything else, or a value that is not
+    finite, raises ``ValueError``."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        try:
+            z = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            pass
+        else:
+            if cmath.isfinite(z):
+                return z
+    raise ValueError(f"expected a finite [re, im] pair, got {pair!r}")
 
 
 def _canonical(coeffs: Mapping[int, complex]) -> dict[int, complex]:
@@ -121,21 +140,19 @@ class LaurentSymbol:
         return " + ".join(parts)
 
     def to_json(self) -> dict[str, list[float]]:
-        return {str(k): [self._coeffs[k].real, self._coeffs[k].imag]
-                for k in sorted(self._coeffs)}
+        return {str(k): complex_to_pair(self._coeffs[k]) for k in sorted(self._coeffs)}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Iterable[float]]) -> "LaurentSymbol":
+        if not isinstance(obj, Mapping):
+            raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
         coeffs = {}
         for key, pair in obj.items():
             try:
                 k = int(key)
             except ValueError as exc:
                 raise ValueError(f"symbol JSON key {key!r} is not an integer") from exc
-            vals = list(pair)
-            if len(vals) != 2:
-                raise ValueError(f"symbol JSON value for {key!r} must be [re, im]")
-            coeffs[k] = complex(float(vals[0]), float(vals[1]))
+            coeffs[k] = complex_from_pair(pair)
         return cls(coeffs)
 
 
@@ -193,6 +210,8 @@ class MatrixSymbol:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Mapping]) -> "MatrixSymbol":
+        if not isinstance(obj, Mapping):
+            raise ValueError("matrix symbol JSON must be an object with keys phi1..phi4")
         try:
             parts = [LaurentSymbol.from_json(obj[f"phi{i}"]) for i in (1, 2, 3, 4)]
         except KeyError as exc:
@@ -282,7 +301,7 @@ class _Parser:
         return 1.0
 
     def _term(self, coeffs: dict[int, complex], sign: float):
-        kind, _, _ = self.peek()
+        kind, _, start = self.peek()
         if kind == "z":
             coeff = complex(1.0)
         elif kind == "op" and self.peek()[1] == "(":
@@ -305,8 +324,10 @@ class _Parser:
             if self.peek()[0] == "op" and self.peek()[1] == "^":
                 self.take()
                 exponent = self._exponent()
-        value = sign * coeff
-        coeffs[exponent] = coeffs.get(exponent, 0j) + value
+        value = coeffs.get(exponent, 0j) + sign * coeff
+        if not cmath.isfinite(value):
+            raise SymbolSyntaxError("coefficient is not finite", start)
+        coeffs[exponent] = value
 
     def _complex_body(self, in_parens: bool) -> complex:
         first_sign = self._optional_sign() if in_parens else 1.0
@@ -420,33 +441,16 @@ def project_to_conditions(sym: LaurentSymbol, spec) -> LaurentSymbol:
     coefficients are overwritten by ``c_n * lambda**n``.  The projection is
     idempotent and its outputs pass the matching checker exactly.
     """
-    from .conjugations import MuLambda, Reversal, Transposition, covered_transposition_case
+    from .conjugations import IFF
 
-    if isinstance(spec, MuLambda):
-        out: dict[int, complex] = {}
-        for k, v in sym.coeffs.items():
-            if k >= 0:
-                out[k] = v
-        for k in range(1, sym.bandwidth + 1):
-            c = out.get(k, 0j)
-            if c != 0:
-                out[-k] = c * spec.lam**k
+    if spec.is_block or spec.characterization != IFF:
+        raise ValueError(
+            f"projection needs a scalar family with a proven closed-form "
+            f"characterization, not {spec!r}")
+    if spec.sigma is None:  # the twist family
+        out = {k: v for k, v in sym.items() if k >= 0}
+        out.update({-k: v * spec.lam**k for k, v in sym.items() if k > 0})
         return LaurentSymbol(out)
-    if isinstance(spec, Reversal):
-        period = spec.n
-    elif isinstance(spec, Transposition):
-        if not covered_transposition_case(spec.p, spec.i, spec.j):
-            raise ValueError(
-                "projection is only defined for residue-swap specs with a "
-                "full characterization")
-        period = spec.p
-    else:
-        raise ValueError(f"unsupported spec for projection: {spec!r}")
-
-    out = {}
-    bound = sym.bandwidth // period
-    for l in range(-bound, bound + 1):
-        k = period * l
-        value = (sym.coeff(k) + sym.coeff(-k)) / 2
-        out[k] = value
-    return LaurentSymbol(out)
+    multiples = range(0, sym.bandwidth + 1, spec.period)
+    return LaurentSymbol({s * k: (sym.coeff(k) + sym.coeff(-k)) / 2
+                          for k in multiples for s in (1, -1)})

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
-from .conjugations import AntilinearOperator, ConjugationSpec, is_block, truncated_matrix
+from .conjugations import AntilinearOperator, ConjugationSpec, truncated_matrix
 from .symbols import LaurentSymbol, MatrixSymbol
 from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
@@ -59,9 +61,9 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     bandwidth; block specs require a :class:`MatrixSymbol` and scalar specs a
     :class:`LaurentSymbol`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    block = is_block(spec)
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError("tol must be finite and positive")
+    block = spec.is_block
     if block != isinstance(symbol, MatrixSymbol):
         kind = "matrix" if block else "scalar"
         raise ValueError(f"spec {spec!r} requires a {kind} symbol")

@@ -228,6 +228,69 @@ class TestEnvironmentTolerance:
         code, _, err = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1")
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_env_var_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TOEPSYM_TOL", value)
+        code, out, _ = run_cli(capsys, "check", "--symbol", "z^2 + z^-2",
+                               "--spec", "reversal:2")
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tol_flag_rejected(self, capsys, value):
+        code, out, _ = run_cli(capsys, "check", "--symbol", "z^2 + z^-2",
+                               "--spec", "reversal:2", "--tol", value)
+        assert code == 3
+        assert out == ""
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ("--symbol-file", '{"2": [NaN, 0], "-2": [NaN, 0]}', "--spec", "reversal:2"),
+        ("--symbol", "1e999 z^2", "--spec", "reversal:2"),
+        ("--symbol", "z^2 + z^-2", "--spec", "mulambda:nan,0:1,0"),
+    ], ids=["nan-symbol-file", "overflowing-literal", "nan-spec"])
+    def test_non_finite_input_exit_three(self, capsys, tmp_path, argv):
+        argv = _materialize(tmp_path, argv)
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--symbol-file", "[1, 2]", "--spec", "reversal:2"),
+        ("--symbol-file", '{"2": 5}', "--spec", "reversal:2"),
+        ("--symbol-file", '{"phi1": [1]}', "--spec", "block_c"),
+        ("--symbol", "z", "--spec-file",
+         '{"family": "mulambda", "mu": 5, "lambda": [1, 0]}'),
+    ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "scalar-mu"])
+    def test_malformed_json_exit_three(self, capsys, tmp_path, argv):
+        argv = _materialize(tmp_path, argv)
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stdout_stays_strict_json_on_overflow(self, capsys):
+        # finite input whose residual norm overflows: whatever the verdict,
+        # stdout holds strict JSON or nothing
+        code, out, _ = run_cli(capsys, "check", "--symbol", "1e300 z^2",
+                               "--spec", "reversal:2")
+        assert code in (1, 3)
+        if out:
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+
+
+def _materialize(tmp_path, argv):
+    """Write the text after each ``*-file`` flag to a file and pass its path."""
+    out = list(argv)
+    for k, arg in enumerate(argv[:-1]):
+        if arg.endswith("-file"):
+            path = tmp_path / f"input{k}.json"
+            path.write_text(argv[k + 1])
+            out[k + 1] = str(path)
+    return out
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -72,6 +72,16 @@ class TestRawRelations:
         with pytest.raises(ValueError):
             raw_relations_transposition(3, 0, 2, band=-1)
 
+    def test_transposition_table_is_general_table_relabelled(self):
+        for p in range(2, 8):
+            for i in range(p):
+                for j in range(i + 1, p):
+                    spec = Transposition(p, i, j)
+                    table = raw_relations_transposition(p, i, j, band=p + 1)
+                    generic = raw_relations_general(p, spec.sigma, band=p + 1)
+                    assert len(table) == len(generic)
+                    assert _pairs(table) == _pairs(generic)
+
     def test_general_matches_transposition_verdicts(self):
         spec = Transposition(4, 1, 3)
         table = raw_relations_transposition(4, 1, 3, band=8)

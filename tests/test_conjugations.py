@@ -56,6 +56,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MuLambda(1.0, 0.5j)
 
+    def test_mu_lambda_non_finite_rejected(self):
+        for value in (complex("nan"), complex(float("nan"), 0.0), complex("inf")):
+            with pytest.raises(ValueError):
+                MuLambda(value, 1.0)
+            with pytest.raises(ValueError):
+                MuLambda(1.0, value)
+
     def test_mu_lambda_normalized(self):
         eps = 1e-13
         spec = MuLambda(1.0 + eps, 1j * (1.0 - eps))
@@ -210,3 +217,16 @@ class TestSpecJson:
             spec_from_json({"family": "nope"})
         with pytest.raises(ValueError):
             spec_from_json({})
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2],
+        {"family": ["reversal"]},
+        {"family": "reversal", "n": [2]},
+        {"family": "general", "p": 2, "sigma": 5},
+        {"family": "mulambda", "mu": 5, "lambda": [1, 0]},
+        {"family": "mulambda", "mu": [1, 0], "lambda": [1]},
+        {"family": "mulambda", "mu": [float("nan"), 0], "lambda": [1, 0]},
+    ])
+    def test_malformed_fields(self, obj):
+        with pytest.raises(ValueError):
+            spec_from_json(obj)

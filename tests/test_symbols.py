@@ -167,6 +167,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LaurentSymbol.from_json({"x": [1, 2]})
 
+    @pytest.mark.parametrize("obj", [[1, 2], {"2": 5}, {"2": [1]}, {"2": [1, None]},
+                                     {"2": [float("nan"), 0]}, {"2": [0, float("inf")]}])
+    def test_json_rejects_malformed_and_non_finite(self, obj):
+        with pytest.raises(ValueError):
+            LaurentSymbol.from_json(obj)
+
+    @pytest.mark.parametrize("obj", [[1], {"phi1": [1]}, {"phi1": {}}])
+    def test_matrix_json_rejects_malformed(self, obj):
+        with pytest.raises(ValueError):
+            MatrixSymbol.from_json(obj)
+
+    @pytest.mark.parametrize("text", ["1e999 z^2", "1e308 z + 1e308 z"])
+    def test_parse_rejects_non_finite(self, text):
+        with pytest.raises(SymbolSyntaxError):
+            parse_symbol(text)
+
     def test_matrix_round_trip(self):
         msym = random_matrix_symbol(9, 4, 0.6)
         assert MatrixSymbol.from_json(msym.to_json()) == msym

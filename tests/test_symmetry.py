@@ -88,6 +88,12 @@ class TestIsCSymmetric:
         with pytest.raises(ValueError):
             is_c_symmetric(parse_symbol("z"), Reversal(2), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a NaN tolerance would turn an exact-zero residual into not_symmetric
+        with pytest.raises(ValueError):
+            is_c_symmetric(parse_symbol("z^2 + z^-2"), Reversal(2), tol=tol)
+
     def test_explicit_order(self):
         report = is_c_symmetric(parse_symbol("z^2 + z^-2"), Reversal(2), order=20)
         assert report.order == 20 and report.symmetric
