@@ -42,6 +42,7 @@ from .symbols import (
     project_to_conditions,
     random_symbol,
 )
+from .symmetry import SYMMETRY_TOL
 from .toeplitz import min_truncation
 
 EXIT_OK = 0
@@ -192,7 +193,7 @@ def _cmd_gen(args) -> int:
 def _default_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return 1e-10
+        return SYMMETRY_TOL
     try:
         value = float(raw)
     except ValueError as exc:

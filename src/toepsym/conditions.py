@@ -21,9 +21,12 @@ Three kinds of relation sets coexist:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache, partial
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -94,16 +97,6 @@ class ConditionReport:
         return all(v.relation.family != family for v in self.violations)
 
 
-ValueFn = Callable[[str, int], complex]
-
-
-def scalar_value_fn(sym: LaurentSymbol) -> ValueFn:
-    def value(component: str, index: int) -> complex:
-        return sym.coeff(index)
-
-    return value
-
-
 # Entry combinations referenced by block relations: tuples of
 # (1-based entry, coefficient, index shift).
 _BLOCK_COMBOS: dict[str, tuple[tuple[int, int, int], ...]] = {
@@ -130,47 +123,54 @@ _BLOCK_COMBOS: dict[str, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-def block_value_fn(msym: MatrixSymbol) -> ValueFn:
-    entries = msym.entries
-
-    def value(component: str, index: int) -> complex:
-        total = 0j
-        for entry, coeff, shift in _BLOCK_COMBOS[component]:
-            total += coeff * entries[entry - 1].coeff(index + shift)
-        return total
-
-    return value
+def _read(entries, component: str, index: int):
+    """Value of the block ``component`` at ``index``: the weighted sum of its
+    term expansion over ``entries``, anything with a ``coeff(k)`` read."""
+    total = 0j
+    for entry, coeff, shift in _BLOCK_COMBOS[component]:
+        total += coeff * entries[entry - 1].coeff(index + shift)
+    return total
 
 
-def evaluate_relations(relations: Sequence[Relation], value_of: ValueFn,
-                       mode: str = IFF, tol: float = COEFF_TOL) -> ConditionReport:
+def _sides(rel: Relation, value) -> tuple:
+    """``(lhs, rhs)`` of ``rel`` read through ``value(component, index)``;
+    the relation holds when the two are equal."""
+    rhs = 0j if rel.kind == "vanish" else rel.rhs_scale * value(rel.rhs_component, rel.rhs_index)
+    return value(rel.lhs_component, rel.lhs_index), rhs
+
+
+def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence[Relation],
+                       mode: str = IFF) -> ConditionReport:
+    """Evaluate ``relations`` on a scalar or a 2x2 matrix symbol.
+
+    A relation holds when its two sides differ by at most
+    ``COEFF_TOL * max(1, ||c||_2)``, with ``||c||_2`` taken over every
+    coefficient of every entry: relative, like the oracle's residual, so a
+    rescaled symbol gets the same verdict.
+    """
+    if isinstance(symbol, MatrixSymbol):
+        entries, value = symbol.entries, partial(_read, symbol.entries)
+    else:
+        # the one-entry case, read directly: a sum starting at 0j would print
+        # -0.0 as 0.0
+        entries, value = (symbol,), lambda component, index: symbol.coeff(index)
+    # hypot, as a sum of squares overflows; an infinite norm would pass
+    # every relation
+    norm = math.hypot(*[abs(v) for entry in entries for v in entry.coeffs.values()])
+    tol = COEFF_TOL * min(max(1.0, norm), sys.float_info.max)
     violations = []
-    families: list[str] = []
-    seen = set()
     for rel in relations:
-        if rel.family not in seen:
-            seen.add(rel.family)
-            families.append(rel.family)
-        lhs = value_of(rel.lhs_component, rel.lhs_index)
-        if rel.kind == "vanish":
-            rhs = 0j
-            ok = abs(lhs) <= tol
-        else:
-            rhs = rel.rhs_scale * value_of(rel.rhs_component, rel.rhs_index)
-            ok = abs(lhs - rhs) <= tol
-        if not ok:
+        lhs, rhs = _sides(rel, value)
+        if abs(lhs - rhs) > tol:
             violations.append(Violation(rel, lhs, rhs))
-    return ConditionReport(not violations, mode, tuple(violations), tuple(families))
+    families = tuple(dict.fromkeys(rel.family for rel in relations))
+    return ConditionReport(not violations, mode, tuple(violations), families)
 
 
-def evaluate_scalar_relations(sym: LaurentSymbol, relations: Sequence[Relation],
-                              mode: str = IFF, tol: float = COEFF_TOL) -> ConditionReport:
-    return evaluate_relations(relations, scalar_value_fn(sym), mode, tol)
-
-
-def evaluate_block_relations(msym: MatrixSymbol, relations: Sequence[Relation],
-                             mode: str = IFF, tol: float = COEFF_TOL) -> ConditionReport:
-    return evaluate_relations(relations, block_value_fn(msym), mode, tol)
+# The names the checkers call by symbol kind; patching one (as a tracer does)
+# sees every scalar or every block evaluation.
+evaluate_scalar_relations = evaluate_relations
+evaluate_block_relations = evaluate_relations
 
 
 # --- raw relation sets --------------------------------------------------------
@@ -294,8 +294,7 @@ def _period_conditions(p: int, band: int) -> list[Relation]:
     return rels
 
 
-def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int,
-                        tol: float = COEFF_TOL) -> ConditionReport:
+def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
     """Closed-form conditions for the residue swap: coefficients at period
     multiples mirror-symmetric, all others zero.
 
@@ -305,23 +304,23 @@ def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int,
     """
     mode = Transposition(p, i, j).characterization
     rels = _period_conditions(p, sym.bandwidth)
-    return evaluate_scalar_relations(sym, rels, mode, tol)
+    return evaluate_scalar_relations(sym, rels, mode)
 
 
-def check_reversal(sym: LaurentSymbol, n: int, tol: float = COEFF_TOL) -> ConditionReport:
+def check_reversal(sym: LaurentSymbol, n: int) -> ConditionReport:
     """Block-reversal conditions: multiples of ``n`` mirror-symmetric, all
     other coefficients zero (for ``n = 1`` only the mirror clause remains)."""
     Reversal(n)
     rels = _period_conditions(n, sym.bandwidth)
-    return evaluate_scalar_relations(sym, rels, IFF, tol)
+    return evaluate_scalar_relations(sym, rels, IFF)
 
 
-def check_mu_lambda(sym: LaurentSymbol, lam: complex, tol: float = COEFF_TOL) -> ConditionReport:
+def check_mu_lambda(sym: LaurentSymbol, lam: complex) -> ConditionReport:
     """Twist-family condition ``c_(-n) = c_n * lam**n`` for every ``n``."""
     lam = MuLambda(1.0, lam).lam
     rels = [Relation("equality", -n, n, rhs_scale=lam**n, family="twist")
             for n in range(1, sym.bandwidth + 1)]
-    return evaluate_scalar_relations(sym, rels, IFF, tol)
+    return evaluate_scalar_relations(sym, rels, IFF)
 
 
 def block_hadamard_relations(band: int, form: str = CROSS_FORM) -> list[Relation]:
@@ -351,8 +350,7 @@ def block_hadamard_relations(band: int, form: str = CROSS_FORM) -> list[Relation
     return rels
 
 
-def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM,
-                         tol: float = COEFF_TOL) -> ConditionReport:
+def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM) -> ConditionReport:
     """Conditions for the Hadamard-type block conjugation.
 
     ``form="cross"`` is the list with the cross reflection
@@ -364,7 +362,7 @@ def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM,
     verdict is needed.
     """
     rels = block_hadamard_relations(msym.bandwidth, form)
-    return evaluate_block_relations(msym, rels, IFF, tol)
+    return evaluate_block_relations(msym, rels, IFF)
 
 
 def block_mixed_necessary_relations(band: int) -> list[Relation]:
@@ -388,7 +386,7 @@ def block_mixed_necessary_relations(band: int) -> list[Relation]:
     return rels
 
 
-def check_block_mixed_necessary(msym: MatrixSymbol, tol: float = COEFF_TOL) -> ConditionReport:
+def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
     """Necessary conditions for the mixed block conjugation, reported family
     by family:
 
@@ -402,14 +400,14 @@ def check_block_mixed_necessary(msym: MatrixSymbol, tol: float = COEFF_TOL) -> C
     The set is necessary but not sufficient; the explorer searches the gap.
     """
     rels = block_mixed_necessary_relations(msym.bandwidth)
-    return evaluate_block_relations(msym, rels, NECESSARY_ONLY, tol)
+    return evaluate_block_relations(msym, rels, NECESSARY_ONLY)
 
 
 # --- dispatch, cross-validation trials ----------------------------------------
 
 
-def condition_reports(symbol, spec: ConjugationSpec,
-                      tol: float = COEFF_TOL) -> tuple[ConditionReport, ConditionReport | None]:
+def condition_reports(symbol, spec: ConjugationSpec
+                      ) -> tuple[ConditionReport, ConditionReport | None]:
     """Authoritative condition report for ``spec`` plus an advisory one.
 
     For residue swaps outside the characterized cases the authoritative
@@ -418,22 +416,22 @@ def condition_reports(symbol, spec: ConjugationSpec,
     report.
     """
     if isinstance(spec, Transposition):
-        closed_form = check_transposition(symbol, spec.p, spec.i, spec.j, tol)
+        closed_form = check_transposition(symbol, spec.p, spec.i, spec.j)
         if spec.characterization == IFF:
             return closed_form, None
         raw = raw_relations_transposition(spec.p, spec.i, spec.j, symbol.bandwidth)
-        return evaluate_scalar_relations(symbol, raw, IFF, tol), closed_form
+        return evaluate_scalar_relations(symbol, raw, IFF), closed_form
     if isinstance(spec, GeneralPermutation):
         raw = raw_relations_general(spec.p, spec.sigma, symbol.bandwidth)
-        return evaluate_scalar_relations(symbol, raw, IFF, tol), None
+        return evaluate_scalar_relations(symbol, raw, IFF), None
     if isinstance(spec, Reversal):
-        return check_reversal(symbol, spec.n, tol), None
+        return check_reversal(symbol, spec.n), None
     if isinstance(spec, MuLambda):
-        return check_mu_lambda(symbol, spec.lam, tol), None
+        return check_mu_lambda(symbol, spec.lam), None
     if isinstance(spec, BlockHadamard):
-        return check_block_hadamard(symbol, CROSS_FORM, tol), None
+        return check_block_hadamard(symbol, CROSS_FORM), None
     if isinstance(spec, BlockMixed):
-        return check_block_mixed_necessary(symbol, tol), None
+        return check_block_mixed_necessary(symbol), None
     raise TypeError(f"not a conjugation spec: {spec!r}")
 
 
@@ -454,10 +452,9 @@ class CheckOutcome:
     agree: bool
 
 
-def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL,
-              coeff_tol: float = COEFF_TOL) -> CheckOutcome:
+def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL) -> CheckOutcome:
     oracle = is_c_symmetric(symbol, spec, tol)
-    condition, advisory = condition_reports(symbol, spec, coeff_tol)
+    condition, advisory = condition_reports(symbol, spec)
     return CheckOutcome(condition, advisory, oracle, reports_agree(condition, oracle))
 
 
@@ -490,12 +487,12 @@ def _trial_symbol(spec: ConjugationSpec, seed: int, band: int, density: float,
 
 def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
                       density: float = 0.5, tol: float = SYMMETRY_TOL,
-                      coeff_tol: float = COEFF_TOL, satisfying: bool = False) -> TrialResult:
+                      satisfying: bool = False) -> TrialResult:
     """One seeded cross-validation trial: draw a symbol (optionally projected
     onto the family's solution set so the satisfied direction gets exercised),
     then compare the condition verdict with the oracle verdict."""
     symbol = _trial_symbol(spec, seed, band, density, satisfying)
-    outcome = run_check(symbol, spec, tol, coeff_tol)
+    outcome = run_check(symbol, spec, tol)
     return TrialResult(seed, outcome.agree, outcome.condition.satisfied,
                        outcome.oracle.symmetric, outcome.oracle.residual, satisfying)
 
@@ -575,11 +572,13 @@ def random_block_mixed_symmetric(seed: int, max_band: int,
 
 
 @lru_cache(maxsize=None)
-def _raw_components(spec: ConjugationSpec, band: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """Connected components of the raw equality graph over the enumeration
-    window, with a flag marking components pinned to zero because they touch
-    an index outside the support band."""
-    relations = raw_relations_general(spec.period, spec.sigma, band)
+def _raw_components(spec: ConjugationSpec, band: int) -> tuple[
+        tuple[Relation, ...], tuple[tuple[tuple[int, ...], bool], ...]]:
+    """The raw relation table of ``spec`` at ``band`` and the connected
+    components of its equality graph over the enumeration window, each with a
+    flag marking components pinned to zero because they touch an index
+    outside the support band."""
+    relations = tuple(raw_relations_general(spec.period, spec.sigma, band))
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -605,7 +604,7 @@ def _raw_components(spec: ConjugationSpec, band: int) -> tuple[tuple[tuple[int, 
         forced_zero = any(abs(m) > band for m in members)
         out.append((tuple(members), forced_zero))
     out.sort()
-    return tuple(out)
+    return relations, tuple(out)
 
 
 def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
@@ -623,7 +622,7 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
         band = sym.bandwidth
     coeffs = dict(sym.coeffs)
     out: dict[int, complex] = {k: v for k, v in coeffs.items() if abs(k) <= band}
-    for members, forced_zero in _raw_components(spec, band):
+    for members, forced_zero in _raw_components(spec, band)[1]:
         inside = [m for m in members if abs(m) <= band]
         if not inside:
             continue
@@ -638,8 +637,7 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
 
 
 def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
-                          seed: int, tol: float = SYMMETRY_TOL,
-                          density: float = 0.7) -> dict:
+                          seed: int, tol: float = SYMMETRY_TOL) -> dict:
     """Probe the open case of the residue-swap characterization.
 
     Each trial projects a random symbol onto the raw (exact) solution set and
@@ -655,13 +653,13 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
     spec = Transposition(p, i, j)
     if spec.characterization == IFF:
         raise ValueError("this residue swap is characterized; nothing to explore")
-    raw = raw_relations_transposition(p, i, j, band)
+    raw = _raw_components(spec, band)[0]
     candidates = []
     anomalies = []
     zero_projections = 0
     for t in range(trials):
         s = seed + t
-        sym = project_to_raw(random_symbol(s, band, density), spec, band)
+        sym = project_to_raw(random_symbol(s, band, 0.7), spec, band)
         if sym.is_zero:
             zero_projections += 1
             continue
@@ -680,33 +678,20 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
 
 def _block_mixed_nullspace(band: int) -> np.ndarray:
     """Complex null-space basis (columns) of the necessary-condition system
-    over coefficient vectors of the four entries on ``[-band, band]``."""
+    over coefficient vectors of the four entries on ``[-band, band]``.  A
+    relation's row is its ``lhs - rhs`` read on the unknowns themselves (a
+    unit row each inside the band, 0 outside), so one reading nothing inside
+    the band stays a scalar and gives no row."""
     width = 2 * band + 1
-    nvars = 4 * width
-
-    def col(entry: int, k: int) -> int:
-        return (entry - 1) * width + (k + band)
-
-    rows = []
-    for rel in block_mixed_necessary_relations(band):
-        row = np.zeros(nvars, dtype=complex)
-        empty = True
-        for entry, coeff, shift in _BLOCK_COMBOS[rel.lhs_component]:
-            k = rel.lhs_index + shift
-            if abs(k) <= band:
-                row[col(entry, k)] += coeff
-                empty = False
-        if rel.kind == "equality":
-            for entry, coeff, shift in _BLOCK_COMBOS[rel.rhs_component]:
-                k = rel.rhs_index + shift
-                if abs(k) <= band:
-                    row[col(entry, k)] -= rel.rhs_scale * coeff
-                    empty = False
-        if not empty:
-            rows.append(row)
-    matrix = np.vstack(rows) if rows else np.zeros((1, nvars), dtype=complex)
+    unit = np.eye(4 * width)
+    unknowns = [SimpleNamespace(coeff=lambda k, e=e: unit[e * width + k + band]
+                                if abs(k) <= band else 0) for e in range(4)]
+    read = partial(_read, unknowns)
+    diffs = (np.subtract(*_sides(rel, read)) for rel in block_mixed_necessary_relations(band))
+    # never empty: the telescoping relations at l = 0 read index 0
+    matrix = np.vstack([row for row in diffs if np.ndim(row)])
     _, sv, vh = np.linalg.svd(matrix)
-    cutoff = max(matrix.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    cutoff = max(matrix.shape) * np.finfo(float).eps * sv[0]
     rank = int(np.sum(sv > cutoff))
     return vh[rank:].conj().T
 
@@ -730,24 +715,18 @@ def explore_block_mixed(band: int, trials: int, seed: int,
     degenerate = 0
     for t in range(trials):
         s = seed + t
-        if dim == 0:
-            degenerate += 1
-            continue
         rng = np.random.default_rng(s)
         weights = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec = nullspace @ weights
-        peak = float(np.max(np.abs(vec))) if vec.size else 0.0
-        if peak < 1e-9:
+        peak = float(np.max(np.abs(vec)))
+        if peak < 1e-9:  # also the zero vector of an empty nullspace
             degenerate += 1
             continue
         vec = vec / peak
-        entries = []
-        for e in range(4):
-            chunk = vec[e * width:(e + 1) * width]
-            entries.append(LaurentSymbol(
-                {k - band: chunk[k] for k in range(width) if abs(chunk[k]) > 1e-13}))
-        msym = MatrixSymbol(*entries)
-        condition = check_block_mixed_necessary(msym, tol=1e-9)
+        msym = MatrixSymbol(*(LaurentSymbol({k - band: v for k, v in enumerate(chunk)
+                                             if abs(v) > 1e-13})
+                              for chunk in vec.reshape(4, width)))
+        condition = check_block_mixed_necessary(msym)
         oracle = is_c_symmetric(msym, BlockMixed(), tol)
         if not condition.satisfied:
             anomalies.append(s)

@@ -52,12 +52,20 @@ class WireField(NamedTuple):
         return self.from_json(token.split(",") if self.is_list else token)
 
 
+def _int(value) -> int:
+    """An int, an integral float or a decimal string (a CLI token); ``bool``
+    and fractional or non-finite numbers raise ``ValueError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _int_field(key: str) -> WireField:
-    return WireField(key, key, int, int)
+    return WireField(key, key, int, _int)
 
 
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
 
 
 class ConjugationSpec:
@@ -301,7 +309,7 @@ class AxiomCheck:
 
 
 def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
-                  seed: int = 0, tol: float = AXIOM_TOL) -> AxiomCheck:
+                  seed: int = 0) -> AxiomCheck:
     """Check the two conjugation axioms on the truncation: ``A conj(A) = I``
     entrywise and norm preservation on random unit probes."""
     op = truncated_matrix(spec, size)
@@ -314,7 +322,7 @@ def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
         v /= np.linalg.norm(v)
         isometry = max(isometry, abs(np.linalg.norm(op.apply(v)) - 1.0))
     isometry = float(isometry)
-    ok = bool(involution <= tol and isometry <= tol)
+    ok = bool(involution <= AXIOM_TOL and isometry <= AXIOM_TOL)
     return AxiomCheck(ok, involution, isometry, size, probes)
 
 

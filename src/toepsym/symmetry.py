@@ -41,15 +41,23 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
     """``||A conj(T) conj(A) - T^*||_F / max(1, ||T||_F)``.
 
     ``conj(A)`` is taken explicitly so complex-diagonal families go through
-    the same path as the real permutation ones.
+    the same path as the real permutation ones.  The products and norms run
+    on ``2**-e T`` with ``2**e > max |Re|, |Im|``, so finite huge symbols do
+    not overflow; the scaling is exact, so the result is bit for bit the
+    unscaled one wherever that is finite.
     """
     a = c.matrix
     if a.shape[0] != t.data.shape[0]:
         raise ValueError(
             f"dimension mismatch: operator is {a.shape[0]}, matrix is {t.data.shape[0]}")
-    lhs = a @ np.conj(t.data) @ np.conj(a)
-    diff = lhs - t.data.conj().T
-    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(t.data)))
+    # reductions over a view: an abs() temporary would add to the peak memory
+    parts = t.data.ravel().view(float)
+    e = max(0, math.frexp(max(parts.max(), -parts.min()))[1])
+    scale = math.ldexp(1.0, -e)
+    lhs = a @ np.conj(t.data * scale) @ np.conj(a)
+    # in place, so the scaled copies add no n x n array to the peak memory
+    lhs -= np.conj(t.data * scale).T
+    return float(np.linalg.norm(lhs) / max(scale, np.linalg.norm(t.data * scale)))
 
 
 def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,

@@ -281,6 +281,55 @@ class TestInputValidation:
             json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
 
 
+class TestScaledAndHugeSymbols:
+    def test_near_symmetric_scaled_symbol_agrees(self, capsys, tmp_path):
+        argv = _materialize(tmp_path, ("--symbol-file",
+                                       '{"2": [1000000.000001, 0], "-2": [1000000.0, 0]}',
+                                       "--spec", "reversal:2"))
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 0
+        assert json.loads(out)["agree"] is True
+
+    @pytest.mark.parametrize("symbol, expected", [
+        ("1e300 z^2", 1),
+        ("1e300 z^2 + 1e300 z^-2", 0),
+    ])
+    def test_finite_huge_symbol_gets_a_verdict(self, capsys, symbol, expected):
+        code, out, _ = run_cli(capsys, "check", "--symbol", symbol, "--spec", "reversal:2")
+        assert code == expected
+        assert json.loads(out)["agree"] is True
+
+    def test_negative_zero_survives_in_violation_values(self, capsys, tmp_path):
+        argv = _materialize(tmp_path, ("--symbol-file", '{"1": [-1.0, -0.0]}',
+                                       "--spec", "reversal:2"))
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 1
+        assert '"lhs_value":[-1.0,-0.0]' in out
+
+
+class TestStrictIntegerSpecFields:
+    @pytest.mark.parametrize("spec", [
+        '{"family": "reversal", "n": 2.7}',
+        '{"family": "reversal", "n": true}',
+        '{"family": "transposition", "p": 4, "i": 0, "j": 2.5}',
+        '{"family": "general", "p": 2, "sigma": [1, false]}',
+    ], ids=["fractional", "bool", "fractional-j", "bool-in-sigma"])
+    def test_spec_file_rejects_non_integers(self, capsys, tmp_path, spec):
+        argv = _materialize(tmp_path, ("--symbol", "z^2 + z^-2", "--spec-file", spec))
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_integral_float_and_token_accepted(self, capsys, tmp_path):
+        argv = _materialize(tmp_path, ("--symbol", "z^2 + z^-2", "--spec-file",
+                                       '{"family": "reversal", "n": 2.0}'))
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 0
+        assert json.loads(out)["spec"] == {"family": "reversal", "n": 2}
+        assert run_cli(capsys, "check", "--symbol", "z^2 + z^-2", "--spec", "reversal:2")[0] == 0
+
+
 def _materialize(tmp_path, argv):
     """Write the text after each ``*-file`` flag to a file and pass its path."""
     out = list(argv)

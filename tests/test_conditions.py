@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import toepsym.conditions as conditions
 from toepsym.conditions import (
     CONJECTURE,
     IFF,
@@ -39,6 +40,18 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric
+
+BIG = 1e6
+LAM = complex(0.6, 0.8)
+# near-symmetric symbols of magnitude 1e6: relative oracle residual ~1e-12,
+# coefficient defect 1e-6 (absolute) or ~1e-12 (relative to the norm)
+SCALED = [
+    (Reversal(2), {2: BIG + 1e-6, -2: BIG}),
+    (Transposition(4, 0, 2), {0: BIG, 4: BIG + 1e-6, -4: BIG}),
+    (MuLambda(1j, LAM), {0: BIG, 1: BIG, -1: BIG * LAM + 1e-6}),
+    (BlockHadamard(), [{2: BIG + 1e-6, -2: BIG}, {},
+                       {-2: (BIG + 1e-6) / 2, 2: BIG / 2}, {-2: (BIG + 1e-6) / 2, 2: BIG / 2}]),
+]
 
 
 def _pairs(relations):
@@ -395,5 +408,50 @@ class TestExplorers:
         assert len(report["candidates"]) > 0
         for cand in report["candidates"]:
             m = MatrixSymbol.from_json(cand["symbol"])
-            assert check_block_mixed_necessary(m, tol=1e-9).satisfied
+            assert check_block_mixed_necessary(m).satisfied
             assert not is_c_symmetric(m, BlockMixed()).symmetric
+
+
+class TestCoefficientTolerance:
+    @pytest.mark.parametrize("spec, coeffs", SCALED,
+                             ids=["reversal", "transposition", "mulambda", "block_c"])
+    def test_scaled_symbols_agree(self, spec, coeffs):
+        symbol = (MatrixSymbol(*(LaurentSymbol(c) for c in coeffs))
+                  if isinstance(coeffs, list) else LaurentSymbol(coeffs))
+        outcome = run_check(symbol, spec)
+        assert outcome.oracle.symmetric
+        assert outcome.condition.satisfied
+        assert outcome.agree
+
+    def test_unit_norm_symbols_keep_the_absolute_tolerance(self):
+        # ||c||_2 <= 1, so the tolerance stays 1e-12
+        assert check_reversal(LaurentSymbol({2: 0.5 + 0.9e-12, -2: 0.5}), 2).satisfied
+        assert not check_reversal(LaurentSymbol({2: 0.5 + 1.1e-12, -2: 0.5}), 2).satisfied
+
+    def test_tolerance_grows_with_the_coefficient_norm(self):
+        # ||c||_2 = 5e6 * sqrt(2): a defect of 5e-6 is within 1e-12 relative
+        assert check_reversal(LaurentSymbol({2: 5e6 + 5e-6, -2: 5e6}), 2).satisfied
+        assert not check_reversal(LaurentSymbol({2: 5e6 + 1e-4, -2: 5e6}), 2).satisfied
+
+    def test_norm_past_the_float_limit_still_checks(self):
+        # ||c||_2 = 2.4e308 is not finite; the tolerance must stay finite
+        outcome = run_check(LaurentSymbol({1: 1.7e308, 2: 1.7e308}), Reversal(2))
+        assert not outcome.condition.satisfied
+        assert outcome.agree
+
+
+class TestOneEvaluator:
+    def test_block_mixed_nullspace_dimensions(self):
+        dims = [conditions._block_mixed_nullspace(b).shape[1] for b in range(11)]
+        assert dims == [4, 6, 10, 12, 16, 18, 22, 24, 28, 30, 34]
+
+    def test_explorer_enumerates_the_raw_table_once(self, monkeypatch):
+        calls = []
+        for name in ("raw_relations_general", "raw_relations_transposition"):
+            original = getattr(conditions, name)
+            monkeypatch.setattr(conditions, name,
+                                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        conditions._raw_components.cache_clear()
+        report = explore_transposition(5, 1, 3, band=9, trials=6, seed=4)
+        assert report["anomalies"] == []
+        assert calls == ["raw_relations_general"]

@@ -230,3 +230,21 @@ class TestSpecJson:
     def test_malformed_fields(self, obj):
         with pytest.raises(ValueError):
             spec_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "reversal", "n": 2.7},
+        {"family": "reversal", "n": True},
+        {"family": "reversal", "n": float("inf")},
+        {"family": "transposition", "p": 4, "i": False, "j": 2},
+        {"family": "general", "p": 2, "sigma": [1.0, 0.5]},
+        {"family": "general", "p": True, "sigma": [0]},
+    ])
+    def test_non_integer_fields_rejected(self, obj):
+        with pytest.raises(ValueError):
+            spec_from_json(obj)
+
+    def test_integral_values_accepted(self):
+        assert spec_from_json({"family": "reversal", "n": 2.0}) == Reversal(2)
+        assert spec_from_json({"family": "reversal", "n": "2"}) == Reversal(2)
+        assert (spec_from_json({"family": "general", "p": 2, "sigma": [1.0, 0]})
+                == GeneralPermutation(2, (1, 0)))

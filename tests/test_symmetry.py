@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from toepsym.conjugations import (
     BlockHadamard,
     BlockMixed,
+    GeneralPermutation,
     MuLambda,
     Reversal,
     Transposition,
@@ -17,7 +19,7 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric, report_to_json, residual
-from toepsym.toeplitz import block_truncate, truncate
+from toepsym.toeplitz import block_truncate, min_truncation, truncate
 
 
 class TestResidual:
@@ -139,6 +141,53 @@ class TestProperties:
                 base = is_c_symmetric(msym, spec)
                 doubled = is_c_symmetric(msym, spec, order=2 * base.order)
                 assert base.symmetric == doubled.symmetric
+
+
+SIX_FAMILIES = [GeneralPermutation(3, (2, 1, 0)), Transposition(5, 1, 3), Reversal(2),
+                MuLambda(1j, complex(0.6, 0.8)), BlockHadamard(), BlockMixed()]
+
+
+def _unscaled_residual(t, c):
+    a = c.matrix
+    diff = a @ np.conj(t.data) @ np.conj(a) - t.data.conj().T
+    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(t.data)))
+
+
+def _truncation(symbol, spec, n):
+    return block_truncate(symbol, n) if spec.is_block else truncate(symbol, n)
+
+
+class TestScaledResidual:
+    @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("band", [6, 50, 200])
+    def test_bit_identical_to_unscaled_formula(self, spec, band):
+        n = min_truncation(band, spec)
+        c = truncated_matrix(spec, n)
+        for seed in range(2):
+            # factor 1 gives e = 0 or 1, 3e5 gives e up to 19, 1e-3 gives e = 0
+            for factor in (1.0, 3e5, 1e-3):
+                if spec.is_block:
+                    entries = random_matrix_symbol(seed, band, 0.5).entries
+                    symbol = MatrixSymbol(*(factor * e for e in entries))
+                else:
+                    symbol = factor * random_symbol(seed, band, 0.5)
+                t = _truncation(symbol, spec, n)
+                assert residual(t, c) == _unscaled_residual(t, c)
+
+    @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
+    def test_power_of_two_scaling_leaves_residual_unchanged(self, spec):
+        # 2**900 overflows the unscaled norms; the scaled residual is exact
+        if spec.is_block:
+            symbol = random_matrix_symbol(3, 8, 0.7)
+            huge = MatrixSymbol(*(2.0**900 * e for e in symbol.entries))
+        else:
+            symbol = random_symbol(3, 8, 0.7)
+            huge = 2.0**900 * symbol
+        n = min_truncation(8, spec)
+        c = truncated_matrix(spec, n)
+        base = residual(_truncation(symbol, spec, n), c)
+        assert base > 0.1
+        assert residual(_truncation(huge, spec, n), c) == base
 
 
 def test_report_json_shape():
