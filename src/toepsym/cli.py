@@ -6,7 +6,7 @@ for identical configurations, so reports can be diffed and golden-tested.
 
 Exit codes: 0 success/symmetric, 1 checked and not symmetric, 2 condition
 checker and matrix oracle disagree (correctness alarm), 3 input or usage
-error.
+error, 4 internal error (an unexpected exception such as ``MemoryError``).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_NOT_SYMMETRIC = 1
 EXIT_DISAGREE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 TOL_ENV_VAR = "TOEPSYM_TOL"
 
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"toepsym: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash must not read as exit 1, "not symmetric"
+        print(f"toepsym: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run():

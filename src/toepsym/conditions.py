@@ -154,14 +154,16 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence
         # the one-entry case, read directly: a sum starting at 0j would print
         # -0.0 as 0.0
         entries, value = (symbol,), lambda component, index: symbol.coeff(index)
-    # hypot, as a sum of squares overflows; an infinite norm would pass
-    # every relation
-    norm = math.hypot(*[abs(v) for entry in entries for v in entry.coeffs.values()])
+    # hypot throughout, as a sum of squares overflows and complex abs raises
+    # OverflowError; an infinite norm would pass every relation
+    norm = math.hypot(*[math.hypot(v.real, v.imag)
+                        for entry in entries for v in entry.coeffs.values()])
     tol = COEFF_TOL * min(max(1.0, norm), sys.float_info.max)
     violations = []
     for rel in relations:
         lhs, rhs = _sides(rel, value)
-        if abs(lhs - rhs) > tol:
+        diff = lhs - rhs
+        if math.hypot(diff.real, diff.imag) > tol:
             violations.append(Violation(rel, lhs, rhs))
     families = tuple(dict.fromkeys(rel.family for rel in relations))
     return ConditionReport(not violations, mode, tuple(violations), families)

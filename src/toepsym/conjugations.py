@@ -1,6 +1,6 @@
 """Conjugation families as truncated antilinear operators.
 
-Every family acts as ``x -> A @ conj(x)`` for a unitary matrix ``A``:
+Every family acts as ``x -> A @ conj(x)``, ``A`` unitary and given by ``blocks``:
 
 * ``GeneralPermutation(p, sigma)`` conjugates coefficients and permutes the
   residues of each length-``p`` block by an involution ``sigma``.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -74,9 +75,9 @@ class ConjugationSpec:
     order), ``period`` (the block period whose divisibility makes truncation
     exact), ``is_block``, ``characterization`` (``IFF``, ``CONJECTURE``,
     ``NECESSARY_ONLY``, or ``None`` when only the raw relation table applies)
-    and ``matrix(size)``, the unitary ``A`` of the truncated action
-    ``x -> A conj(x)``.  The residue-permutation families also carry
-    ``sigma``; the others set it to ``None``."""
+    and ``blocks(size)``, the grid of ``A`` in the truncated action
+    ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
+    residue-permutation families also carry ``sigma``; the others ``None``."""
 
     name: ClassVar[str]
     wire_fields: ClassVar[tuple[WireField, ...]] = ()
@@ -95,11 +96,9 @@ class _ResiduePermutation(ConjugationSpec):
     def to_general(self) -> "GeneralPermutation":
         return GeneralPermutation(self.period, self.sigma)
 
-    def matrix(self, size: int) -> np.ndarray:
+    def blocks(self, size: int) -> tuple:
         p, m = self.period, np.arange(size)
-        mat = np.zeros((size, size), dtype=complex)
-        mat[m, np.take(self.sigma, m % p) + p * (m // p)] = 1.0
-        return mat
+        return (((np.take(self.sigma, m % p) + p * (m // p), None),),)
 
 
 @dataclass(frozen=True)
@@ -197,12 +196,12 @@ class MuLambda(ConjugationSpec):
                 raise ValueError(f"{name} must have unit modulus, got |{name}| = {r}")
             object.__setattr__(self, name, value / r)
 
-    def matrix(self, size: int) -> np.ndarray:
+    def blocks(self, size: int) -> tuple:
         weights = self.mu * np.conj(self.lam) ** np.arange(size)
         # repeated powers drift off the circle by ~k*eps; renormalizing keeps
         # the involution defect at one rounding per entry regardless of size
         weights /= np.abs(weights)
-        return np.diag(weights).astype(complex)
+        return (((np.arange(size), weights),),)
 
 
 class _PairBlock(ConjugationSpec):
@@ -214,10 +213,10 @@ class _PairBlock(ConjugationSpec):
     is_block = True
     sigma = None
 
-    def matrix(self, size: int) -> np.ndarray:
-        s = np.kron(np.eye(size // 2), [[0.0, 1.0], [1.0, 0.0]])
-        x = self._off_diagonal(s)
-        return (np.block([[s, x], [x, -s]]) * INV_SQRT2).astype(complex)
+    def blocks(self, size: int) -> tuple:
+        m = np.arange(size)
+        c2, x = m ^ 1, m ^ self._off_diagonal_xor
+        return (((c2, INV_SQRT2), (x, INV_SQRT2)), ((x, INV_SQRT2), (c2, -INV_SQRT2)))
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,7 @@ class BlockHadamard(_PairBlock):
     block-of-two reversal ``C2``."""
 
     name = "block_c"
-
-    def _off_diagonal(self, s: np.ndarray) -> np.ndarray:
-        return s
+    _off_diagonal_xor = 1  # C2 swaps each index with its pair partner
 
 
 @dataclass(frozen=True)
@@ -238,9 +235,7 @@ class BlockMixed(_PairBlock):
 
     name = "block_ctilde"
     characterization = NECESSARY_ONLY
-
-    def _off_diagonal(self, s: np.ndarray) -> np.ndarray:
-        return np.eye(len(s))
+    _off_diagonal_xor = 0  # C1 fixes every index
 
 
 FAMILIES: dict[str, type[ConjugationSpec]] = {
@@ -268,16 +263,25 @@ def covered_transposition_case(p: int, i: int, j: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class AntilinearOperator:
-    """Unitary matrix ``A`` realizing the antilinear action ``x -> A conj(x)``."""
+    """``x -> A conj(x)`` with ``A`` unitary, held as a grid of ``size x size``
+    blocks ``(perm, weight)``: row ``i`` of a block is zero except at column
+    ``perm[i]``, which holds 1 (weight ``None``), ``weight[i]`` or ``weight``."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+    blocks: tuple
+    size: int
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.blocks) * self.size
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense ``A``, built on first use."""
+        eye = np.eye(self.size)
+        mat = np.block([[eye[p] * np.reshape(1.0 if w is None else w, (-1, 1)) for p, w in row]
+                        for row in self.blocks]).astype(complex)
+        mat.setflags(write=False)
+        return mat
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -296,7 +300,7 @@ def truncated_matrix(spec: ConjugationSpec, size: int) -> AntilinearOperator:
         raise ValueError("size must be >= 1")
     if size % spec.period != 0:
         raise ValueError(f"size {size} is not a multiple of the block period {spec.period}")
-    return AntilinearOperator(spec.matrix(size))
+    return AntilinearOperator(spec.blocks(size), size)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 The truncation of a scalar symbol is the ``order x order`` matrix with entry
 ``(m, n) = c_(m-n)``; a 2x2 matrix symbol yields the ``2*order`` square array
-of the four entry truncations.  Dense storage is deliberate: the artifact
-works at desk scale and the product of interest is an entrywise residual, not
-a fast apply.
+of the four entry truncations.  Dense storage is deliberate: the residual
+gathers its rows and columns in O(d^2) passes, and a residual that never forms
+it (a closed-form norm over the coefficients) would round differently.
 """
 
 from __future__ import annotations

@@ -299,6 +299,15 @@ class TestScaledAndHugeSymbols:
         assert code == expected
         assert json.loads(out)["agree"] is True
 
+    def test_overflowing_coefficient_modulus_gets_a_verdict(self, capsys, tmp_path):
+        # |c_1| exceeds the float range: complex abs() would raise OverflowError
+        argv = _materialize(tmp_path, ("--symbol-file", '{"1": [1.7e308, 1.7e308]}',
+                                       "--spec", "reversal:2"))
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 1
+        assert json.loads(out)["agree"] is True
+        assert "Traceback" not in err
+
     def test_negative_zero_survives_in_violation_values(self, capsys, tmp_path):
         argv = _materialize(tmp_path, ("--symbol-file", '{"1": [-1.0, -0.0]}',
                                        "--spec", "reversal:2"))
@@ -328,6 +337,22 @@ class TestStrictIntegerSpecFields:
         assert code == 0
         assert json.loads(out)["spec"] == {"family": "reversal", "n": 2}
         assert run_cli(capsys, "check", "--symbol", "z^2 + z^-2", "--spec", "reversal:2")[0] == 0
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [MemoryError(), RuntimeError("unexpected")],
+                             ids=["memory", "other"])
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch, error):
+        def crash(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "run_check", crash)
+        code, out, err = run_cli(capsys, "check", "--symbol", "z^2 + z^-2",
+                                 "--spec", "reversal:2")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("toepsym: internal error: ")
+        assert type(error).__name__ in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def _materialize(tmp_path, argv):

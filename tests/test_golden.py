@@ -3,13 +3,15 @@
 The determinism tests compare two runs of the same code; these compare
 against files written once, so a refactor that changes any report byte, exit
 code or verdict fails here.  To regenerate after an intended output change,
-run ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+run ``PYTHONPATH=src python tests/test_golden.py NAME...`` with the names of
+the goldens that change (no names rewrites all of them) and review the diff.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -69,6 +71,10 @@ def test_conjecture_case_reports_violations_and_advisory():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        sys.exit(f"unknown golden names: {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (_, argv) in COMMANDS.items():
-        (GOLDEN_DIR / f"{name}.json").write_text(run(argv)[1])
+    for name in names:
+        (GOLDEN_DIR / f"{name}.json").write_text(run(COMMANDS[name][1])[1])

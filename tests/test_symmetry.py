@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
+from toepsym.conditions import (
+    project_to_raw,
+    random_block_hadamard_symmetric,
+    random_block_mixed_symmetric,
+)
 from toepsym.conjugations import (
+    IFF,
+    AntilinearOperator,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -188,6 +195,61 @@ class TestScaledResidual:
         base = residual(_truncation(symbol, spec, n), c)
         assert base > 0.1
         assert residual(_truncation(huge, spec, n), c) == base
+
+
+PERMUTATION_FAMILIES = {"general", "transposition", "reversal"}
+
+
+def _symmetric_symbol(spec, seed, band):
+    if isinstance(spec, BlockHadamard):
+        return random_block_hadamard_symmetric(seed, band)
+    if isinstance(spec, BlockMixed):
+        return random_block_mixed_symmetric(seed, band)
+    symbol = random_symbol(seed, band, 0.5)
+    if spec.characterization == IFF:
+        return project_to_conditions(symbol, spec)
+    return project_to_raw(symbol, spec, band)
+
+
+def _generic_symbol(spec, seed, band):
+    return random_matrix_symbol(seed, band, 0.5) if spec.is_block else random_symbol(seed, band, 0.5)
+
+
+def _scaled(symbol, factor):
+    if isinstance(symbol, MatrixSymbol):
+        return MatrixSymbol(*(factor * e for e in symbol.entries))
+    return factor * symbol
+
+
+class TestStructuredResidual:
+    """The gathered residual against the dense product ``A conj(T) conj(A)``."""
+
+    @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("band", [0, 1, 2, 3, 6, 13, 20, 50, 200])
+    def test_matches_dense_product(self, spec, band):
+        n = min_truncation(band, spec)
+        c = truncated_matrix(spec, n)
+        for make in (_symmetric_symbol, _generic_symbol):
+            base = make(spec, 5, band)
+            dense = {f: _unscaled_residual(_truncation(_scaled(base, f), spec, n), c)
+                     for f in (1.0, 3e5, 1e-3)}
+            # the dense products overflow at 2**900; the scaling is exact, so
+            # its reference is the unscaled symbol's
+            dense[2.0**900] = dense[1.0]
+            for factor, expected in dense.items():
+                got = residual(_truncation(_scaled(base, factor), spec, n), c)
+                if spec.name in PERMUTATION_FAMILIES:
+                    assert got == expected
+                else:
+                    assert abs(got - expected) <= 1e-15 * max(1.0, expected)
+
+    def test_check_path_builds_no_dense_operator(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the check path built the dense A")
+        monkeypatch.setattr(AntilinearOperator, "matrix", property(refuse))
+        for spec in SIX_FAMILIES:
+            assert is_c_symmetric(_symmetric_symbol(spec, 2, 6), spec).symmetric
+            assert not is_c_symmetric(_generic_symbol(spec, 2, 6), spec).symmetric
 
 
 def test_report_json_shape():
