@@ -75,8 +75,8 @@ class ConjugationSpec:
     order), ``period`` (the block period whose divisibility makes truncation
     exact), ``is_block``, ``characterization`` (``IFF``, ``CONJECTURE``,
     ``NECESSARY_ONLY``, or ``None`` when only the raw relation table applies)
-    and ``blocks(size)``, the grid of ``A`` in the truncated action
-    ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
+    and ``blocks(size)``, the ``(perms, weights)`` grid of ``A`` in the
+    truncated action ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
     residue-permutation families also carry ``sigma``; the others ``None``."""
 
     name: ClassVar[str]
@@ -96,9 +96,9 @@ class _ResiduePermutation(ConjugationSpec):
     def to_general(self) -> "GeneralPermutation":
         return GeneralPermutation(self.period, self.sigma)
 
-    def blocks(self, size: int) -> tuple:
+    def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         p, m = self.period, np.arange(size)
-        return (((np.take(self.sigma, m % p) + p * (m // p), None),),)
+        return (np.take(self.sigma, m % p) + p * (m // p))[None, None], np.ones((1, 1, size))
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,12 @@ class MuLambda(ConjugationSpec):
                 raise ValueError(f"{name} must have unit modulus, got |{name}| = {r}")
             object.__setattr__(self, name, value / r)
 
-    def blocks(self, size: int) -> tuple:
+    def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         weights = self.mu * np.conj(self.lam) ** np.arange(size)
         # repeated powers drift off the circle by ~k*eps; renormalizing keeps
         # the involution defect at one rounding per entry regardless of size
         weights /= np.abs(weights)
-        return (((np.arange(size), weights),),)
+        return np.arange(size)[None, None], weights[None, None]
 
 
 class _PairBlock(ConjugationSpec):
@@ -213,10 +213,11 @@ class _PairBlock(ConjugationSpec):
     is_block = True
     sigma = None
 
-    def blocks(self, size: int) -> tuple:
+    def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(size)
         c2, x = m ^ 1, m ^ self._off_diagonal_xor
-        return (((c2, INV_SQRT2), (x, INV_SQRT2)), ((x, INV_SQRT2), (c2, -INV_SQRT2)))
+        signs = np.array([[1.0, 1.0], [1.0, -1.0]])[..., None].repeat(size, axis=2)
+        return np.array([[c2, x], [x, c2]]), INV_SQRT2 * signs
 
 
 @dataclass(frozen=True)
@@ -263,23 +264,32 @@ def covered_transposition_case(p: int, i: int, j: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class AntilinearOperator:
-    """``x -> A conj(x)`` with ``A`` unitary, held as a grid of ``size x size``
-    blocks ``(perm, weight)``: row ``i`` of a block is zero except at column
-    ``perm[i]``, which holds 1 (weight ``None``), ``weight[i]`` or ``weight``."""
+    """``x -> A conj(x)`` with ``A`` unitary, held as a ``g x g`` grid of
+    ``size x size`` blocks (``g`` = 1, or 2 for the block families): row ``m``
+    of block ``(i, k)`` is zero except at column ``perms[i, k, m]``, which
+    holds ``weights[i, k, m]``.  Every ``perms[i, k]`` commutes with shifts by
+    ``period``, so its first ``period`` entries are its residue map."""
 
-    blocks: tuple
-    size: int
+    perms: np.ndarray
+    weights: np.ndarray
+    period: int
+
+    @property
+    def size(self) -> int:
+        return self.perms.shape[2]
 
     @property
     def dim(self) -> int:
-        return len(self.blocks) * self.size
+        return self.perms.shape[0] * self.size
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense ``A``, built on first use."""
-        eye = np.eye(self.size)
-        mat = np.block([[eye[p] * np.reshape(1.0 if w is None else w, (-1, 1)) for p, w in row]
-                        for row in self.blocks]).astype(complex)
+        """The dense ``A``, built on first use; the program never reads it."""
+        g, n = self.perms.shape[0], self.size
+        mat = np.zeros((g, n, g, n), dtype=complex)
+        i, m, k = np.indices((g, n, g)).reshape(3, -1)
+        mat[i, m, k, self.perms[i, k, m]] = self.weights[i, k, m]
+        mat = mat.reshape(self.dim, self.dim)
         mat.setflags(write=False)
         return mat
 
@@ -287,7 +297,8 @@ class AntilinearOperator:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim,):
             raise ValueError(f"vector length {x.shape} does not match operator dim {self.dim}")
-        return self.matrix @ np.conj(x)
+        parts = np.conj(x).reshape(-1, self.size)
+        return (self.weights * parts[np.arange(len(parts))[:, None], self.perms]).sum(axis=1).ravel()
 
 
 def truncated_matrix(spec: ConjugationSpec, size: int) -> AntilinearOperator:
@@ -300,7 +311,7 @@ def truncated_matrix(spec: ConjugationSpec, size: int) -> AntilinearOperator:
         raise ValueError("size must be >= 1")
     if size % spec.period != 0:
         raise ValueError(f"size {size} is not a multiple of the block period {spec.period}")
-    return AntilinearOperator(spec.blocks(size), size)
+    return AntilinearOperator(*spec.blocks(size), spec.period)
 
 
 @dataclass(frozen=True)
@@ -317,8 +328,16 @@ def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
     """Check the two conjugation axioms on the truncation: ``A conj(A) = I``
     entrywise and norm preservation on random unit probes."""
     op = truncated_matrix(spec, size)
-    a = op.matrix
-    involution = float(np.max(np.abs(a @ np.conj(a) - np.eye(op.dim))))
+    # every perm keeps indices in their period block, so does A conj(A): add
+    # w_ik[m] conj(w_kj[perm_ik[m]]) at column perm_kj[perm_ik[m]] mod period
+    # of row m of block (i, j), in ascending k, then subtract I
+    (g, _, n), perms, w, p = op.perms.shape, op.perms, op.weights, spec.period
+    i, j, k, m = np.indices((g, g, g, n)).reshape(4, -1)
+    mid, product = perms[i, k, m], np.zeros((g, n, g, p), dtype=complex)
+    np.add.at(product, (i, m, j, perms[k, j, mid] % p), w[i, k, m] * np.conj(w[k, j, mid]))
+    diag, row = np.indices((g, n)).reshape(2, -1)
+    product[diag, row, diag, row % p] -= 1.0
+    involution = float(np.abs(product).max())
     rng = np.random.default_rng(seed)
     isometry = 0.0
     for _ in range(probes):

@@ -1,63 +1,81 @@
-"""Dense truncations of Toeplitz and block-Toeplitz operators.
+"""Truncations of Toeplitz and block-Toeplitz operators.
 
 The truncation of a scalar symbol is the ``order x order`` matrix with entry
 ``(m, n) = c_(m-n)``; a 2x2 matrix symbol yields the ``2*order`` square array
-of the four entry truncations.  Dense storage is deliberate: the residual
-gathers its rows and columns in O(d^2) passes, and a residual that never forms
-it (a closed-form norm over the coefficients) would round differently.
+of the four entry truncations.  A truncation holds only the symbol's entries
+and its order; the oracle reads their coefficients (``diagonals``), and the
+dense ``data`` is built on first use only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .conjugations import ConjugationSpec, period
 from .symbols import LaurentSymbol, MatrixSymbol
 
-SCALAR = "scalar"
-BLOCK = "block"
-
 
 @dataclass(frozen=True, eq=False)
 class TruncatedToeplitz:
-    data: np.ndarray
+    """Order-``order`` truncations of ``entries``: one scalar symbol, or the
+    four entries of a 2x2 symbol, row-major."""
+
+    entries: tuple[LaurentSymbol, ...]
     order: int
-    kind: str
 
     def __post_init__(self):
-        self.data.setflags(write=False)
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
+
+    @property
+    def grid(self) -> int:
+        return 1 if len(self.entries) == 1 else 2
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.grid * self.order
+
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        """Row ``e`` holds entry ``e``'s ``c_d`` at ``d + order - 1``, ``|d| < order``."""
+        n = self.order
+        out = np.zeros((len(self.entries), 2 * n - 1), dtype=complex)
+        for row, sym in zip(out, self.entries):
+            coeffs = {k: c for k, c in sym.coeffs.items() if abs(k) < n}
+            row[np.fromiter(coeffs, int, len(coeffs)) + (n - 1)] = list(coeffs.values())
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense truncation, built on first use."""
+        n, g = self.order, self.grid
+        at = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
+        data = np.block([[self.diagonals[g * i + j][at] for j in range(g)] for i in range(g)])
+        data.setflags(write=False)
+        return data
 
 
 def truncate(sym: LaurentSymbol, order: int) -> TruncatedToeplitz:
     """Compression of multiplication by ``sym`` to the first ``order``
     coefficients; constant along diagonals by construction."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    data = np.zeros((order, order), dtype=complex)
-    for k, c in sym.items():
-        if abs(k) >= order:
-            continue
-        idx = np.arange(max(0, k), order + min(0, k))
-        data[idx, idx - k] = c
-    return TruncatedToeplitz(data, order, SCALAR)
+    return TruncatedToeplitz((sym,), order)
 
 
 def block_truncate(msym: MatrixSymbol, order: int) -> TruncatedToeplitz:
     """2x2 grid of entry truncations, components ordered (first, second)."""
-    b1, b2, b3, b4 = (truncate(e, order).data for e in msym.entries)
-    return TruncatedToeplitz(np.block([[b1, b2], [b3, b4]]), order, BLOCK)
+    return TruncatedToeplitz(msym.entries, order)
 
 
 def adjoint(t: TruncatedToeplitz) -> TruncatedToeplitz:
-    """Conjugate transpose; for scalar truncations equals the truncation of
-    the bar symbol exactly."""
-    return TruncatedToeplitz(t.data.conj().T.copy(), t.order, t.kind)
+    """Conjugate transpose: the transposed grid of bar symbols, so for scalar
+    truncations the truncation of the bar symbol exactly."""
+    g = t.grid
+    return TruncatedToeplitz(tuple(t.entries[g * j + i].bar() for i in range(g) for j in range(g)),
+                             t.order)
 
 
 def matrix_dump(t: TruncatedToeplitz) -> list[list[float]]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from toepsym.conjugations import (
     Reversal,
     Transposition,
 )
+from toepsym.symbols import random_matrix_symbol
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +316,38 @@ class TestScaledAndHugeSymbols:
         code, out, _ = run_cli(capsys, "check", *argv)
         assert code == 1
         assert '"lhs_value":[-1.0,-0.0]' in out
+
+
+class TestHugeBand:
+    """At band 20000 the truncation order is 40008: a dense truncation would
+    take 25 GB (100 GB for a block family), the coefficient strips a few MB."""
+
+    @pytest.mark.parametrize("symbol, spec, expected", [
+        ("z^20000 + z^-20000", "reversal:2", 0),
+        ("z^20000", "reversal:2", 1),
+        ("z^20000 + z^-20000;0;0;z^20000 + z^-20000", "block_c", 0),
+    ], ids=["reversal-symmetric", "reversal-not-symmetric", "block_c-symmetric"])
+    def test_exit_code_and_strict_json(self, capsys, symbol, spec, expected):
+        code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", spec)
+        assert code == expected, err
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+        assert payload["agree"] is True
+        assert payload["oracle"]["n"] == 40008
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the residual's sums are numpy's pairwise sums, not threaded BLAS dots
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(random_matrix_symbol(7, 200, 0.5).to_json()))
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toepsym", "check", "--symbol-file", str(path),
+             "--spec", "block_c"],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 1, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestStrictIntegerSpecFields:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toepsym.conjugations import (
+    AntilinearOperator,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -170,6 +171,29 @@ class TestAxioms:
         report = verify_axioms(spec, period(spec) * 6)
         assert report.ok
         assert report.involution_deviation <= 1e-14
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_read_from_blocks_not_the_dense_operator(self, spec, monkeypatch):
+        size = period(spec) * 6
+        a = truncated_matrix(spec, size).matrix
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
+        dense_involution = np.max(np.abs(a @ np.conj(a) - np.eye(a.shape[0])))
+
+        def refuse(self):
+            raise AssertionError("built the dense A")
+        monkeypatch.setattr(AntilinearOperator, "matrix", property(refuse))
+        report = verify_axioms(spec, size)
+        assert report.ok
+        assert abs(report.involution_deviation - dense_involution) <= 1e-15
+        np.testing.assert_allclose(truncated_matrix(spec, size).apply(x), a @ np.conj(x),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [Reversal(2), MuLambda(1j, -1j), BlockMixed()],
+                             ids=lambda s: s.name)
+    def test_large_size_needs_no_dense_operator(self, spec):
+        # a dense A at size 10**5 would take 160 GB (640 GB for a block family)
+        assert verify_axioms(spec, 10**5, probes=1).ok
 
     def test_block_families_at_minimal_size(self):
         # the mixed variant leans on the two scalar pieces commuting

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric, report_to_json, residual
-from toepsym.toeplitz import block_truncate, min_truncation, truncate
+from toepsym.toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
 
 class TestResidual:
@@ -164,10 +166,17 @@ def _truncation(symbol, spec, n):
     return block_truncate(symbol, n) if spec.is_block else truncate(symbol, n)
 
 
+# the bound perfbench/reference.py holds the residual to: the dense product's
+# own BLAS sums are off by up to 3e-13 at band 800
+DENSE_BOUND = 1e-12
+
+
 class TestScaledResidual:
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
     @pytest.mark.parametrize("band", [6, 50, 200])
     def test_bit_identical_to_unscaled_formula(self, spec, band):
+        # within DENSE_BOUND of the unscaled dense formula, not bit for bit:
+        # the residual sums coefficient strips, not zgemm's products
         n = min_truncation(band, spec)
         c = truncated_matrix(spec, n)
         for seed in range(2):
@@ -179,7 +188,8 @@ class TestScaledResidual:
                 else:
                     symbol = factor * random_symbol(seed, band, 0.5)
                 t = _truncation(symbol, spec, n)
-                assert residual(t, c) == _unscaled_residual(t, c)
+                expected = _unscaled_residual(t, c)
+                assert abs(residual(t, c) - expected) <= DENSE_BOUND * max(1.0, expected)
 
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
     def test_power_of_two_scaling_leaves_residual_unchanged(self, spec):
@@ -222,7 +232,8 @@ def _scaled(symbol, factor):
 
 
 class TestStructuredResidual:
-    """The gathered residual against the dense product ``A conj(T) conj(A)``."""
+    """The coefficient-strip residual against the dense product
+    ``A conj(T) conj(A)``."""
 
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
     @pytest.mark.parametrize("band", [0, 1, 2, 3, 6, 13, 20, 50, 200])
@@ -231,6 +242,9 @@ class TestStructuredResidual:
         c = truncated_matrix(spec, n)
         for make in (_symmetric_symbol, _generic_symbol):
             base = make(spec, 5, band)
+            # closed-form symmetric symbols of the permutation families have
+            # equal coefficients where the relations say so: exact zero
+            exact = make is _symmetric_symbol and spec.name in PERMUTATION_FAMILIES
             dense = {f: _unscaled_residual(_truncation(_scaled(base, f), spec, n), c)
                      for f in (1.0, 3e5, 1e-3)}
             # the dense products overflow at 2**900; the scaling is exact, so
@@ -238,18 +252,32 @@ class TestStructuredResidual:
             dense[2.0**900] = dense[1.0]
             for factor, expected in dense.items():
                 got = residual(_truncation(_scaled(base, factor), spec, n), c)
-                if spec.name in PERMUTATION_FAMILIES:
-                    assert got == expected
-                else:
-                    assert abs(got - expected) <= 1e-15 * max(1.0, expected)
+                assert abs(got - expected) <= DENSE_BOUND * max(1.0, expected)
+                assert got == 0.0 or not exact
 
     def test_check_path_builds_no_dense_operator(self, monkeypatch):
         def refuse(self):
-            raise AssertionError("the check path built the dense A")
+            raise AssertionError("the check path built a dense A or T")
         monkeypatch.setattr(AntilinearOperator, "matrix", property(refuse))
+        monkeypatch.setattr(TruncatedToeplitz, "data", property(refuse))
         for spec in SIX_FAMILIES:
             assert is_c_symmetric(_symmetric_symbol(spec, 2, 6), spec).symmetric
             assert not is_c_symmetric(_generic_symbol(spec, 2, 6), spec).symmetric
+
+
+    @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
+    def test_check_allocates_less_than_one_dense_array(self, spec):
+        # at band 1000 an order x order float array is 32 MB; the strips the
+        # residual reads take a few MB
+        symbol = _generic_symbol(spec, 2, 1000)
+        tracemalloc.start()
+        try:
+            report = is_c_symmetric(symbol, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.symmetric
+        assert peak < 8 * report.order ** 2
 
 
 def test_report_json_shape():

@@ -124,6 +124,22 @@ class TestAdjoint:
                                       truncate(LaurentSymbol({-1: -1j}), 2).data)
 
 
+class TestLazyStorage:
+    def test_truncation_holds_only_the_symbol(self):
+        # a dense truncation of order 10**6 would take 16 TB
+        t = truncate(parse_symbol("z^3 + 2 z^-1"), 10**6)
+        assert t.dim == 10**6
+        assert "data" not in vars(t)
+
+    def test_diagonals_hold_the_coefficients_inside_the_order(self):
+        zero = LaurentSymbol.zero()
+        m = MatrixSymbol(parse_symbol("z^2 + 3 z^-1"), zero, parse_symbol("z^5"), zero)
+        d = block_truncate(m, 3).diagonals  # columns d + 2 for d = -2..2
+        assert d.shape == (4, 5)
+        np.testing.assert_array_equal(d[0], [0, 3, 0, 0, 1])
+        assert not d[1:].any()  # z^5 lies outside order 3
+
+
 def test_matrix_dump_row_major():
     t = truncate(LaurentSymbol({1: 2 - 1j}), 2)
     assert matrix_dump(t) == [[0.0, 0.0], [0.0, 0.0], [2.0, -1.0], [0.0, 0.0]]
