@@ -244,11 +244,6 @@ FAMILIES: dict[str, type[ConjugationSpec]] = {
                               MuLambda, BlockHadamard, BlockMixed)}
 
 
-def period(spec: ConjugationSpec) -> int:
-    """Block period whose divisibility makes truncation exact."""
-    return spec.period
-
-
 def covered_transposition_case(p: int, i: int, j: int) -> bool:
     """Whether the residue-swap family (p, i, j) has a proven full
     coefficient characterization: either p even with the swap spanning half a
@@ -328,16 +323,12 @@ def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
     """Check the two conjugation axioms on the truncation: ``A conj(A) = I``
     entrywise and norm preservation on random unit probes."""
     op = truncated_matrix(spec, size)
-    # every perm keeps indices in their period block, so does A conj(A): add
-    # w_ik[m] conj(w_kj[perm_ik[m]]) at column perm_kj[perm_ik[m]] mod period
-    # of row m of block (i, j), in ascending k, then subtract I
-    (g, _, n), perms, w, p = op.perms.shape, op.perms, op.weights, spec.period
-    i, j, k, m = np.indices((g, g, g, n)).reshape(4, -1)
-    mid, product = perms[i, k, m], np.zeros((g, n, g, p), dtype=complex)
-    np.add.at(product, (i, m, j, perms[k, j, mid] % p), w[i, k, m] * np.conj(w[k, j, mid]))
-    diag, row = np.indices((g, n)).reshape(2, -1)
-    product[diag, row, diag, row % p] -= 1.0
-    involution = float(np.abs(product).max())
+    # A conj(A) keeps every index in its period block, so the real vector
+    # that is 1 on one residue class of one component reads one entry a row
+    index = np.arange(op.dim)
+    label = index // size * spec.period + index % spec.period
+    involution = max(float(np.abs(op.apply(op.apply(label == k)) - (label == k)).max())
+                     for k in range(label[-1] + 1))
     rng = np.random.default_rng(seed)
     isometry = 0.0
     for _ in range(probes):

@@ -13,7 +13,6 @@ agrees with the dense formula to rounding (the tests hold it to
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,6 @@ class SymmetryReport:
         return self.verdict == SYMMETRIC
 
 
-@functools.lru_cache(maxsize=64)
 def _strips(order: int, period: int) -> tuple[np.ndarray, ...]:
     """The first block row and column of an ``order`` square matrix of
     ``period``-square blocks, ``(m, q)`` with ``m < period`` or ``q < period``:
@@ -53,12 +51,9 @@ def _strips(order: int, period: int) -> tuple[np.ndarray, ...]:
     side = np.indices((order - period, period)).reshape(2, -1) + [[period], [0]]
     rows, cols = np.concatenate([head, side], axis=1)
     residue = cols % period
-    out = (rows, cols - residue, residue, cols - rows + (order - 1),
-           np.repeat(order // period - rows // period - cols // period, 2),
-           np.repeat(order - abs(np.arange(1 - order, order)), 2))
-    for a in out:  # shared by every caller through the cache
-        a.setflags(write=False)
-    return out
+    return (rows, cols - residue, residue, cols - rows + (order - 1),
+            np.repeat(order // period - rows // period - cols // period, 2),
+            np.repeat(order - abs(np.arange(1 - order, order)), 2))
 
 
 def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
@@ -73,9 +68,10 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
     by ``2**-e``, ``2**e > max |Re|, |Im|``, so huge symbols do not overflow;
     numpy's pairwise sums do not depend on the BLAS thread count.
     """
-    if c.dim != t.dim:
-        raise ValueError(f"dimension mismatch: operator is {c.dim}, matrix is {t.dim}")
     n, g, perms, weights = t.order, t.grid, c.perms, c.weights
+    if (g, n) != (perms.shape[0], c.size):
+        raise ValueError(f"shape mismatch: operator has {perms.shape[0]}-square grid of size "
+                         f"{c.size}, matrix {g}-square grid of order {n}")
     rows, base, residue, adjoint_at, repeats, lengths = _strips(n, c.period)
     e = max(0, math.frexp(np.abs(t.diagonals.view(float)).max())[1])
     scale = math.ldexp(1.0, -e)

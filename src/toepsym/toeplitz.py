@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conjugations import ConjugationSpec, period
+from .conjugations import ConjugationSpec
 from .symbols import LaurentSymbol, MatrixSymbol
 
 
@@ -94,6 +94,6 @@ def min_truncation(band: int, spec: ConjugationSpec) -> int:
     """
     if band < 0:
         raise ValueError("band must be >= 0")
-    per = period(spec)
+    per = spec.period
     base = 2 * band + 4 * per
     return -(-base // per) * per

@@ -33,7 +33,6 @@ from toepsym.conjugations import (
     Reversal,
     Transposition,
     covered_transposition_case,
-    period,
     verify_axioms,
 )
 from toepsym.symbols import (
@@ -72,7 +71,7 @@ def test_criterion_1_conjugation_axioms():
     start = time.perf_counter()
     worst_inv = worst_iso = 0.0
     for spec in families:
-        per = period(spec)
+        per = spec.period
         limit = 60 if spec in (BlockHadamard(), BlockMixed()) else 120
         multiples = [per * k for k in range(1, limit // per + 1)]
         picks = sorted({multiples[int(round(t))] for t in

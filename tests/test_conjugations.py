@@ -11,7 +11,6 @@ from toepsym.conjugations import (
     Reversal,
     Transposition,
     covered_transposition_case,
-    period,
     spec_from_json,
     spec_to_json,
     truncated_matrix,
@@ -151,7 +150,7 @@ class TestApply:
     def test_antilinearity(self):
         rng = np.random.default_rng(0)
         for spec in ALL_SPECS:
-            op = truncated_matrix(spec, period(spec) * 4)
+            op = truncated_matrix(spec, spec.period * 4)
             x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             y = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             alpha, beta = 0.7 - 0.2j, -1.1 + 0.4j
@@ -168,13 +167,13 @@ class TestApply:
 class TestAxioms:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_involution_and_isometry(self, spec):
-        report = verify_axioms(spec, period(spec) * 6)
+        report = verify_axioms(spec, spec.period * 6)
         assert report.ok
         assert report.involution_deviation <= 1e-14
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_read_from_blocks_not_the_dense_operator(self, spec, monkeypatch):
-        size = period(spec) * 6
+        size = spec.period * 6
         a = truncated_matrix(spec, size).matrix
         rng = np.random.default_rng(4)
         x = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
@@ -202,7 +201,7 @@ class TestAxioms:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_columns_orthonormal(self, spec):
-        a = truncated_matrix(spec, period(spec) * 6).matrix
+        a = truncated_matrix(spec, spec.period * 6).matrix
         gram = a.conj().T @ a
         assert np.max(np.abs(gram - np.eye(a.shape[0]))) <= 1e-14
 

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from toepsym.symbols import (
     random_matrix_symbol,
     random_symbol,
 )
+from toepsym import symmetry
 from toepsym.symmetry import is_c_symmetric, report_to_json, residual
 from toepsym.toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
@@ -63,6 +66,12 @@ class TestResidual:
         c = truncated_matrix(Reversal(2), 10)
         with pytest.raises(ValueError):
             residual(t, c)
+        # equal dimensions, but a scalar truncation is not a block operator's
+        # partner, nor the reverse
+        with pytest.raises(ValueError, match="shape mismatch"):
+            residual(t, truncated_matrix(BlockHadamard(), 4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            residual(block_truncate(MatrixSymbol.zero(), 4), truncated_matrix(Reversal(2), 8))
 
 
 class TestIsCSymmetric:
@@ -171,12 +180,21 @@ def _truncation(symbol, spec, n):
 DENSE_BOUND = 1e-12
 
 
+def _residual_without_scaling(t, c, monkeypatch):
+    """The residual's own formula on the unscaled coefficients: ``e = 0``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "math", SimpleNamespace(
+            frexp=lambda x: (0.5, 0), ldexp=math.ldexp, sqrt=math.sqrt))
+        return residual(t, c)
+
+
 class TestScaledResidual:
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
     @pytest.mark.parametrize("band", [6, 50, 200])
-    def test_bit_identical_to_unscaled_formula(self, spec, band):
-        # within DENSE_BOUND of the unscaled dense formula, not bit for bit:
-        # the residual sums coefficient strips, not zgemm's products
+    def test_bit_identical_to_unscaled_formula(self, spec, band, monkeypatch):
+        # the power-of-two scaling is exact, so the scaled residual is the
+        # unscaled one bit for bit; the dense formula, which sums zgemm's
+        # products, agrees within DENSE_BOUND
         n = min_truncation(band, spec)
         c = truncated_matrix(spec, n)
         for seed in range(2):
@@ -188,8 +206,9 @@ class TestScaledResidual:
                 else:
                     symbol = factor * random_symbol(seed, band, 0.5)
                 t = _truncation(symbol, spec, n)
-                expected = _unscaled_residual(t, c)
-                assert abs(residual(t, c) - expected) <= DENSE_BOUND * max(1.0, expected)
+                got, expected = residual(t, c), _unscaled_residual(t, c)
+                assert got == _residual_without_scaling(t, c, monkeypatch)
+                assert abs(got - expected) <= DENSE_BOUND * max(1.0, expected)
 
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
     def test_power_of_two_scaling_leaves_residual_unchanged(self, spec):
@@ -263,7 +282,6 @@ class TestStructuredResidual:
         for spec in SIX_FAMILIES:
             assert is_c_symmetric(_symmetric_symbol(spec, 2, 6), spec).symmetric
             assert not is_c_symmetric(_generic_symbol(spec, 2, 6), spec).symmetric
-
 
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
     def test_check_allocates_less_than_one_dense_array(self, spec):
