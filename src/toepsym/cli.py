@@ -38,6 +38,7 @@ from .conditions import (
 from .symbols import (
     LaurentSymbol,
     MatrixSymbol,
+    SymbolSyntaxError,
     parse_symbol,
     project_to_conditions,
     random_symbol,
@@ -98,7 +99,15 @@ def _load_symbol(args, spec: ConjugationSpec):
             if len(pieces) != 4:
                 raise ValueError(
                     "a block symbol needs four ';'-separated entries (row-major)")
-            return MatrixSymbol(*(parse_symbol(piece) for piece in pieces))
+            entries, start = [], 0
+            for index, piece in enumerate(pieces, start=1):
+                try:
+                    entries.append(parse_symbol(piece))
+                except SymbolSyntaxError as exc:  # point into the whole argument
+                    raise SymbolSyntaxError(f"phi{index}: {exc.message}",
+                                            start + exc.offset) from exc
+                start += len(piece) + 1
+            return MatrixSymbol(*entries)
         return parse_symbol(args.symbol)
     raise ValueError("a symbol is required (--symbol or --symbol-file)")
 

@@ -18,10 +18,11 @@ MAX_EXPONENT = 10**6
 
 
 class SymbolSyntaxError(ValueError):
-    """Raised by :func:`parse_symbol`; carries the byte offset of the fault."""
+    """Raised by :func:`parse_symbol`; ``offset`` counts characters, not bytes."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -35,7 +36,7 @@ def complex_from_pair(pair) -> complex:
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         try:
             z = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
             pass
         else:
             if cmath.isfinite(z):
@@ -144,15 +145,21 @@ class LaurentSymbol:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Iterable[float]]) -> "LaurentSymbol":
+        """Read the form :meth:`to_json` writes: keys are decimal integers without
+        sign ``+``, spaces, ``_`` or leading zeros, and parts are JSON numbers."""
         if not isinstance(obj, Mapping):
             raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
         coeffs = {}
         for key, pair in obj.items():
             try:
                 k = int(key)
-            except ValueError as exc:
-                raise ValueError(f"symbol JSON key {key!r} is not an integer") from exc
+            except (TypeError, ValueError):
+                k = None
+            if str(k) != key:
+                raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
             coeffs[k] = complex_from_pair(pair)
+            if type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float):
+                raise ValueError(f"symbol JSON coefficient {pair!r} is not a pair of JSON numbers")
         return cls(coeffs)
 
 
@@ -221,173 +228,116 @@ class MatrixSymbol:
 
 # --- text parser ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<space>\s+)
-      | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<imag>[ij])
-      | (?P<z>z)
-      | (?P<op>[+\-^*()])
-    """,
-    re.VERBOSE,
-)
-
-_UNICODE_MINUS = "−"
+_TOKEN_RE = re.compile(r"\s+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[ijz+\-^*()−]|(?P<bad>.)")
+_IMAG = ("i", "j")
+_NON_NUMBERS = "ijz+-^*()"  # a token is a number unless it is in here (so is the end marker "")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Non-blank ``(token, offset)`` pairs, ``−`` read as ``-``, then ``("", len(text))``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == _UNICODE_MINUS:
-            tokens.append(("op", "-", pos))
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SymbolSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "space":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise SymbolSyntaxError(f"expected {what}", tok[2])
-        return self.take()
-
-    def fail(self, message: str):
-        raise SymbolSyntaxError(message, self.peek()[2])
-
-    def parse(self) -> dict[int, complex]:
-        coeffs: dict[int, complex] = {}
-        if self.peek()[0] == "end":
-            self.fail("empty symbol text")
-        sign = self._optional_sign()
-        self._term(coeffs, sign)
-        while self.peek()[0] != "end":
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                self._term(coeffs, 1.0 if tok[1] == "+" else -1.0)
-            else:
-                self.fail("expected '+' or '-' between terms")
-        return coeffs
-
-    def _optional_sign(self) -> float:
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            return 1.0 if tok[1] == "+" else -1.0
-        return 1.0
-
-    def _term(self, coeffs: dict[int, complex], sign: float):
-        kind, _, start = self.peek()
-        if kind == "z":
-            coeff = complex(1.0)
-        elif kind == "op" and self.peek()[1] == "(":
-            self.take()
-            coeff = self._complex_body(in_parens=True)
-            tok = self.peek()
-            if not (tok[0] == "op" and tok[1] == ")"):
-                self.fail("expected ')'")
-            self.take()
-        elif kind in ("number", "imag"):
-            coeff = self._complex_body(in_parens=False)
-        else:
-            self.fail("expected a coefficient or 'z'")
-        if self.peek()[0] == "op" and self.peek()[1] == "*":
-            self.take()
-        exponent = 0
-        if self.peek()[0] == "z":
-            self.take()
-            exponent = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "^":
-                self.take()
-                exponent = self._exponent()
-        value = coeffs.get(exponent, 0j) + sign * coeff
-        if not cmath.isfinite(value):
-            raise SymbolSyntaxError("coefficient is not finite", start)
-        coeffs[exponent] = value
-
-    def _complex_body(self, in_parens: bool) -> complex:
-        first_sign = self._optional_sign() if in_parens else 1.0
-        real, imag = self._signed_part(first_sign)
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in "+-":
-            # Unparenthesised a+bi is folded into one coefficient only when the
-            # lookahead really is an imaginary part; otherwise the sign belongs
-            # to the next term of the sum.
-            follows_imag = (
-                self.peek(1)[0] == "imag"
-                or (self.peek(1)[0] == "number" and self.peek(2)[0] == "imag")
-            )
-            if in_parens or follows_imag:
-                self.take()
-                sgn = 1.0 if tok[1] == "+" else -1.0
-                real2, imag2 = self._signed_part(sgn)
-                real += real2
-                imag += imag2
-        return complex(real, imag)
-
-    def _signed_part(self, sign: float) -> tuple[float, float]:
-        tok = self.peek()
-        if tok[0] == "imag":
-            self.take()
-            return 0.0, sign
-        if tok[0] != "number":
-            self.fail("expected a number or 'i'")
-        self.take()
-        value = sign * float(tok[1])
-        if self.peek()[0] == "imag":
-            self.take()
-            return 0.0, value
-        return value, 0.0
-
-    def _exponent(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            sign = 1 if tok[1] == "+" else -1
-        tok = self.expect("number", "an integer exponent")
-        if any(ch in tok[1] for ch in ".eE"):
-            raise SymbolSyntaxError("exponent must be an integer", tok[2])
-        k = sign * int(tok[1])
-        if abs(k) > MAX_EXPONENT:
-            raise SymbolSyntaxError(f"exponent {k} out of range", tok[2])
-        return k
+    for m in _TOKEN_RE.finditer(text):
+        if m["bad"]:
+            raise SymbolSyntaxError(f"unexpected character {m['bad']!r}", m.start())
+        if not m.group().isspace():
+            tokens.append((m.group().replace("−", "-"), m.start()))
+    return tokens + [("", len(text))]
 
 
 def parse_symbol(text: str) -> LaurentSymbol:
     """Parse a sum of terms ``c z^k``.
 
-    Coefficients may be written ``a``, ``bi``, ``a+bi`` or ``(a+bi)``; a bare
-    ``z^k`` means coefficient 1 and a missing exponent means ``z^0``.  Terms
-    with the same exponent are summed, so cancellations drop out of the
-    canonical form.  Syntax faults raise :class:`SymbolSyntaxError` with the
-    byte offset of the offending token.
+    Coefficients may be written ``a``, ``bi``, ``a+bi`` or ``(a+bi)``, joined
+    to ``z`` by an optional ``*``; a bare ``z^k`` means coefficient 1 and a
+    missing exponent means ``z^0``.  Terms with the same exponent are summed,
+    so cancellations drop out of the canonical form.  Syntax faults raise
+    :class:`SymbolSyntaxError` with the character offset of the offending token.
     """
-    return LaurentSymbol(_Parser(text).parse())
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek(ahead: int = 0) -> tuple[str, int]:
+        return tokens[min(pos + ahead, len(tokens) - 1)]
+
+    def take(*allowed: str) -> str | None:
+        """Consume the next token and return it if it is one of ``allowed``."""
+        nonlocal pos
+        token = peek()[0]
+        if token not in allowed:
+            return None
+        pos += 1
+        return token
+
+    def fail(message: str):
+        raise SymbolSyntaxError(message, peek()[1])
+
+    def sign() -> float:
+        return -1.0 if take("+", "-") == "-" else 1.0
+
+    def part(sgn: float) -> complex:
+        """One signed real or imaginary part: ``a``, ``bi`` or ``i``."""
+        if take(*_IMAG):
+            return complex(0.0, sgn)
+        if peek()[0] in _NON_NUMBERS:
+            fail("expected a number or 'i'")
+        value = sgn * float(take(peek()[0]))
+        return complex(0.0, value) if take(*_IMAG) else complex(value, 0.0)
+
+    def coefficient(in_parens: bool) -> complex:
+        value = part(sign() if in_parens else 1.0)
+        # Unparenthesised a+bi is folded into one coefficient only when the
+        # lookahead really is an imaginary part; otherwise the sign belongs
+        # to the next term of the sum.
+        follows_imag = peek(1)[0] in _IMAG or (
+            peek(1)[0] not in _NON_NUMBERS and peek(2)[0] in _IMAG)
+        if peek()[0] in ("+", "-") and (in_parens or follows_imag):
+            value += part(sign())
+        return value
+
+    coeffs: dict[int, complex] = {}
+    if not peek()[0]:
+        fail("empty symbol text")
+    term_sign = sign()
+    while True:
+        start = peek()[1]
+        if peek()[0] == "z":
+            coeff = complex(1.0)
+        elif take("("):
+            coeff = coefficient(in_parens=True)
+            if not take(")"):
+                fail("expected ')'")
+        elif peek()[0] in _IMAG or peek()[0] not in _NON_NUMBERS:
+            coeff = coefficient(in_parens=False)
+        else:
+            fail("expected a coefficient or 'z'")
+        if take("*") and peek()[0] != "z":
+            fail("expected 'z' after '*'")
+        exponent = 0
+        if take("z"):
+            exponent = 1
+            if take("^"):
+                negative = take("+", "-") == "-"
+                digits = peek()[0]
+                if digits in _NON_NUMBERS:
+                    fail("expected an integer exponent")
+                if not digits.isdecimal():
+                    fail("exponent must be an integer")
+                try:
+                    exponent = -int(digits) if negative else int(digits)
+                except ValueError:  # more digits than int() reads from text
+                    fail("exponent out of range")
+                if abs(exponent) > MAX_EXPONENT:
+                    fail(f"exponent {exponent} out of range")
+                take(digits)
+        value = coeffs.get(exponent, 0j) + term_sign * coeff
+        if not cmath.isfinite(value):
+            raise SymbolSyntaxError("coefficient is not finite", start)
+        coeffs[exponent] = value
+        if not peek()[0]:
+            return LaurentSymbol(coeffs)
+        if peek()[0] not in ("+", "-"):
+            fail("expected '+' or '-' between terms")
+        term_sign = sign()
 
 
 # --- random generation -------------------------------------------------------

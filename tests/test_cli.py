@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import toepsym.cli as cli
 from toepsym.cli import main, parse_spec_text
@@ -264,13 +268,30 @@ class TestInputValidation:
         ("--symbol-file", '{"phi1": [1]}', "--spec", "block_c"),
         ("--symbol", "z", "--spec-file",
          '{"family": "mulambda", "mu": 5, "lambda": [1, 0]}'),
-    ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "scalar-mu"])
+        ("--symbol-file", '{"2": [true, false]}', "--spec", "reversal:2"),
+        ("--symbol-file", '{"2": ["1e3", "0"]}', "--spec", "reversal:2"),
+        ("--symbol-file", '{"2_0": [1, 0]}', "--spec", "reversal:2"),
+        ("--symbol-file", '{" 2": [1, 0]}', "--spec", "reversal:2"),
+        ("--symbol-file", '{"2": [1%s, 0]}' % ("0" * 400), "--spec", "reversal:2"),
+    ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "scalar-mu",
+            "bool-parts", "string-parts", "underscore-key", "spaced-key", "int-past-float-range"])
     def test_malformed_json_exit_three(self, capsys, tmp_path, argv):
         argv = _materialize(tmp_path, argv)
         code, out, err = run_cli(capsys, "check", *argv)
         assert code == 3
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("symbol, spec, message", [
+        ("3*", "reversal:2", "expected 'z' after '*' (at offset 2)"),
+        ("3* + z^2", "reversal:2", "expected 'z' after '*' (at offset 3)"),
+        ("1;z;z^2 + $;4", "block_c", "phi3: unexpected character '$' (at offset 10)"),
+    ], ids=["dangling-star", "dangling-star-before-term", "block-entry"])
+    def test_symbol_text_error_points_into_the_argument(self, capsys, symbol, spec, message):
+        code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", spec)
+        assert code == 3
+        assert out == ""
+        assert err == f"toepsym: error: {message}\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stdout_stays_strict_json_on_overflow(self, capsys):
@@ -398,6 +419,60 @@ def _materialize(tmp_path, argv):
             path.write_text(argv[k + 1])
             out[k + 1] = str(path)
     return out
+
+
+# The benchmark's seven specs: the six families, transposition in a
+# characterized case and in conjecture mode.
+FUZZ_SPECS = ["general:6:2,1,0,4,3,5", "transposition:4:0:2", "transposition:5:1:3",
+              "reversal:2", "mulambda:0,1:0.6,0.8", "block_c", "block_ctilde"]
+
+_coefficient = st.sampled_from(["", "2 ", "-0.5 ", "i ", "3j ", "(1-2i) ", "(0.25+i)*",
+                                "1e-3 ", "1+2i ", "− 4 "])
+_term = st.builds("{}z^{}".format, _coefficient, st.integers(-40, 40))
+_entry = st.one_of(st.lists(_term, min_size=1, max_size=5).map(" + ".join),
+                   st.sampled_from(["0", "1", "z"]),
+                   st.text(alphabet="0123456789.eijz+-−^*() $", max_size=10))
+_number = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=3))
+_key = st.integers(-40, 40).map(str)
+_pair = st.lists(st.integers(-9, 9) | st.floats(-9, 9), min_size=2, max_size=2)
+_scalar_json = st.one_of(
+    st.dictionaries(_key, _pair, max_size=6),
+    st.dictionaries(_key | st.text(max_size=3),
+                    _pair | st.lists(_number, min_size=2, max_size=2) | _number, max_size=6))
+_any_json = st.recursive(st.none() | _number, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def _symbol_argument(draw, block):
+    """``--symbol`` text built mostly from valid terms, or ``--symbol-file`` JSON."""
+    if draw(st.booleans()):
+        count = draw(st.sampled_from([4, 4, 4, 3])) if block else 1
+        return "--symbol", ";".join(draw(st.lists(_entry, min_size=count, max_size=count)))
+    if block and draw(st.booleans()):
+        return "--symbol-file", json.dumps({f"phi{i}": draw(_scalar_json) for i in (1, 2, 3, 4)})
+    return "--symbol-file", json.dumps(draw(st.one_of(_scalar_json, _any_json)))
+
+
+@pytest.mark.parametrize("spec", FUZZ_SPECS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_on_arbitrary_input_exits_cleanly(tmp_path, spec, data):
+    flag, value = data.draw(_symbol_argument(spec.startswith("block")))
+    if flag == "--symbol-file":
+        (tmp_path / "symbol.json").write_text(value)
+        value = str(tmp_path / "symbol.json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", flag, value, "--spec", spec])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 3:
+        assert out.getvalue() == ""
+        return
+    payload = json.loads(out.getvalue(),
+                         parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+    assert (code == 2) == (payload["agree"] is False)
 
 
 def test_module_entry_point():

@@ -40,6 +40,26 @@ COMMANDS = {
     "check_block_ctilde_sym": (0, ["check", "--symbol", "1;0;0;1", "--spec", "block_ctilde"]),
     "check_block_ctilde_nonsym": (1, ["check", "--symbol", "z;0;z^2;0",
                                       "--spec", "block_ctilde"]),
+    # Symbol-text grammar, pinned through the CLI: values land in "symbol".
+    "check_parse_parens": (0, ["check", "--symbol",
+                               "(-0.5+0.25i)*z^2 + (-0.5+0.25i) z^-2 + (+3-i)",
+                               "--spec", "reversal:2"]),
+    "check_parse_fold": (1, ["check", "--symbol", "1+2i z^3 + 1 - 2i z^-3 + 4 - z^3",
+                             "--spec", "reversal:3"]),
+    "check_parse_imag_units": (0, ["check", "--symbol", "i z^2 + j z^-2 - 2j",
+                                   "--spec", "reversal:2"]),
+    "check_parse_star": (1, ["check", "--symbol", "2*z^2 + 3 * z^-2 + (1+i)*z",
+                             "--spec", "reversal:2"]),
+    "check_parse_unicode_minus": (1, ["check", "--symbol", "z^2 − z^−2 − 1",
+                                      "--spec", "reversal:2"]),
+    "check_parse_signed_exponent": (0, ["check", "--symbol", "z ^ - 2 + z ^ + 2",
+                                        "--spec", "reversal:2"]),
+    "check_parse_repeated_exponents": (0, ["check", "--symbol",
+                                           "z^2 + 2 z^2 - 0.5 z^2 + 2.5 z^-2 + z - z",
+                                           "--spec", "reversal:2"]),
+    "check_parse_block": (1, ["check", "--symbol",
+                              "(1+i) z^2 + z^−2; 2*z; −z ^ -1; 1+2i z^2 + 1-2i",
+                              "--spec", "block_c"]),
     "gen": (0, ["gen", "--spec", "transposition:4:0:2", "--seed", "5", "--band", "9"]),
     "verify": (0, ["verify", "--spec", "block_ctilde", "--size", "8"]),
     "random_test": (0, ["random-test", "--spec", GENERAL, "--trials", "20", "--seed", "2",

@@ -55,6 +55,32 @@ class TestParse:
         with pytest.raises(SymbolSyntaxError):
             parse_symbol("z^2 4")
 
+    # One input per way the parser can fail; offsets count characters.
+    @pytest.mark.parametrize("text, message, offset", [
+        ("1 + $", "unexpected character '$'", 4),
+        ("−z + $", "unexpected character '$'", 5),
+        ("", "empty symbol text", 0),
+        ("   ", "empty symbol text", 3),
+        ("z^2 4", "expected '+' or '-' between terms", 4),
+        ("(1+2i 3)", "expected ')'", 6),
+        ("1 + ^", "expected a coefficient or 'z'", 4),
+        ("1e308 z + 1e308 z", "coefficient is not finite", 10),
+        ("(1e308+1e308)", "coefficient is not finite", 0),
+        ("(1+z)", "expected a number or 'i'", 3),
+        ("z^-", "expected an integer exponent", 3),
+        ("z^1.5", "exponent must be an integer", 2),
+        ("z^-1000001", "exponent -1000001 out of range", 3),
+        ("z^" + "1" * 5000, "exponent out of range", 2),
+        ("3*", "expected 'z' after '*'", 2),
+        ("3* + z^2", "expected 'z' after '*'", 3),
+        ("(1+i)**z", "expected 'z' after '*'", 6),
+    ])
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(SymbolSyntaxError) as err:
+            parse_symbol(text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
+
 
 class TestBar:
     def test_conjugates_and_negates(self):
@@ -159,6 +185,10 @@ class TestSerialization:
         sym = random_symbol(4, 6, 0.8)
         assert LaurentSymbol.from_json(sym.to_json()) == sym
 
+    def test_json_reads_numbers_of_either_type(self):
+        assert LaurentSymbol.from_json({"-3": [1, -0.5], "0": [2.5, 0]}).coeffs == {
+            -3: 1 - 0.5j, 0: 2.5 + 0j}
+
     def test_json_shape(self):
         sym = LaurentSymbol({-2: 1.5 - 0.5j})
         assert sym.to_json() == {"-2": [1.5, -0.5]}
@@ -168,7 +198,10 @@ class TestSerialization:
             LaurentSymbol.from_json({"x": [1, 2]})
 
     @pytest.mark.parametrize("obj", [[1, 2], {"2": 5}, {"2": [1]}, {"2": [1, None]},
-                                     {"2": [float("nan"), 0]}, {"2": [0, float("inf")]}])
+                                     {"2": [float("nan"), 0]}, {"2": [0, float("inf")]},
+                                     {"2": [True, False]}, {"2": ["1e3", "0"]}, {"2": [1, "0"]},
+                                     {"2": [10**400, 0]}, {"2_0": [1, 0]}, {" 2": [1, 0]},
+                                     {"+2": [1, 0]}, {"02": [1, 0]}, {"-0": [1, 0]}, {2: [1, 0]}])
     def test_json_rejects_malformed_and_non_finite(self, obj):
         with pytest.raises(ValueError):
             LaurentSymbol.from_json(obj)
@@ -235,3 +268,17 @@ def test_projection_idempotent(coeffs, n):
     sym = LaurentSymbol(coeffs)
     once = project_to_conditions(sym, Reversal(n))
     assert project_to_conditions(once, Reversal(n)) == once
+
+
+_GRAMMAR_TEXT = st.text(alphabet="0123456789.eEijz+-−^*() \t$", max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), _GRAMMAR_TEXT))
+def test_parse_returns_a_symbol_or_a_syntax_error(text):
+    try:
+        sym = parse_symbol(text)
+    except SymbolSyntaxError as err:
+        assert 0 <= err.offset <= len(text)
+    else:
+        assert isinstance(sym, LaurentSymbol)
