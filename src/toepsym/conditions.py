@@ -2,11 +2,13 @@
 
 Deciding whether a Toeplitz truncation commutes correctly with a conjugation
 (``C T C = T*``) reduces to families of linear identities between Fourier
-coefficients.  This module enumerates those identities as :class:`Relation`
-objects, evaluates them against symbols, and cross-checks every symbolic
-verdict against the brute-force matrix oracle in :mod:`toepsym.symmetry`.
+coefficients.  This module enumerates those identities as
+:class:`RelationTable` objects, one numpy column per relation field,
+evaluates a table against a symbol with a few vectorized gathers, and
+cross-checks every symbolic verdict against the brute-force matrix oracle in
+:mod:`toepsym.symmetry`.
 
-Three kinds of relation sets coexist:
+A table holds one of three kinds of relation set:
 
 * *raw* sets -- the entry-by-entry identities of the truncated operator
   equation, valid for any residue permutation; they are exact by
@@ -17,16 +19,19 @@ Three kinds of relation sets coexist:
   the block condition lists);
 * *rule* sets -- the interchange/sign rewriting of the raw relations for
   residue swaps with ``p = m*q + 1``, ``i = q - 1``, ``j = p - 1``.
+
+A row becomes a :class:`Relation` only when it is read: by iteration or
+indexing, or as part of a :class:`Violation`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from types import SimpleNamespace
-from typing import Sequence
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -122,51 +127,143 @@ _BLOCK_COMBOS: dict[str, tuple[tuple[int, int, int], ...]] = {
     "diff14+sum23_prev": ((1, 1, 0), (4, -1, 0), (2, 1, -1), (3, 1, -1)),
 }
 
+# Tables store a side's component as an index into _COMPONENTS.  Its terms
+# are the rows of the _TERM_* arrays (entries counted from 0), padded with
+# zero weights; the scalar component has none, as a scalar symbol is read
+# directly.
+_COMPONENTS = (SCALAR_COMPONENT, *_BLOCK_COMBOS)
+_CODE = {name: code for code, name in enumerate(_COMPONENTS)}
+_PADDED = [(*terms, *[(1, 0, 0)] * (4 - len(terms))) for terms in ((), *_BLOCK_COMBOS.values())]
+_TERM_ENTRY, _TERM_WEIGHT, _TERM_SHIFT = np.array(_PADDED).transpose(2, 0, 1)
+_TERM_ENTRY = _TERM_ENTRY - 1
+_PHI = _CODE[SCALAR_COMPONENT]
 
-def _read(entries, component: str, index: int):
-    """Value of the block ``component`` at ``index``: the weighted sum of its
-    term expansion over ``entries``, anything with a ``coeff(k)`` read."""
-    total = 0j
-    for entry, coeff, shift in _BLOCK_COMBOS[component]:
-        total += coeff * entries[entry - 1].coeff(index + shift)
+
+class RelationTable(Sequence):
+    """A relation set as one numpy column per :class:`Relation` field, built
+    from row blocks ``(family, vanish, lhs_component, rhs_component,
+    lhs_index, rhs_index, rhs_scale)``, each field an array or one value for
+    the block.  ``family`` codes into ``names`` (in first-appearance order),
+    components into ``_COMPONENTS``; ``component`` and ``index`` stack the
+    lhs column over the rhs one.  Rows are built as :class:`Relation` on
+    demand."""
+
+    def __init__(self, names: tuple[str, ...], *blocks):
+        size = sum(len(block[4]) for block in blocks)
+        self.names = names
+        self.family, self.vanish, self.rhs_scale = (np.empty(size, dtype)
+                                                    for dtype in (np.intp, bool, complex))
+        self.component, self.index = np.empty((2, size), np.intp), np.empty((2, size), np.int64)
+        end = 0
+        for block in blocks:
+            rows = slice(end, end + len(block[4]))
+            end = rows.stop
+            (self.family[rows], self.vanish[rows], self.component[0, rows],
+             self.component[1, rows], self.index[0, rows], self.index[1, rows],
+             self.rhs_scale[rows]) = block
+        counts = np.bincount(self.family, minlength=len(names)).tolist()
+        self.families = tuple(name for name, count in zip(names, counts) if count)
+
+    @classmethod
+    def from_relations(cls, relations: Sequence[Relation]) -> "RelationTable":
+        names = tuple(dict.fromkeys(r.family for r in relations))
+        columns = zip(*[(names.index(r.family), r.kind == "vanish", _CODE[r.lhs_component],
+                         _CODE[r.rhs_component], r.lhs_index, r.rhs_index, r.rhs_scale)
+                        for r in relations])
+        return cls(names, tuple(map(list, columns)) or ([],) * 7)
+
+    def __len__(self) -> int:
+        return self.family.size
+
+    def __getitem__(self, index):
+        rows = self.rows(np.arange(len(self))[index].reshape(-1))
+        return rows if isinstance(index, slice) else rows[0]
+
+    def __iter__(self):
+        return iter(self.rows(slice(None)))
+
+    def rows(self, index) -> list[Relation]:
+        """The :class:`Relation` rows at ``index`` (any numpy index)."""
+        columns = (self.vanish, *self.index, self.rhs_scale, *self.component, self.family)
+        return [Relation("vanish" if vanish else "equality", lhs, rhs, scale,
+                         _COMPONENTS[lc], _COMPONENTS[rc], self.names[family])
+                for vanish, lhs, rhs, scale, lc, rc, family
+                in zip(*(column[index].tolist() for column in columns))]
+
+
+def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
+          block: bool) -> np.ndarray:
+    """Each ``component`` at ``index``, from ``grid`` (entries by index from
+    ``lo``; an index outside reads the zero first or last column).  A block
+    value is summed term by term from ``0j``: a weight of 0 or +-1 is exact
+    but for the sign of a zero, which the sum from ``+0.0`` drops.  A scalar
+    value is read directly, so a ``-0.0`` part survives."""
+    if not block:
+        return grid[0].take(index - lo, mode="clip")
+    at = np.minimum(np.maximum(index[..., None] + _TERM_SHIFT[component] - lo, 0),
+                    grid.shape[1] - 1)
+    terms = _TERM_WEIGHT[component] * grid[_TERM_ENTRY[component], at]
+    total = terms[..., 0] + 0j
+    for t in range(1, terms.shape[-1]):
+        total += terms[..., t]
     return total
-
-
-def _sides(rel: Relation, value) -> tuple:
-    """``(lhs, rhs)`` of ``rel`` read through ``value(component, index)``;
-    the relation holds when the two are equal."""
-    rhs = 0j if rel.kind == "vanish" else rel.rhs_scale * value(rel.rhs_component, rel.rhs_index)
-    return value(rel.lhs_component, rel.lhs_index), rhs
 
 
 def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence[Relation],
                        mode: str = IFF) -> ConditionReport:
-    """Evaluate ``relations`` on a scalar or a 2x2 matrix symbol.
+    """Evaluate ``relations`` (a :class:`RelationTable`, or any sequence of
+    :class:`Relation`) on a scalar or a 2x2 matrix symbol.
 
     A relation holds when its two sides differ by at most
     ``COEFF_TOL * max(1, ||c||_2)``, with ``||c||_2`` taken over every
     coefficient of every entry: relative, like the oracle's residual, so a
-    rescaled symbol gets the same verdict.
+    rescaled symbol gets the same verdict.  Values and verdicts are those of
+    Python's complex arithmetic and ``math.hypot``, row by row.
     """
-    if isinstance(symbol, MatrixSymbol):
-        entries, value = symbol.entries, partial(_read, symbol.entries)
-    else:
-        # the one-entry case, read directly: a sum starting at 0j would print
-        # -0.0 as 0.0
-        entries, value = (symbol,), lambda component, index: symbol.coeff(index)
+    table = relations if isinstance(relations, RelationTable) else \
+        RelationTable.from_relations(relations)
+    block = isinstance(symbol, MatrixSymbol)
+    coeffs = [entry.coeffs for entry in (symbol.entries if block else (symbol,))]
+    sizes = [len(c) for c in coeffs]
+    keys = np.fromiter(chain.from_iterable(coeffs), np.int64, sum(sizes))
+    values = np.fromiter(chain.from_iterable(c.values() for c in coeffs), complex, sum(sizes))
     # hypot throughout, as a sum of squares overflows and complex abs raises
     # OverflowError; an infinite norm would pass every relation
-    norm = math.hypot(*[math.hypot(v.real, v.imag)
-                        for entry in entries for v in entry.coeffs.values()])
+    norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
     tol = COEFF_TOL * min(max(1.0, norm), sys.float_info.max)
-    violations = []
-    for rel in relations:
-        lhs, rhs = _sides(rel, value)
-        diff = lhs - rhs
-        if math.hypot(diff.real, diff.imag) > tol:
-            violations.append(Violation(rel, lhs, rhs))
-    families = tuple(dict.fromkeys(rel.family for rel in relations))
-    return ConditionReport(not violations, mode, tuple(violations), families)
+    vanish = table.vanish
+    if block and not (table.component[0].all() and (table.component[1] | vanish).all()):
+        raise ValueError("a scalar relation cannot read a matrix symbol")
+    # every entry's coefficients as the rows of one grid, from one index
+    # below the support to one above it
+    lo, hi = (int(np.minimum.reduce(keys)) - 1, int(np.maximum.reduce(keys)) + 1) \
+        if keys.size else (0, 0)
+    grid = np.zeros((len(coeffs), hi - lo + 1), dtype=complex)
+    grid[np.repeat(np.arange(len(coeffs)), sizes), keys - lo] = values
+    # Python's float arithmetic: overflow gives inf or nan, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, value = _read(grid, lo, table.component, table.index, block)
+        # Python's complex product, from real parts: numpy's complex multiply
+        # may fuse a multiply and an add and round differently
+        scale = table.rhs_scale
+        rhs_re = scale.real * value.real - scale.imag * value.imag
+        rhs_im = scale.real * value.imag + scale.imag * value.real
+        rhs_re[vanish] = 0.0
+        rhs_im[vanish] = 0.0
+        diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
+        # np.hypot can differ from math.hypot by an ulp: screen with a
+        # margin, then decide the rows near or above the tolerance with
+        # math.hypot
+        near = (np.hypot(diff_re, diff_im) >= tol * (1 - 1e-15)).nonzero()[0]
+    violated = [row for row, re, im in zip(near.tolist(), diff_re[near].tolist(),
+                                           diff_im[near].tolist())
+                if math.hypot(re, im) > tol]
+    if not violated:
+        return ConditionReport(True, mode, (), table.families)
+    violated = np.array(violated)
+    violations = tuple(map(Violation, table.rows(violated), lhs[violated].tolist(),
+                           map(complex, rhs_re[violated].tolist(), rhs_im[violated].tolist())))
+    return ConditionReport(False, mode, violations, table.families)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)
@@ -178,54 +275,44 @@ evaluate_block_relations = evaluate_relations
 # --- raw relation sets --------------------------------------------------------
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _add_pair_family(out: dict[tuple[int, int], Relation], c: int, d: int, p: int,
-                     window: int, family: str):
-    """All instances of ``value(c + p*l) == value(d - p*l)`` whose referenced
-    indices stay inside ``[-window, window]``; outside, finite support makes
-    both sides zero and the instance vacuous.  ``out`` is keyed by the
-    unordered index pair, so an equality already present in either
-    orientation keeps its first form and family."""
-    lo = max(_ceil_div(-window - c, p), _ceil_div(d - window, p))
-    hi = min((window - c) // p, (d + window) // p)
-    for l in range(lo, hi + 1):
-        a, b = c + p * l, d - p * l
-        key = (a, b) if a <= b else (b, a)
-        if key not in out:
-            out[key] = Relation("equality", a, b, family=family)
-
-
-def _raw_relations(p: int, sigma: Sequence[int], band: int,
-                   cells: Sequence[tuple[int, int, str]]) -> list[Relation]:
-    """Entry identities of the truncated operator equation for the residue
-    involution ``sigma``: each residue cell ``(m0, s0, family)`` forces
-    ``c_(m0 - sigma(s0) + p*l) == c_(s0 - sigma(m0) - p*l)`` for every ``l``.
-    Cells are taken in order; repeated relations are dropped."""
+def _pair_rows(cells: Sequence[tuple[int, int, str]], p: int, band: int) -> RelationTable:
+    """The rows ``value(c + p*l) == value(d - p*l)`` of each cell
+    ``(c, d, family)`` in order, over every ``l`` whose two indices stay
+    inside ``[-band - 2p, band + 2p]``; outside, finite support makes both
+    sides zero and the instance vacuous.  Of the rows sharing an unordered
+    index pair, the first is kept, in its orientation and family."""
     if band < 0:
         raise ValueError("band must be >= 0")
     window = band + 2 * p
-    out: dict[tuple[int, int], Relation] = {}
-    for m0, s0, family in cells:
-        _add_pair_family(out, m0 - sigma[s0], s0 - sigma[m0], p, window, family)
-    return list(out.values())
+    names = tuple(dict.fromkeys(family for _, _, family in cells))
+    c, d, family = np.array([(c, d, names.index(family)) for c, d, family in cells],
+                            dtype=np.int64).reshape(-1, 3).T
+    # |c|, |d| < p, so |l| <= window // p + 1 covers every instance
+    pl = p * np.arange(-(window // p + 1), window // p + 2)
+    lhs, rhs = c[:, None] + pl, d[:, None] - pl
+    inside = (np.abs(lhs) <= window) & (np.abs(rhs) <= window)
+    lhs, rhs = lhs[inside], rhs[inside]
+    key = np.minimum(lhs, rhs) * (4 * window + 1) + np.maximum(lhs, rhs)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return RelationTable(names, (np.broadcast_to(family[:, None], inside.shape)[inside][first],
+                                 False, _PHI, _PHI, lhs[first], rhs[first], 1))
 
 
-def raw_relations_general(p: int, sigma: Sequence[int], band: int) -> list[Relation]:
+def raw_relations_general(p: int, sigma: Sequence[int], band: int) -> RelationTable:
     """The raw table of an arbitrary residue involution, every residue cell
-    in row-major order, labelled ``raw``.
+    in row-major order, labelled ``raw``: the entry identities of the
+    truncated operator equation, where a residue cell ``(m0, s0)`` forces
+    ``c_(m0 - sigma(s0) + p*l) == c_(s0 - sigma(m0) - p*l)`` for every ``l``.
 
     This set is an exact characterization of the truncated identity, for any
     involution, and anchors all cross-checks.
     """
     sigma = GeneralPermutation(p, tuple(sigma)).sigma
-    cells = [(m0, s0, "raw") for m0 in range(p) for s0 in range(p)]
-    return _raw_relations(p, sigma, band, cells)
+    return _pair_rows([(m0 - sigma[s0], s0 - sigma[m0], "raw")
+                       for m0 in range(p) for s0 in range(p)], p, band)
 
 
-def raw_relations_transposition(p: int, i: int, j: int, band: int) -> list[Relation]:
+def raw_relations_transposition(p: int, i: int, j: int, band: int) -> RelationTable:
     """The residue-swap relation table, organized by row family.
 
     Families: ``multiples`` (period multiples mirror), ``gap`` (indices
@@ -239,10 +326,11 @@ def raw_relations_transposition(p: int, i: int, j: int, band: int) -> list[Relat
     for a in others:
         cells += [(a, j, "cross"), (a, i, "cross"), (i, a, "cross"), (j, a, "cross")]
     cells += [(b, a, "bystander") for a in others for b in others if b != a]
-    return _raw_relations(p, sigma, band, cells)
+    return _pair_rows([(m0 - sigma[s0], s0 - sigma[m0], family) for m0, s0, family in cells],
+                      p, band)
 
 
-def interchange_sign_relations(p: int, q: int, band: int) -> list[Relation]:
+def interchange_sign_relations(p: int, q: int, band: int) -> RelationTable:
     """Rewriting of the residue-swap table for ``p = m*q + 1`` (``m >= 2``,
     swapping residues ``q - 1`` and ``p - 1``), as two rule families.
 
@@ -259,11 +347,7 @@ def interchange_sign_relations(p: int, q: int, band: int) -> list[Relation]:
         raise ValueError("q must be >= 1")
     if (p - 1) % q != 0 or (p - 1) // q < 2:
         raise ValueError(f"p = {p} is not m*q + 1 with m >= 2 for q = {q}")
-    if band < 0:
-        raise ValueError("band must be >= 0")
-    window = band + 2 * p
     gap = p - q
-    out: dict[tuple[int, int], Relation] = {}
     pairs = set()
     for c in range(-(p - 1), p):
         if c == 0 or abs(c) == gap:
@@ -273,27 +357,21 @@ def interchange_sign_relations(p: int, q: int, band: int) -> list[Relation]:
             if d == 0 or abs(d) == gap or abs(d) > p - 1:
                 continue
             pairs.add(tuple(sorted((c, d))))
-    for c, d in sorted(pairs):
-        _add_pair_family(out, c, d, p, window, "interchange")
-    _add_pair_family(out, gap, gap, p, window, "interchange")
-    _add_pair_family(out, -gap, -gap, p, window, "interchange")
-    top = p - 2 if q == 1 else p - 1
-    for c in range(1, top):
-        _add_pair_family(out, c, -c, p, window, "sign")
-    return list(out.values())
+    cells = [(c, d, "interchange") for c, d in sorted(pairs)]
+    cells += [(gap, gap, "interchange"), (-gap, -gap, "interchange")]
+    cells += [(c, -c, "sign") for c in range(1, p - 2 if q == 1 else p - 1)]
+    return _pair_rows(cells, p, band)
 
 
 # --- closed-form condition sets -------------------------------------------------
 
 
-def _period_conditions(p: int, band: int) -> list[Relation]:
-    rels = []
-    for l in range(1, band // p + 1):
-        rels.append(Relation("equality", p * l, -p * l, family="multiples"))
-    for k in range(-band, band + 1):
-        if k % p != 0:
-            rels.append(Relation("vanish", k, family="vanish"))
-    return rels
+def _period_conditions(p: int, band: int) -> RelationTable:
+    multiples = p * np.arange(1, band // p + 1)
+    k = np.arange(-band, band + 1)
+    return RelationTable(("multiples", "vanish"),
+                         (0, False, _PHI, _PHI, multiples, -multiples, 1),
+                         (1, True, _PHI, _PHI, k[k % p != 0], 0, 1))
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
@@ -320,36 +398,40 @@ def check_reversal(sym: LaurentSymbol, n: int) -> ConditionReport:
 def check_mu_lambda(sym: LaurentSymbol, lam: complex) -> ConditionReport:
     """Twist-family condition ``c_(-n) = c_n * lam**n`` for every ``n``."""
     lam = MuLambda(1.0, lam).lam
-    rels = [Relation("equality", -n, n, rhs_scale=lam**n, family="twist")
-            for n in range(1, sym.bandwidth + 1)]
+    n = np.arange(1, sym.bandwidth + 1)
+    # Python's powers: numpy's complex power rounds differently
+    scale = np.array([lam**k for k in n.tolist()], dtype=complex)
+    rels = RelationTable(("twist",), (0, False, _PHI, _PHI, -n, n, scale))
     return evaluate_scalar_relations(sym, rels, IFF)
 
 
-def block_hadamard_relations(band: int, form: str = CROSS_FORM) -> list[Relation]:
+def _codes(*names: str) -> np.ndarray:
+    return np.array([_CODE[name] for name in names])
+
+
+def block_hadamard_relations(band: int, form: str = CROSS_FORM) -> RelationTable:
     half = band // 2
-    rels = []
+    even = 2 * np.arange(1, half + 1)
     if form == CROSS_FORM:
-        for l in range(1, half + 1):
-            rels.append(Relation("equality", 2 * l, -2 * l, lhs_component="phi1+phi2",
-                                 rhs_component="phi1+phi2", family="sum12_even"))
-            rels.append(Relation("equality", 2 * l, -2 * l, lhs_component="phi3-phi4",
-                                 rhs_component="phi3-phi4", family="diff34_even"))
-        for l in range(-half, half + 1):
-            rels.append(Relation("equality", 2 * l, -2 * l, lhs_component="phi1-phi2",
-                                 rhs_component="phi3+phi4", family="cross_reflect"))
+        names = ("sum12_even", "diff34_even", "cross_reflect", "odd_vanish")
+        # sum12_even and diff34_even alternate, l by l
+        pair = _codes("phi1+phi2", "phi3-phi4")
+        reflect = 2 * np.arange(-half, half + 1)
+        parts = [(np.tile([0, 1], half), False, np.tile(pair, half), np.tile(pair, half),
+                  np.repeat(even, 2), -np.repeat(even, 2), 1),
+                 (2, False, _CODE["phi1-phi2"], _CODE["phi3+phi4"], reflect, -reflect, 1)]
     elif form == SUMS_FORM:
-        for combo, family in (("phi1+phi2", "sum12_even"), ("phi1+phi3", "sum13_even"),
-                              ("phi1+phi4", "sum14_even")):
-            for l in range(1, half + 1):
-                rels.append(Relation("equality", 2 * l, -2 * l, lhs_component=combo,
-                                     rhs_component=combo, family=family))
+        names = ("sum12_even", "sum13_even", "sum14_even", "odd_vanish")
+        sums = np.repeat(_codes("phi1+phi2", "phi1+phi3", "phi1+phi4"), half)
+        parts = [(np.repeat([0, 1, 2], half), False, sums, sums,
+                  np.tile(even, 3), -np.tile(even, 3), 1)]
     else:
         raise ValueError(f"unknown form {form!r}; expected {CROSS_FORM!r} or {SUMS_FORM!r}")
-    for name in ("phi1", "phi2", "phi3", "phi4"):
-        for k in range(-band, band + 1):
-            if k % 2 != 0:
-                rels.append(Relation("vanish", k, lhs_component=name, family="odd_vanish"))
-    return rels
+    k = np.arange(-band, band + 1)
+    odd = k[k % 2 != 0]
+    parts.append((3, True, np.repeat(_codes("phi1", "phi2", "phi3", "phi4"), odd.size), _PHI,
+                  np.tile(odd, 4), 0, 1))
+    return RelationTable(names, *parts)
 
 
 def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM) -> ConditionReport:
@@ -367,25 +449,26 @@ def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM) -> Conditio
     return evaluate_block_relations(msym, rels, IFF)
 
 
-def block_mixed_necessary_relations(band: int) -> list[Relation]:
-    rels = []
-    for k in range(-band, band + 1):
-        if k % 2 != 0:
-            rels.append(Relation("vanish", k, lhs_component="phi1+phi4", family="odd_sum14"))
-            rels.append(Relation("vanish", k, lhs_component="phi2-phi3", family="odd_diff23"))
+def block_mixed_necessary_relations(band: int) -> RelationTable:
+    names = ("odd_sum14", "odd_diff23", "telescope1", "telescope2", "telescope3",
+             "telescope4", "mixed_even", "mixed_odd")
+    k = np.arange(-band, band + 1)
+    odd = k[k % 2 != 0]
     lmax = band // 2 + 2
-    for idx in (1, 2, 3, 4):
-        comp = f"step:phi{idx}"
-        for l in range(-lmax, lmax + 1):
-            rels.append(Relation("equality", 2 * l, -2 * l - 2, rhs_scale=-1,
-                                 lhs_component=comp, rhs_component=comp,
-                                 family=f"telescope{idx}"))
-    for l in range(-lmax, lmax + 1):
-        rels.append(Relation("equality", 2 * l, -2 * l, lhs_component="sum23+diff14_prev",
-                             rhs_component="sum23+diff14_prev", family="mixed_even"))
-        rels.append(Relation("equality", 2 * l, -2 * l, lhs_component="diff14+sum23_next",
-                             rhs_component="diff14+sum23_prev", family="mixed_odd"))
-    return rels
+    even = 2 * np.arange(-lmax, lmax + 1)
+    steps = np.repeat(_codes("step:phi1", "step:phi2", "step:phi3", "step:phi4"), even.size)
+    return RelationTable(
+        names,
+        # odd_sum14 and odd_diff23 alternate, index by index
+        (np.tile([0, 1], odd.size), True, np.tile(_codes("phi1+phi4", "phi2-phi3"), odd.size),
+         _PHI, np.repeat(odd, 2), 0, 1),
+        (np.repeat([2, 3, 4, 5], even.size), False, steps, steps,
+         np.tile(even, 4), np.tile(-even - 2, 4), -1),
+        # mixed_even and mixed_odd alternate, l by l
+        (np.tile([6, 7], even.size), False,
+         np.tile(_codes("sum23+diff14_prev", "diff14+sum23_next"), even.size),
+         np.tile(_codes("sum23+diff14_prev", "diff14+sum23_prev"), even.size),
+         np.repeat(even, 2), -np.repeat(even, 2), 1))
 
 
 def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
@@ -575,38 +658,31 @@ def random_block_mixed_symmetric(seed: int, max_band: int,
 
 @lru_cache(maxsize=None)
 def _raw_components(spec: ConjugationSpec, band: int) -> tuple[
-        tuple[Relation, ...], tuple[tuple[tuple[int, ...], bool], ...]]:
+        RelationTable, tuple[tuple[tuple[int, ...], bool], ...]]:
     """The raw relation table of ``spec`` at ``band`` and the connected
     components of its equality graph over the enumeration window, each with a
     flag marking components pinned to zero because they touch an index
     outside the support band."""
-    relations = tuple(raw_relations_general(spec.period, spec.sigma, band))
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for rel in relations:
-        union(rel.lhs_index, rel.rhs_index)
-    groups: dict[int, list[int]] = {}
-    for idx in parent:
-        groups.setdefault(find(idx), []).append(idx)
-    out = []
-    for members in groups.values():
-        members.sort()
-        forced_zero = any(abs(m) > band for m in members)
-        out.append((tuple(members), forced_zero))
-    out.sort()
-    return relations, tuple(out)
+    relations = raw_relations_general(spec.period, spec.sigma, band)
+    nodes, edges = np.unique(relations.index, return_inverse=True)
+    lhs, rhs = edges.reshape(2, -1)
+    # every node takes the least label along its edges, then its label's
+    # label, until nothing moves: each component ends on its least node
+    label = np.arange(nodes.size)
+    while True:
+        moved = label.copy()
+        np.minimum.at(moved, lhs, label[rhs])
+        np.minimum.at(moved, rhs, label[lhs])
+        moved = moved[moved]
+        if np.array_equal(moved, label):
+            break
+        label = moved
+    # by label, that is by least node; ascending within a component
+    order = np.argsort(label, kind="stable")
+    members = nodes[order].tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), len(members)]
+    groups = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return relations, tuple((g, any(abs(m) > band for m in g)) for g in groups)
 
 
 def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
@@ -681,17 +757,22 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
 def _block_mixed_nullspace(band: int) -> np.ndarray:
     """Complex null-space basis (columns) of the necessary-condition system
     over coefficient vectors of the four entries on ``[-band, band]``.  A
-    relation's row is its ``lhs - rhs`` read on the unknowns themselves (a
-    unit row each inside the band, 0 outside), so one reading nothing inside
-    the band stays a scalar and gives no row."""
+    relation's row holds the weights its ``lhs - rhs`` puts on the unknowns
+    inside the band (its scale is real, +-1); a relation reading nothing
+    inside the band gives no row."""
+    table = block_mixed_necessary_relations(band)
     width = 2 * band + 1
-    unit = np.eye(4 * width)
-    unknowns = [SimpleNamespace(coeff=lambda k, e=e: unit[e * width + k + band]
-                                if abs(k) <= band else 0) for e in range(4)]
-    read = partial(_read, unknowns)
-    diffs = (np.subtract(*_sides(rel, read)) for rel in block_mixed_necessary_relations(band))
+    # each term of lhs - rhs: its weight and the index it reads
+    side = np.stack((np.ones(len(table)), np.where(table.vanish, 0.0, -table.rhs_scale.real)))
+    weight = _TERM_WEIGHT[table.component] * side[..., None]
+    at = table.index[..., None] + _TERM_SHIFT[table.component]
+    inside = (weight != 0) & (np.abs(at) <= band)
+    row = inside.nonzero()[1]
+    matrix = np.zeros((len(table), 4 * width))
+    np.add.at(matrix, (row, (_TERM_ENTRY[table.component] * width + at + band)[inside]),
+              weight[inside])
     # never empty: the telescoping relations at l = 0 read index 0
-    matrix = np.vstack([row for row in diffs if np.ndim(row)])
+    matrix = matrix[np.unique(row)].astype(complex)
     _, sv, vh = np.linalg.svd(matrix)
     cutoff = max(matrix.shape) * np.finfo(float).eps * sv[0]
     rank = int(np.sum(sv > cutoff))
@@ -757,7 +838,8 @@ def violation_to_json(v: Violation) -> dict:
 
 
 def condition_report_to_json(report: ConditionReport) -> dict:
-    families = {name: report.family_ok(name) for name in report.families}
+    violated = {v.relation.family for v in report.violations}
+    families = {name: name not in violated for name in report.families}
     return {
         "satisfied": report.satisfied,
         "mode": report.mode,

@@ -41,16 +41,18 @@ CONJECTURE = "conjecture"
 class WireField(NamedTuple):
     """One constructor argument of a family: its JSON key, the attribute it
     fills and its JSON codecs.  In the CLI mini-syntax the field is one
-    ``:``-separated token, a JSON list written comma-separated."""
+    ``:``-separated token, a JSON list written comma-separated and read by
+    ``parse_text`` where the JSON reader takes no strings."""
 
     key: str
     attr: str
     to_json: Callable
     from_json: Callable
     is_list: bool = False
+    parse_text: Callable | None = None
 
     def from_text(self, token: str):
-        return self.from_json(token.split(",") if self.is_list else token)
+        return (self.parse_text or self.from_json)(token.split(",") if self.is_list else token)
 
 
 def _int(value) -> int:
@@ -63,6 +65,12 @@ def _int(value) -> int:
 
 def _int_field(key: str) -> WireField:
     return WireField(key, key, int, _int)
+
+
+def _complex_field(key: str, attr: str) -> WireField:
+    # a CLI token's re,im parts are read by float
+    return WireField(key, attr, complex_to_pair, complex_from_pair, True,
+                     lambda parts: complex_from_pair([float(part) for part in parts]))
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -180,8 +188,7 @@ class MuLambda(ConjugationSpec):
     it, anything further off (or not finite) is rejected."""
 
     name = "mulambda"
-    wire_fields = (WireField("mu", "mu", complex_to_pair, complex_from_pair, is_list=True),
-                   WireField("lambda", "lam", complex_to_pair, complex_from_pair, is_list=True))
+    wire_fields = (_complex_field("mu", "mu"), _complex_field("lambda", "lam"))
     period = 1
     sigma = None
 

@@ -31,17 +31,18 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def complex_from_pair(pair) -> complex:
-    """Decode a JSON ``[re, im]`` pair; anything else, or a value that is not
-    finite, raises ``ValueError``."""
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+    """Decode a JSON ``[re, im]`` pair of JSON numbers (``bool`` is not one);
+    anything else, or a value that is not finite, raises ``ValueError``."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and \
+            type(pair[0]) in (int, float) and type(pair[1]) in (int, float):
         try:
             z = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
+        except OverflowError:  # an int past float range
             pass
         else:
             if cmath.isfinite(z):
                 return z
-    raise ValueError(f"expected a finite [re, im] pair, got {pair!r}")
+    raise ValueError(f"expected a finite [re, im] pair of JSON numbers, got {pair!r}")
 
 
 def _canonical(coeffs: Mapping[int, complex]) -> dict[int, complex]:
@@ -158,8 +159,6 @@ class LaurentSymbol:
             if str(k) != key:
                 raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
             coeffs[k] = complex_from_pair(pair)
-            if type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float):
-                raise ValueError(f"symbol JSON coefficient {pair!r} is not a pair of JSON numbers")
         return cls(coeffs)
 
 

@@ -273,8 +273,17 @@ class TestInputValidation:
         ("--symbol-file", '{"2_0": [1, 0]}', "--spec", "reversal:2"),
         ("--symbol-file", '{" 2": [1, 0]}', "--spec", "reversal:2"),
         ("--symbol-file", '{"2": [1%s, 0]}' % ("0" * 400), "--spec", "reversal:2"),
+        ("--symbol", "z", "--spec-file",
+         '{"family": "mulambda", "mu": [true, false], "lambda": [0.6, 0.8]}'),
+        ("--symbol", "z", "--spec-file",
+         '{"family": "mulambda", "mu": [1, 0], "lambda": ["0.6", "0.8"]}'),
+        ("--symbol", "z", "--spec-file",
+         '{"family": "mulambda", "mu": [1, 0, 0], "lambda": [0.6, 0.8]}'),
+        ("--symbol", "z", "--spec-file",
+         '{"family": "mulambda", "mu": [1, 0], "lambda": [0.6]}'),
     ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "scalar-mu",
-            "bool-parts", "string-parts", "underscore-key", "spaced-key", "int-past-float-range"])
+            "bool-parts", "string-parts", "underscore-key", "spaced-key", "int-past-float-range",
+            "bool-spec-parts", "string-spec-parts", "long-spec-pair", "short-spec-pair"])
     def test_malformed_json_exit_three(self, capsys, tmp_path, argv):
         argv = _materialize(tmp_path, argv)
         code, out, err = run_cli(capsys, "check", *argv)
@@ -356,6 +365,14 @@ class TestHugeBand:
         assert payload["oracle"]["n"] == 40008
 
 
+def _module_env(**extra):
+    """The environment for ``python -m toepsym``: the source tree the tests
+    import comes first on ``PYTHONPATH``, whatever put it on ``sys.path``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the residual's sums are numpy's pairwise sums, not threaded BLAS dots
     path = tmp_path / "symbol.json"
@@ -365,9 +382,10 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "toepsym", "check", "--symbol-file", str(path),
              "--spec", "block_c"],
-            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            capture_output=True, text=True, env=_module_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 1, proc.stderr
         outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["oracle"]["verdict"] == "not_symmetric"
     assert outputs[0] == outputs[1]
 
 
@@ -479,6 +497,6 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "toepsym", "check", "--symbol", "z^2 + z^-2",
          "--spec", "reversal:2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_module_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agree"] is True
