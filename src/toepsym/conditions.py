@@ -21,7 +21,9 @@ A table holds one of three kinds of relation set:
   residue swaps with ``p = m*q + 1``, ``i = q - 1``, ``j = p - 1``.
 
 A row becomes a :class:`Relation` only when it is read: by iteration or
-indexing, or as part of a :class:`Violation`.
+indexing, or as part of a :class:`Violation`.  A report's violated rows stay
+columns from the evaluator to the JSON writer, and become :class:`Violation`
+objects only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .conjugations import (
 from .symbols import (
     LaurentSymbol,
     MatrixSymbol,
-    complex_to_pair,
     project_to_conditions,
     random_matrix_symbol,
     random_symbol,
@@ -95,11 +96,11 @@ class Violation:
 class ConditionReport:
     satisfied: bool
     mode: str
-    violations: tuple[Violation, ...]
+    violations: Sequence[Violation]  # a ViolationTable, or () when satisfied
     families: tuple[str, ...]
 
     def family_ok(self, family: str) -> bool:
-        return all(v.relation.family != family for v in self.violations)
+        return self.satisfied or family not in self.violations.families
 
 
 # Entry combinations referenced by block relations: tuples of
@@ -191,6 +192,23 @@ class RelationTable(Sequence):
                 in zip(*(column[index].tolist() for column in columns))]
 
 
+class ViolationTable(RelationTable):
+    """The violated rows of ``table``, at the ascending row indices ``at``,
+    with their ``lhs`` values and the real and imaginary parts of their
+    ``rhs`` values as columns.  ``families`` names the violated families;
+    rows are built as :class:`Violation` on demand."""
+
+    def __init__(self, table: RelationTable, at, lhs, rhs_re, rhs_im):
+        super().__init__(table.names, (table.family[at], table.vanish[at], *table.component[:, at],
+                                       *table.index[:, at], table.rhs_scale[at]))
+        self.lhs, self.rhs_re, self.rhs_im = lhs[at], rhs_re[at], rhs_im[at]
+
+    def rows(self, index) -> list[Violation]:
+        """The :class:`Violation` rows at ``index`` (any numpy index)."""
+        return list(map(Violation, super().rows(index), self.lhs[index].tolist(),
+                        map(complex, self.rhs_re[index].tolist(), self.rhs_im[index].tolist())))
+
+
 def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
           block: bool) -> np.ndarray:
     """Each ``component`` at ``index``, from ``grid`` (entries by index from
@@ -251,19 +269,17 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence
         rhs_re[vanish] = 0.0
         rhs_im[vanish] = 0.0
         diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
-        # np.hypot can differ from math.hypot by an ulp: screen with a
-        # margin, then decide the rows near or above the tolerance with
-        # math.hypot
-        near = (np.hypot(diff_re, diff_im) >= tol * (1 - 1e-15)).nonzero()[0]
-    violated = [row for row, re, im in zip(near.tolist(), diff_re[near].tolist(),
-                                           diff_im[near].tolist())
-                if math.hypot(re, im) > tol]
-    if not violated:
-        return ConditionReport(True, mode, (), table.families)
-    violated = np.array(violated)
-    violations = tuple(map(Violation, table.rows(violated), lhs[violated].tolist(),
-                           map(complex, rhs_re[violated].tolist(), rhs_im[violated].tolist())))
-    return ConditionReport(False, mode, violations, table.families)
+        # np.hypot is within an ulp of math.hypot, and the band around the
+        # tolerance is about 4 ulp wide: numpy decides every row outside it,
+        # math.hypot the rows inside
+        distance = np.hypot(diff_re, diff_im)
+        violated = distance > tol * (1 + 1e-15)
+        near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
+    violated[near] = [math.hypot(re, im) > tol
+                      for re, im in zip(diff_re[near].tolist(), diff_im[near].tolist())]
+    at = violated.nonzero()[0]
+    violations = ViolationTable(table, at, lhs, rhs_re, rhs_im) if at.size else ()
+    return ConditionReport(not at.size, mode, violations, table.families)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)
@@ -824,27 +840,23 @@ def explore_block_mixed(band: int, trials: int, seed: int,
 # --- JSON views ------------------------------------------------------------------
 
 
-def violation_to_json(v: Violation) -> dict:
-    rel = v.relation
-    return {
-        "family": rel.family,
-        "lhs": rel.lhs_index,
-        "rhs": None if rel.kind == "vanish" else rel.rhs_index,
-        "lhs_component": rel.lhs_component,
-        "rhs_component": None if rel.kind == "vanish" else rel.rhs_component,
-        "lhs_value": complex_to_pair(v.lhs_value),
-        "rhs_value": complex_to_pair(v.rhs_value),
-    }
-
-
 def condition_report_to_json(report: ConditionReport) -> dict:
-    violated = {v.relation.family for v in report.violations}
-    families = {name: name not in violated for name in report.families}
+    """The report as JSON, each violation read from its columns."""
+    v, rows = report.violations, []
+    if v:
+        columns = (v.family, v.vanish, *v.index, *v.component,
+                   v.lhs.real, v.lhs.imag, v.rhs_re, v.rhs_im)
+        rows = [{"family": v.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
+                 "lhs_component": _COMPONENTS[lc],
+                 "rhs_component": None if vanish else _COMPONENTS[rc],
+                 "lhs_value": [lhs_re, lhs_im], "rhs_value": [rhs_re, rhs_im]}
+                for family, vanish, lhs, rhs, lc, rc, lhs_re, lhs_im, rhs_re, rhs_im
+                in zip(*(column.tolist() for column in columns))]
     return {
         "satisfied": report.satisfied,
         "mode": report.mode,
-        "families": families,
-        "violations": [violation_to_json(v) for v in report.violations],
+        "families": {name: report.family_ok(name) for name in report.families},
+        "violations": rows,
     }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -342,13 +343,15 @@ def parse_symbol(text: str) -> LaurentSymbol:
 # --- random generation -------------------------------------------------------
 
 
-def _draw_coeffs(rng: np.random.Generator, max_band: int, density: float) -> dict[int, complex]:
-    coeffs = {}
-    for k in range(-max_band, max_band + 1):
-        if rng.random() < density:
-            re, im = rng.uniform(-1.0, 1.0, size=2)
-            coeffs[k] = complex(re, im)
-    return coeffs
+def _draw_coeffs(seed: int, max_band: int, density: float, entries: int) -> list[dict]:
+    """``entries`` coefficient dicts from one stream of doubles, drawn in blocks
+    and read as per-index ``rng.random() < density`` and, for a kept index,
+    ``rng.uniform(-1.0, 1.0, size=2)`` calls would read it (``-1.0 + 2.0 * u``)."""
+    rng, size = np.random.default_rng(seed), min(3 * (2 * max_band + 1) * entries, 1 << 16)
+    draws = chain.from_iterable(iter(lambda: rng.random(size).tolist(), None))
+    return [{k: complex(-1.0 + 2.0 * next(draws), -1.0 + 2.0 * next(draws))
+             for k in range(-max_band, max_band + 1) if next(draws) < density}
+            for _ in range(entries)]
 
 
 def random_symbol(seed: int, max_band: int, density: float = 1.0) -> LaurentSymbol:
@@ -361,8 +364,7 @@ def random_symbol(seed: int, max_band: int, density: float = 1.0) -> LaurentSymb
         raise ValueError("max_band must be >= 0")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    return LaurentSymbol(_draw_coeffs(rng, max_band, density))
+    return LaurentSymbol(_draw_coeffs(seed, max_band, density, 1)[0])
 
 
 def random_matrix_symbol(seed: int, max_band: int, density: float = 1.0) -> MatrixSymbol:
@@ -371,9 +373,7 @@ def random_matrix_symbol(seed: int, max_band: int, density: float = 1.0) -> Matr
         raise ValueError("max_band must be >= 0")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    return MatrixSymbol(*(LaurentSymbol(_draw_coeffs(rng, max_band, density))
-                          for _ in range(4)))
+    return MatrixSymbol(*map(LaurentSymbol, _draw_coeffs(seed, max_band, density, 4)))
 
 
 # --- projection onto characterized condition sets ----------------------------

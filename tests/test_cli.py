@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import toepsym.cli as cli
 from toepsym.cli import main, parse_spec_text
 from toepsym.conjugations import (
+    FAMILIES,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -461,6 +463,21 @@ _any_json = st.recursive(st.none() | _number, lambda inner: st.lists(inner, max_
                          | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
 
 
+def _assert_exits_cleanly(argv):
+    """``main(argv)`` exits 0-3; on exit 3 stdout is empty, otherwise it is
+    strict JSON whose ``agree`` is false exactly on exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 3:
+        assert out.getvalue() == ""
+        return
+    payload = json.loads(out.getvalue(),
+                         parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+    assert (code == 2) == (payload["agree"] is False)
+
+
 @st.composite
 def _symbol_argument(draw, block):
     """``--symbol`` text built mostly from valid terms, or ``--symbol-file`` JSON."""
@@ -481,16 +498,59 @@ def test_check_on_arbitrary_input_exits_cleanly(tmp_path, spec, data):
     if flag == "--symbol-file":
         (tmp_path / "symbol.json").write_text(value)
         value = str(tmp_path / "symbol.json")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", flag, value, "--spec", spec])
-    assert code in (0, 1, 2, 3), err.getvalue()
-    if code == 3:
-        assert out.getvalue() == ""
-        return
-    payload = json.loads(out.getvalue(),
-                         parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
-    assert (code == 2) == (payload["agree"] is False)
+    _assert_exits_cleanly(["check", flag, value, "--spec", spec])
+
+
+# Spec JSON: a family name from FAMILIES or junk, its fields (plus stray
+# keys) drawn from plausible values or arbitrary JSON.  Integers, integral
+# floats and numeric strings stay within |v| <= 64: the memory budget is still
+# open, and a spec such as reversal with n = 10**9 would allocate without
+# limit.
+_bounded = st.one_of(st.none(), st.booleans(), st.integers(-64, 64), st.floats(-64, 64),
+                     st.sampled_from([math.nan, math.inf, -math.inf, "2", "-1", " 3", "1.5"]),
+                     st.text(alphabet="abjz ,.-+eE[]", max_size=4))
+_field_json = st.recursive(_bounded, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=6)
+_plausible = {
+    "p": st.integers(1, 5), "i": st.integers(0, 4), "j": st.integers(0, 4),
+    "n": st.integers(1, 6),
+    "sigma": st.sampled_from([[0], [1, 0], [2, 1, 0], [0, 2, 1], [1, 0, 3, 2], [1.0, 0.0]]),
+    "mu": st.sampled_from([[1, 0], [0, 1], [0.6, 0.8], [-1.0, -0.0]]),
+    "lambda": st.sampled_from([[1, 0], [0, -1], [0.6, 0.8], [0.8, -0.6]]),
+}
+_SYMBOLS = {False: ["z^2 + z^-2", "3", "z - 2i z^-1"],
+            True: ["z^2 + z^-2;0;0;z^2 + z^-2", "z;0;z^2;0"]}
+
+
+@st.composite
+def _spec_file(draw):
+    """A ``--spec-file`` document, mostly a family object with each field
+    plausible four times in five, and a symbol, mostly of the family's kind."""
+    cls = None
+    if not draw(st.integers(0, 9)):
+        spec = draw(_field_json)
+    else:
+        family = draw(st.sampled_from(list(FAMILIES)) if draw(st.integers(0, 4)) else _bounded)
+        cls = FAMILIES.get(family) if isinstance(family, str) else None
+        keys = [field.key for field in cls.wire_fields] if cls else []
+        keys += draw(st.lists(st.sampled_from([*_plausible, "family", "x"]), max_size=2))
+        spec = {} if not draw(st.integers(0, 19)) else {"family": family}
+        for key in keys:
+            if draw(st.integers(0, 9)):
+                plausible = key in _plausible and draw(st.integers(0, 4))
+                spec[key] = draw(_plausible[key] if plausible else _field_json)
+    block = cls is not None and cls.is_block
+    return spec, draw(st.sampled_from(_SYMBOLS[block != (not draw(st.integers(0, 4)))]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_spec_file())
+def test_check_on_arbitrary_spec_file_exits_cleanly(tmp_path, case):
+    spec, symbol = case
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _assert_exits_cleanly(["check", "--symbol", symbol, "--spec-file", str(path)])
 
 
 def test_module_entry_point():

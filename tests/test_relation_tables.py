@@ -21,6 +21,7 @@ from toepsym.cli import main
 from toepsym.conditions import (
     COEFF_TOL,
     Relation,
+    Violation,
     block_hadamard_relations,
     block_mixed_necessary_relations,
     check_block_hadamard,
@@ -322,13 +323,14 @@ CLI_SPEC_OBJECTS = [GeneralPermutation(6, (2, 1, 0, 4, 3, 5)), Transposition(4, 
 
 @pytest.mark.parametrize("text, spec", zip(CLI_SPECS, CLI_SPEC_OBJECTS), ids=CLI_SPECS)
 def test_check_builds_relations_only_for_violations(monkeypatch, tmp_path, capsys, text, spec):
+    # the report is written from the violated rows' columns: the check path
+    # builds no Relation and no Violation, however many rows it reports
     built = []
-    init = Relation.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(Relation, "__init__", counting)
+    for cls in (Relation, Violation):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
     band = 200
     cases = [(_symmetric(spec, 7, band), True), (_generic(spec, 7, band, 1.0), False)]
     for symbol, symmetric in cases:
@@ -339,7 +341,7 @@ def test_check_builds_relations_only_for_violations(monkeypatch, tmp_path, capsy
         payload = json.loads(capsys.readouterr().out)
         reports = [payload["condition"], payload["advisory"]]
         reported = sum(len(r["violations"]) for r in reports if r is not None)
-        assert len(built) == reported
+        assert built == []
         if symmetric:
             assert code == 0 and reported == 0
         else:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,37 @@ class TestRandomSymbol:
         sym = random_symbol(13, 10, 1.0)
         for _, c in sym.items():
             assert -1 <= c.real <= 1 and -1 <= c.imag <= 1
+
+    @staticmethod
+    def _assert_matches_per_call(seed, max_band, density):
+        """Both generators against the per-call draw that the one-stream walk
+        replaced, kept as the reference: a Generator call for each index's
+        density test and one for both parts of each kept coefficient, the four
+        matrix entries from one stream."""
+        def per_call(rng):
+            coeffs = {}
+            for k in range(-max_band, max_band + 1):
+                if rng.random() < density:
+                    re, im = rng.uniform(-1.0, 1.0, size=2)
+                    coeffs[k] = complex(re, im)
+            return repr(sorted(coeffs.items()))
+        stream = np.random.default_rng(seed)
+        expected = [per_call(np.random.default_rng(seed)), *(per_call(stream) for _ in range(4))]
+        got = [random_symbol(seed, max_band, density),
+               *random_matrix_symbol(seed, max_band, density).entries]
+        assert [repr(sorted(sym.coeffs.items())) for sym in got] == expected
+
+    @pytest.mark.parametrize("density", [1.0, 0.7, 0.5, 0.2, 1e-3, 1e-300])
+    @pytest.mark.parametrize("band", [0, 1, 2, 7, 30])
+    def test_matches_the_per_call_draw(self, band, density):
+        for seed in (*range(20), 2**40 + 3):
+            self._assert_matches_per_call(seed, band, density)
+
+    @pytest.mark.parametrize("density", [1.0, 0.5])
+    def test_matches_the_per_call_draw_across_blocks(self, density):
+        # the stream is drawn 2**16 doubles at a time; at band 11000 the
+        # matrix symbol needs more at either density, the scalar one at 1.0
+        self._assert_matches_per_call(3, 11000, density)
 
 
 class TestProjection:
