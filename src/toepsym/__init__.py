@@ -44,8 +44,6 @@ from .toeplitz import (
 from .symmetry import SymmetryReport, is_c_symmetric, residual
 from .conditions import (
     ConditionReport,
-    Relation,
-    Violation,
     check_block_hadamard,
     check_block_mixed_necessary,
     check_mu_lambda,

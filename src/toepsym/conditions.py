@@ -20,10 +20,9 @@ A table holds one of three kinds of relation set:
 * *rule* sets -- the interchange/sign rewriting of the raw relations for
   residue swaps with ``p = m*q + 1``, ``i = q - 1``, ``j = p - 1``.
 
-A row becomes a :class:`Relation` only when it is read: by iteration or
-indexing, or as part of a :class:`Violation`.  A report's violated rows stay
-columns from the evaluator to the JSON writer, and become :class:`Violation`
-objects only when a caller reads them.
+A :class:`ConditionReport` is the evaluated table, the values of its rows
+and the indices of its violated rows; the JSON writer reads the table's
+columns at those indices.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -60,47 +59,8 @@ from .symmetry import SYMMETRY_TOL, SymmetryReport, is_c_symmetric, report_to_js
 
 COEFF_TOL = 1e-12
 
-SCALAR_COMPONENT = "phi"
-
 CROSS_FORM = "cross"
 SUMS_FORM = "sums"
-
-
-@dataclass(frozen=True)
-class Relation:
-    """One linear identity between coefficient reads.
-
-    ``equality`` means ``value(lhs) == rhs_scale * value(rhs)``; ``vanish``
-    means ``value(lhs) == 0``.  A side is a component label plus an index;
-    scalar relations use the single component ``"phi"`` while block relations
-    name entry combinations such as ``"phi1+phi2"``.
-    """
-
-    kind: str
-    lhs_index: int
-    rhs_index: int = 0
-    rhs_scale: complex = 1.0 + 0j
-    lhs_component: str = SCALAR_COMPONENT
-    rhs_component: str = SCALAR_COMPONENT
-    family: str = ""
-
-
-@dataclass(frozen=True)
-class Violation:
-    relation: Relation
-    lhs_value: complex
-    rhs_value: complex
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    satisfied: bool
-    mode: str
-    violations: Sequence[Violation]  # a ViolationTable, or () when satisfied
-    families: tuple[str, ...]
-
-    def family_ok(self, family: str) -> bool:
-        return self.satisfied or family not in self.violations.families
 
 
 # Entry combinations referenced by block relations: tuples of
@@ -132,22 +92,23 @@ _BLOCK_COMBOS: dict[str, tuple[tuple[int, int, int], ...]] = {
 # are the rows of the _TERM_* arrays (entries counted from 0), padded with
 # zero weights; the scalar component has none, as a scalar symbol is read
 # directly.
-_COMPONENTS = (SCALAR_COMPONENT, *_BLOCK_COMBOS)
+_COMPONENTS = ("phi", *_BLOCK_COMBOS)
 _CODE = {name: code for code, name in enumerate(_COMPONENTS)}
 _PADDED = [(*terms, *[(1, 0, 0)] * (4 - len(terms))) for terms in ((), *_BLOCK_COMBOS.values())]
 _TERM_ENTRY, _TERM_WEIGHT, _TERM_SHIFT = np.array(_PADDED).transpose(2, 0, 1)
 _TERM_ENTRY = _TERM_ENTRY - 1
-_PHI = _CODE[SCALAR_COMPONENT]
+_PHI = _CODE["phi"]
 
 
-class RelationTable(Sequence):
-    """A relation set as one numpy column per :class:`Relation` field, built
-    from row blocks ``(family, vanish, lhs_component, rhs_component,
-    lhs_index, rhs_index, rhs_scale)``, each field an array or one value for
-    the block.  ``family`` codes into ``names`` (in first-appearance order),
-    components into ``_COMPONENTS``; ``component`` and ``index`` stack the
-    lhs column over the rhs one.  Rows are built as :class:`Relation` on
-    demand."""
+class RelationTable:
+    """Rows ``value(lhs) == rhs_scale * value(rhs)``, or ``value(lhs) == 0``
+    where ``vanish``, one numpy column per field, built from row blocks
+    ``(family, vanish, lhs_component, rhs_component, lhs_index, rhs_index,
+    rhs_scale)``, each field an array or one value for the block.  A side
+    reads a component (``"phi"`` of a scalar symbol, or an entry combination
+    such as ``"phi1+phi2"``) at an index.  ``component`` (codes into
+    ``_COMPONENTS``) and ``index`` stack the lhs column over the rhs one;
+    ``family`` codes into ``names`` (in first-appearance order)."""
 
     def __init__(self, names: tuple[str, ...], *blocks):
         size = sum(len(block[4]) for block in blocks)
@@ -165,48 +126,34 @@ class RelationTable(Sequence):
         counts = np.bincount(self.family, minlength=len(names)).tolist()
         self.families = tuple(name for name, count in zip(names, counts) if count)
 
-    @classmethod
-    def from_relations(cls, relations: Sequence[Relation]) -> "RelationTable":
-        names = tuple(dict.fromkeys(r.family for r in relations))
-        columns = zip(*[(names.index(r.family), r.kind == "vanish", _CODE[r.lhs_component],
-                         _CODE[r.rhs_component], r.lhs_index, r.rhs_index, r.rhs_scale)
-                        for r in relations])
-        return cls(names, tuple(map(list, columns)) or ([],) * 7)
-
     def __len__(self) -> int:
         return self.family.size
 
-    def __getitem__(self, index):
-        rows = self.rows(np.arange(len(self))[index].reshape(-1))
-        return rows if isinstance(index, slice) else rows[0]
 
-    def __iter__(self):
-        return iter(self.rows(slice(None)))
+@dataclass(frozen=True, eq=False)
+class ConditionReport:
+    """``table`` evaluated on a symbol: every row's ``lhs`` and ``rhs`` (as real
+    and imaginary parts), and ``violations``, the violated rows' indices, ascending."""
 
-    def rows(self, index) -> list[Relation]:
-        """The :class:`Relation` rows at ``index`` (any numpy index)."""
-        columns = (self.vanish, *self.index, self.rhs_scale, *self.component, self.family)
-        return [Relation("vanish" if vanish else "equality", lhs, rhs, scale,
-                         _COMPONENTS[lc], _COMPONENTS[rc], self.names[family])
-                for vanish, lhs, rhs, scale, lc, rc, family
-                in zip(*(column[index].tolist() for column in columns))]
+    satisfied: bool
+    mode: str
+    table: RelationTable
+    violations: np.ndarray
+    lhs: np.ndarray
+    rhs_re: np.ndarray
+    rhs_im: np.ndarray
 
+    @property
+    def families(self) -> tuple[str, ...]:
+        return self.table.families
 
-class ViolationTable(RelationTable):
-    """The violated rows of ``table``, at the ascending row indices ``at``,
-    with their ``lhs`` values and the real and imaginary parts of their
-    ``rhs`` values as columns.  ``families`` names the violated families;
-    rows are built as :class:`Violation` on demand."""
+    @cached_property
+    def _violated_families(self) -> frozenset[str]:
+        counts = np.bincount(self.table.family[self.violations]).tolist()
+        return frozenset(name for name, count in zip(self.table.names, counts) if count)
 
-    def __init__(self, table: RelationTable, at, lhs, rhs_re, rhs_im):
-        super().__init__(table.names, (table.family[at], table.vanish[at], *table.component[:, at],
-                                       *table.index[:, at], table.rhs_scale[at]))
-        self.lhs, self.rhs_re, self.rhs_im = lhs[at], rhs_re[at], rhs_im[at]
-
-    def rows(self, index) -> list[Violation]:
-        """The :class:`Violation` rows at ``index`` (any numpy index)."""
-        return list(map(Violation, super().rows(index), self.lhs[index].tolist(),
-                        map(complex, self.rhs_re[index].tolist(), self.rhs_im[index].tolist())))
+    def family_ok(self, family: str) -> bool:
+        return self.satisfied or family not in self._violated_families
 
 
 def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
@@ -227,10 +174,9 @@ def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
     return total
 
 
-def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence[Relation],
+def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, table: RelationTable,
                        mode: str = IFF) -> ConditionReport:
-    """Evaluate ``relations`` (a :class:`RelationTable`, or any sequence of
-    :class:`Relation`) on a scalar or a 2x2 matrix symbol.
+    """Evaluate the relation ``table`` on a scalar or a 2x2 matrix symbol.
 
     A relation holds when its two sides differ by at most
     ``COEFF_TOL * max(1, ||c||_2)``, with ``||c||_2`` taken over every
@@ -238,8 +184,6 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence
     rescaled symbol gets the same verdict.  Values and verdicts are those of
     Python's complex arithmetic and ``math.hypot``, row by row.
     """
-    table = relations if isinstance(relations, RelationTable) else \
-        RelationTable.from_relations(relations)
     block = isinstance(symbol, MatrixSymbol)
     coeffs = [entry.coeffs for entry in (symbol.entries if block else (symbol,))]
     sizes = [len(c) for c in coeffs]
@@ -252,6 +196,8 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence
     vanish = table.vanish
     if block and not (table.component[0].all() and (table.component[1] | vanish).all()):
         raise ValueError("a scalar relation cannot read a matrix symbol")
+    if not block and table.component.any():
+        raise ValueError("a block relation cannot read a scalar symbol")
     # every entry's coefficients as the rows of one grid, from one index
     # below the support to one above it
     lo, hi = (int(np.minimum.reduce(keys)) - 1, int(np.maximum.reduce(keys)) + 1) \
@@ -266,8 +212,7 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence
         scale = table.rhs_scale
         rhs_re = scale.real * value.real - scale.imag * value.imag
         rhs_im = scale.real * value.imag + scale.imag * value.real
-        rhs_re[vanish] = 0.0
-        rhs_im[vanish] = 0.0
+        rhs_re[vanish] = rhs_im[vanish] = 0.0
         diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
         # np.hypot is within an ulp of math.hypot, and the band around the
         # tolerance is about 4 ulp wide: numpy decides every row outside it,
@@ -278,8 +223,7 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, relations: Sequence
     violated[near] = [math.hypot(re, im) > tol
                       for re, im in zip(diff_re[near].tolist(), diff_im[near].tolist())]
     at = violated.nonzero()[0]
-    violations = ViolationTable(table, at, lhs, rhs_re, rhs_im) if at.size else ()
-    return ConditionReport(not at.size, mode, violations, table.families)
+    return ConditionReport(not at.size, mode, table, at, lhs, rhs_re, rhs_im)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)
@@ -399,16 +343,14 @@ def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> Condition
     explorer probes the gap).
     """
     mode = Transposition(p, i, j).characterization
-    rels = _period_conditions(p, sym.bandwidth)
-    return evaluate_scalar_relations(sym, rels, mode)
+    return evaluate_scalar_relations(sym, _period_conditions(p, sym.bandwidth), mode)
 
 
 def check_reversal(sym: LaurentSymbol, n: int) -> ConditionReport:
     """Block-reversal conditions: multiples of ``n`` mirror-symmetric, all
     other coefficients zero (for ``n = 1`` only the mirror clause remains)."""
     Reversal(n)
-    rels = _period_conditions(n, sym.bandwidth)
-    return evaluate_scalar_relations(sym, rels, IFF)
+    return evaluate_scalar_relations(sym, _period_conditions(n, sym.bandwidth), IFF)
 
 
 def check_mu_lambda(sym: LaurentSymbol, lam: complex) -> ConditionReport:
@@ -461,8 +403,7 @@ def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM) -> Conditio
     adversarial tests), so ``cross`` is the default everywhere a single
     verdict is needed.
     """
-    rels = block_hadamard_relations(msym.bandwidth, form)
-    return evaluate_block_relations(msym, rels, IFF)
+    return evaluate_block_relations(msym, block_hadamard_relations(msym.bandwidth, form), IFF)
 
 
 def block_mixed_necessary_relations(band: int) -> RelationTable:
@@ -841,12 +782,12 @@ def explore_block_mixed(band: int, trials: int, seed: int,
 
 
 def condition_report_to_json(report: ConditionReport) -> dict:
-    """The report as JSON, each violation read from its columns."""
-    v, rows = report.violations, []
-    if v:
-        columns = (v.family, v.vanish, *v.index, *v.component,
-                   v.lhs.real, v.lhs.imag, v.rhs_re, v.rhs_im)
-        rows = [{"family": v.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
+    """The report as JSON, each violation read from the columns at its row."""
+    t, at, rows = report.table, report.violations, []
+    if not report.satisfied:
+        columns = (t.family[at], t.vanish[at], *t.index[:, at], *t.component[:, at],
+                   report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at])
+        rows = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
                  "lhs_component": _COMPONENTS[lc],
                  "rhs_component": None if vanish else _COMPONENTS[rc],
                  "lhs_value": [lhs_re, lhs_im], "rhs_value": [rhs_re, rhs_im]}

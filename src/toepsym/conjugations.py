@@ -73,8 +73,11 @@ def _complex_field(key: str, attr: str) -> WireField:
                      lambda parts: complex_from_pair([float(part) for part in parts]))
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(_int(v) for v in values)
+def _int_list(values) -> tuple[int, ...]:
+    """A list of integers: a JSON string or object iterates, but is none."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of integers, got {values!r}")
+    return tuple(map(_int, values))
 
 
 class ConjugationSpec:
@@ -114,7 +117,7 @@ class GeneralPermutation(_ResiduePermutation):
     """Involution ``sigma`` on residues 0..p-1, repeated on every block."""
 
     name = "general"
-    wire_fields = (_int_field("p"), WireField("sigma", "sigma", list, _ints, is_list=True))
+    wire_fields = (_int_field("p"), WireField("sigma", "sigma", list, _int_list, is_list=True))
     characterization = None
 
     p: int
@@ -123,7 +126,7 @@ class GeneralPermutation(_ResiduePermutation):
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        sigma = _ints(self.sigma)
+        sigma = tuple(map(_int, self.sigma))
         object.__setattr__(self, "sigma", sigma)
         if sorted(sigma) != list(range(self.p)):
             raise ValueError("sigma must be a permutation of 0..p-1")
@@ -329,6 +332,8 @@ def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
                   seed: int = 0) -> AxiomCheck:
     """Check the two conjugation axioms on the truncation: ``A conj(A) = I``
     entrywise and norm preservation on random unit probes."""
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
     op = truncated_matrix(spec, size)
     # A conj(A) keeps every index in its period block, so the real vector
     # that is 1 on one residue class of one component reads one entry a row

@@ -97,18 +97,21 @@ def _three_way_agreement(triples, trials, check_rules):
     for (p, i, j) in triples:
         band = 3 * p
         raw = raw_relations_transposition(p, i, j, band)
-        raw_nonmult = [r for r in raw if r.family != "multiples"]
         rules = interchange_sign_relations(p, i + 1, band) if check_rules else None
         for t in range(trials):
             sym = random_symbol(10_000 * p + 100 * i + t, band, 0.5)
             cond = check_transposition(sym, p, i, j).satisfied
-            raw_ok = evaluate_scalar_relations(sym, raw).satisfied
+            raw_report = evaluate_scalar_relations(sym, raw)
+            raw_ok = raw_report.satisfied
             oracle = is_c_symmetric(sym, Transposition(p, i, j), ORACLE_TOL).symmetric
             if not cond == raw_ok == oracle:
                 disagreements.append((p, i, j, t))
             if check_rules:
                 rules_ok = evaluate_scalar_relations(sym, rules).satisfied
-                nonmult_ok = evaluate_scalar_relations(sym, raw_nonmult).satisfied
+                # the tolerance depends on the symbol only, so the non-multiple
+                # rows hold together exactly when none of their families fails
+                nonmult_ok = all(raw_report.family_ok(family) for family in raw_report.families
+                                 if family != "multiples")
                 if rules_ok != nonmult_ok:
                     rule_mismatches.append((p, i, j, t))
         for t in range(100):

@@ -128,6 +128,14 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--spec", "reversal:2", "--size", "7")
         assert code == 3
 
+    @pytest.mark.parametrize("probes", ["-3", "0"])
+    def test_probes_below_one_exit_three(self, capsys, probes):
+        # no probe would check no isometry at all
+        code, out, err = run_cli(capsys, "verify", "--spec", "reversal:2", "--probes", probes)
+        assert code == 3
+        assert out == ""
+        assert "probes must be >= 1" in err and "Traceback" not in err
+
 
 class TestRandomTestCommand:
     def test_summary_and_exit(self, capsys):
@@ -397,7 +405,10 @@ class TestStrictIntegerSpecFields:
         '{"family": "reversal", "n": true}',
         '{"family": "transposition", "p": 4, "i": 0, "j": 2.5}',
         '{"family": "general", "p": 2, "sigma": [1, false]}',
-    ], ids=["fractional", "bool", "fractional-j", "bool-in-sigma"])
+        '{"family": "general", "p": 3, "sigma": "210"}',
+        '{"family": "general", "p": 2, "sigma": {"1": 0, "0": 1}}',
+    ], ids=["fractional", "bool", "fractional-j", "bool-in-sigma", "string-sigma",
+            "object-sigma"])
     def test_spec_file_rejects_non_integers(self, capsys, tmp_path, spec):
         argv = _materialize(tmp_path, ("--symbol", "z^2 + z^-2", "--spec-file", spec))
         code, out, err = run_cli(capsys, "check", *argv)
@@ -412,6 +423,15 @@ class TestStrictIntegerSpecFields:
         assert code == 0
         assert json.loads(out)["spec"] == {"family": "reversal", "n": 2}
         assert run_cli(capsys, "check", "--symbol", "z^2 + z^-2", "--spec", "reversal:2")[0] == 0
+
+    def test_sigma_list_and_token_accepted(self, capsys, tmp_path):
+        argv = _materialize(tmp_path, ("--symbol", "z^3 + z^-3", "--spec-file",
+                                       '{"family": "general", "p": 3, "sigma": [2, 1, 0]}'))
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 0
+        assert json.loads(out)["spec"] == {"family": "general", "p": 3, "sigma": [2, 1, 0]}
+        assert run_cli(capsys, "check", "--symbol", "z^3 + z^-3",
+                       "--spec", "general:3:2,1,0")[0] == 0
 
 
 class TestInternalErrors:

@@ -1,10 +1,11 @@
 """Relation tables and their evaluator, pinned against the per-relation code.
 
 * Each enumerator's rows, in order, are pinned by a SHA-256 digest written
-  when every relation was a separate ``Relation`` object.
+  when every relation was a separate row object.
 * The evaluator is compared, violation by violation and by ``repr`` of the
   values, with the per-relation loop it replaced, kept below as the
-  reference (as ``_unscaled_residual`` is kept for the residual).
+  reference (as ``_unscaled_residual`` is kept for the residual).  Both read
+  their rows from the table's columns.
 """
 
 import cmath
@@ -20,8 +21,7 @@ import toepsym.conditions as conditions
 from toepsym.cli import main
 from toepsym.conditions import (
     COEFF_TOL,
-    Relation,
-    Violation,
+    RelationTable,
     block_hadamard_relations,
     block_mixed_necessary_relations,
     check_block_hadamard,
@@ -59,16 +59,25 @@ INTERCHANGE = [(3, 1), (4, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (9, 4)]
 LAMBDAS = [1.0, -1.0, 1j, complex(0.6, 0.8), cmath.exp(0.3j)]
 
 
+def _rows(table, at=slice(None)):
+    """The rows of ``table`` at ``at`` (any numpy index), read from its
+    columns, as ``(kind, lhs_index, rhs_index, lhs_component,
+    rhs_component, rhs_scale, family)`` with Python values."""
+    columns = (table.vanish, *table.index, *table.component, table.rhs_scale, table.family)
+    return [("vanish" if vanish else "equality", lhs, rhs, conditions._COMPONENTS[lc],
+             conditions._COMPONENTS[rc], complex(scale), table.names[family])
+            for vanish, lhs, rhs, lc, rc, scale, family
+            in zip(*(column[at].tolist() for column in columns))]
+
+
 def _digest(tables) -> str:
     """SHA-256 over every row of every table, in order.  The scale is read
     as a complex number, so ``-1`` and ``-1+0j`` (equal values) digest
     alike."""
     h = hashlib.sha256()
     for table in tables:
-        for r in table:
-            row = (r.kind, r.lhs_index, r.rhs_index, r.lhs_component, r.rhs_component,
-                   repr(complex(r.rhs_scale)), r.family)
-            h.update(repr(row).encode())
+        for kind, lhs, rhs, lc, rc, scale, family in _rows(table):
+            h.update(repr((kind, lhs, rhs, lc, rc, repr(scale), family)).encode())
         h.update(b"|")
     return h.hexdigest()
 
@@ -155,8 +164,8 @@ def _reference_read(entries, component, index):
     return total
 
 
-def _reference_violations(symbol, relations):
-    """``(relation, lhs, rhs)`` of every violated relation, read one relation
+def _reference_violations(symbol, table):
+    """``(row, lhs, rhs)`` of every violated row of ``table``, read one row
     at a time: block sides summed from ``0j`` term by term, scalar sides read
     directly."""
     if isinstance(symbol, MatrixSymbol):
@@ -173,28 +182,26 @@ def _reference_violations(symbol, relations):
                         for entry in entries for v in entry.coeffs.values()])
     tol = COEFF_TOL * min(max(1.0, norm), sys.float_info.max)
     out = []
-    for rel in relations:
-        rhs = 0j if rel.kind == "vanish" else rel.rhs_scale * value(rel.rhs_component,
-                                                                    rel.rhs_index)
-        lhs = value(rel.lhs_component, rel.lhs_index)
+    for row in _rows(table):
+        kind, lhs_index, rhs_index, lhs_component, rhs_component, rhs_scale, _ = row
+        rhs = 0j if kind == "vanish" else rhs_scale * value(rhs_component, rhs_index)
+        lhs = value(lhs_component, lhs_index)
         diff = lhs - rhs
         if math.hypot(diff.real, diff.imag) > tol:
-            out.append((rel, lhs, rhs))
+            out.append((row, lhs, rhs))
     return out
 
 
-def _row(rel):
-    return (rel.kind, rel.lhs_index, rel.rhs_index, rel.lhs_component, rel.rhs_component,
-            complex(rel.rhs_scale), rel.family)
-
-
-def _assert_same(symbol, relations, report):
-    expected = [(_row(rel), repr(lhs), repr(rhs))
-                for rel, lhs, rhs in _reference_violations(symbol, relations)]
-    got = [(_row(v.relation), repr(v.lhs_value), repr(v.rhs_value)) for v in report.violations]
+def _assert_same(symbol, table, report):
+    expected = [(row, repr(lhs), repr(rhs))
+                for row, lhs, rhs in _reference_violations(symbol, table)]
+    assert report.table is table
+    at = report.violations
+    rhs = map(complex, report.rhs_re[at].tolist(), report.rhs_im[at].tolist())
+    got = list(zip(_rows(table, at), map(repr, report.lhs[at].tolist()), map(repr, rhs)))
     assert got == expected
     assert report.satisfied == (not expected)
-    assert report.families == tuple(dict.fromkeys(rel.family for rel in relations))
+    assert report.families == tuple(dict.fromkeys(row[-1] for row in _rows(table)))
 
 
 @pytest.fixture
@@ -204,9 +211,9 @@ def compared(monkeypatch):
     calls = []
     evaluate = conditions.evaluate_relations
 
-    def checked(symbol, relations, mode=conditions.IFF):
-        report = evaluate(symbol, relations, mode)
-        _assert_same(symbol, relations, report)
+    def checked(symbol, table, mode=conditions.IFF):
+        report = evaluate(symbol, table, mode)
+        _assert_same(symbol, table, report)
         calls.append(len(report.violations))
         return report
     for name in ("evaluate_scalar_relations", "evaluate_block_relations"):
@@ -280,17 +287,39 @@ def test_other_tables_match_the_reference(compared):
     assert any(compared)
 
 
+def _filtered(table, keep):
+    """The rows of ``table`` where the mask ``keep`` holds, as a table."""
+    return RelationTable(table.names, (table.family[keep], table.vanish[keep],
+                                       *table.component[:, keep], *table.index[:, keep],
+                                       table.rhs_scale[keep]))
+
+
+def _in_families(table, pick):
+    """The mask of the rows whose family name satisfies ``pick``."""
+    return np.isin(table.family, [code for code, name in enumerate(table.names) if pick(name)])
+
+
 def test_filtered_lists_match_the_reference():
-    # tests and callers pass plain lists of relations
-    table = raw_relations_transposition(5, 1, 3, 15)
-    rows = [r for r in table if r.family != "multiples"]
+    # family-filtered tables, built from the columns of a full one
+    full = raw_relations_transposition(5, 1, 3, 15)
+    table = _filtered(full, _in_families(full, lambda name: name != "multiples"))
     for seed in range(5):
         for symbol in (random_symbol(seed, 15, 0.5), random_symbol(seed, 20, 0.5)):
-            _assert_same(symbol, rows, evaluate_relations(symbol, rows))
-    block = [r for r in block_mixed_necessary_relations(6) if r.family.startswith("mixed")]
+            _assert_same(symbol, table, evaluate_relations(symbol, table))
+    full = block_mixed_necessary_relations(6)
+    block = _filtered(full, _in_families(full, lambda name: name.startswith("mixed")))
     m = random_matrix_symbol(3, 6, 0.6)
     _assert_same(m, block, evaluate_relations(m, block))
-    assert evaluate_relations(m, []).satisfied and evaluate_relations(m, []).families == ()
+    empty = _filtered(full, np.zeros(len(full), bool))
+    assert evaluate_relations(m, empty).satisfied and evaluate_relations(m, empty).families == ()
+
+
+def test_a_table_of_the_other_kind_is_rejected():
+    # a block table would read a scalar symbol's coefficients as every entry
+    with pytest.raises(ValueError, match="block relation cannot read a scalar symbol"):
+        evaluate_relations(LaurentSymbol({1: 1.0}), block_hadamard_relations(2))
+    with pytest.raises(ValueError, match="scalar relation cannot read a matrix symbol"):
+        evaluate_relations(random_matrix_symbol(1, 2, 1.0), raw_relations_general(2, (1, 0), 2))
 
 
 # (x, y): c_2 = x + iy against c_-2 = 0 under reversal:2, so the difference
@@ -322,26 +351,18 @@ CLI_SPEC_OBJECTS = [GeneralPermutation(6, (2, 1, 0, 4, 3, 5)), Transposition(4, 
 
 
 @pytest.mark.parametrize("text, spec", zip(CLI_SPECS, CLI_SPEC_OBJECTS), ids=CLI_SPECS)
-def test_check_builds_relations_only_for_violations(monkeypatch, tmp_path, capsys, text, spec):
-    # the report is written from the violated rows' columns: the check path
-    # builds no Relation and no Violation, however many rows it reports
-    built = []
-    for cls in (Relation, Violation):
-        def counting(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self))
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+def test_check_builds_relations_only_for_violations(tmp_path, capsys, text, spec):
+    # the report is written from the table's columns at the violated rows;
+    # a symmetric input reports none, a generic one some
     band = 200
     cases = [(_symmetric(spec, 7, band), True), (_generic(spec, 7, band, 1.0), False)]
     for symbol, symmetric in cases:
         path = tmp_path / "symbol.json"
         path.write_text(json.dumps(symbol.to_json()))
-        built.clear()
         code = main(["check", "--symbol-file", str(path), "--spec", text])
         payload = json.loads(capsys.readouterr().out)
         reports = [payload["condition"], payload["advisory"]]
         reported = sum(len(r["violations"]) for r in reports if r is not None)
-        assert built == []
         if symmetric:
             assert code == 0 and reported == 0
         else:
