@@ -63,53 +63,53 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _number(part: str) -> int | float:
+    try:
+        return int(part)
+    except ValueError:
+        return float(part)
+
+
 def parse_spec_text(text: str) -> ConjugationSpec:
     """Mini-syntax mirroring the JSON schema: the family name followed by one
     ``:``-separated token per JSON field, e.g. ``transposition:4:0:2``,
-    ``general:3:2,1,0`` or ``mulambda:1,0:0,1``."""
+    ``general:3:2,1,0`` or ``mulambda:1,0:0,1``.  Each token, a list field
+    comma-separated, spells the JSON numbers that :func:`spec_from_json`
+    decodes, so ``reversal:2.0`` is ``reversal:2``."""
     name, *tokens = text.split(":")
     cls = FAMILIES.get(name)
     if cls is None or len(tokens) != len(cls.wire_fields):
         raise ValueError(f"unrecognized spec {text!r}")
-    return cls(*(field.from_text(token) for field, token in zip(cls.wire_fields, tokens)))
+    fields = {field.key: list(map(_number, token.split(","))) if field.is_list else _number(token)
+              for field, token in zip(cls.wire_fields, tokens)}
+    return spec_from_json({"family": name, **fields})
 
 
 def _load_spec(args) -> ConjugationSpec:
-    if getattr(args, "spec", None) and getattr(args, "spec_file", None):
-        raise ValueError("give either --spec or --spec-file, not both")
-    if getattr(args, "spec", None):
+    if args.spec is not None:
         return parse_spec_text(args.spec)
-    if getattr(args, "spec_file", None):
-        with open(args.spec_file) as fh:
-            return spec_from_json(json.load(fh))
-    raise ValueError("a conjugation spec is required (--spec or --spec-file)")
+    with open(args.spec_file) as fh:
+        return spec_from_json(json.load(fh))
 
 
 def _load_symbol(args, spec: ConjugationSpec):
-    block = spec.is_block
-    if args.symbol is not None and args.symbol_file:
-        raise ValueError("give either --symbol or --symbol-file, not both")
-    if args.symbol_file:
+    if args.symbol_file is not None:
         with open(args.symbol_file) as fh:
             obj = json.load(fh)
-        return MatrixSymbol.from_json(obj) if block else LaurentSymbol.from_json(obj)
-    if args.symbol is not None:
-        if block:
-            pieces = args.symbol.split(";")
-            if len(pieces) != 4:
-                raise ValueError(
-                    "a block symbol needs four ';'-separated entries (row-major)")
-            entries, start = [], 0
-            for index, piece in enumerate(pieces, start=1):
-                try:
-                    entries.append(parse_symbol(piece))
-                except SymbolSyntaxError as exc:  # point into the whole argument
-                    raise SymbolSyntaxError(f"phi{index}: {exc.message}",
-                                            start + exc.offset) from exc
-                start += len(piece) + 1
-            return MatrixSymbol(*entries)
+        return MatrixSymbol.from_json(obj) if spec.is_block else LaurentSymbol.from_json(obj)
+    if not spec.is_block:
         return parse_symbol(args.symbol)
-    raise ValueError("a symbol is required (--symbol or --symbol-file)")
+    pieces = args.symbol.split(";")
+    if len(pieces) != 4:
+        raise ValueError("a block symbol needs four ';'-separated entries (row-major)")
+    entries, start = [], 0
+    for index, piece in enumerate(pieces, start=1):
+        try:
+            entries.append(parse_symbol(piece))
+        except SymbolSyntaxError as exc:  # point into the whole argument
+            raise SymbolSyntaxError(f"phi{index}: {exc.message}", start + exc.offset) from exc
+        start += len(piece) + 1
+    return MatrixSymbol(*entries)
 
 
 def _emit(payload: dict, output: str | None):
@@ -121,61 +121,44 @@ def _emit(payload: dict, output: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_check(args) -> int:
-    spec = _load_spec(args)
+# Each command returns its report, less the ``command`` and ``spec`` keys
+# that ``main`` adds, and its exit code.
+def _cmd_check(args, spec):
     symbol = _load_symbol(args, spec)
     outcome = run_check(symbol, spec, tol=args.tol)
-    payload = {"command": "check", "spec": spec_to_json(spec),
-               "symbol": symbol.to_json()}
-    payload.update(outcome_to_json(outcome))
-    _emit(payload, args.output)
-    if not outcome.agree:
-        return EXIT_DISAGREE
-    return EXIT_OK if outcome.oracle.symmetric else EXIT_NOT_SYMMETRIC
+    code = (EXIT_DISAGREE if not outcome.agree
+            else EXIT_OK if outcome.oracle.symmetric else EXIT_NOT_SYMMETRIC)
+    return {"symbol": symbol.to_json(), **outcome_to_json(outcome)}, code
 
 
-def _cmd_verify(args) -> int:
-    spec = _load_spec(args)
+def _cmd_verify(args, spec):
     size = args.size if args.size is not None else min_truncation(0, spec)
     report = verify_axioms(spec, size, probes=args.probes, seed=args.seed)
-    payload = {"command": "verify", "spec": spec_to_json(spec), "n": report.size,
-               "probes": report.probes, "seed": args.seed, "ok": report.ok,
+    payload = {"n": report.size, "probes": report.probes, "seed": args.seed, "ok": report.ok,
                "involution_deviation": report.involution_deviation,
                "isometry_deviation": report.isometry_deviation}
-    _emit(payload, args.output)
-    return EXIT_OK if report.ok else EXIT_NOT_SYMMETRIC
+    return payload, EXIT_OK if report.ok else EXIT_NOT_SYMMETRIC
 
 
-def _cmd_random_test(args) -> int:
-    spec = _load_spec(args)
+def _cmd_random_test(args, spec):
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     disagreements = []
     for t in range(args.trials):
         seed = args.seed + t
-        if args.mode == "random":
-            satisfying = False
-        elif args.mode == "satisfying":
-            satisfying = True
-        else:
-            satisfying = t % 2 == 1
+        satisfying = args.mode == "satisfying" or (args.mode == "mixed" and t % 2 == 1)
         result = equivalence_trial(spec, seed, args.band, args.density,
                                    tol=args.tol, satisfying=satisfying)
         if not result.agree:
             disagreements.append(seed)
-    payload = {"command": "random-test", "spec": spec_to_json(spec),
-               "trials": args.trials, "seed": args.seed, "band": args.band,
+    payload = {"trials": args.trials, "seed": args.seed, "band": args.band,
                "density": args.density, "mode": args.mode,
                "agreements": args.trials - len(disagreements),
                "disagreements": disagreements}
-    _emit(payload, args.output)
-    return EXIT_OK if not disagreements else EXIT_DISAGREE
+    return payload, EXIT_DISAGREE if disagreements else EXIT_OK
 
 
-def _cmd_explore(args) -> int:
-    spec = _load_spec(args)
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
+def _cmd_explore(args, spec):
     if spec.characterization not in (CONJECTURE, NECESSARY_ONLY):
         raise ValueError(f"explore needs an uncharacterized {Transposition.name} "
                          f"or {BlockMixed.name} spec")
@@ -184,20 +167,13 @@ def _cmd_explore(args) -> int:
     else:
         report = explore_transposition(spec.p, spec.i, spec.j, args.band,
                                        args.trials, args.seed, tol=args.tol)
-    payload = {"command": "explore", "spec": spec_to_json(spec)}
-    payload.update(report)
-    _emit(payload, args.output)
-    return EXIT_DISAGREE if report["anomalies"] else EXIT_OK
+    return report, EXIT_DISAGREE if report["anomalies"] else EXIT_OK
 
 
-def _cmd_gen(args) -> int:
-    spec = _load_spec(args)
+def _cmd_gen(args, spec):
     symbol = project_to_conditions(random_symbol(args.seed, args.band, args.density), spec)
-    payload = {"command": "gen", "spec": spec_to_json(spec), "seed": args.seed,
-               "band": args.band, "density": args.density,
-               "symbol": symbol.to_json()}
-    _emit(payload, args.output)
-    return EXIT_OK
+    return {"seed": args.seed, "band": args.band, "density": args.density,
+            "symbol": symbol.to_json()}, EXIT_OK
 
 
 def _default_tol() -> float:
@@ -214,20 +190,23 @@ def _default_tol() -> float:
 
 
 def _add_spec_arguments(sub):
-    sub.add_argument("--spec", help="spec mini-syntax, e.g. reversal:2")
-    sub.add_argument("--spec-file", help="path to a conjugation spec JSON file")
+    spec = sub.add_mutually_exclusive_group(required=True)
+    spec.add_argument("--spec", help="spec mini-syntax, e.g. reversal:2")
+    spec.add_argument("--spec-file", help="path to a conjugation spec JSON file")
     sub.add_argument("--output", help="write the JSON report here instead of stdout")
 
 
-def build_parser(tol: float) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="toepsym", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser("check", parents=[], help="check one symbol against one spec")
+    check = commands.add_parser("check", help="check one symbol against one spec")
     _add_spec_arguments(check)
-    check.add_argument("--symbol", help="symbol text; four ';'-separated entries for block specs")
-    check.add_argument("--symbol-file", help="path to a symbol JSON file")
-    check.add_argument("--tol", type=float, default=tol)
+    symbol = check.add_mutually_exclusive_group(required=True)
+    symbol.add_argument("--symbol", help="symbol text; four ';'-separated entries for block specs")
+    symbol.add_argument("--symbol-file", help="path to a symbol JSON file")
+    # no --tol default: main seeds the namespace with TOEPSYM_TOL
+    check.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     check.set_defaults(func=_cmd_check)
 
     verify = commands.add_parser("verify", help="verify the conjugation axioms on a truncation")
@@ -246,7 +225,7 @@ def build_parser(tol: float) -> _Parser:
     random_test.add_argument("--density", type=float, default=0.5)
     random_test.add_argument("--mode", choices=("random", "satisfying", "mixed"),
                              default="mixed")
-    random_test.add_argument("--tol", type=float, default=tol)
+    random_test.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     random_test.set_defaults(func=_cmd_random_test)
 
     explore = commands.add_parser("explore",
@@ -255,7 +234,7 @@ def build_parser(tol: float) -> _Parser:
     explore.add_argument("--trials", type=int, default=200)
     explore.add_argument("--seed", type=int, default=0)
     explore.add_argument("--band", type=int, default=6)
-    explore.add_argument("--tol", type=float, default=tol)
+    explore.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     explore.set_defaults(func=_cmd_explore)
 
     gen = commands.add_parser("gen", help="generate a condition-satisfying random symbol")
@@ -268,18 +247,19 @@ def build_parser(tol: float) -> _Parser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser(_default_tol())
-    except ValueError as exc:
-        print(f"toepsym: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        # TOEPSYM_TOL is read on every call; an explicit --tol overwrites it
+        args = _PARSER.parse_args(argv, argparse.Namespace(tol=_default_tol()))
+        spec = _load_spec(args)
+        payload, code = args.func(args, spec)
+        _emit({"command": args.command, "spec": spec_to_json(spec), **payload}, args.output)
+        return code
+    except SystemExit as exc:  # a usage error from the parser, or --help
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    try:
-        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"toepsym: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

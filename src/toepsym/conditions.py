@@ -349,8 +349,8 @@ def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> Condition
 def check_reversal(sym: LaurentSymbol, n: int) -> ConditionReport:
     """Block-reversal conditions: multiples of ``n`` mirror-symmetric, all
     other coefficients zero (for ``n = 1`` only the mirror clause remains)."""
-    Reversal(n)
-    return evaluate_scalar_relations(sym, _period_conditions(n, sym.bandwidth), IFF)
+    mode = Reversal(n).characterization
+    return evaluate_scalar_relations(sym, _period_conditions(n, sym.bandwidth), mode)
 
 
 def check_mu_lambda(sym: LaurentSymbol, lam: complex) -> ConditionReport:
@@ -360,7 +360,7 @@ def check_mu_lambda(sym: LaurentSymbol, lam: complex) -> ConditionReport:
     # Python's powers: numpy's complex power rounds differently
     scale = np.array([lam**k for k in n.tolist()], dtype=complex)
     rels = RelationTable(("twist",), (0, False, _PHI, _PHI, -n, n, scale))
-    return evaluate_scalar_relations(sym, rels, IFF)
+    return evaluate_scalar_relations(sym, rels, MuLambda.characterization)
 
 
 def _codes(*names: str) -> np.ndarray:
@@ -403,7 +403,8 @@ def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM) -> Conditio
     adversarial tests), so ``cross`` is the default everywhere a single
     verdict is needed.
     """
-    return evaluate_block_relations(msym, block_hadamard_relations(msym.bandwidth, form), IFF)
+    return evaluate_block_relations(msym, block_hadamard_relations(msym.bandwidth, form),
+                                    BlockHadamard.characterization)
 
 
 def block_mixed_necessary_relations(band: int) -> RelationTable:
@@ -442,7 +443,7 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
     The set is necessary but not sufficient; the explorer searches the gap.
     """
     rels = block_mixed_necessary_relations(msym.bandwidth)
-    return evaluate_block_relations(msym, rels, NECESSARY_ONLY)
+    return evaluate_block_relations(msym, rels, BlockMixed.characterization)
 
 
 # --- dispatch, cross-validation trials ----------------------------------------
@@ -512,17 +513,16 @@ class TrialResult:
 
 def _trial_symbol(spec: ConjugationSpec, seed: int, band: int, density: float,
                   satisfying: bool):
-    exact_closed_form = spec.characterization == IFF
     if spec.is_block:
         if not satisfying:
             return random_matrix_symbol(seed, band, density)
-        if exact_closed_form:
+        if isinstance(spec, BlockHadamard):
             return random_block_hadamard_symmetric(seed, band, density)
         return random_block_mixed_symmetric(seed, band, density)
     sym = random_symbol(seed, band, density)
     if not satisfying:
         return sym
-    if exact_closed_form:
+    if spec.characterization == IFF:
         return project_to_conditions(sym, spec)
     return project_to_raw(sym, spec, band)
 

@@ -41,24 +41,19 @@ CONJECTURE = "conjecture"
 class WireField(NamedTuple):
     """One constructor argument of a family: its JSON key, the attribute it
     fills and its JSON codecs.  In the CLI mini-syntax the field is one
-    ``:``-separated token, a JSON list written comma-separated and read by
-    ``parse_text`` where the JSON reader takes no strings."""
+    ``:``-separated token, a JSON list (``is_list``) written comma-separated."""
 
     key: str
     attr: str
     to_json: Callable
     from_json: Callable
     is_list: bool = False
-    parse_text: Callable | None = None
-
-    def from_text(self, token: str):
-        return (self.parse_text or self.from_json)(token.split(",") if self.is_list else token)
 
 
 def _int(value) -> int:
-    """An int, an integral float or a decimal string (a CLI token); ``bool``
-    and fractional or non-finite numbers raise ``ValueError``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer or an integral float; ``bool``, strings and fractional or
+    non-finite numbers raise ``ValueError``."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -68,9 +63,7 @@ def _int_field(key: str) -> WireField:
 
 
 def _complex_field(key: str, attr: str) -> WireField:
-    # a CLI token's re,im parts are read by float
-    return WireField(key, attr, complex_to_pair, complex_from_pair, True,
-                     lambda parts: complex_from_pair([float(part) for part in parts]))
+    return WireField(key, attr, complex_to_pair, complex_from_pair, True)
 
 
 def _int_list(values) -> tuple[int, ...]:

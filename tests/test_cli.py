@@ -20,6 +20,7 @@ from toepsym.conjugations import (
     MuLambda,
     Reversal,
     Transposition,
+    spec_from_json,
 )
 from toepsym.symbols import random_matrix_symbol
 
@@ -38,6 +39,14 @@ class TestSpecMiniSyntax:
         assert parse_spec_text("mulambda:1,0:0,1") == MuLambda(1.0, 1j)
         assert parse_spec_text("block_c") == BlockHadamard()
         assert parse_spec_text("block_ctilde") == BlockMixed()
+
+    def test_tokens_read_as_json_numbers(self):
+        assert parse_spec_text("reversal:2.0") == Reversal(2)
+        assert parse_spec_text("reversal:+2") == Reversal(2)
+        assert parse_spec_text("mulambda:.6,.8:1,0") == MuLambda(0.6 + 0.8j, 1.0)
+        for bad in ("reversal:2.5", "reversal:nan", "reversal:two", "general:3:2,1,0.5"):
+            with pytest.raises(ValueError):
+                parse_spec_text(bad)
 
     def test_rejects_garbage(self):
         for bad in ("reversal", "reversal:2:3", "blocks", "mulambda:1:2", ""):
@@ -234,15 +243,32 @@ class TestDeterminism:
 
 class TestEnvironmentTolerance:
     def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOEPSYM_TOL", "0.5")
-        _, out, _ = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1")
-        payload = json.loads(out)
-        assert payload["oracle"]["tol"] == 0.5
+        # read on every call, not once per process
+        for value in (0.5, 0.25):
+            monkeypatch.setenv("TOEPSYM_TOL", str(value))
+            _, out, _ = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1")
+            payload = json.loads(out)
+            assert payload["oracle"]["tol"] == value
+        _, out, _ = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1",
+                            "--tol", "0.125")
+        assert json.loads(out)["oracle"]["tol"] == 0.125
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        for _ in range(2):
+            assert run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1")[0] == 0
+        assert calls == []
 
     def test_invalid_env_var_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("TOEPSYM_TOL", "banana")
-        code, _, err = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1")
-        assert code == 3
+        for argv in (("check", "--symbol", "0", "--spec", "reversal:1"),
+                     ("verify", "--spec", "reversal:1"), ("gen", "--spec", "reversal:1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert "TOEPSYM_TOL" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_non_finite_or_non_positive_env_var_rejected(self, capsys, monkeypatch, value):
@@ -403,12 +429,14 @@ class TestStrictIntegerSpecFields:
     @pytest.mark.parametrize("spec", [
         '{"family": "reversal", "n": 2.7}',
         '{"family": "reversal", "n": true}',
+        '{"family": "reversal", "n": "2"}',
+        '{"family": "general", "p": 3, "sigma": ["2", "1", "0"]}',
         '{"family": "transposition", "p": 4, "i": 0, "j": 2.5}',
         '{"family": "general", "p": 2, "sigma": [1, false]}',
         '{"family": "general", "p": 3, "sigma": "210"}',
         '{"family": "general", "p": 2, "sigma": {"1": 0, "0": 1}}',
-    ], ids=["fractional", "bool", "fractional-j", "bool-in-sigma", "string-sigma",
-            "object-sigma"])
+    ], ids=["fractional", "bool", "string", "string-in-sigma", "fractional-j",
+            "bool-in-sigma", "string-sigma", "object-sigma"])
     def test_spec_file_rejects_non_integers(self, capsys, tmp_path, spec):
         argv = _materialize(tmp_path, ("--symbol", "z^2 + z^-2", "--spec-file", spec))
         code, out, err = run_cli(capsys, "check", *argv)
@@ -423,6 +451,10 @@ class TestStrictIntegerSpecFields:
         assert code == 0
         assert json.loads(out)["spec"] == {"family": "reversal", "n": 2}
         assert run_cli(capsys, "check", "--symbol", "z^2 + z^-2", "--spec", "reversal:2")[0] == 0
+        # a token is read as the JSON number it spells
+        code, out, _ = run_cli(capsys, "check", "--symbol", "z^2 + z^-2", "--spec", "reversal:2.0")
+        assert code == 0
+        assert json.loads(out)["spec"] == {"family": "reversal", "n": 2}
 
     def test_sigma_list_and_token_accepted(self, capsys, tmp_path):
         argv = _materialize(tmp_path, ("--symbol", "z^3 + z^-3", "--spec-file",
@@ -483,19 +515,26 @@ _any_json = st.recursive(st.none() | _number, lambda inner: st.lists(inner, max_
                          | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
 
 
+# The exit codes each command can return; 4, an internal error, is in none.
+EXIT_CODES = {"check": (0, 1, 2, 3), "verify": (0, 1, 3), "random-test": (0, 2, 3),
+              "explore": (0, 2, 3)}
+
+
 def _assert_exits_cleanly(argv):
-    """``main(argv)`` exits 0-3; on exit 3 stdout is empty, otherwise it is
-    strict JSON whose ``agree`` is false exactly on exit 2."""
+    """``main(argv)`` exits with one of its command's codes; on exit 3 stdout
+    is empty, otherwise it is strict JSON, and a check's ``agree`` is false
+    exactly on exit 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2, 3), err.getvalue()
+    assert code in EXIT_CODES[argv[0]], err.getvalue()
     if code == 3:
         assert out.getvalue() == ""
         return
     payload = json.loads(out.getvalue(),
                          parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
-    assert (code == 2) == (payload["agree"] is False)
+    if argv[0] == "check":
+        assert (code == 2) == (payload["agree"] is False)
 
 
 @st.composite
@@ -571,6 +610,74 @@ def test_check_on_arbitrary_spec_file_exits_cleanly(tmp_path, case):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     _assert_exits_cleanly(["check", "--symbol", symbol, "--spec-file", str(path)])
+
+
+# Command lines for the other commands.  --size, --trials and --band stay
+# small (at most 64, 3 and 8): the memory budget is still open.
+_int_arg = st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["", "x", "1.5", "1e3"]))
+_float_arg = st.one_of(st.floats(-2, 2).map(repr),
+                       st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "x"]))
+_seed_arg = st.integers(-2, 10**6).map(str)
+_trials_arg = st.integers(-1, 3).map(str)
+_band_arg = st.integers(-2, 8).map(str)
+_OPTIONS = {
+    "verify": {"--size": _int_arg, "--probes": st.integers(-2, 5).map(str), "--seed": _seed_arg},
+    "random-test": {"--trials": _trials_arg, "--seed": _seed_arg, "--band": _band_arg,
+                    "--density": _float_arg,
+                    "--mode": st.sampled_from(["random", "satisfying", "mixed", "all"]),
+                    "--tol": _float_arg},
+    "explore": {"--trials": _trials_arg, "--seed": _seed_arg, "--band": _band_arg,
+                "--tol": _float_arg},
+}
+_spec_token = st.one_of(
+    st.sampled_from(FUZZ_SPECS + ["reversal:2.0", "reversal:0", "general:2:1,0", "mulambda:1,0:1"]),
+    st.text(alphabet="reversal:0123456789,.-", max_size=12))
+
+
+@st.composite
+def _command_line(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command, "--spec", draw(_spec_token)]
+    for option, values in _OPTIONS[command].items():
+        if draw(st.booleans()):
+            argv += [option, draw(values)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_command_line())
+def test_commands_on_arbitrary_arguments_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+# A family's token form and its JSON form carry the same numbers.
+_wire_number = st.one_of(st.integers(-64, 64), st.floats(-64, 64), st.booleans(),
+                         st.sampled_from([math.nan, math.inf, -0.0, 2.0, 0.6, 0.8]))
+
+
+@st.composite
+def _wire_fields(draw):
+    cls = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    values = [draw(st.lists(_wire_number, min_size=1, max_size=4) if field.is_list
+                   else _wire_number) for field in cls.wire_fields]
+    return cls, values
+
+
+def _decoded(decode, arg):
+    try:
+        return decode(arg)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_wire_fields())
+def test_spec_token_decodes_like_its_json(case):
+    cls, values = case
+    token = ":".join([cls.name] + [",".join(map(str, v)) if isinstance(v, list) else str(v)
+                                   for v in values])
+    obj = {"family": cls.name, **{f.key: v for f, v in zip(cls.wire_fields, values)}}
+    assert _decoded(parse_spec_text, token) == _decoded(spec_from_json, obj)
 
 
 def test_module_entry_point():

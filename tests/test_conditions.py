@@ -318,6 +318,10 @@ class TestBlockMixedChecker:
     def test_report_mode(self):
         assert check_block_mixed_necessary(MatrixSymbol.zero()).mode == NECESSARY_ONLY
 
+    def test_report_mode_follows_the_family(self, monkeypatch):
+        monkeypatch.setattr(BlockMixed, "characterization", IFF)
+        assert check_block_mixed_necessary(MatrixSymbol.zero()).mode == IFF
+
 
 class TestEquivalenceTrials:
     @pytest.mark.parametrize("spec", [
@@ -334,6 +338,12 @@ class TestEquivalenceTrials:
         for spec in (Reversal(3), Transposition(4, 1, 3), MuLambda(1.0, -1.0)):
             result = equivalence_trial(spec, 77, band=6, satisfying=True)
             assert result.oracle_symmetric and result.condition_satisfied
+
+    def test_block_sampler_follows_the_family(self, monkeypatch):
+        # not the mode: an exact block_ctilde list must still draw from its own set
+        monkeypatch.setattr(BlockMixed, "characterization", IFF)
+        assert (conditions._trial_symbol(BlockMixed(), 3, 4, 0.7, True)
+                == random_block_mixed_symmetric(3, 4, 0.7))
 
     def test_scaling_leaves_checkers_invariant(self):
         sym = random_symbol(5, 6, 0.6)
