@@ -35,9 +35,7 @@ from .conjugations import (
 )
 from .toeplitz import (
     TruncatedToeplitz,
-    adjoint,
     block_truncate,
-    matrix_dump,
     min_truncation,
     truncate,
 )

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .conjugations import (
@@ -38,6 +39,7 @@ from .conditions import (
 from .symbols import (
     LaurentSymbol,
     MatrixSymbol,
+    NUMBER_PATTERN,
     SymbolSyntaxError,
     parse_symbol,
     project_to_conditions,
@@ -64,6 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(part: str) -> int | float:
+    if not re.fullmatch(rf"[+-]?{NUMBER_PATTERN}", part):
+        raise ValueError(f"expected a decimal number, got {part!r}")
     try:
         return int(part)
     except ValueError:

@@ -51,6 +51,7 @@ from .conjugations import (
 from .symbols import (
     LaurentSymbol,
     MatrixSymbol,
+    draw_coeffs,
     project_to_conditions,
     random_matrix_symbol,
     random_symbol,
@@ -430,8 +431,7 @@ def block_mixed_necessary_relations(band: int) -> RelationTable:
 
 
 def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
-    """Necessary conditions for the mixed block conjugation, reported family
-    by family:
+    """The mixed block conjugation's condition list, family by family:
 
     * ``odd_sum14`` / ``odd_diff23``: odd coefficients of ``phi1+phi4`` and
       ``phi2-phi3`` vanish;
@@ -440,7 +440,8 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
     * ``mixed_even`` / ``mixed_odd``: the two mixed sums of ``phi2+phi3``
       and ``phi1-phi4`` at adjacent indices mirror.
 
-    The set is necessary but not sufficient; the explorer searches the gap.
+    The list is not sufficient, and not necessary either: ``telescope2`` and
+    ``telescope3`` reject some symmetric symbols (ROADMAP item 1).
     """
     rels = block_mixed_necessary_relations(msym.bandwidth)
     return evaluate_block_relations(msym, rels, BlockMixed.characterization)
@@ -503,12 +504,10 @@ def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL) -> Check
 
 @dataclass(frozen=True)
 class TrialResult:
-    seed: int
     agree: bool
     condition_satisfied: bool
     oracle_symmetric: bool
     residual: float
-    satisfying_input: bool
 
 
 def _trial_symbol(spec: ConjugationSpec, seed: int, band: int, density: float,
@@ -535,8 +534,8 @@ def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
     then compare the condition verdict with the oracle verdict."""
     symbol = _trial_symbol(spec, seed, band, density, satisfying)
     outcome = run_check(symbol, spec, tol)
-    return TrialResult(seed, outcome.agree, outcome.condition.satisfied,
-                       outcome.oracle.symmetric, outcome.oracle.residual, satisfying)
+    return TrialResult(outcome.agree, outcome.condition.satisfied,
+                       outcome.oracle.symmetric, outcome.oracle.residual)
 
 
 # --- solution-set samplers ------------------------------------------------------
@@ -565,49 +564,26 @@ def random_block_hadamard_symmetric(seed: int, max_band: int,
 def random_block_mixed_symmetric(seed: int, max_band: int,
                                  density: float = 0.7) -> MatrixSymbol:
     """Random matrix symbol that is exactly symmetric under the mixed block
-    conjugation, built from the full solution parametrization:
+    conjugation, drawn from a proper subspace of the symmetric symbols:
 
     * entries 1 and 4 are even-only with mirror-symmetric coefficients;
     * entries 2 and 3 share one mirror-symmetric odd part ``q`` and carry
       opposite mirror-symmetric even parts;
-    * the diagonal gap is pinned by ``f1(2l) - f4(2l) = q(l) + q(l-1)``
-      where ``q(l)`` reads the odd coefficient at ``2l + 1``.
+    * the diagonal gap is pinned by ``f1(2l) - f4(2l) = q(l) + q(l-1)``, where
+      ``q(l)`` is the odd coefficient at ``2l + 1``; at an odd ``max_band``
+      this reaches bandwidth ``max_band + 1``.
     """
-    rng = np.random.default_rng(seed)
-
-    def symmetric_even(max_k: int) -> dict[int, complex]:
-        coeffs: dict[int, complex] = {}
-        for k in range(0, max_k + 1, 2):
-            if rng.random() < density:
-                re, im = rng.uniform(-1.0, 1.0, size=2)
-                coeffs[k] = complex(re, im)
-                if k:
-                    coeffs[-k] = coeffs[k]
-        return coeffs
-
-    q: dict[int, complex] = {}
-    for l in range(0, (max_band - 1) // 2 + 1):
-        if rng.random() < density:
-            re, im = rng.uniform(-1.0, 1.0, size=2)
-            q[l] = complex(re, im)
-
-    def qval(l: int) -> complex:
-        return q.get(l if l >= 0 else -l - 1, 0j)
-
-    f2_even = symmetric_even(max_band)
-    f4_even = symmetric_even(max_band)
-
-    f2 = dict(f2_even)
-    for l, v in q.items():
-        f2[2 * l + 1] = v
-        f2[-(2 * l + 1)] = v
+    q, f2_half, f4_half = draw_coeffs(seed, max_band, density, range((max_band + 1) // 2),
+                                      *[range(0, max_band + 1, 2)] * 2)
+    odd = {2 * l + 1: v for l, v in q.items()}
+    f2 = {s * k: v for half in (f2_half, odd) for k, v in half.items() for s in (1, -1)}
     f3 = {k: (v if k % 2 else -v) for k, v in f2.items()}
-    f1 = {}
+    f4 = {s * k: v for k, v in f4_half.items() for s in (1, -1)}
     top = max_band // 2 + 1
-    for l in range(-top, top + 1):
-        f1[2 * l] = f4_even.get(2 * l, 0j) + qval(l) + qval(l - 1)
+    f1 = {2 * l: f4.get(2 * l, 0j) + f2.get(2 * l + 1, 0j) + f2.get(2 * l - 1, 0j)
+          for l in range(-top, top + 1)}
     return MatrixSymbol(LaurentSymbol(f1), LaurentSymbol(f2),
-                        LaurentSymbol(f3), LaurentSymbol(f4_even))
+                        LaurentSymbol(f3), LaurentSymbol(f4))
 
 
 # --- raw-set projection and explorers -------------------------------------------
@@ -712,7 +688,7 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
 
 
 def _block_mixed_nullspace(band: int) -> np.ndarray:
-    """Complex null-space basis (columns) of the necessary-condition system
+    """Complex null-space basis (columns) of the ``block_ctilde`` list's system
     over coefficient vectors of the four entries on ``[-band, band]``.  A
     relation's row holds the weights its ``lhs - rhs`` puts on the unknowns
     inside the band (its scale is real, +-1); a relation reading nothing
@@ -738,11 +714,10 @@ def _block_mixed_nullspace(band: int) -> np.ndarray:
 
 def explore_block_mixed(band: int, trials: int, seed: int,
                         tol: float = SYMMETRY_TOL) -> dict:
-    """Probe whether the mixed-block necessary conditions are also
-    sufficient: sample the condition solution set and report every sample the
-    oracle rejects.  Candidates are expected (the conditions are necessary
-    only); anomalies mark samples that fail the very conditions they were
-    built to satisfy."""
+    """Probe whether the mixed-block condition list is also sufficient:
+    sample the condition solution set and report every sample the oracle
+    rejects.  Candidates are expected (the list is not sufficient); anomalies
+    mark samples that fail the very conditions they were built to satisfy."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if band < 0:

@@ -97,9 +97,6 @@ class _ResiduePermutation(ConjugationSpec):
     def period(self) -> int:
         return self.p
 
-    def to_general(self) -> "GeneralPermutation":
-        return GeneralPermutation(self.period, self.sigma)
-
     def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         p, m = self.period, np.arange(size)
         return (np.take(self.sigma, m % p) + p * (m // p))[None, None], np.ones((1, 1, size))

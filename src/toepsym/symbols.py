@@ -97,11 +97,6 @@ class LaurentSymbol:
     def items(self) -> Iterator[tuple[int, complex]]:
         return iter(sorted(self._coeffs.items()))
 
-    def bar(self) -> "LaurentSymbol":
-        """The symbol with ``k -> conj(c_{-k})``; the adjoint symbol of a
-        Toeplitz matrix built from this one."""
-        return LaurentSymbol({-k: v.conjugate() for k, v in self._coeffs.items()})
-
     def __add__(self, other: "LaurentSymbol") -> "LaurentSymbol":
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
@@ -187,12 +182,6 @@ class MatrixSymbol:
     def entries(self) -> tuple[LaurentSymbol, ...]:
         return self._entries
 
-    def entry(self, index: int) -> LaurentSymbol:
-        """Entry by 1-based row-major position (1..4)."""
-        if index not in (1, 2, 3, 4):
-            raise ValueError("entry index must be 1..4")
-        return self._entries[index - 1]
-
     @property
     def bandwidth(self) -> int:
         return max(e.bandwidth for e in self._entries)
@@ -228,7 +217,9 @@ class MatrixSymbol:
 
 # --- text parser ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[ijz+\-^*()−]|(?P<bad>.)")
+# unsigned, ASCII digits only (``\d`` admits other scripts); cli.py reads it too
+NUMBER_PATTERN = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_TOKEN_RE = re.compile(rf"\s+|{NUMBER_PATTERN}|[ijz+\-^*()−]|(?P<bad>.)")
 _IMAG = ("i", "j")
 _NON_NUMBERS = "ijz+-^*()"  # a token is a number unless it is in here (so is the end marker "")
 
@@ -343,15 +334,19 @@ def parse_symbol(text: str) -> LaurentSymbol:
 # --- random generation -------------------------------------------------------
 
 
-def _draw_coeffs(seed: int, max_band: int, density: float, entries: int) -> list[dict]:
-    """``entries`` coefficient dicts from one stream of doubles, drawn in blocks
-    and read as per-index ``rng.random() < density`` and, for a kept index,
+def draw_coeffs(seed: int, max_band: int, density: float, *ranges: range) -> list[dict]:
+    """One coefficient dict per index range from one stream of doubles, drawn in
+    blocks and read as per-index ``rng.random() < density`` and, for a kept index,
     ``rng.uniform(-1.0, 1.0, size=2)`` calls would read it (``-1.0 + 2.0 * u``)."""
-    rng, size = np.random.default_rng(seed), min(3 * (2 * max_band + 1) * entries, 1 << 16)
+    if max_band < 0:
+        raise ValueError("max_band must be >= 0")
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must lie in (0, 1]")
+    rng, size = np.random.default_rng(seed), min(3 * sum(map(len, ranges)), 1 << 16)
     draws = chain.from_iterable(iter(lambda: rng.random(size).tolist(), None))
     return [{k: complex(-1.0 + 2.0 * next(draws), -1.0 + 2.0 * next(draws))
-             for k in range(-max_band, max_band + 1) if next(draws) < density}
-            for _ in range(entries)]
+             for k in indices if next(draws) < density}
+            for indices in ranges]
 
 
 def random_symbol(seed: int, max_band: int, density: float = 1.0) -> LaurentSymbol:
@@ -360,20 +355,13 @@ def random_symbol(seed: int, max_band: int, density: float = 1.0) -> LaurentSymb
     Each index is present independently with probability ``density``; present
     coefficients have real and imaginary parts uniform in [-1, 1].
     """
-    if max_band < 0:
-        raise ValueError("max_band must be >= 0")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    return LaurentSymbol(_draw_coeffs(seed, max_band, density, 1)[0])
+    return LaurentSymbol(draw_coeffs(seed, max_band, density, range(-max_band, max_band + 1))[0])
 
 
 def random_matrix_symbol(seed: int, max_band: int, density: float = 1.0) -> MatrixSymbol:
     """Four independent random entries drawn from a single seeded stream."""
-    if max_band < 0:
-        raise ValueError("max_band must be >= 0")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    return MatrixSymbol(*map(LaurentSymbol, _draw_coeffs(seed, max_band, density, 4)))
+    entries = draw_coeffs(seed, max_band, density, *[range(-max_band, max_band + 1)] * 4)
+    return MatrixSymbol(*map(LaurentSymbol, entries))
 
 
 # --- projection onto characterized condition sets ----------------------------

@@ -70,21 +70,6 @@ def block_truncate(msym: MatrixSymbol, order: int) -> TruncatedToeplitz:
     return TruncatedToeplitz(msym.entries, order)
 
 
-def adjoint(t: TruncatedToeplitz) -> TruncatedToeplitz:
-    """Conjugate transpose: the transposed grid of bar symbols, so for scalar
-    truncations the truncation of the bar symbol exactly."""
-    g = t.grid
-    return TruncatedToeplitz(tuple(t.entries[g * j + i].bar() for i in range(g) for j in range(g)),
-                             t.order)
-
-
-def matrix_dump(t: TruncatedToeplitz) -> list[list[float]]:
-    """Row-major list of ``[re, im]`` entry pairs, for debugging and golden
-    tests."""
-    flat = t.data.reshape(-1)
-    return [[z.real, z.imag] for z in flat]
-
-
 def min_truncation(band: int, spec: ConjugationSpec) -> int:
     """Smallest truncation order that is a multiple of the family's period
     and at least ``2 * band + 4 * period``.

@@ -53,6 +53,21 @@ class TestSpecMiniSyntax:
             with pytest.raises(ValueError):
                 parse_spec_text(bad)
 
+    @pytest.mark.parametrize("token, spec", [
+        ("reversal:+2", Reversal(2)), ("reversal:2.0", Reversal(2)),
+        ("mulambda:.6,.8:1,0", MuLambda(0.6 + 0.8j, 1.0)),
+        ("mulambda:1e0,0:0,1", MuLambda(1.0, 1j)),
+    ])
+    def test_signed_ascii_decimals_decode(self, token, spec):
+        assert parse_spec_text(token) == spec
+
+    # int() and float() would read these as 10, 2 and 2
+    @pytest.mark.parametrize("token", ["reversal:1_0", "reversal: 2", "reversal:\u0662"])
+    def test_other_number_spellings_exit_three(self, capsys, token):
+        code, out, err = run_cli(capsys, "check", "--symbol", "z^2 + z^-2", "--spec", token)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_symmetric_exit_zero(self, capsys):
@@ -167,6 +182,14 @@ class TestRandomTestCommand:
                                    "--trials", "10", "--band", "4")
             assert code == 0
             assert json.loads(out)["disagreements"] == []
+
+    @pytest.mark.parametrize("spec", ["reversal:2", "block_c", "block_ctilde"])
+    @pytest.mark.parametrize("option", [("--density", "5"), ("--band", "-3")])
+    def test_bad_sampler_arguments_exit_three(self, capsys, spec, option):
+        code, out, err = run_cli(capsys, "random-test", "--spec", spec, "--mode", "satisfying",
+                                 "--trials", "2", *option)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
 
 
 class TestExploreCommand:
@@ -337,6 +360,12 @@ class TestInputValidation:
         assert code == 3
         assert out == ""
         assert err == f"toepsym: error: {message}\n"
+
+    @pytest.mark.parametrize("symbol, offset", [("\u0662 z^\u0662", 0), ("z^\u0662", 2)])
+    def test_non_ascii_digits_exit_three(self, capsys, symbol, offset):
+        code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", "reversal:2")
+        assert (code, out) == (3, "")
+        assert err == f"toepsym: error: unexpected character '\u0662' (at offset {offset})\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stdout_stays_strict_json_on_overflow(self, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,7 @@ from toepsym.symbols import (
     MatrixSymbol,
     parse_symbol,
     project_to_conditions,
+    random_matrix_symbol,
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric
@@ -106,7 +110,7 @@ class TestRawRelations:
     def test_general_matches_transposition_verdicts(self):
         spec = Transposition(4, 1, 3)
         table = raw_relations_transposition(4, 1, 3, band=8)
-        generic = raw_relations_general(4, spec.to_general().sigma, band=8)
+        generic = raw_relations_general(4, spec.sigma, band=8)
         for seed in range(30):
             sym = random_symbol(seed, 8, 0.4)
             assert (evaluate_scalar_relations(sym, table).satisfied
@@ -351,6 +355,39 @@ class TestEquivalenceTrials:
             a = check_reversal(sym, 3).satisfied
             b = check_reversal(factor * sym, 3).satisfied
             assert a == b
+
+
+class TestSamplers:
+    # SHA-256 over the to_json() of every (seed, band, density) draw below;
+    # any change to what a sampler reads from its stream moves its digest
+    DIGESTS = {
+        "random_symbol":
+            "c42c90a33522ad0aa816fe673b352fdad81aae8638d8f52341b1392c0bd3bc5a",
+        "random_matrix_symbol":
+            "5ee87803a7199336f5e142a6903d9f606417d8c244e0e5db388d17f34eb5f971",
+        "random_block_hadamard_symmetric":
+            "7061e738a33156f6503951599dd3004ede0c8c1c1b1fc261e39cdab43005779c",
+        "random_block_mixed_symmetric":
+            "4c630df85474fbde5a65c56e010b3b9393225bb37692e30c38ca7baadfbbd58e",
+    }
+
+    @pytest.mark.parametrize("sampler", [random_symbol, random_matrix_symbol,
+                                         random_block_hadamard_symmetric,
+                                         random_block_mixed_symmetric],
+                             ids=lambda sampler: sampler.__name__)
+    def test_draws_are_pinned(self, sampler):
+        digest = hashlib.sha256()
+        for seed in range(5):
+            for band in range(10):
+                for density in (0.3, 0.7, 1.0):
+                    digest.update(json.dumps(sampler(seed, band, density).to_json()).encode())
+        assert digest.hexdigest() == self.DIGESTS[sampler.__name__]
+
+    @pytest.mark.parametrize("band,density", [(-1, 0.7), (-3, 0.5), (2, 5.0), (2, 0.0),
+                                              (2, float("nan"))])
+    def test_block_mixed_rejects_bad_arguments(self, band, density):
+        with pytest.raises(ValueError):
+            random_block_mixed_symmetric(0, band, density)
 
 
 class TestRunCheck:

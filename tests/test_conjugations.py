@@ -116,13 +116,13 @@ class TestTruncatedMatrix:
     def test_transposition_matches_general(self):
         t = Transposition(5, 1, 3)
         a = truncated_matrix(t, 15).matrix
-        b = truncated_matrix(t.to_general(), 15).matrix
+        b = truncated_matrix(GeneralPermutation(t.period, t.sigma), 15).matrix
         np.testing.assert_array_equal(a, b)
 
     def test_reversal_matches_general(self):
         r = Reversal(4)
         a = truncated_matrix(r, 12).matrix
-        b = truncated_matrix(r.to_general(), 12).matrix
+        b = truncated_matrix(GeneralPermutation(r.period, r.sigma), 12).matrix
         np.testing.assert_array_equal(a, b)
 
     def test_commutes_with_block_shift(self):

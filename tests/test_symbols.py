@@ -83,23 +83,6 @@ class TestParse:
         assert err.value.offset == offset
 
 
-class TestBar:
-    def test_conjugates_and_negates(self):
-        assert LaurentSymbol({1: 1j}).bar().coeffs == {-1: -1j}
-
-    def test_zero(self):
-        assert LaurentSymbol.zero().bar().is_zero
-
-    def test_componentwise(self):
-        sym = LaurentSymbol({2: 1 + 1j, -3: 4})
-        assert sym.bar().coeffs == {-2: 1 - 1j, 3: 4 + 0j}
-
-    def test_involution_and_bandwidth(self):
-        sym = random_symbol(11, 7, 0.6)
-        assert sym.bar().bar() == sym
-        assert sym.bar().bandwidth == sym.bandwidth
-
-
 class TestCanonicalForm:
     def test_exact_zeros_dropped(self):
         assert LaurentSymbol({3: 0.0, -1: 0j, 0: 2}).support == (0,)
@@ -259,25 +242,10 @@ class TestMatrixSymbol:
                          LaurentSymbol({-2: 1}), LaurentSymbol.zero())
         assert m.bandwidth == 5
 
-    def test_entry_accessor(self):
-        m = random_matrix_symbol(2, 3, 0.9)
-        assert m.entry(1) == m.entries[0]
-        with pytest.raises(ValueError):
-            m.entry(0)
-
 
 _coeff = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,
                             allow_nan=False, allow_infinity=False)
 _coeffs = st.dictionaries(st.integers(min_value=-9, max_value=9), _coeff, max_size=12)
-
-
-@settings(max_examples=120, deadline=None)
-@given(_coeffs)
-def test_bar_is_involutive(coeffs):
-    sym = LaurentSymbol(coeffs)
-    assert sym.bar().bar() == sym
-    assert sym.bar().bandwidth == sym.bandwidth
-    assert sym.bar().support == tuple(sorted(-k for k in sym.support))
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from toepsym.conjugations import (
     Transposition,
 )
 from toepsym.symbols import LaurentSymbol, MatrixSymbol, parse_symbol, random_matrix_symbol, random_symbol
-from toepsym.toeplitz import adjoint, block_truncate, matrix_dump, min_truncation, truncate
+from toepsym.toeplitz import block_truncate, min_truncation, truncate
 
 
 class TestTruncate:
@@ -104,26 +102,6 @@ class TestBlockTruncate:
                     assert np.all(diag == diag[0])
 
 
-class TestAdjoint:
-    def test_matches_bar_symbol_exactly(self):
-        for seed in range(5):
-            sym = random_symbol(seed, 4, 0.8)
-            np.testing.assert_array_equal(adjoint(truncate(sym, 9)).data,
-                                          truncate(sym.bar(), 9).data)
-
-    def test_z_goes_to_z_inverse(self):
-        np.testing.assert_array_equal(adjoint(truncate(parse_symbol("z"), 2)).data,
-                                      truncate(parse_symbol("z^-1"), 2).data)
-
-    def test_identity_fixed(self):
-        t = truncate(parse_symbol("1"), 4)
-        np.testing.assert_array_equal(adjoint(t).data, t.data)
-
-    def test_single_imaginary_coefficient(self):
-        np.testing.assert_array_equal(adjoint(truncate(LaurentSymbol({1: 1j}), 2)).data,
-                                      truncate(LaurentSymbol({-1: -1j}), 2).data)
-
-
 class TestLazyStorage:
     def test_truncation_holds_only_the_symbol(self):
         # a dense truncation of order 10**6 would take 16 TB
@@ -138,12 +116,6 @@ class TestLazyStorage:
         assert d.shape == (4, 5)
         np.testing.assert_array_equal(d[0], [0, 3, 0, 0, 1])
         assert not d[1:].any()  # z^5 lies outside order 3
-
-
-def test_matrix_dump_row_major():
-    t = truncate(LaurentSymbol({1: 2 - 1j}), 2)
-    assert matrix_dump(t) == [[0.0, 0.0], [0.0, 0.0], [2.0, -1.0], [0.0, 0.0]]
-    assert json.dumps(matrix_dump(t))  # JSON-serializable as-is
 
 
 class TestMinTruncation:
