@@ -42,11 +42,9 @@ from .toeplitz import (
 from .symmetry import SymmetryReport, is_c_symmetric, residual
 from .conditions import (
     ConditionReport,
-    check_block_hadamard,
     check_block_mixed_necessary,
-    check_mu_lambda,
-    check_reversal,
     check_transposition,
+    condition_reports,
     equivalence_trial,
     explore_block_mixed,
     explore_transposition,

@@ -74,6 +74,16 @@ def _number(part: str) -> int | float:
         return float(part)
 
 
+def integer(text: str) -> int:
+    _number(text)
+    return int(text)
+
+
+def decimal(text: str) -> float:
+    _number(text)
+    return float(text)
+
+
 def parse_spec_text(text: str) -> ConjugationSpec:
     """Mini-syntax mirroring the JSON schema: the family name followed by one
     ``:``-separated token per JSON field, e.g. ``transposition:4:0:2``,
@@ -185,7 +195,7 @@ def _default_tol() -> float:
     if raw is None:
         return SYMMETRY_TOL
     try:
-        value = float(raw)
+        value = decimal(raw)
     except ValueError as exc:
         raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
     if not 0 < value < math.inf:  # also false for NaN
@@ -210,42 +220,42 @@ def build_parser() -> _Parser:
     symbol.add_argument("--symbol", help="symbol text; four ';'-separated entries for block specs")
     symbol.add_argument("--symbol-file", help="path to a symbol JSON file")
     # no --tol default: main seeds the namespace with TOEPSYM_TOL
-    check.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    check.add_argument("--tol", type=decimal, default=argparse.SUPPRESS)
     check.set_defaults(func=_cmd_check)
 
     verify = commands.add_parser("verify", help="verify the conjugation axioms on a truncation")
     _add_spec_arguments(verify)
-    verify.add_argument("--size", type=int, default=None)
-    verify.add_argument("--probes", type=int, default=50)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--size", type=integer, default=None)
+    verify.add_argument("--probes", type=integer, default=50)
+    verify.add_argument("--seed", type=integer, default=0)
     verify.set_defaults(func=_cmd_verify)
 
     random_test = commands.add_parser("random-test",
                                       help="batch condition-vs-oracle equivalence trials")
     _add_spec_arguments(random_test)
-    random_test.add_argument("--trials", type=int, default=100)
-    random_test.add_argument("--seed", type=int, default=0)
-    random_test.add_argument("--band", type=int, default=6)
-    random_test.add_argument("--density", type=float, default=0.5)
+    random_test.add_argument("--trials", type=integer, default=100)
+    random_test.add_argument("--seed", type=integer, default=0)
+    random_test.add_argument("--band", type=integer, default=6)
+    random_test.add_argument("--density", type=decimal, default=0.5)
     random_test.add_argument("--mode", choices=("random", "satisfying", "mixed"),
                              default="mixed")
-    random_test.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    random_test.add_argument("--tol", type=decimal, default=argparse.SUPPRESS)
     random_test.set_defaults(func=_cmd_random_test)
 
     explore = commands.add_parser("explore",
                                   help="probe open characterization questions; no ground truth asserted")
     _add_spec_arguments(explore)
-    explore.add_argument("--trials", type=int, default=200)
-    explore.add_argument("--seed", type=int, default=0)
-    explore.add_argument("--band", type=int, default=6)
-    explore.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    explore.add_argument("--trials", type=integer, default=200)
+    explore.add_argument("--seed", type=integer, default=0)
+    explore.add_argument("--band", type=integer, default=6)
+    explore.add_argument("--tol", type=decimal, default=argparse.SUPPRESS)
     explore.set_defaults(func=_cmd_explore)
 
     gen = commands.add_parser("gen", help="generate a condition-satisfying random symbol")
     _add_spec_arguments(gen)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--band", type=int, default=6)
-    gen.add_argument("--density", type=float, default=0.5)
+    gen.add_argument("--seed", type=integer, default=0)
+    gen.add_argument("--band", type=integer, default=6)
+    gen.add_argument("--density", type=decimal, default=0.5)
     gen.set_defaults(func=_cmd_gen)
 
     return parser
@@ -258,6 +268,8 @@ def main(argv=None) -> int:
     try:
         # TOEPSYM_TOL is read on every call; an explicit --tol overwrites it
         args = _PARSER.parse_args(argv, argparse.Namespace(tol=_default_tol()))
+        if [] in vars(args).values():  # argparse reads "--seed=--" as [], unconverted
+            _PARSER.error("an option is missing its value")
         spec = _load_spec(args)
         payload, code = args.func(args, spec)
         _emit({"command": args.command, "spec": spec_to_json(spec), **payload}, args.output)

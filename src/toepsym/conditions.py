@@ -37,7 +37,6 @@ from itertools import chain
 import numpy as np
 
 from .conjugations import (
-    CONJECTURE,
     IFF,
     NECESSARY_ONLY,
     BlockHadamard,
@@ -59,9 +58,6 @@ from .symbols import (
 from .symmetry import SYMMETRY_TOL, SymmetryReport, is_c_symmetric, report_to_json
 
 COEFF_TOL = 1e-12
-
-CROSS_FORM = "cross"
-SUMS_FORM = "sums"
 
 
 # Entry combinations referenced by block relations: tuples of
@@ -143,10 +139,6 @@ class ConditionReport:
     lhs: np.ndarray
     rhs_re: np.ndarray
     rhs_im: np.ndarray
-
-    @property
-    def families(self) -> tuple[str, ...]:
-        return self.table.families
 
     @cached_property
     def _violated_families(self) -> frozenset[str]:
@@ -328,11 +320,23 @@ def interchange_sign_relations(p: int, q: int, band: int) -> RelationTable:
 
 
 def _period_conditions(p: int, band: int) -> RelationTable:
+    """Residue swaps and block reversals: period multiples mirror-symmetric,
+    all other coefficients zero (for ``p = 1`` only the mirror remains)."""
     multiples = p * np.arange(1, band // p + 1)
     k = np.arange(-band, band + 1)
     return RelationTable(("multiples", "vanish"),
                          (0, False, _PHI, _PHI, multiples, -multiples, 1),
                          (1, True, _PHI, _PHI, k[k % p != 0], 0, 1))
+
+
+def _twist_relations(lam: complex, band: int) -> RelationTable:
+    """The twist-family condition ``c_(-n) = c_n * lam**n`` for every ``n``."""
+    # normalized as MuLambda does; a spec's lam may move by an ulp (reports pin it)
+    lam = MuLambda(1.0, lam).lam
+    n = np.arange(1, band + 1)
+    # Python's powers: numpy's complex power rounds differently
+    scale = np.array([lam**k for k in n.tolist()], dtype=complex)
+    return RelationTable(("twist",), (0, False, _PHI, _PHI, -n, n, scale))
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
@@ -347,65 +351,27 @@ def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> Condition
     return evaluate_scalar_relations(sym, _period_conditions(p, sym.bandwidth), mode)
 
 
-def check_reversal(sym: LaurentSymbol, n: int) -> ConditionReport:
-    """Block-reversal conditions: multiples of ``n`` mirror-symmetric, all
-    other coefficients zero (for ``n = 1`` only the mirror clause remains)."""
-    mode = Reversal(n).characterization
-    return evaluate_scalar_relations(sym, _period_conditions(n, sym.bandwidth), mode)
-
-
-def check_mu_lambda(sym: LaurentSymbol, lam: complex) -> ConditionReport:
-    """Twist-family condition ``c_(-n) = c_n * lam**n`` for every ``n``."""
-    lam = MuLambda(1.0, lam).lam
-    n = np.arange(1, sym.bandwidth + 1)
-    # Python's powers: numpy's complex power rounds differently
-    scale = np.array([lam**k for k in n.tolist()], dtype=complex)
-    rels = RelationTable(("twist",), (0, False, _PHI, _PHI, -n, n, scale))
-    return evaluate_scalar_relations(sym, rels, MuLambda.characterization)
-
-
 def _codes(*names: str) -> np.ndarray:
     return np.array([_CODE[name] for name in names])
 
 
-def block_hadamard_relations(band: int, form: str = CROSS_FORM) -> RelationTable:
+def block_hadamard_relations(band: int) -> RelationTable:
+    """The exact ``block_c`` list: ``phi1+phi2`` and ``phi3-phi4`` even-symmetric,
+    the cross reflection ``(phi1-phi2)(2l) == (phi3+phi4)(-2l)``, odd ones zero."""
     half = band // 2
     even = 2 * np.arange(1, half + 1)
-    if form == CROSS_FORM:
-        names = ("sum12_even", "diff34_even", "cross_reflect", "odd_vanish")
-        # sum12_even and diff34_even alternate, l by l
-        pair = _codes("phi1+phi2", "phi3-phi4")
-        reflect = 2 * np.arange(-half, half + 1)
-        parts = [(np.tile([0, 1], half), False, np.tile(pair, half), np.tile(pair, half),
-                  np.repeat(even, 2), -np.repeat(even, 2), 1),
-                 (2, False, _CODE["phi1-phi2"], _CODE["phi3+phi4"], reflect, -reflect, 1)]
-    elif form == SUMS_FORM:
-        names = ("sum12_even", "sum13_even", "sum14_even", "odd_vanish")
-        sums = np.repeat(_codes("phi1+phi2", "phi1+phi3", "phi1+phi4"), half)
-        parts = [(np.repeat([0, 1, 2], half), False, sums, sums,
-                  np.tile(even, 3), -np.tile(even, 3), 1)]
-    else:
-        raise ValueError(f"unknown form {form!r}; expected {CROSS_FORM!r} or {SUMS_FORM!r}")
+    # sum12_even and diff34_even alternate, l by l
+    pair = _codes("phi1+phi2", "phi3-phi4")
+    reflect = 2 * np.arange(-half, half + 1)
     k = np.arange(-band, band + 1)
     odd = k[k % 2 != 0]
-    parts.append((3, True, np.repeat(_codes("phi1", "phi2", "phi3", "phi4"), odd.size), _PHI,
-                  np.tile(odd, 4), 0, 1))
-    return RelationTable(names, *parts)
-
-
-def check_block_hadamard(msym: MatrixSymbol, form: str = CROSS_FORM) -> ConditionReport:
-    """Conditions for the Hadamard-type block conjugation.
-
-    ``form="cross"`` is the list with the cross reflection
-    ``(phi1-phi2)(2l) == (phi3+phi4)(-2l)``; ``form="sums"`` is the
-    alternative using the three pairwise sums ``phi1+phi2``, ``phi1+phi3``,
-    ``phi1+phi4``.  The cross form is the one the matrix oracle confirms as
-    exact; the sums form is implied by it but demonstrably weaker (see the
-    adversarial tests), so ``cross`` is the default everywhere a single
-    verdict is needed.
-    """
-    return evaluate_block_relations(msym, block_hadamard_relations(msym.bandwidth, form),
-                                    BlockHadamard.characterization)
+    return RelationTable(
+        ("sum12_even", "diff34_even", "cross_reflect", "odd_vanish"),
+        (np.tile([0, 1], half), False, np.tile(pair, half), np.tile(pair, half),
+         np.repeat(even, 2), -np.repeat(even, 2), 1),
+        (2, False, _CODE["phi1-phi2"], _CODE["phi3+phi4"], reflect, -reflect, 1),
+        (3, True, np.repeat(_codes("phi1", "phi2", "phi3", "phi4"), odd.size), _PHI,
+         np.tile(odd, 4), 0, 1))
 
 
 def block_mixed_necessary_relations(band: int) -> RelationTable:
@@ -465,17 +431,18 @@ def condition_reports(symbol, spec: ConjugationSpec
             return closed_form, None
         raw = raw_relations_transposition(spec.p, spec.i, spec.j, symbol.bandwidth)
         return evaluate_scalar_relations(symbol, raw, IFF), closed_form
-    if isinstance(spec, GeneralPermutation):
-        raw = raw_relations_general(spec.p, spec.sigma, symbol.bandwidth)
-        return evaluate_scalar_relations(symbol, raw, IFF), None
-    if isinstance(spec, Reversal):
-        return check_reversal(symbol, spec.n), None
-    if isinstance(spec, MuLambda):
-        return check_mu_lambda(symbol, spec.lam), None
-    if isinstance(spec, BlockHadamard):
-        return check_block_hadamard(symbol, CROSS_FORM), None
     if isinstance(spec, BlockMixed):
         return check_block_mixed_necessary(symbol), None
+    band, mode = symbol.bandwidth, spec.characterization
+    if isinstance(spec, GeneralPermutation):
+        raw = raw_relations_general(spec.p, spec.sigma, band)
+        return evaluate_scalar_relations(symbol, raw, IFF), None
+    if isinstance(spec, Reversal):
+        return evaluate_scalar_relations(symbol, _period_conditions(spec.n, band), mode), None
+    if isinstance(spec, MuLambda):
+        return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band), mode), None
+    if isinstance(spec, BlockHadamard):
+        return evaluate_block_relations(symbol, block_hadamard_relations(band), mode), None
     raise TypeError(f"not a conjugation spec: {spec!r}")
 
 
@@ -589,7 +556,7 @@ def random_block_mixed_symmetric(seed: int, max_band: int,
 # --- raw-set projection and explorers -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _raw_components(spec: ConjugationSpec, band: int) -> tuple[
         RelationTable, tuple[tuple[tuple[int, ...], bool], ...]]:
     """The raw relation table of ``spec`` at ``band`` and the connected
@@ -618,8 +585,7 @@ def _raw_components(spec: ConjugationSpec, band: int) -> tuple[
     return relations, tuple((g, any(abs(m) > band for m in g)) for g in groups)
 
 
-def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
-                   band: int | None = None) -> LaurentSymbol:
+def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> LaurentSymbol:
     """Orthogonal projection of a symbol onto the solution set of the raw
     relation system: coefficients are averaged over each equality component,
     and components reaching outside the support band collapse to zero.
@@ -629,8 +595,6 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec,
     """
     if spec.sigma is None:
         raise ValueError("raw projection applies to residue-permutation families only")
-    if band is None:
-        band = sym.bandwidth
     coeffs = dict(sym.coeffs)
     out: dict[int, complex] = {k: v for k, v in coeffs.items() if abs(k) <= band}
     for members, forced_zero in _raw_components(spec, band)[1]:
@@ -771,7 +735,7 @@ def condition_report_to_json(report: ConditionReport) -> dict:
     return {
         "satisfied": report.satisfied,
         "mode": report.mode,
-        "families": {name: report.family_ok(name) for name in report.families},
+        "families": {name: report.family_ok(name) for name in report.table.families},
         "violations": rows,
     }
 

@@ -69,20 +69,12 @@ class LaurentSymbol:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSymbol is immutable")
 
-    @classmethod
-    def zero(cls) -> "LaurentSymbol":
-        return cls()
-
     def coeff(self, k: int) -> complex:
         return self._coeffs.get(k, 0j)
 
     @property
     def coeffs(self) -> dict[int, complex]:
         return dict(self._coeffs)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
 
     @property
     def bandwidth(self) -> int:
@@ -173,11 +165,6 @@ class MatrixSymbol:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixSymbol is immutable")
 
-    @classmethod
-    def zero(cls) -> "MatrixSymbol":
-        z = LaurentSymbol.zero()
-        return cls(z, z, z, z)
-
     @property
     def entries(self) -> tuple[LaurentSymbol, ...]:
         return self._entries
@@ -185,10 +172,6 @@ class MatrixSymbol:
     @property
     def bandwidth(self) -> int:
         return max(e.bandwidth for e in self._entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self._entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixSymbol):

@@ -94,12 +94,10 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
 
 
 def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
-                   tol: float = SYMMETRY_TOL, order: int | None = None) -> SymmetryReport:
-    """Build the truncation pair for ``symbol`` under ``spec`` and report the
-    residual verdict.
-
-    The truncation order defaults to :func:`min_truncation` of the symbol's
-    bandwidth; block specs require a :class:`MatrixSymbol` and scalar specs a
+                   tol: float = SYMMETRY_TOL) -> SymmetryReport:
+    """Build the truncation pair for ``symbol`` under ``spec``, of order
+    :func:`min_truncation` of the symbol's bandwidth, and report the residual
+    verdict.  Block specs require a :class:`MatrixSymbol` and scalar specs a
     :class:`LaurentSymbol`.
     """
     if not 0 < tol < math.inf:  # also false for NaN
@@ -108,7 +106,7 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     if block != isinstance(symbol, MatrixSymbol):
         kind = "matrix" if block else "scalar"
         raise ValueError(f"spec {spec!r} requires a {kind} symbol")
-    n = min_truncation(symbol.bandwidth, spec) if order is None else order
+    n = min_truncation(symbol.bandwidth, spec)
     t = block_truncate(symbol, n) if block else truncate(symbol, n)
     c = truncated_matrix(spec, n)
     r = residual(t, c)

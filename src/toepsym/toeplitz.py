@@ -34,10 +34,6 @@ class TruncatedToeplitz:
     def grid(self) -> int:
         return 1 if len(self.entries) == 1 else 2
 
-    @property
-    def dim(self) -> int:
-        return self.grid * self.order
-
     @cached_property
     def diagonals(self) -> np.ndarray:
         """Row ``e`` holds entry ``e``'s ``c_d`` at ``d + order - 1``, ``|d| < order``."""

@@ -15,11 +15,9 @@ import pytest
 
 from toepsym.cli import main
 from toepsym.conditions import (
-    check_block_hadamard,
     check_block_mixed_necessary,
-    check_mu_lambda,
-    check_reversal,
     check_transposition,
+    condition_reports,
     evaluate_scalar_relations,
     interchange_sign_relations,
     random_block_mixed_symmetric,
@@ -33,6 +31,7 @@ from toepsym.conjugations import (
     Reversal,
     Transposition,
     covered_transposition_case,
+    truncated_matrix,
     verify_axioms,
 )
 from toepsym.symbols import (
@@ -42,8 +41,10 @@ from toepsym.symbols import (
     random_matrix_symbol,
     random_symbol,
 )
-from toepsym.symmetry import is_c_symmetric
-from toepsym.toeplitz import min_truncation
+from toepsym.symmetry import is_c_symmetric, residual
+from toepsym.toeplitz import block_truncate, min_truncation, truncate
+
+from solution_sets import sums_form
 
 ORACLE_TOL = 1e-10
 
@@ -110,8 +111,8 @@ def _three_way_agreement(triples, trials, check_rules):
                 rules_ok = evaluate_scalar_relations(sym, rules).satisfied
                 # the tolerance depends on the symbol only, so the non-multiple
                 # rows hold together exactly when none of their families fails
-                nonmult_ok = all(raw_report.family_ok(family) for family in raw_report.families
-                                 if family != "multiples")
+                nonmult_ok = all(raw_report.family_ok(family)
+                                 for family in raw_report.table.families if family != "multiples")
                 if rules_ok != nonmult_ok:
                     rule_mismatches.append((p, i, j, t))
         for t in range(100):
@@ -150,11 +151,11 @@ def test_criterion_4_block_reversal():
     for n in range(1, 7):
         for t in range(300):
             sym = random_symbol(31_000 * n + t, max(6, n * 2), 0.5)
-            cond = check_reversal(sym, n).satisfied
+            cond = condition_reports(sym, Reversal(n))[0].satisfied
             oracle = is_c_symmetric(sym, Reversal(n), ORACLE_TOL).symmetric
             if cond != oracle:
                 disagreements.append((n, t))
-            if n == 1 and cond != check_mu_lambda(sym, 1.0).satisfied:
+            if n == 1 and cond != condition_reports(sym, MuLambda(1.0, 1.0))[0].satisfied:
                 cross_mismatches.append(t)
     ok = not disagreements and not cross_mismatches
     assert _verdict("4", "block reversal: condition = oracle, twist cross-check", ok,
@@ -165,8 +166,8 @@ def test_criterion_5_block_hadamard_forms_and_oracle():
     disagreements = []
     for t in range(300):
         msym = random_matrix_symbol(40_000 + t, 6, 0.5)
-        cross = check_block_hadamard(msym, "cross").satisfied
-        sums = check_block_hadamard(msym, "sums").satisfied
+        cross = condition_reports(msym, BlockHadamard())[0].satisfied
+        sums = sums_form(msym).satisfied
         oracle = is_c_symmetric(msym, BlockHadamard(), ORACLE_TOL).symmetric
         if not cross == sums == oracle:
             disagreements.append(t)
@@ -189,7 +190,7 @@ def test_criterion_5_remark_individually_symmetric_entries():
                    for e in range(4)]
         msym = MatrixSymbol(*entries)
         for entry in entries:
-            assert check_reversal(entry, 2).satisfied
+            assert condition_reports(entry, Reversal(2))[0].satisfied
         residuals.append(is_c_symmetric(msym, BlockHadamard(), ORACLE_TOL).residual)
     worst = max(residuals)
     failing = sum(r > 1e-12 for r in residuals)
@@ -222,7 +223,7 @@ def test_criterion_6_block_mixed_necessity():
                           (3, "z^2"), (4, "z^2")]
     from toepsym.symbols import parse_symbol
     for entry, text in single_entry_cases:
-        entries = [LaurentSymbol.zero()] * 4
+        entries = [LaurentSymbol()] * 4
         entries[entry - 1] = parse_symbol(text)
         msym = MatrixSymbol(*entries)
         assert not check_block_mixed_necessary(msym).satisfied
@@ -241,7 +242,7 @@ def test_criterion_7_twist_family():
         spec = MuLambda(1.0, lam)
         for t in range(200):
             sym = random_symbol(70_000 + 1000 * li + t, 6, 0.5)
-            cond = check_mu_lambda(sym, lam).satisfied
+            cond = condition_reports(sym, MuLambda(1.0, lam))[0].satisfied
             oracle = is_c_symmetric(sym, spec, ORACLE_TOL).symmetric
             if cond != oracle:
                 disagreements.append((li, t))
@@ -274,10 +275,11 @@ def test_criterion_8_truncation_stability():
                 except ValueError:
                     pass
         base = is_c_symmetric(symbol, spec, ORACLE_TOL)
-        doubled = is_c_symmetric(symbol, spec, ORACLE_TOL,
-                                 order=2 * min_truncation(symbol.bandwidth, spec))
+        n = 2 * min_truncation(symbol.bandwidth, spec)
+        doubled = residual((block_truncate if spec.is_block else truncate)(symbol, n),
+                           truncated_matrix(spec, n))
         trials += 1
-        if base.symmetric != doubled.symmetric:
+        if base.symmetric != (doubled <= ORACLE_TOL):
             mismatches.append((spec, seed))
     ok = not mismatches
     assert _verdict("8", "verdict stable under doubled truncation", ok, "200 pairs")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -301,6 +302,13 @@ class TestEnvironmentTolerance:
         assert code == 3
         assert out == ""
 
+    def test_env_var_reads_ascii_decimals_only(self, capsys, monkeypatch):
+        # float() would read it as 1e-9
+        monkeypatch.setenv("TOEPSYM_TOL", "1_0e-1_0")
+        code, out, err = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1")
+        assert (code, out) == (3, "")
+        assert "TOEPSYM_TOL" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tol_flag_rejected(self, capsys, value):
         code, out, _ = run_cli(capsys, "check", "--symbol", "z^2 + z^-2",
@@ -309,7 +317,44 @@ class TestEnvironmentTolerance:
         assert out == ""
 
 
+class TestNumericOptions:
+    # int() and float() would read these as 4, 10, 2, 1e-9 and 0.5
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--spec", "reversal:2", "--band", "\u0664"],
+        ["gen", "--spec", "reversal:2", "--seed", "1_0"],
+        ["random-test", "--spec", "reversal:2", "--trials", "\uff12"],
+        ["check", "--symbol", "z", "--spec", "reversal:2", "--tol", "1_0e-1_0"],
+        ["gen", "--spec", "reversal:2", "--density", "\uff10.5"],
+    ], ids=["band", "seed", "trials", "tol", "density"])
+    def test_other_number_spellings_exit_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+
+    def test_signed_ascii_decimals_decode(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--spec", "reversal:2", "--seed", "+3",
+                               "--band", "0", "--density", ".5")
+        assert code == 0
+        assert {k: json.loads(out)[k] for k in ("seed", "band", "density")} == \
+            {"seed": 3, "band": 0, "density": 0.5}
+        code, out, _ = run_cli(capsys, "check", "--symbol", "0", "--spec", "reversal:1",
+                               "--tol", "1e-8")
+        assert code == 0 and json.loads(out)["oracle"]["tol"] == 1e-8
+
+
 class TestInputValidation:
+    # argparse drops a lone "--" value and stores [] without converting it
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--spec", "reversal:2", "--seed=--"],
+        ["check", "--symbol", "z", "--spec", "reversal:2", "--tol=--"],
+        ["check", "--symbol", "z", "--spec=--"],
+        ["check", "--symbol=--", "--spec", "reversal:2"],
+    ], ids=["seed", "tol", "spec", "symbol"])
+    def test_lone_double_dash_value_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "missing its value" in err
+
     @pytest.mark.parametrize("argv", [
         ("--symbol-file", '{"2": [NaN, 0], "-2": [NaN, 0]}', "--spec", "reversal:2"),
         ("--symbol", "1e999 z^2", "--spec", "reversal:2"),
@@ -707,6 +752,45 @@ def test_spec_token_decodes_like_its_json(case):
                                    for v in values])
     obj = {"family": cls.name, **{f.key: v for f, v in zip(cls.wire_fields, values)}}
     assert _decoded(parse_spec_text, token) == _decoded(spec_from_json, obj)
+
+
+def _typed_options():
+    """``(command, option, dest, type)`` of every option the parser converts."""
+    commands = next(action for action in cli._PARSER._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.option_strings[0], action.dest, action.type)
+            for name, sub in commands.choices.items() for action in sub._actions
+            if action.type is not None]
+
+
+def _parsed(command, option, dest, text):
+    argv = [command, "--spec", "reversal:2", f"{option}={text}"]
+    if command == "check":
+        argv += ["--symbol", "z"]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return getattr(cli._PARSER.parse_args(argv), dest)
+    except SystemExit:
+        return ValueError
+
+
+# A numeric option reads a spec token's number grammar: an integer option
+# the parts that decode to an int, a float option every part.  A lone "--"
+# never reaches the option's type (test_lone_double_dash_value_exits_three).
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_wire_number.map(str),
+                      st.text(alphabet="0123456789+-.eE_ \u0664\uff12", max_size=6)
+                      .filter(lambda text: text != "--")))
+def test_numeric_options_decode_like_spec_tokens(text):
+    token = _decoded(cli._number, text)
+    options = _typed_options()
+    assert {kind for *_, kind in options} == {cli.integer, cli.decimal}
+    for command, option, dest, kind in options:
+        if token is ValueError or (kind is cli.integer and type(token) is not int):
+            expected = ValueError
+        else:
+            expected = token if kind is cli.integer else float(text)
+        assert _parsed(command, option, dest, text) == expected, (command, option)
 
 
 def test_module_entry_point():

@@ -6,15 +6,12 @@ import pytest
 
 import toepsym.conditions as conditions
 from toepsym.conditions import (
-    CONJECTURE,
     IFF,
     NECESSARY_ONLY,
-    check_block_hadamard,
     check_block_mixed_necessary,
-    check_mu_lambda,
-    check_reversal,
     check_transposition,
     condition_report_to_json,
+    condition_reports,
     equivalence_trial,
     evaluate_scalar_relations,
     explore_block_mixed,
@@ -28,6 +25,7 @@ from toepsym.conditions import (
     run_check,
 )
 from toepsym.conjugations import (
+    CONJECTURE,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -45,7 +43,10 @@ from toepsym.symbols import (
 )
 from toepsym.symmetry import is_c_symmetric
 
+from solution_sets import sums_form
+
 BIG = 1e6
+ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
 LAM = complex(0.6, 0.8)
 # near-symmetric symbols of magnitude 1e6: relative oracle residual ~1e-12,
 # coefficient defect 1e-6 (absolute) or ~1e-12 (relative to the norm)
@@ -162,7 +163,7 @@ class TestTranspositionChecker:
         assert (_families(rep.table)[rep.violations] == "vanish").any()
 
     def test_zero_symbol(self):
-        assert check_transposition(LaurentSymbol.zero(), 6, 0, 3).satisfied
+        assert check_transposition(LaurentSymbol(), 6, 0, 3).satisfied
 
     def test_multiples_violation(self):
         rep = check_transposition(parse_symbol("z^4"), 4, 0, 2)
@@ -176,66 +177,62 @@ class TestTranspositionChecker:
 
 class TestReversalChecker:
     def test_multiples_of_three(self):
-        assert check_reversal(parse_symbol("z^3 + z^-3"), 3).satisfied
+        assert condition_reports(parse_symbol("z^3 + z^-3"), Reversal(3))[0].satisfied
 
     def test_odd_coefficients_violate(self):
-        assert not check_reversal(parse_symbol("z + z^-1"), 2).satisfied
+        assert not condition_reports(parse_symbol("z + z^-1"), Reversal(2))[0].satisfied
 
     def test_n_one_is_plain_mirror(self):
-        assert check_reversal(parse_symbol("z + z^-1"), 1).satisfied
-        assert not check_reversal(parse_symbol("z - z^-1"), 1).satisfied
+        assert condition_reports(parse_symbol("z + z^-1"), Reversal(1))[0].satisfied
+        assert not condition_reports(parse_symbol("z - z^-1"), Reversal(1))[0].satisfied
         sym = random_symbol(3, 6, 0.7)
         mirrored = all(sym.coeff(k) == sym.coeff(-k) for k in range(1, 7))
-        assert check_reversal(sym, 1).satisfied == mirrored
+        assert condition_reports(sym, Reversal(1))[0].satisfied == mirrored
 
 
 class TestMuLambdaChecker:
     def test_lambda_one(self):
-        assert check_mu_lambda(parse_symbol("z + z^-1"), 1.0).satisfied
-        assert not check_mu_lambda(parse_symbol("z - z^-1"), 1.0).satisfied
+        assert condition_reports(parse_symbol("z + z^-1"), MuLambda(1.0, 1.0))[0].satisfied
+        assert not condition_reports(parse_symbol("z - z^-1"), MuLambda(1.0, 1.0))[0].satisfied
 
     def test_lambda_minus_one(self):
-        assert check_mu_lambda(parse_symbol("z - z^-1"), -1.0).satisfied
+        assert condition_reports(parse_symbol("z - z^-1"), MuLambda(1.0, -1.0))[0].satisfied
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
-            check_mu_lambda(parse_symbol("z"), 0.5)
+            condition_reports(parse_symbol("z"), MuLambda(1.0, 0.5))
 
     def test_agrees_with_reversal_one(self):
         for seed in range(25):
             sym = random_symbol(seed, 6, 0.5)
-            assert (check_mu_lambda(sym, 1.0).satisfied
-                    == check_reversal(sym, 1).satisfied)
+            assert (condition_reports(sym, MuLambda(1.0, 1.0))[0].satisfied
+                    == condition_reports(sym, Reversal(1))[0].satisfied)
 
 
 class TestBlockHadamardChecker:
     def test_diagonal_even_pair_satisfied(self):
         s = parse_symbol("z^2 + z^-2")
-        zero = LaurentSymbol.zero()
+        zero = LaurentSymbol()
         m = MatrixSymbol(s, zero, zero, s)
-        assert check_block_hadamard(m, "cross").satisfied
-        assert check_block_hadamard(m, "sums").satisfied
+        assert condition_reports(m, BlockHadamard())[0].satisfied
+        assert sums_form(m).satisfied
 
     def test_odd_entry_violates_both_forms(self):
-        zero = LaurentSymbol.zero()
+        zero = LaurentSymbol()
         m = MatrixSymbol(zero, parse_symbol("z"), zero, zero)
-        assert not check_block_hadamard(m, "cross").satisfied
-        assert not check_block_hadamard(m, "sums").satisfied
+        assert not condition_reports(m, BlockHadamard())[0].satisfied
+        assert not sums_form(m).satisfied
 
     def test_zero_satisfied(self):
-        assert check_block_hadamard(MatrixSymbol.zero(), "cross").satisfied
-        assert check_block_hadamard(MatrixSymbol.zero(), "sums").satisfied
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            check_block_hadamard(MatrixSymbol.zero(), "other")
+        assert condition_reports(ZERO_BLOCK, BlockHadamard())[0].satisfied
+        assert sums_form(ZERO_BLOCK).satisfied
 
     def test_cross_form_implies_sums_form(self):
         # one direction always holds; the other fails (see the referee test)
         for seed in range(40):
             m = random_block_hadamard_symmetric(seed, 6)
-            assert check_block_hadamard(m, "cross").satisfied
-            assert check_block_hadamard(m, "sums").satisfied
+            assert condition_reports(m, BlockHadamard())[0].satisfied
+            assert sums_form(m).satisfied
 
     def test_forms_separate_and_oracle_referees(self):
         # phi1 = z^2, phi2 = phi3 = phi4 = -z^2 satisfies the sums form but
@@ -243,8 +240,8 @@ class TestBlockHadamardChecker:
         # the exact characterization.
         z2 = parse_symbol("z^2")
         m = MatrixSymbol(z2, -1 * z2, -1 * z2, -1 * z2)
-        assert check_block_hadamard(m, "sums").satisfied
-        assert not check_block_hadamard(m, "cross").satisfied
+        assert sums_form(m).satisfied
+        assert not condition_reports(m, BlockHadamard())[0].satisfied
         assert not is_c_symmetric(m, BlockHadamard()).symmetric
 
     def test_entrywise_symmetric_assembly_passes_sums_form(self):
@@ -255,30 +252,30 @@ class TestBlockHadamardChecker:
             entries = [project_to_conditions(random_symbol(600 + 4 * t + e, 6, 0.6),
                                              Reversal(2)) for e in range(4)]
             m = MatrixSymbol(*entries)
-            assert check_block_hadamard(m, "sums").satisfied
+            assert sums_form(m).satisfied
 
     def test_individually_even_entries_do_not_suffice(self):
         # all four entries pass the pair-reversal conditions on their own,
         # yet the block operator is not symmetric: the cross condition is the
         # missing constraint.
         s = parse_symbol("z^2 + z^-2")
-        zero = LaurentSymbol.zero()
+        zero = LaurentSymbol()
         m = MatrixSymbol(s, zero, zero, zero)
         for entry in m.entries:
-            assert check_reversal(entry, 2).satisfied
-        assert check_block_hadamard(m, "sums").satisfied
-        assert not check_block_hadamard(m, "cross").satisfied
+            assert condition_reports(entry, Reversal(2))[0].satisfied
+        assert sums_form(m).satisfied
+        assert not condition_reports(m, BlockHadamard())[0].satisfied
         report = is_c_symmetric(m, BlockHadamard())
         assert not report.symmetric and report.residual > 1e-2
 
 
 class TestBlockMixedChecker:
     def test_zero_satisfied(self):
-        assert check_block_mixed_necessary(MatrixSymbol.zero()).satisfied
+        assert check_block_mixed_necessary(ZERO_BLOCK).satisfied
 
     def test_antidiagonal_odd_pair(self):
         z = parse_symbol("z")
-        zero = LaurentSymbol.zero()
+        zero = LaurentSymbol()
         m = MatrixSymbol(z, zero, zero, -1 * z)
         rep = check_block_mixed_necessary(m)
         assert rep.family_ok("odd_sum14")
@@ -303,7 +300,7 @@ class TestBlockMixedChecker:
         (1, "odd_sum14"), (2, "odd_diff23"),
     ])
     def test_single_odd_coefficient_violates(self, entry, family):
-        entries = [LaurentSymbol.zero()] * 4
+        entries = [LaurentSymbol()] * 4
         entries[entry - 1] = parse_symbol("z")
         m = MatrixSymbol(*entries)
         rep = check_block_mixed_necessary(m)
@@ -312,7 +309,7 @@ class TestBlockMixedChecker:
 
     @pytest.mark.parametrize("entry", [1, 2, 3, 4])
     def test_asymmetric_even_coefficient_violates(self, entry):
-        entries = [LaurentSymbol.zero()] * 4
+        entries = [LaurentSymbol()] * 4
         entries[entry - 1] = parse_symbol("z^2")
         m = MatrixSymbol(*entries)
         rep = check_block_mixed_necessary(m)
@@ -320,11 +317,11 @@ class TestBlockMixedChecker:
         assert is_c_symmetric(m, BlockMixed()).residual > 1e-2
 
     def test_report_mode(self):
-        assert check_block_mixed_necessary(MatrixSymbol.zero()).mode == NECESSARY_ONLY
+        assert check_block_mixed_necessary(ZERO_BLOCK).mode == NECESSARY_ONLY
 
     def test_report_mode_follows_the_family(self, monkeypatch):
         monkeypatch.setattr(BlockMixed, "characterization", IFF)
-        assert check_block_mixed_necessary(MatrixSymbol.zero()).mode == IFF
+        assert check_block_mixed_necessary(ZERO_BLOCK).mode == IFF
 
 
 class TestEquivalenceTrials:
@@ -352,8 +349,8 @@ class TestEquivalenceTrials:
     def test_scaling_leaves_checkers_invariant(self):
         sym = random_symbol(5, 6, 0.6)
         for factor in (2.0, -3.5):
-            a = check_reversal(sym, 3).satisfied
-            b = check_reversal(factor * sym, 3).satisfied
+            a = condition_reports(sym, Reversal(3))[0].satisfied
+            b = condition_reports(factor * sym, Reversal(3))[0].satisfied
             assert a == b
 
 
@@ -432,9 +429,19 @@ class TestProjectToRaw:
         sym = project_to_conditions(random_symbol(5, 8, 0.7), spec)
         assert project_to_raw(sym, spec, band=8) == sym
 
+    def test_raw_graph_cache_is_bounded(self):
+        # a long session projecting at many bands keeps 128 graphs, not all
+        conditions._raw_components.cache_clear()
+        try:
+            for band in range(129):
+                conditions._raw_components(Reversal(1), band)
+            assert conditions._raw_components.cache_info().currsize == 128
+        finally:
+            conditions._raw_components.cache_clear()
+
     def test_non_permutation_spec_rejected(self):
         with pytest.raises(ValueError):
-            project_to_raw(parse_symbol("z"), MuLambda(1.0, 1.0))
+            project_to_raw(parse_symbol("z"), MuLambda(1.0, 1.0), 1)
 
 
 class TestExplorers:
@@ -479,13 +486,17 @@ class TestCoefficientTolerance:
 
     def test_unit_norm_symbols_keep_the_absolute_tolerance(self):
         # ||c||_2 <= 1, so the tolerance stays 1e-12
-        assert check_reversal(LaurentSymbol({2: 0.5 + 0.9e-12, -2: 0.5}), 2).satisfied
-        assert not check_reversal(LaurentSymbol({2: 0.5 + 1.1e-12, -2: 0.5}), 2).satisfied
+        report = condition_reports(LaurentSymbol({2: 0.5 + 0.9e-12, -2: 0.5}), Reversal(2))[0]
+        assert report.satisfied
+        report = condition_reports(LaurentSymbol({2: 0.5 + 1.1e-12, -2: 0.5}), Reversal(2))[0]
+        assert not report.satisfied
 
     def test_tolerance_grows_with_the_coefficient_norm(self):
         # ||c||_2 = 5e6 * sqrt(2): a defect of 5e-6 is within 1e-12 relative
-        assert check_reversal(LaurentSymbol({2: 5e6 + 5e-6, -2: 5e6}), 2).satisfied
-        assert not check_reversal(LaurentSymbol({2: 5e6 + 1e-4, -2: 5e6}), 2).satisfied
+        report = condition_reports(LaurentSymbol({2: 5e6 + 5e-6, -2: 5e6}), Reversal(2))[0]
+        assert report.satisfied
+        report = condition_reports(LaurentSymbol({2: 5e6 + 1e-4, -2: 5e6}), Reversal(2))[0]
+        assert not report.satisfied
 
     def test_norm_past_the_float_limit_still_checks(self):
         # ||c||_2 = 2.4e308 is not finite; the tolerance must stay finite

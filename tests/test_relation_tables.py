@@ -24,14 +24,11 @@ from toepsym.conditions import (
     RelationTable,
     block_hadamard_relations,
     block_mixed_necessary_relations,
-    check_block_hadamard,
-    check_mu_lambda,
     condition_reports,
     evaluate_relations,
     interchange_sign_relations,
     project_to_raw,
     random_block_hadamard_symmetric,
-    random_block_mixed_symmetric,
     raw_relations_general,
     raw_relations_transposition,
 )
@@ -46,10 +43,11 @@ from toepsym.conjugations import (
 from toepsym.symbols import (
     LaurentSymbol,
     MatrixSymbol,
-    project_to_conditions,
     random_matrix_symbol,
     random_symbol,
 )
+
+from solution_sets import sums_form, sums_relations, symmetric_symbol
 
 BANDS = [*range(13), 30, 200]
 GENERAL = [(1, (0,)), (2, (1, 0)), (3, (2, 1, 0)), (4, (2, 1, 0, 3)),
@@ -82,31 +80,20 @@ def _digest(tables) -> str:
     return h.hexdigest()
 
 
-def _mu_lambda_tables(monkeypatch):
-    # check_mu_lambda builds its table inline: take it from the evaluator call
-    seen = []
-    evaluate = conditions.evaluate_scalar_relations
-    monkeypatch.setattr(conditions, "evaluate_scalar_relations",
-                        lambda sym, rels, mode: seen.append(rels) or evaluate(sym, rels, mode))
-    for lam in LAMBDAS:
-        for band in BANDS:
-            check_mu_lambda(LaurentSymbol({band: 1.0}), lam)
-    return seen
-
-
 ENUMERATORS = {
-    "period": lambda mp: [conditions._period_conditions(p, band)
-                          for p in range(1, 7) for band in BANDS],
-    "mu_lambda": _mu_lambda_tables,
-    "raw_general": lambda mp: [raw_relations_general(p, sigma, band)
-                               for p, sigma in GENERAL for band in BANDS],
-    "raw_transposition": lambda mp: [raw_relations_transposition(p, i, j, band)
-                                     for p, i, j in TRANSPOSITIONS for band in BANDS],
-    "interchange_sign": lambda mp: [interchange_sign_relations(p, q, band)
-                                    for p, q in INTERCHANGE for band in BANDS],
-    "hadamard_cross": lambda mp: [block_hadamard_relations(band, "cross") for band in BANDS],
-    "hadamard_sums": lambda mp: [block_hadamard_relations(band, "sums") for band in BANDS],
-    "mixed_necessary": lambda mp: [block_mixed_necessary_relations(band) for band in BANDS],
+    "period": lambda: [conditions._period_conditions(p, band)
+                       for p in range(1, 7) for band in BANDS],
+    "mu_lambda": lambda: [conditions._twist_relations(lam, band)
+                          for lam in LAMBDAS for band in BANDS],
+    "raw_general": lambda: [raw_relations_general(p, sigma, band)
+                            for p, sigma in GENERAL for band in BANDS],
+    "raw_transposition": lambda: [raw_relations_transposition(p, i, j, band)
+                                  for p, i, j in TRANSPOSITIONS for band in BANDS],
+    "interchange_sign": lambda: [interchange_sign_relations(p, q, band)
+                                 for p, q in INTERCHANGE for band in BANDS],
+    "hadamard_cross": lambda: [block_hadamard_relations(band) for band in BANDS],
+    "hadamard_sums": lambda: [sums_relations(band) for band in BANDS],
+    "mixed_necessary": lambda: [block_mixed_necessary_relations(band) for band in BANDS],
 }
 
 # written from the per-Relation enumerators
@@ -133,8 +120,8 @@ NULLSPACE_SYSTEM = "2a3508e4c207e4016eee16693b696e81ebb83c1cec9c0d6d45e4bd6cc84d
 
 
 @pytest.mark.parametrize("name", list(ENUMERATORS))
-def test_enumerator_rows_are_pinned(monkeypatch, name):
-    assert _digest(ENUMERATORS[name](monkeypatch)) == DIGESTS[name]
+def test_enumerator_rows_are_pinned(name):
+    assert _digest(ENUMERATORS[name]()) == DIGESTS[name]
 
 
 def test_block_mixed_nullspace_system_is_pinned(monkeypatch):
@@ -201,7 +188,7 @@ def _assert_same(symbol, table, report):
     got = list(zip(_rows(table, at), map(repr, report.lhs[at].tolist()), map(repr, rhs)))
     assert got == expected
     assert report.satisfied == (not expected)
-    assert report.families == tuple(dict.fromkeys(row[-1] for row in _rows(table)))
+    assert report.table.families == tuple(dict.fromkeys(row[-1] for row in _rows(table)))
 
 
 @pytest.fixture
@@ -225,16 +212,6 @@ SPECS = [GeneralPermutation(6, (2, 1, 0, 4, 3, 5)), Transposition(4, 0, 2),
          Transposition(5, 1, 3), Reversal(2), Reversal(3), MuLambda(1j, complex(0.6, 0.8)),
          MuLambda(1.0, -1.0), BlockHadamard(), BlockMixed()]
 SCALES = [1.0, 1e6, float(2 ** 900), 1e-300]
-
-
-def _symmetric(spec, seed, band):
-    if isinstance(spec, BlockHadamard):
-        return random_block_hadamard_symmetric(seed, band)
-    if isinstance(spec, BlockMixed):
-        return random_block_mixed_symmetric(seed, band)
-    if spec.characterization == conditions.IFF:
-        return project_to_conditions(random_symbol(seed, band, 0.8), spec)
-    return project_to_raw(random_symbol(seed, band, 0.8), spec, band)
 
 
 def _generic(spec, seed, band, density):
@@ -264,7 +241,7 @@ def _signed_zeros(symbol):
 def test_condition_reports_match_the_reference(compared, spec):
     for band in (0, 1, 2, 5, 12, 30):
         for seed in range(3):
-            symbols = [_symmetric(spec, seed, band), _generic(spec, seed, band, 1.0),
+            symbols = [symmetric_symbol(spec, seed, band, 0.8), _generic(spec, seed, band, 1.0),
                        _generic(spec, seed, band, 0.2)]
             symbols.append(_signed_zeros(symbols[1]))
             for symbol in symbols:
@@ -278,9 +255,10 @@ def test_other_tables_match_the_reference(compared):
         for seed in range(3):
             m = random_matrix_symbol(seed, band, 0.5)
             for symbol in (m, random_block_hadamard_symmetric(seed, band), _signed_zeros(m)):
-                check_block_hadamard(symbol, "sums")
+                sums_form(symbol)
             for p, q in INTERCHANGE:
-                sym = project_to_raw(random_symbol(seed, band, 0.7), Transposition(p, q - 1, p - 1))
+                drawn = random_symbol(seed, band, 0.7)
+                sym = project_to_raw(drawn, Transposition(p, q - 1, p - 1), drawn.bandwidth)
                 for symbol in (sym, random_symbol(seed, band, 0.7), _signed_zeros(sym)):
                     conditions.evaluate_scalar_relations(
                         symbol, interchange_sign_relations(p, q, band), conditions.IFF)
@@ -311,7 +289,7 @@ def test_filtered_lists_match_the_reference():
     m = random_matrix_symbol(3, 6, 0.6)
     _assert_same(m, block, evaluate_relations(m, block))
     empty = _filtered(full, np.zeros(len(full), bool))
-    assert evaluate_relations(m, empty).satisfied and evaluate_relations(m, empty).families == ()
+    assert evaluate_relations(m, empty).satisfied and evaluate_relations(m, empty).table.families == ()
 
 
 def test_a_table_of_the_other_kind_is_rejected():
@@ -355,7 +333,7 @@ def test_check_builds_relations_only_for_violations(tmp_path, capsys, text, spec
     # the report is written from the table's columns at the violated rows;
     # a symmetric input reports none, a generic one some
     band = 200
-    cases = [(_symmetric(spec, 7, band), True), (_generic(spec, 7, band, 1.0), False)]
+    cases = [(symmetric_symbol(spec, 7, band, 0.8), True), (_generic(spec, 7, band, 1.0), False)]
     for symbol, symmetric in cases:
         path = tmp_path / "symbol.json"
         path.write_text(json.dumps(symbol.to_json()))

@@ -18,14 +18,9 @@ import pathlib
 import pytest
 
 from toepsym.cli import main, parse_spec_text
-from toepsym.conditions import (
-    IFF,
-    project_to_raw,
-    random_block_hadamard_symmetric,
-    random_block_mixed_symmetric,
-)
-from toepsym.conjugations import BlockHadamard
-from toepsym.symbols import project_to_conditions, random_matrix_symbol, random_symbol
+from toepsym.symbols import random_matrix_symbol, random_symbol
+
+from solution_sets import symmetric_symbol
 
 DIGEST_FILE = pathlib.Path(__file__).parent / "golden" / "report_digests.json"
 
@@ -41,13 +36,7 @@ def _symbol(text: str, kind: str):
     spec = parse_spec_text(text)
     if kind == "dense":
         return (random_matrix_symbol if spec.is_block else random_symbol)(SEED, BAND, 1.0)
-    if spec.is_block:
-        sampler = (random_block_hadamard_symmetric if isinstance(spec, BlockHadamard)
-                   else random_block_mixed_symmetric)
-        return sampler(SEED, BAND)
-    if spec.characterization == IFF:
-        return project_to_conditions(random_symbol(SEED, BAND, 0.8), spec)
-    return project_to_raw(random_symbol(SEED, BAND, 0.8), spec, BAND)
+    return symmetric_symbol(spec, SEED, BAND, 0.8)
 
 
 CASES = {f"{text}/{kind}": (text, kind) for text in SPECS for kind in ("dense", "symmetric")}

@@ -26,7 +26,7 @@ class TestParse:
     def test_cancellation_dropped(self):
         sym = parse_symbol("(1+2i) z^3 + (-1-2i) z^3")
         assert sym.is_zero
-        assert sym.support == ()
+        assert sorted(sym.coeffs) == []
 
     def test_coefficient_forms(self):
         assert parse_symbol("2.5 z").coeffs == {1: 2.5 + 0j}
@@ -85,10 +85,10 @@ class TestParse:
 
 class TestCanonicalForm:
     def test_exact_zeros_dropped(self):
-        assert LaurentSymbol({3: 0.0, -1: 0j, 0: 2}).support == (0,)
+        assert sorted(LaurentSymbol({3: 0.0, -1: 0j, 0: 2}).coeffs) == [0]
 
     def test_bandwidth_zero_symbol(self):
-        assert LaurentSymbol.zero().bandwidth == 0
+        assert LaurentSymbol().bandwidth == 0
 
     def test_arithmetic(self):
         a = LaurentSymbol({0: 1, 2: 1j})
@@ -106,7 +106,7 @@ class TestCanonicalForm:
 class TestRandomSymbol:
     def test_band_zero_is_constant(self):
         sym = random_symbol(5, 0, 1.0)
-        assert sym.support == (0,)
+        assert sorted(sym.coeffs) == [0]
 
     def test_determinism(self):
         assert random_symbol(42, 5, 0.5) == random_symbol(42, 5, 0.5)
@@ -114,7 +114,7 @@ class TestRandomSymbol:
 
     def test_full_density_full_support(self):
         sym = random_symbol(7, 5, 1.0)
-        assert sym.support == tuple(range(-5, 6))
+        assert sorted(sym.coeffs) == list(range(-5, 6))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestProjection:
         assert out.coeffs == {2: 2 + 0j, -2: 2 + 0j}
 
     def test_zero_symbol(self):
-        assert project_to_conditions(LaurentSymbol.zero(), Reversal(3)).is_zero
+        assert project_to_conditions(LaurentSymbol(), Reversal(3)).is_zero
 
     @pytest.mark.parametrize("spec", [Reversal(1), Reversal(3), Transposition(4, 0, 2),
                                       MuLambda(1.0, 1j)])
@@ -193,7 +193,7 @@ class TestSerialization:
         assert parse_symbol(sym.to_text()) == sym
 
     def test_zero_text(self):
-        assert LaurentSymbol.zero().to_text() == "0"
+        assert LaurentSymbol().to_text() == "0"
         assert parse_symbol("0").to_text() == "0"
 
     def test_json_round_trip(self):
@@ -238,8 +238,8 @@ class TestSerialization:
 
 class TestMatrixSymbol:
     def test_bandwidth_is_max(self):
-        m = MatrixSymbol(LaurentSymbol({5: 1}), LaurentSymbol.zero(),
-                         LaurentSymbol({-2: 1}), LaurentSymbol.zero())
+        m = MatrixSymbol(LaurentSymbol({5: 1}), LaurentSymbol(),
+                         LaurentSymbol({-2: 1}), LaurentSymbol())
         assert m.bandwidth == 5
 
 

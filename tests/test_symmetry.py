@@ -5,13 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from toepsym.conditions import (
-    project_to_raw,
-    random_block_hadamard_symmetric,
-    random_block_mixed_symmetric,
-)
 from toepsym.conjugations import (
-    IFF,
     AntilinearOperator,
     BlockHadamard,
     BlockMixed,
@@ -30,8 +24,12 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym import symmetry
-from toepsym.symmetry import is_c_symmetric, report_to_json, residual
+from toepsym.symmetry import SYMMETRY_TOL, is_c_symmetric, report_to_json, residual
 from toepsym.toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
+
+from solution_sets import symmetric_symbol
+
+ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
 
 
 class TestResidual:
@@ -44,7 +42,7 @@ class TestResidual:
 
     def test_block_multiple_of_identity(self):
         c0 = LaurentSymbol({0: 2.5 + 0.5j})
-        zero = LaurentSymbol.zero()
+        zero = LaurentSymbol()
         m = MatrixSymbol(c0, zero, zero, c0)
         for spec in (BlockHadamard(), BlockMixed()):
             t = block_truncate(m, 8)
@@ -71,18 +69,18 @@ class TestResidual:
         with pytest.raises(ValueError, match="shape mismatch"):
             residual(t, truncated_matrix(BlockHadamard(), 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            residual(block_truncate(MatrixSymbol.zero(), 4), truncated_matrix(Reversal(2), 8))
+            residual(block_truncate(ZERO_BLOCK, 4), truncated_matrix(Reversal(2), 8))
 
 
 class TestIsCSymmetric:
     def test_zero_symbol_symmetric(self):
         for spec in (Reversal(3), Transposition(4, 0, 2), MuLambda(1.0, 1j)):
-            report = is_c_symmetric(LaurentSymbol.zero(), spec)
+            report = is_c_symmetric(LaurentSymbol(), spec)
             assert report.symmetric and report.residual == 0.0
 
     def test_zero_matrix_symbol_symmetric(self):
         for spec in (BlockHadamard(), BlockMixed()):
-            assert is_c_symmetric(MatrixSymbol.zero(), spec).symmetric
+            assert is_c_symmetric(ZERO_BLOCK, spec).symmetric
 
     def test_twist_family_instance(self):
         report = is_c_symmetric(parse_symbol("z + z^-1"), MuLambda(1.0, 1.0))
@@ -90,7 +88,7 @@ class TestIsCSymmetric:
 
     def test_block_diagonal_even_symbol(self):
         s = parse_symbol("z^2 + z^-2")
-        zero = LaurentSymbol.zero()
+        zero = LaurentSymbol()
         assert is_c_symmetric(MatrixSymbol(s, zero, zero, s), BlockHadamard()).symmetric
 
     def test_verdict_matches_tolerance(self):
@@ -102,7 +100,7 @@ class TestIsCSymmetric:
         with pytest.raises(ValueError):
             is_c_symmetric(parse_symbol("z"), BlockHadamard())
         with pytest.raises(ValueError):
-            is_c_symmetric(MatrixSymbol.zero(), Reversal(2))
+            is_c_symmetric(ZERO_BLOCK, Reversal(2))
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -115,8 +113,8 @@ class TestIsCSymmetric:
             is_c_symmetric(parse_symbol("z^2 + z^-2"), Reversal(2), tol=tol)
 
     def test_explicit_order(self):
-        report = is_c_symmetric(parse_symbol("z^2 + z^-2"), Reversal(2), order=20)
-        assert report.order == 20 and report.symmetric
+        t = truncate(parse_symbol("z^2 + z^-2"), 20)
+        assert residual(t, truncated_matrix(Reversal(2), 20)) <= SYMMETRY_TOL
 
     def test_uses_min_truncation(self):
         report = is_c_symmetric(parse_symbol("z^3"), Reversal(2))
@@ -149,16 +147,18 @@ class TestProperties:
             sym = random_symbol(seed, 5, 0.6)
             for spec in (Reversal(2), Transposition(3, 0, 2), MuLambda(1.0, 1j)):
                 base = is_c_symmetric(sym, spec)
-                doubled = is_c_symmetric(sym, spec, order=2 * base.order)
-                assert base.symmetric == doubled.symmetric
+                n = 2 * base.order
+                doubled = residual(truncate(sym, n), truncated_matrix(spec, n))
+                assert base.symmetric == (doubled <= SYMMETRY_TOL)
 
     def test_block_truncation_stability_spot(self):
         for seed in range(6):
             msym = random_matrix_symbol(seed, 4, 0.6)
             for spec in (BlockHadamard(), BlockMixed()):
                 base = is_c_symmetric(msym, spec)
-                doubled = is_c_symmetric(msym, spec, order=2 * base.order)
-                assert base.symmetric == doubled.symmetric
+                n = 2 * base.order
+                doubled = residual(block_truncate(msym, n), truncated_matrix(spec, n))
+                assert base.symmetric == (doubled <= SYMMETRY_TOL)
 
 
 SIX_FAMILIES = [GeneralPermutation(3, (2, 1, 0)), Transposition(5, 1, 3), Reversal(2),
@@ -229,17 +229,6 @@ class TestScaledResidual:
 PERMUTATION_FAMILIES = {"general", "transposition", "reversal"}
 
 
-def _symmetric_symbol(spec, seed, band):
-    if isinstance(spec, BlockHadamard):
-        return random_block_hadamard_symmetric(seed, band)
-    if isinstance(spec, BlockMixed):
-        return random_block_mixed_symmetric(seed, band)
-    symbol = random_symbol(seed, band, 0.5)
-    if spec.characterization == IFF:
-        return project_to_conditions(symbol, spec)
-    return project_to_raw(symbol, spec, band)
-
-
 def _generic_symbol(spec, seed, band):
     return random_matrix_symbol(seed, band, 0.5) if spec.is_block else random_symbol(seed, band, 0.5)
 
@@ -259,11 +248,11 @@ class TestStructuredResidual:
     def test_matches_dense_product(self, spec, band):
         n = min_truncation(band, spec)
         c = truncated_matrix(spec, n)
-        for make in (_symmetric_symbol, _generic_symbol):
-            base = make(spec, 5, band)
+        for symmetric, base in ((True, symmetric_symbol(spec, 5, band, 0.5)),
+                                (False, _generic_symbol(spec, 5, band))):
             # closed-form symmetric symbols of the permutation families have
             # equal coefficients where the relations say so: exact zero
-            exact = make is _symmetric_symbol and spec.name in PERMUTATION_FAMILIES
+            exact = symmetric and spec.name in PERMUTATION_FAMILIES
             dense = {f: _unscaled_residual(_truncation(_scaled(base, f), spec, n), c)
                      for f in (1.0, 3e5, 1e-3)}
             # the dense products overflow at 2**900; the scaling is exact, so
@@ -280,7 +269,7 @@ class TestStructuredResidual:
         monkeypatch.setattr(AntilinearOperator, "matrix", property(refuse))
         monkeypatch.setattr(TruncatedToeplitz, "data", property(refuse))
         for spec in SIX_FAMILIES:
-            assert is_c_symmetric(_symmetric_symbol(spec, 2, 6), spec).symmetric
+            assert is_c_symmetric(symmetric_symbol(spec, 2, 6, 0.5), spec).symmetric
             assert not is_c_symmetric(_generic_symbol(spec, 2, 6), spec).symmetric
 
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
