@@ -32,7 +32,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -178,10 +177,9 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, table: RelationTabl
     Python's complex arithmetic and ``math.hypot``, row by row.
     """
     block = isinstance(symbol, MatrixSymbol)
-    coeffs = [entry.coeffs for entry in (symbol.entries if block else (symbol,))]
-    sizes = [len(c) for c in coeffs]
-    keys = np.fromiter(chain.from_iterable(coeffs), np.int64, sum(sizes))
-    values = np.fromiter(chain.from_iterable(c.values() for c in coeffs), complex, sum(sizes))
+    entries = symbol.entries if block else (symbol,)
+    keys = np.concatenate([entry.exponents for entry in entries])
+    values = np.concatenate([entry.values for entry in entries])
     # hypot throughout, as a sum of squares overflows and complex abs raises
     # OverflowError; an infinite norm would pass every relation
     norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
@@ -195,8 +193,9 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, table: RelationTabl
     # below the support to one above it
     lo, hi = (int(np.minimum.reduce(keys)) - 1, int(np.maximum.reduce(keys)) + 1) \
         if keys.size else (0, 0)
-    grid = np.zeros((len(coeffs), hi - lo + 1), dtype=complex)
-    grid[np.repeat(np.arange(len(coeffs)), sizes), keys - lo] = values
+    grid = np.zeros((len(entries), hi - lo + 1), dtype=complex)
+    grid[np.repeat(np.arange(len(entries)), [entry.values.size for entry in entries]),
+         keys - lo] = values
     # Python's float arithmetic: overflow gives inf or nan, silently
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, value = _read(grid, lo, table.component, table.index, block)
@@ -331,8 +330,6 @@ def _period_conditions(p: int, band: int) -> RelationTable:
 
 def _twist_relations(lam: complex, band: int) -> RelationTable:
     """The twist-family condition ``c_(-n) = c_n * lam**n`` for every ``n``."""
-    # normalized as MuLambda does; a spec's lam may move by an ulp (reports pin it)
-    lam = MuLambda(1.0, lam).lam
     n = np.arange(1, band + 1)
     # Python's powers: numpy's complex power rounds differently
     scale = np.array([lam**k for k in n.tolist()], dtype=complex)
@@ -519,8 +516,8 @@ def random_block_hadamard_symmetric(seed: int, max_band: int,
     sum12 = project_to_conditions(random_symbol(s1, max_band, density), Reversal(2))
     diff34 = project_to_conditions(random_symbol(s2, max_band, density), Reversal(2))
     raw = random_symbol(s3, max_band, density)
-    diff12 = LaurentSymbol({k: v for k, v in raw.coeffs.items() if k % 2 == 0})
-    sum34 = LaurentSymbol({-k: v for k, v in diff12.coeffs.items()})
+    diff12 = LaurentSymbol({k: v for k, v in raw.items() if k % 2 == 0})
+    sum34 = LaurentSymbol({-k: v for k, v in diff12.items()})
     phi1 = (sum12 + diff12) * 0.5
     phi2 = (sum12 - diff12) * 0.5
     phi3 = (sum34 + diff34) * 0.5
@@ -595,19 +592,13 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> Laur
     """
     if spec.sigma is None:
         raise ValueError("raw projection applies to residue-permutation families only")
-    coeffs = dict(sym.coeffs)
-    out: dict[int, complex] = {k: v for k, v in coeffs.items() if abs(k) <= band}
+    # the components cover the band: every residue pairs with every other in some cell
+    coeffs, out = sym.coeffs, {}
     for members, forced_zero in _raw_components(spec, band)[1]:
         inside = [m for m in members if abs(m) <= band]
-        if not inside:
-            continue
-        if forced_zero:
-            for m in inside:
-                out.pop(m, None)
-            continue
-        mean = sum(coeffs.get(m, 0j) for m in inside) / len(inside)
-        for m in inside:
-            out[m] = mean
+        if inside and not forced_zero:
+            mean = sum(coeffs.get(m, 0j) for m in inside) / len(inside)
+            out.update(dict.fromkeys(inside, mean))
     return LaurentSymbol(out)
 
 

@@ -1,16 +1,19 @@
 """Laurent-polynomial symbols with finite Fourier support.
 
 A symbol is a finite sum ``sum_k c_k z^k`` with integer exponents of either
-sign, stored sparsely as ``{k: c_k}``.  The canonical form never stores an
-exactly-zero coefficient, so support and bandwidth are well defined.  All
-instances are immutable after construction.
+sign, stored as two read-only arrays: the exponents ``k`` (``int64``,
+ascending) and their coefficients ``c_k`` (``complex128``).  The canonical
+form never stores an exactly-zero coefficient, so support and bandwidth are
+well defined; a ``-0.0`` part is kept.  All instances are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -46,91 +49,100 @@ def complex_from_pair(pair) -> complex:
     raise ValueError(f"expected a finite [re, im] pair of JSON numbers, got {pair!r}")
 
 
-def _canonical(coeffs: Mapping[int, complex]) -> dict[int, complex]:
-    out: dict[int, complex] = {}
-    for k, v in coeffs.items():
-        k = int(k)
-        if abs(k) > MAX_EXPONENT:
-            raise ValueError(f"exponent {k} out of range")
-        c = complex(v)
-        if c != 0:
-            out[k] = c
-    return out
+def _exponents(keys: list[int]) -> np.ndarray:
+    if keys and max(-min(keys), max(keys)) > MAX_EXPONENT:
+        raise ValueError(f"exponent {max(keys, key=abs)} out of range")
+    return np.fromiter(keys, np.int64, len(keys))
 
 
 class LaurentSymbol:
-    """Immutable finitely supported map ``k -> coefficient``."""
+    """Immutable finitely supported map ``k -> coefficient``, held as the
+    read-only arrays ``exponents`` (ascending) and ``values``."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("exponents", "values")
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None):
-        object.__setattr__(self, "_coeffs", _canonical(coeffs or {}))
+        coeffs = coeffs or {}
+        keys = sorted(coeffs)
+        self._set(_exponents(keys), np.fromiter(map(coeffs.__getitem__, keys), complex, len(keys)))
+
+    def _set(self, exponents: np.ndarray, values: np.ndarray) -> "LaurentSymbol":
+        """Freeze and hold ascending distinct ``exponents``, ``values`` less exact zeros."""
+        if np.count_nonzero(values) < values.size:
+            keep = values != 0
+            exponents, values = exponents[keep], values[keep]
+        for name, array in (("exponents", exponents), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        return self
+
+    @classmethod
+    def _of(cls, exponents: np.ndarray, values: np.ndarray) -> "LaurentSymbol":
+        return object.__new__(cls)._set(exponents, values)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSymbol is immutable")
 
     def coeff(self, k: int) -> complex:
-        return self._coeffs.get(k, 0j)
+        at = self.exponents.searchsorted(k)
+        return self.values[at].item() if at < self.values.size and self.exponents[at] == k else 0j
 
     @property
     def coeffs(self) -> dict[int, complex]:
-        return dict(self._coeffs)
+        return dict(self.items())
 
     @property
     def bandwidth(self) -> int:
-        if not self._coeffs:
-            return 0
-        return max(abs(k) for k in self._coeffs)
+        return int(max(-self.exponents[0], self.exponents[-1])) if self.exponents.size else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.values.size
 
     def items(self) -> Iterator[tuple[int, complex]]:
-        return iter(sorted(self._coeffs.items()))
+        return zip(self.exponents.tolist(), self.values.tolist())
 
     def __add__(self, other: "LaurentSymbol") -> "LaurentSymbol":
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0j) + v
-        return LaurentSymbol(out)
+        # a coefficient of other alone is 0j + v, so its -0.0 parts turn +0.0
+        exponents = np.union1d(self.exponents, other.exponents)
+        values = np.zeros(exponents.size, dtype=complex)
+        values[exponents.searchsorted(self.exponents)] = self.values
+        values[exponents.searchsorted(other.exponents)] += other.values
+        return LaurentSymbol._of(exponents, values)
 
     def __sub__(self, other: "LaurentSymbol") -> "LaurentSymbol":
         return self + (-other)
 
     def __neg__(self) -> "LaurentSymbol":
-        return LaurentSymbol({k: -v for k, v in self._coeffs.items()})
+        return LaurentSymbol._of(self.exponents, -self.values)
 
     def __mul__(self, scalar: complex) -> "LaurentSymbol":
-        return LaurentSymbol({k: v * scalar for k, v in self._coeffs.items()})
+        # Python's complex product: numpy's may round differently
+        values = np.array([v * scalar for v in self.values.tolist()], dtype=complex)
+        return LaurentSymbol._of(self.exponents, values)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSymbol):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._coeffs.items(), key=lambda kv: kv[0])))
+        return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
-        return f"LaurentSymbol({self._coeffs!r})"
+        return f"LaurentSymbol({self.coeffs!r})"
 
     def to_text(self) -> str:
         """Exact textual form; :func:`parse_symbol` round-trips it."""
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self._coeffs):
-            c = self._coeffs[k]
-            sign = "+" if c.imag >= 0 else "-"
-            coeff = f"({c.real!r}{sign}{abs(c.imag)!r}i)"
-            parts.append(coeff if k == 0 else f"{coeff} z^{k}")
-        return " + ".join(parts)
+        terms = (f"({c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}i)"
+                 + (f" z^{k}" if k else "") for k, c in self.items())
+        return " + ".join(terms) or "0"
 
     def to_json(self) -> dict[str, list[float]]:
-        return {str(k): complex_to_pair(self._coeffs[k]) for k in sorted(self._coeffs)}
+        return dict(zip(map(str, self.exponents.tolist()),
+                        self.values.view(float).reshape(-1, 2).tolist()))
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Iterable[float]]) -> "LaurentSymbol":
@@ -138,16 +150,25 @@ class LaurentSymbol:
         sign ``+``, spaces, ``_`` or leading zeros, and parts are JSON numbers."""
         if not isinstance(obj, Mapping):
             raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
-        coeffs = {}
-        for key, pair in obj.items():
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                k = None
-            if str(k) != key:
-                raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
-            coeffs[k] = complex_from_pair(pair)
-        return cls(coeffs)
+        keys, pairs, exponents = list(obj), list(obj.values()), []
+        with suppress(TypeError, ValueError):  # extend keeps what int() read before failing
+            exponents.extend(map(int, keys))
+        if list(map(str, exponents)) != keys:
+            bad = [k for k, t in zip(keys, map(str, exponents)) if k != t] + keys[len(exponents):]
+            raise ValueError(f"symbol JSON key {bad[0]!r} is not a canonical decimal integer")
+        # complex_from_pair's checks, each over every pair at once
+        parts = None
+        if all(map(isinstance, pairs, repeat((list, tuple)))) and set(map(len, pairs)) <= {2}:
+            flat = list(chain.from_iterable(pairs))
+            if set(map(type, flat)) <= {int, float}:
+                with suppress(OverflowError):  # an int past float range
+                    parts = np.array(flat, dtype=float)
+        if parts is None or not np.isfinite(parts).all():
+            for pair in pairs:  # raises for the first bad pair
+                complex_from_pair(pair)
+        exponents = _exponents(exponents)
+        order = exponents.argsort()
+        return cls._of(exponents[order], parts.view(complex)[order])
 
 
 class MatrixSymbol:
@@ -371,6 +392,6 @@ def project_to_conditions(sym: LaurentSymbol, spec) -> LaurentSymbol:
         out = {k: v for k, v in sym.items() if k >= 0}
         out.update({-k: v * spec.lam**k for k, v in sym.items() if k > 0})
         return LaurentSymbol(out)
-    multiples = range(0, sym.bandwidth + 1, spec.period)
-    return LaurentSymbol({s * k: (sym.coeff(k) + sym.coeff(-k)) / 2
+    coeffs, multiples = sym.coeffs, range(0, sym.bandwidth + 1, spec.period)
+    return LaurentSymbol({s * k: (coeffs.get(k, 0j) + coeffs.get(-k, 0j)) / 2
                           for k in multiples for s in (1, -1)})

@@ -23,6 +23,9 @@ from .symbols import LaurentSymbol, MatrixSymbol
 from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
 SYMMETRY_TOL = 1e-10
+# the residual's allocation, per entry of its strips: their int64 columns (48 bytes),
+# about 40 per grid block and 40 per term (the complex term, its value and index)
+RESIDUAL_BUDGET_BYTES = 1 << 28
 
 SYMMETRIC = "symmetric"
 NOT_SYMMETRIC = "not_symmetric"
@@ -98,7 +101,8 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     """Build the truncation pair for ``symbol`` under ``spec``, of order
     :func:`min_truncation` of the symbol's bandwidth, and report the residual
     verdict.  Block specs require a :class:`MatrixSymbol` and scalar specs a
-    :class:`LaurentSymbol`.
+    :class:`LaurentSymbol`.  An order whose residual would pass
+    ``RESIDUAL_BUDGET_BYTES`` raises ``ValueError`` before any allocation.
     """
     if not 0 < tol < math.inf:  # also false for NaN
         raise ValueError("tol must be finite and positive")
@@ -106,7 +110,10 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     if block != isinstance(symbol, MatrixSymbol):
         kind = "matrix" if block else "scalar"
         raise ValueError(f"spec {spec!r} requires a {kind} symbol")
-    n = min_truncation(symbol.bandwidth, spec)
+    n, p, g = min_truncation(symbol.bandwidth, spec), spec.period, 2 if block else 1
+    need = (48 + 40 * g**2 + 40 * g**4) * p * (2 * n - p)  # p * (2n - p) strip entries
+    if need > RESIDUAL_BUDGET_BYTES:
+        raise ValueError(f"the residual at order {n} needs {need >> 20} MiB, over its budget")
     t = block_truncate(symbol, n) if block else truncate(symbol, n)
     c = truncated_matrix(spec, n)
     r = residual(t, c)

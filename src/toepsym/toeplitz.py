@@ -40,8 +40,8 @@ class TruncatedToeplitz:
         n = self.order
         out = np.zeros((len(self.entries), 2 * n - 1), dtype=complex)
         for row, sym in zip(out, self.entries):
-            coeffs = {k: c for k, c in sym.coeffs.items() if abs(k) < n}
-            row[np.fromiter(coeffs, int, len(coeffs)) + (n - 1)] = list(coeffs.values())
+            inside = slice(*sym.exponents.searchsorted((1 - n, n)))
+            row[sym.exponents[inside] + (n - 1)] = sym.values[inside]
         out.setflags(write=False)
         return out
 

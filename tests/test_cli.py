@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toepsym.cli as cli
+import toepsym.symmetry as symmetry
 from toepsym.cli import main, parse_spec_text
 from toepsym.conjugations import (
     FAMILIES,
@@ -377,6 +378,7 @@ class TestInputValidation:
         ("--symbol-file", '{"2_0": [1, 0]}', "--spec", "reversal:2"),
         ("--symbol-file", '{" 2": [1, 0]}', "--spec", "reversal:2"),
         ("--symbol-file", '{"2": [1%s, 0]}' % ("0" * 400), "--spec", "reversal:2"),
+        ("--symbol-file", '{"None": [1, 0]}', "--spec", "reversal:2"),
         ("--symbol", "z", "--spec-file",
          '{"family": "mulambda", "mu": [true, false], "lambda": [0.6, 0.8]}'),
         ("--symbol", "z", "--spec-file",
@@ -387,6 +389,7 @@ class TestInputValidation:
          '{"family": "mulambda", "mu": [1, 0], "lambda": [0.6]}'),
     ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "scalar-mu",
             "bool-parts", "string-parts", "underscore-key", "spaced-key", "int-past-float-range",
+            "none-key",
             "bool-spec-parts", "string-spec-parts", "long-spec-pair", "short-spec-pair"])
     def test_malformed_json_exit_three(self, capsys, tmp_path, argv):
         argv = _materialize(tmp_path, argv)
@@ -473,6 +476,24 @@ class TestHugeBand:
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
         assert payload["agree"] is True
         assert payload["oracle"]["n"] == 40008
+
+
+class TestResidualBudget:
+    """An order whose residual arrays would pass the budget exits 3 before
+    the truncation, the operator or the residual is built."""
+
+    @pytest.mark.parametrize("symbol, spec", [
+        ("z^1000000;0;0;0", "block_c"),
+        ("1", "general:2000:" + ",".join(map(str, range(2000)))),
+    ], ids=["block_c-band-1e6", "general-period-2000"])
+    def test_exits_three_without_allocating(self, capsys, monkeypatch, symbol, spec):
+        def refuse(*args):
+            raise AssertionError("the budget check came too late")
+        for name in ("truncate", "block_truncate", "truncated_matrix", "residual"):
+            monkeypatch.setattr(symmetry, name, refuse)
+        code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", spec)
+        assert (code, out) == (3, "")
+        assert "over its budget" in err
 
 
 def _module_env(**extra):

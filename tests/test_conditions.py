@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import toepsym.conditions as conditions
+from toepsym.cli import parse_spec_text
 from toepsym.conditions import (
     IFF,
     NECESSARY_ONLY,
@@ -207,6 +208,14 @@ class TestMuLambdaChecker:
             sym = random_symbol(seed, 6, 0.5)
             assert (condition_reports(sym, MuLambda(1.0, 1.0))[0].satisfied
                     == condition_reports(sym, Reversal(1))[0].satisfied)
+
+    def test_table_reads_the_spec_lambda(self):
+        # normalizing this lam a second time moves it by an ulp
+        spec = parse_spec_text("mulambda:1,0:0.6000000000002,0.8")
+        assert MuLambda(1.0, spec.lam).lam != spec.lam
+        table = condition_reports(random_symbol(3, 8, 1.0), spec)[0].table
+        assert [complex(s) for s in table.rhs_scale.tolist()] == \
+            [spec.lam**n for n in table.index[1].tolist()]
 
 
 class TestBlockHadamardChecker:

@@ -83,7 +83,8 @@ def _digest(tables) -> str:
 ENUMERATORS = {
     "period": lambda: [conditions._period_conditions(p, band)
                        for p in range(1, 7) for band in BANDS],
-    "mu_lambda": lambda: [conditions._twist_relations(lam, band)
+    # condition_reports passes the spec's normalized lam
+    "mu_lambda": lambda: [conditions._twist_relations(MuLambda(1.0, lam).lam, band)
                           for lam in LAMBDAS for band in BANDS],
     "raw_general": lambda: [raw_relations_general(p, sigma, band)
                             for p, sigma in GENERAL for band in BANDS],

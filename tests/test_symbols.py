@@ -1,12 +1,17 @@
+import json
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toepsym.symbols import (
+    MAX_EXPONENT,
     LaurentSymbol,
     MatrixSymbol,
     SymbolSyntaxError,
+    complex_from_pair,
     parse_symbol,
     project_to_conditions,
     random_matrix_symbol,
@@ -97,10 +102,23 @@ class TestCanonicalForm:
         assert (a - a).is_zero
         assert (2 * a).coeff(2) == 2j
 
+    def test_sum_reads_a_right_operand_coefficient_from_0j(self):
+        a = LaurentSymbol({1: complex(-0.0, 1.0)})
+        b = LaurentSymbol({2: complex(-0.0, 2.0)})
+        assert [repr(c) for c in (a + b).coeffs.values()] == ["(-0+1j)", "2j"]
+        assert [repr(c) for c in (b + a).coeffs.values()] == ["1j", "(-0+2j)"]
+
     def test_immutability(self):
         sym = LaurentSymbol({1: 1})
         with pytest.raises(AttributeError):
             sym._coeffs = {}
+
+    def test_arrays_are_read_only(self):
+        a = LaurentSymbol.from_json({"2": [1, 0], "-1": [0.5, -0.0]})
+        for sym in (a, LaurentSymbol({0: 1j}), a + a, -a, 2 * a):
+            assert not sym.exponents.flags.writeable and not sym.values.flags.writeable
+        with pytest.raises(ValueError):
+            a.values[0] = 0
 
 
 class TestRandomSymbol:
@@ -282,3 +300,126 @@ def test_parse_returns_a_symbol_or_a_syntax_error(text):
         assert 0 <= err.offset <= len(text)
     else:
         assert isinstance(sym, LaurentSymbol)
+
+
+def _reference_from_json(obj):
+    """The per-pair decoder that the array codec replaced, kept as its
+    reference: each key read back through ``int`` and ``str``, each pair
+    through ``complex_from_pair``, then the exponent range checked and exact
+    zeros dropped, entry by entry."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
+    coeffs = {}
+    for key, pair in obj.items():
+        try:
+            k = int(key)
+        except (TypeError, ValueError):
+            k = None
+        if str(k) != key:
+            raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
+        coeffs[k] = complex_from_pair(pair)
+    out = {}
+    for k, c in coeffs.items():
+        k = int(k)  # the key "None" got this far, and raised TypeError here
+        if abs(k) > MAX_EXPONENT:
+            raise ValueError(f"exponent {k} out of range")
+        if c != 0:
+            out[k] = c
+    return dict(sorted(out.items()))
+
+
+def _reference_matrix_from_json(obj):
+    if not isinstance(obj, Mapping):
+        raise ValueError("matrix symbol JSON must be an object with keys phi1..phi4")
+    try:
+        return [_reference_from_json(obj[f"phi{i}"]) for i in (1, 2, 3, 4)]
+    except KeyError as exc:
+        raise ValueError(f"matrix symbol JSON missing entry {exc.args[0]!r}") from exc
+
+
+_VALID_KEYS = st.integers(-MAX_EXPONENT, MAX_EXPONENT).map(str)
+_KEYS = st.one_of(
+    _VALID_KEYS,
+    st.sampled_from([MAX_EXPONENT + 1, -MAX_EXPONENT - 1, MAX_EXPONENT, -MAX_EXPONENT]).map(str),
+    st.integers(-3, 3),  # an int, not a string
+    st.sampled_from(["+1", "01", "-0", " 1", "1 ", "1_0", "١", "1e3", "None", "", "0x1"]),
+    st.from_regex(r"-?[1-9][0-9]{29}", fullmatch=True),
+    st.text(max_size=3),
+)
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-(2**60), 2**60), st.sampled_from([0, -0.0]))
+_NUMBERS = st.one_of(
+    st.floats(),  # NaN, +-inf and -0.0 among them
+    st.integers(),
+    st.integers(2**1022, 2**1025).map(lambda n: n * (-1) ** n),  # about the float range
+    st.sampled_from([0, -0.0, 10**400, -(10**400), float("nan"), float("inf"), -float("inf")]),
+)
+_PARTS = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=2),
+                   st.lists(_FINITE, max_size=2))
+_VALID_PAIRS = st.lists(_FINITE, min_size=2, max_size=2)
+_VALUES = st.one_of(
+    st.lists(_NUMBERS, min_size=2, max_size=2),
+    st.one_of(st.lists(_PARTS, min_size=2, max_size=2), st.tuples(_PARTS, _PARTS)),
+    st.lists(_FINITE, max_size=3).filter(lambda pair: len(pair) != 2),
+    st.dictionaries(_FINITE, _FINITE, min_size=2, max_size=2),
+    st.one_of(st.booleans(), st.none(), st.text(max_size=3), _NUMBERS),
+)
+_VALID_ENTRIES = st.dictionaries(_VALID_KEYS, _VALID_PAIRS, max_size=6)
+
+
+def _merged(entries: dict, more: dict) -> dict:
+    return {**entries, **more}
+
+
+_ENTRIES = st.one_of(
+    _VALID_ENTRIES,
+    st.builds(_merged, _VALID_ENTRIES,
+              st.dictionaries(_KEYS, _VALID_PAIRS, min_size=1, max_size=2)),
+    st.builds(_merged, _VALID_ENTRIES,
+              st.dictionaries(_VALID_KEYS, _VALUES, min_size=1, max_size=2)),
+    st.dictionaries(_KEYS, _VALUES, max_size=4),
+    st.one_of(st.lists(_VALID_PAIRS, max_size=2), st.none(), st.text(max_size=2)),  # no object
+)
+
+
+def _decoded(decode, obj):
+    """``decode(obj)``, or ``"rejected"`` when it raises; the reference's
+    ``TypeError`` counts as a rejection (the program raises ``ValueError``)."""
+    try:
+        return decode(obj)
+    except (TypeError, ValueError):
+        return "rejected"
+
+
+def _assert_matches(sym: LaurentSymbol, reference: dict):
+    assert sym.exponents.tolist() == list(reference)
+    assert [repr(v) for v in sym.values.tolist()] == [repr(v) for v in reference.values()]
+    assert json.dumps(sym.to_json()) == json.dumps(
+        {str(k): [v.real, v.imag] for k, v in reference.items()})
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ENTRIES)
+def test_json_decoder_matches_the_per_pair_reference(obj):
+    reference = _decoded(_reference_from_json, obj)
+    if reference == "rejected":
+        with pytest.raises(ValueError):
+            LaurentSymbol.from_json(obj)
+    else:
+        _assert_matches(LaurentSymbol.from_json(obj), reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.fixed_dictionaries({f"phi{i}": _ENTRIES for i in (1, 2, 3, 4)}),
+    st.fixed_dictionaries({f"phi{i}": _VALID_ENTRIES for i in (1, 2, 3, 4)}),
+    st.dictionaries(st.sampled_from(["phi1", "phi2", "phi3", "phi4", "phi5"]), _VALID_ENTRIES),
+    st.lists(_VALID_ENTRIES, max_size=4)))
+def test_matrix_json_decoder_matches_the_per_pair_reference(obj):
+    reference = _decoded(_reference_matrix_from_json, obj)
+    if reference == "rejected":
+        with pytest.raises(ValueError):
+            MatrixSymbol.from_json(obj)
+    else:
+        for sym, entry in zip(MatrixSymbol.from_json(obj).entries, reference, strict=True):
+            _assert_matches(sym, entry)

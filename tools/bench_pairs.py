@@ -1,0 +1,111 @@
+"""Run the benchmark on two revisions in alternated pairs and write the runs to JSON.
+
+    python3 tools/bench_pairs.py --base 595fd5a --head HEAD --seed 201 \
+        --out BENCH_14.json
+
+Each revision is extracted with ``git archive`` into its own temporary
+directory, and ``perfbench/run.py`` runs every workload there for 20 s, one
+revision at a time, in 10 pairs.  Pair ``i`` runs both revisions at seed
+``--seed + i``, the base first when ``i`` is even and the head first when it
+is odd.  For every end-to-end metric that the head's ``BENCHMARK.json`` lists,
+on every workload, the file holds each run, each side's median and quartiles,
+and the number of pairs the head won (a tie counts for neither side), beside
+each run's ``failed`` and ``correct``.
+
+To measure uncommitted work, stage it and pass the commit that
+``git stash create`` prints as ``--head``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("base", "head")
+PAIRS = 10
+SECONDS = 20.0
+
+
+def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, **kwargs)
+
+
+def extract(rev: str, into: str):
+    archive = git("archive", rev).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def run(tree: str, seed: int) -> dict:
+    """``perfbench/run.py``'s result for each workload, by name."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
+                           "--seed", str(seed), "--seconds", str(SECONDS)],
+                          cwd=tree, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(metric: dict, runs: dict[str, list[dict]], workload: str) -> dict:
+    name = metric["name"]
+    values = {side: [r[workload]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+    sign = 1 if metric["better"] == "higher" else -1
+    out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+           "head_wins": sum(sign * (h - b) > 0 for b, h in zip(values["base"], values["head"]))}
+    for side in SIDES:
+        q1, _, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+        out.update({side: values[side], f"{side}_median": statistics.median(values[side]),
+                    f"{side}_quartiles": [q1, q3]})
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="the parent revision")
+    parser.add_argument("--head", default="HEAD", help="the changed revision")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    args = parser.parse_args(argv)
+    revs = {"base": args.base, "head": args.head}
+    shas = {side: git("rev-parse", rev, text=True).stdout.strip() for side, rev in revs.items()}
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as base_tree, tempfile.TemporaryDirectory() as head_tree:
+        trees = {"base": base_tree, "head": head_tree}
+        for side in SIDES:
+            extract(shas[side], trees[side])
+        for i in range(PAIRS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side].append(run(trees[side], args.seed + i))
+                print(f"pair {i} {side} done", file=sys.stderr, flush=True)
+        with open(os.path.join(head_tree, "BENCHMARK.json")) as fh:
+            metrics = json.load(fh)["end_to_end"]
+    workloads = {
+        workload: {
+            **{m["name"]: summarize(m, runs, workload) for m in metrics},
+            **{key: {side: [r[workload][key] for r in runs[side]] for side in SIDES}
+               for key in ("attempted", "failed", "correct")},
+        }
+        for workload in runs["head"][0]}
+    report = {"base": shas["base"], "head": shas["head"], "pairs": PAIRS,
+              "seeds": [args.seed + i for i in range(PAIRS)], "seconds": SECONDS,
+              "first_in_pair": ["base" if i % 2 == 0 else "head" for i in range(PAIRS)],
+              "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
+                          "processor": platform.processor() or platform.machine()},
+              "workloads": workloads}
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for workload, entry in workloads.items():
+        for m in metrics:
+            s = entry[m["name"]]
+            print(f"{workload:<16} {m['name']:<12} {s['base_median']:>10.4g} -> "
+                  f"{s['head_median']:<10.4g} head wins {s['head_wins']}/{PAIRS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
