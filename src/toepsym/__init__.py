@@ -5,7 +5,7 @@ built from a finitely supported symbol satisfies ``C T C = T*`` for a family
 of structured antilinear conjugations: symbolically, through coefficient
 conditions, and numerically, through an exact truncation residual.  The two
 routes cross-validate each other; the CLI exposes single checks, batch
-trials, and explorers for the uncharacterized cases.
+trials, the residue-swap decision and an explorer of the block_ctilde list.
 """
 
 from .symbols import (
@@ -28,6 +28,7 @@ from .conjugations import (
     Reversal,
     Transposition,
     covered_transposition_case,
+    residue_orbits,
     spec_from_json,
     spec_to_json,
     truncated_matrix,

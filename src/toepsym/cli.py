@@ -19,9 +19,7 @@ import re
 import sys
 
 from .conjugations import (
-    CONJECTURE,
     FAMILIES,
-    NECESSARY_ONLY,
     BlockMixed,
     ConjugationSpec,
     Transposition,
@@ -173,14 +171,12 @@ def _cmd_random_test(args, spec):
 
 
 def _cmd_explore(args, spec):
-    if spec.characterization not in (CONJECTURE, NECESSARY_ONLY):
-        raise ValueError(f"explore needs an uncharacterized {Transposition.name} "
-                         f"or {BlockMixed.name} spec")
-    if spec.is_block:
+    if isinstance(spec, Transposition):
+        report = explore_transposition(spec.p, spec.i, spec.j, args.band, args.trials, args.seed)
+    elif isinstance(spec, BlockMixed):
         report = explore_block_mixed(args.band, args.trials, args.seed, tol=args.tol)
     else:
-        report = explore_transposition(spec.p, spec.i, spec.j, args.band,
-                                       args.trials, args.seed, tol=args.tol)
+        raise ValueError(f"explore needs a {Transposition.name} or {BlockMixed.name} spec")
     return report, EXIT_DISAGREE if report["anomalies"] else EXIT_OK
 
 
@@ -243,7 +239,7 @@ def build_parser() -> _Parser:
     random_test.set_defaults(func=_cmd_random_test)
 
     explore = commands.add_parser("explore",
-                                  help="probe open characterization questions; no ground truth asserted")
+                                  help="decide a residue swap or probe the block_ctilde list")
     _add_spec_arguments(explore)
     explore.add_argument("--trials", type=integer, default=200)
     explore.add_argument("--seed", type=integer, default=0)

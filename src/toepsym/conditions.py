@@ -45,6 +45,7 @@ from .conjugations import (
     MuLambda,
     Reversal,
     Transposition,
+    residue_orbits,
 )
 from .symbols import (
     LaurentSymbol,
@@ -54,7 +55,13 @@ from .symbols import (
     random_matrix_symbol,
     random_symbol,
 )
-from .symmetry import SYMMETRY_TOL, SymmetryReport, is_c_symmetric, report_to_json
+from .symmetry import (
+    RESIDUAL_BUDGET_BYTES,
+    SYMMETRY_TOL,
+    SymmetryReport,
+    is_c_symmetric,
+    report_to_json,
+)
 
 COEFF_TOL = 1e-12
 
@@ -337,15 +344,10 @@ def _twist_relations(lam: complex, band: int) -> RelationTable:
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
-    """Closed-form conditions for the residue swap: coefficients at period
-    multiples mirror-symmetric, all others zero.
-
-    Mode is ``iff`` in the characterized cases and ``conjecture`` otherwise
-    (the conditions are then still sufficient, and conjectured necessary; the
-    explorer probes the gap).
-    """
-    mode = Transposition(p, i, j).characterization
-    return evaluate_scalar_relations(sym, _period_conditions(p, sym.bandwidth), mode)
+    """The residue swap's condition report, in ``iff`` mode: period multiples
+    mirror-symmetric and all other coefficients zero where ``residue_orbits``
+    decides the swap (every swap with ``p <= 30``), else the raw table."""
+    return condition_reports(sym, Transposition(p, i, j))
 
 
 def _codes(*names: str) -> np.ndarray:
@@ -413,40 +415,30 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
 # --- dispatch, cross-validation trials ----------------------------------------
 
 
-def condition_reports(symbol, spec: ConjugationSpec
-                      ) -> tuple[ConditionReport, ConditionReport | None]:
-    """Authoritative condition report for ``spec`` plus an advisory one.
-
-    For residue swaps outside the characterized cases the authoritative
-    verdict comes from the raw relation set (exact at the truncation) and the
-    closed-form conditions are returned as the advisory, conjecture-mode
-    report.
-    """
-    if isinstance(spec, Transposition):
-        closed_form = check_transposition(symbol, spec.p, spec.i, spec.j)
-        if spec.characterization == IFF:
-            return closed_form, None
-        raw = raw_relations_transposition(spec.p, spec.i, spec.j, symbol.bandwidth)
-        return evaluate_scalar_relations(symbol, raw, IFF), closed_form
+def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
+    """The condition report of ``symbol`` under ``spec``: the family's
+    closed-form table in the mode of its ``characterization``, or, for a
+    residue permutation without one (``general``, an undecided swap), the raw
+    relation table, exact at the truncation, in ``iff`` mode."""
     if isinstance(spec, BlockMixed):
-        return check_block_mixed_necessary(symbol), None
+        return check_block_mixed_necessary(symbol)
     band, mode = symbol.bandwidth, spec.characterization
-    if isinstance(spec, GeneralPermutation):
+    if isinstance(spec, (Transposition, Reversal)) and mode == IFF:
+        return evaluate_scalar_relations(symbol, _period_conditions(spec.period, band), mode)
+    if isinstance(spec, (GeneralPermutation, Transposition)):
         raw = raw_relations_general(spec.p, spec.sigma, band)
-        return evaluate_scalar_relations(symbol, raw, IFF), None
-    if isinstance(spec, Reversal):
-        return evaluate_scalar_relations(symbol, _period_conditions(spec.n, band), mode), None
+        return evaluate_scalar_relations(symbol, raw, IFF)
     if isinstance(spec, MuLambda):
-        return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band), mode), None
+        return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band), mode)
     if isinstance(spec, BlockHadamard):
-        return evaluate_block_relations(symbol, block_hadamard_relations(band), mode), None
+        return evaluate_block_relations(symbol, block_hadamard_relations(band), mode)
     raise TypeError(f"not a conjugation spec: {spec!r}")
 
 
 def reports_agree(condition: ConditionReport, oracle: SymmetryReport) -> bool:
     """Whether a condition verdict and an oracle verdict are consistent:
-    equivalence for iff/conjecture-resolved reports, one-sided implication
-    (symmetric implies satisfied) for necessary-only ones."""
+    equivalence for ``iff`` reports, one-sided implication (symmetric implies
+    satisfied) for ``necessary_only`` ones."""
     if condition.mode == NECESSARY_ONLY:
         return condition.satisfied or not oracle.symmetric
     return condition.satisfied == oracle.symmetric
@@ -455,15 +447,14 @@ def reports_agree(condition: ConditionReport, oracle: SymmetryReport) -> bool:
 @dataclass(frozen=True)
 class CheckOutcome:
     condition: ConditionReport
-    advisory: ConditionReport | None
     oracle: SymmetryReport
     agree: bool
 
 
 def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL) -> CheckOutcome:
     oracle = is_c_symmetric(symbol, spec, tol)
-    condition, advisory = condition_reports(symbol, spec)
-    return CheckOutcome(condition, advisory, oracle, reports_agree(condition, oracle))
+    condition = condition_reports(symbol, spec)
+    return CheckOutcome(condition, oracle, reports_agree(condition, oracle))
 
 
 @dataclass(frozen=True)
@@ -554,12 +545,11 @@ def random_block_mixed_symmetric(seed: int, max_band: int,
 
 
 @lru_cache
-def _raw_components(spec: ConjugationSpec, band: int) -> tuple[
-        RelationTable, tuple[tuple[tuple[int, ...], bool], ...]]:
-    """The raw relation table of ``spec`` at ``band`` and the connected
-    components of its equality graph over the enumeration window, each with a
-    flag marking components pinned to zero because they touch an index
-    outside the support band."""
+def _raw_components(spec: ConjugationSpec, band: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """The connected components of the equality graph of ``spec``'s raw
+    relation table at ``band`` over the enumeration window, each with a flag
+    marking components pinned to zero because they touch an index outside
+    the support band."""
     relations = raw_relations_general(spec.period, spec.sigma, band)
     nodes, edges = np.unique(relations.index, return_inverse=True)
     lhs, rhs = edges.reshape(2, -1)
@@ -579,7 +569,7 @@ def _raw_components(spec: ConjugationSpec, band: int) -> tuple[
     members = nodes[order].tolist()
     cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), len(members)]
     groups = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return relations, tuple((g, any(abs(m) > band for m in g)) for g in groups)
+    return tuple((g, any(abs(m) > band for m in g)) for g in groups)
 
 
 def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> LaurentSymbol:
@@ -594,7 +584,7 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> Laur
         raise ValueError("raw projection applies to residue-permutation families only")
     # the components cover the band: every residue pairs with every other in some cell
     coeffs, out = sym.coeffs, {}
-    for members, forced_zero in _raw_components(spec, band)[1]:
+    for members, forced_zero in _raw_components(spec, band):
         inside = [m for m in members if abs(m) <= band]
         if inside and not forced_zero:
             mean = sum(coeffs.get(m, 0j) for m in inside) / len(inside)
@@ -602,44 +592,20 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> Laur
     return LaurentSymbol(out)
 
 
-def explore_transposition(p: int, i: int, j: int, band: int, trials: int,
-                          seed: int, tol: float = SYMMETRY_TOL) -> dict:
-    """Probe the open case of the residue-swap characterization.
-
-    Each trial projects a random symbol onto the raw (exact) solution set and
-    asks whether the closed-form conditions also hold.  A candidate is a
-    symbol that is genuinely symmetric at the truncation yet violates the
-    closed-form conditions; an empty candidate list is the expected outcome
-    if the conjectured characterization is true.  Raw/oracle mismatches are
-    reported separately as anomalies (they would indicate an implementation
-    fault, not mathematics).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def explore_transposition(p: int, i: int, j: int, band: int, trials: int, seed: int) -> dict:
+    """The swap's decision, the same at every band: the residues whose orbits
+    :func:`residue_orbits` finds finite, and the closed form's period (``None``
+    unless the swap is decided ``iff``).  Nothing is sampled: ``candidates``
+    and ``anomalies`` keep the explorer report's shape and stay empty."""
+    if trials < 1 or band < 0:
+        raise ValueError("need trials >= 1 and band >= 0")
     spec = Transposition(p, i, j)
-    if spec.characterization == IFF:
-        raise ValueError("this residue swap is characterized; nothing to explore")
-    raw = _raw_components(spec, band)[0]
-    candidates = []
-    anomalies = []
-    zero_projections = 0
-    for t in range(trials):
-        s = seed + t
-        sym = project_to_raw(random_symbol(s, band, 0.7), spec, band)
-        if sym.is_zero:
-            zero_projections += 1
-            continue
-        raw_report = evaluate_scalar_relations(sym, raw)
-        oracle = is_c_symmetric(sym, spec, tol)
-        closed_form = check_transposition(sym, p, i, j)
-        if not raw_report.satisfied or not oracle.symmetric:
-            anomalies.append(s)
-        elif not closed_form.satisfied:
-            candidates.append({"seed": s, "residual": oracle.residual,
-                               "symbol": sym.to_json()})
+    orbits = residue_orbits(p, spec.sigma)
     return {"family": Transposition.name, "p": p, "i": i, "j": j, "band": band,
-            "trials": trials, "seed": seed, "zero_projections": zero_projections,
-            "candidates": candidates, "anomalies": anomalies}
+            "trials": trials, "seed": seed,
+            "finite_residues": [r for r, orbit in enumerate(orbits) if orbit is not None],
+            "period": p if spec.characterization == IFF else None,
+            "candidates": [], "anomalies": []}
 
 
 def _block_mixed_nullspace(band: int) -> np.ndarray:
@@ -647,7 +613,15 @@ def _block_mixed_nullspace(band: int) -> np.ndarray:
     over coefficient vectors of the four entries on ``[-band, band]``.  A
     relation's row holds the weights its ``lhs - rhs`` puts on the unknowns
     inside the band (its scale is real, +-1); a relation reading nothing
-    inside the band gives no row."""
+    inside the band gives no row.  A band whose system would pass
+    ``RESIDUAL_BUDGET_BYTES`` raises ``ValueError`` before any allocation."""
+    # per entry of a square of 8 band + 32 rows (more than the system's rows and
+    # columns): the system (8 bytes), its complex copy (16) and the full SVD:
+    # LAPACK's input copy (16), both factors twice (64), zgesdd's workspace (56)
+    need = 160 * (8 * band + 32) ** 2
+    if need > RESIDUAL_BUDGET_BYTES:
+        raise ValueError(f"the null-space system at band {band} needs {need >> 20} MiB, "
+                         "over its budget")
     table = block_mixed_necessary_relations(band)
     width = 2 * band + 1
     # each term of lhs - rhs: its weight and the index it reads
@@ -735,7 +709,6 @@ def outcome_to_json(outcome: CheckOutcome) -> dict:
     return {
         "agree": outcome.agree,
         "condition": condition_report_to_json(outcome.condition),
-        "advisory": (None if outcome.advisory is None
-                     else condition_report_to_json(outcome.advisory)),
+        "advisory": None,
         "oracle": report_to_json(outcome.oracle),
     }

@@ -35,7 +35,6 @@ AXIOM_TOL = 1e-13
 # reports carry the same strings as their ``mode``.
 IFF = "iff"
 NECESSARY_ONLY = "necessary_only"
-CONJECTURE = "conjecture"
 
 
 class WireField(NamedTuple):
@@ -77,8 +76,8 @@ class ConjugationSpec:
     """A conjugation family.  Each subclass is the single definition of its
     family: ``name`` (JSON and CLI), ``wire_fields`` (constructor arguments in
     order), ``period`` (the block period whose divisibility makes truncation
-    exact), ``is_block``, ``characterization`` (``IFF``, ``CONJECTURE``,
-    ``NECESSARY_ONLY``, or ``None`` when only the raw relation table applies)
+    exact), ``is_block``, ``characterization`` (``IFF``, ``NECESSARY_ONLY``,
+    or ``None`` when only the raw relation table applies)
     and ``blocks(size)``, the ``(perms, weights)`` grid of ``A`` in the
     truncated action ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
     residue-permutation families also carry ``sigma``; the others ``None``."""
@@ -147,9 +146,13 @@ class Transposition(_ResiduePermutation):
         sigma[self.i], sigma[self.j] = self.j, self.i
         return tuple(sigma)
 
-    @property
-    def characterization(self) -> str:
-        return IFF if covered_transposition_case(self.p, self.i, self.j) else CONJECTURE
+    @cached_property
+    def characterization(self) -> str | None:
+        """``IFF`` when :func:`residue_orbits` leaves only residue 0 finite (so
+        at every band only ``c_k = c_-k`` at period multiples survives), as for
+        every swap with ``p <= 30``; otherwise ``None``: the raw table decides."""
+        orbits = residue_orbits(self.p, self.sigma)
+        return IFF if [r for r, orbit in enumerate(orbits) if orbit is not None] == [0] else None
 
 
 @dataclass(frozen=True)
@@ -244,11 +247,44 @@ FAMILIES: dict[str, type[ConjugationSpec]] = {
                               MuLambda, BlockHadamard, BlockMixed)}
 
 
+def residue_orbits(p: int, sigma) -> list[frozenset[tuple[int, int]] | None]:
+    """Each residue's orbit under the raw equalities of the involution
+    ``sigma``: the maps ``(e, a)``, ``k -> e*k + a``, that reach an index ``k``
+    of the residue, or ``None`` when the orbit is infinite.  Reads ``p`` and
+    ``sigma`` only.  The raw cell ``(m0, s0)`` says ``c_x = c_(s - x)`` for
+    ``x = c`` or ``d`` (mod ``p``), ``c = m0 - sigma(s0)``, ``d = s0 - sigma(m0)``
+    and ``s = c + d``.  Two maps of one sign at one residue compose to a nonzero
+    translation: the orbit is infinite, and finite support forces it to zero."""
+    m0, s0 = np.indices((p, p)).reshape(2, -1)
+    c, d = m0 - np.take(sigma, s0), s0 - np.take(sigma, m0)
+    reflections = [set() for _ in range(p)]
+    for at, s in zip((np.concatenate([c, d]) % p).tolist(), np.tile(c + d, 2).tolist()):
+        reflections[at].add(s)
+    orbits: list = [False] * p  # False until the residue's class is walked
+    for root in range(p):
+        if orbits[root] is not False:
+            continue
+        # one class of residues: each reached by maps k -> e*k + a, (residue, e) -> a
+        maps, todo, finite = {(root, 1): 0}, [(root, 1, 0)], True
+        while todo:
+            at, e, a = todo.pop()
+            for s in reflections[at]:
+                key = ((s - at) % p, -e)
+                if key not in maps:
+                    todo.append((*key, s - a))
+                finite &= maps.setdefault(key, s - a) == s - a
+        for (at, e), a in maps.items():  # at residue at, k' = e*k + a: f*k + b = f*e*k' + b - f*e*a
+            orbits[at] = (frozenset((f * e, b - f * e * a) for (_, f), b in maps.items())
+                          if finite else None)
+    return orbits
+
+
 def covered_transposition_case(p: int, i: int, j: int) -> bool:
-    """Whether the residue-swap family (p, i, j) has a proven full
-    coefficient characterization: either p even with the swap spanning half a
-    block (j - i = p/2), or p = m*q + 1 for some m >= 2 with i = q - 1 and
-    j = p - 1."""
+    """The paper's two covered cases of the residue swap (p, i, j): either p
+    even with the swap spanning half a block (j - i = p/2), or p = m*q + 1 for
+    some m >= 2 with i = q - 1 and j = p - 1.  ``Transposition.characterization``
+    decides every swap by :func:`residue_orbits`; the tests show that the
+    decision reproduces these cases."""
     if not 0 <= i < j < p:
         raise ValueError("need 0 <= i < j < p")
     if p % 2 == 0 and j - i == p // 2:

@@ -83,10 +83,6 @@ class LaurentSymbol:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSymbol is immutable")
 
-    def coeff(self, k: int) -> complex:
-        at = self.exponents.searchsorted(k)
-        return self.values[at].item() if at < self.values.size and self.exponents[at] == k else 0j
-
     @property
     def coeffs(self) -> dict[int, complex]:
         return dict(self.items())
@@ -94,10 +90,6 @@ class LaurentSymbol:
     @property
     def bandwidth(self) -> int:
         return int(max(-self.exponents[0], self.exponents[-1])) if self.exponents.size else 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.values.size
 
     def items(self) -> Iterator[tuple[int, complex]]:
         return zip(self.exponents.tolist(), self.values.tolist())
@@ -375,7 +367,7 @@ def project_to_conditions(sym: LaurentSymbol, spec) -> LaurentSymbol:
     """Project a symbol onto the exact solution set of a family's
     coefficient characterization.
 
-    Supported families: residue-swap specs in a characterized case, block
+    Supported families: residue swaps decided ``iff``, block
     reversals, and the diagonal-twist family.  For the first two the output
     keeps only indices divisible by the period, replaced by the symmetrized
     value ``(c_k + c_-k)/2``; for the twist family negative-index

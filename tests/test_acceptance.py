@@ -24,6 +24,7 @@ from toepsym.conditions import (
     raw_relations_transposition,
 )
 from toepsym.conjugations import (
+    IFF,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -124,6 +125,13 @@ def _three_way_agreement(triples, trials, check_rules):
     return disagreements, rule_mismatches, projection_failures
 
 
+def test_covered_cases_decide_iff():
+    # the paper's two cases, reproduced by the orbit decision
+    for p, i, j in CASE_ONE + [(p, q - 1, p - 1) for p, q in CASE_TWO]:
+        assert covered_transposition_case(p, i, j)
+        assert Transposition(p, i, j).characterization == IFF
+
+
 def test_criterion_2_residue_swap_half_period():
     start = time.perf_counter()
     bad, _, proj_bad = _three_way_agreement(CASE_ONE, 300, check_rules=False)
@@ -151,11 +159,11 @@ def test_criterion_4_block_reversal():
     for n in range(1, 7):
         for t in range(300):
             sym = random_symbol(31_000 * n + t, max(6, n * 2), 0.5)
-            cond = condition_reports(sym, Reversal(n))[0].satisfied
+            cond = condition_reports(sym, Reversal(n)).satisfied
             oracle = is_c_symmetric(sym, Reversal(n), ORACLE_TOL).symmetric
             if cond != oracle:
                 disagreements.append((n, t))
-            if n == 1 and cond != condition_reports(sym, MuLambda(1.0, 1.0))[0].satisfied:
+            if n == 1 and cond != condition_reports(sym, MuLambda(1.0, 1.0)).satisfied:
                 cross_mismatches.append(t)
     ok = not disagreements and not cross_mismatches
     assert _verdict("4", "block reversal: condition = oracle, twist cross-check", ok,
@@ -166,7 +174,7 @@ def test_criterion_5_block_hadamard_forms_and_oracle():
     disagreements = []
     for t in range(300):
         msym = random_matrix_symbol(40_000 + t, 6, 0.5)
-        cross = condition_reports(msym, BlockHadamard())[0].satisfied
+        cross = condition_reports(msym, BlockHadamard()).satisfied
         sums = sums_form(msym).satisfied
         oracle = is_c_symmetric(msym, BlockHadamard(), ORACLE_TOL).symmetric
         if not cross == sums == oracle:
@@ -190,7 +198,7 @@ def test_criterion_5_remark_individually_symmetric_entries():
                    for e in range(4)]
         msym = MatrixSymbol(*entries)
         for entry in entries:
-            assert condition_reports(entry, Reversal(2))[0].satisfied
+            assert condition_reports(entry, Reversal(2)).satisfied
         residuals.append(is_c_symmetric(msym, BlockHadamard(), ORACLE_TOL).residual)
     worst = max(residuals)
     failing = sum(r > 1e-12 for r in residuals)
@@ -242,7 +250,7 @@ def test_criterion_7_twist_family():
         spec = MuLambda(1.0, lam)
         for t in range(200):
             sym = random_symbol(70_000 + 1000 * li + t, 6, 0.5)
-            cond = condition_reports(sym, MuLambda(1.0, lam))[0].satisfied
+            cond = condition_reports(sym, MuLambda(1.0, lam)).satisfied
             oracle = is_c_symmetric(sym, spec, ORACLE_TOL).symmetric
             if cond != oracle:
                 disagreements.append((li, t))

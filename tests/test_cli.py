@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -116,8 +117,7 @@ class TestCheckCommand:
 
         def fake(symbol, spec, tol):
             outcome = real(symbol, spec, tol=tol)
-            return type(outcome)(outcome.condition, outcome.advisory,
-                                 outcome.oracle, False)
+            return type(outcome)(outcome.condition, outcome.oracle, False)
 
         monkeypatch.setattr(cli, "run_check", fake)
         code, _, _ = run_cli(capsys, "check", "--symbol", "z", "--spec", "reversal:2")
@@ -200,7 +200,14 @@ class TestExploreCommand:
                                "--trials", "12", "--band", "6")
         assert code == 0
         payload = json.loads(out)
-        assert payload["anomalies"] == []
+        assert (payload["finite_residues"], payload["period"]) == ([0], 5)
+        assert payload["candidates"] == payload["anomalies"] == []
+
+    def test_covered_swap_reports_the_decision(self, capsys):
+        # a swap in the paper's covered cases exited 3; it is decided the same way
+        code, out, _ = run_cli(capsys, "explore", "--spec", "transposition:4:0:2")
+        assert code == 0
+        assert (json.loads(out)["finite_residues"], json.loads(out)["period"]) == ([0], 4)
 
     def test_block_ctilde(self, capsys):
         code, out, _ = run_cli(capsys, "explore", "--spec", "block_ctilde",
@@ -495,6 +502,14 @@ class TestResidualBudget:
         assert (code, out) == (3, "")
         assert "over its budget" in err
 
+    def test_explorer_null_space_exits_three_before_the_svd(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the budget check came too late")
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        code, out, err = run_cli(capsys, "explore", "--spec", "block_ctilde", "--band", "1000")
+        assert (code, out) == (3, "")
+        assert "over its budget" in err
+
 
 def _module_env(**extra):
     """The environment for ``python -m toepsym``: the source tree the tests
@@ -588,8 +603,8 @@ def _materialize(tmp_path, argv):
     return out
 
 
-# The benchmark's seven specs: the six families, transposition in a
-# characterized case and in conjecture mode.
+# The benchmark's seven specs: the six families, transposition in one of the
+# paper's covered cases and outside them.
 FUZZ_SPECS = ["general:6:2,1,0,4,3,5", "transposition:4:0:2", "transposition:5:1:3",
               "reversal:2", "mulambda:0,1:0.6,0.8", "block_c", "block_ctilde"]
 

@@ -18,6 +18,7 @@ from toepsym.conditions import (
     explore_block_mixed,
     explore_transposition,
     interchange_sign_relations,
+    outcome_to_json,
     project_to_raw,
     random_block_hadamard_symmetric,
     random_block_mixed_symmetric,
@@ -26,7 +27,6 @@ from toepsym.conditions import (
     run_check,
 )
 from toepsym.conjugations import (
-    CONJECTURE,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -171,33 +171,36 @@ class TestTranspositionChecker:
         assert not rep.satisfied
         assert (_families(rep.table)[rep.violations] == "multiples").all()
 
-    def test_conjecture_mode_flag(self):
-        assert check_transposition(parse_symbol("z"), 5, 1, 3).mode == CONJECTURE
-        assert check_transposition(parse_symbol("z"), 5, 1, 4).mode == IFF
+    def test_swaps_outside_the_covered_cases_read_the_closed_form(self):
+        for p, i, j in [(5, 1, 3), (5, 1, 4), (7, 0, 3)]:
+            rep = check_transposition(parse_symbol("z"), p, i, j)
+            assert rep.mode == IFF
+            assert rep.table.names == ("multiples", "vanish")
 
 
 class TestReversalChecker:
     def test_multiples_of_three(self):
-        assert condition_reports(parse_symbol("z^3 + z^-3"), Reversal(3))[0].satisfied
+        assert condition_reports(parse_symbol("z^3 + z^-3"), Reversal(3)).satisfied
 
     def test_odd_coefficients_violate(self):
-        assert not condition_reports(parse_symbol("z + z^-1"), Reversal(2))[0].satisfied
+        assert not condition_reports(parse_symbol("z + z^-1"), Reversal(2)).satisfied
 
     def test_n_one_is_plain_mirror(self):
-        assert condition_reports(parse_symbol("z + z^-1"), Reversal(1))[0].satisfied
-        assert not condition_reports(parse_symbol("z - z^-1"), Reversal(1))[0].satisfied
+        assert condition_reports(parse_symbol("z + z^-1"), Reversal(1)).satisfied
+        assert not condition_reports(parse_symbol("z - z^-1"), Reversal(1)).satisfied
         sym = random_symbol(3, 6, 0.7)
-        mirrored = all(sym.coeff(k) == sym.coeff(-k) for k in range(1, 7))
-        assert condition_reports(sym, Reversal(1))[0].satisfied == mirrored
+        coeffs = sym.coeffs
+        mirrored = all(coeffs.get(k, 0j) == coeffs.get(-k, 0j) for k in range(1, 7))
+        assert condition_reports(sym, Reversal(1)).satisfied == mirrored
 
 
 class TestMuLambdaChecker:
     def test_lambda_one(self):
-        assert condition_reports(parse_symbol("z + z^-1"), MuLambda(1.0, 1.0))[0].satisfied
-        assert not condition_reports(parse_symbol("z - z^-1"), MuLambda(1.0, 1.0))[0].satisfied
+        assert condition_reports(parse_symbol("z + z^-1"), MuLambda(1.0, 1.0)).satisfied
+        assert not condition_reports(parse_symbol("z - z^-1"), MuLambda(1.0, 1.0)).satisfied
 
     def test_lambda_minus_one(self):
-        assert condition_reports(parse_symbol("z - z^-1"), MuLambda(1.0, -1.0))[0].satisfied
+        assert condition_reports(parse_symbol("z - z^-1"), MuLambda(1.0, -1.0)).satisfied
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
@@ -206,14 +209,14 @@ class TestMuLambdaChecker:
     def test_agrees_with_reversal_one(self):
         for seed in range(25):
             sym = random_symbol(seed, 6, 0.5)
-            assert (condition_reports(sym, MuLambda(1.0, 1.0))[0].satisfied
-                    == condition_reports(sym, Reversal(1))[0].satisfied)
+            assert (condition_reports(sym, MuLambda(1.0, 1.0)).satisfied
+                    == condition_reports(sym, Reversal(1)).satisfied)
 
     def test_table_reads_the_spec_lambda(self):
         # normalizing this lam a second time moves it by an ulp
         spec = parse_spec_text("mulambda:1,0:0.6000000000002,0.8")
         assert MuLambda(1.0, spec.lam).lam != spec.lam
-        table = condition_reports(random_symbol(3, 8, 1.0), spec)[0].table
+        table = condition_reports(random_symbol(3, 8, 1.0), spec).table
         assert [complex(s) for s in table.rhs_scale.tolist()] == \
             [spec.lam**n for n in table.index[1].tolist()]
 
@@ -223,24 +226,24 @@ class TestBlockHadamardChecker:
         s = parse_symbol("z^2 + z^-2")
         zero = LaurentSymbol()
         m = MatrixSymbol(s, zero, zero, s)
-        assert condition_reports(m, BlockHadamard())[0].satisfied
+        assert condition_reports(m, BlockHadamard()).satisfied
         assert sums_form(m).satisfied
 
     def test_odd_entry_violates_both_forms(self):
         zero = LaurentSymbol()
         m = MatrixSymbol(zero, parse_symbol("z"), zero, zero)
-        assert not condition_reports(m, BlockHadamard())[0].satisfied
+        assert not condition_reports(m, BlockHadamard()).satisfied
         assert not sums_form(m).satisfied
 
     def test_zero_satisfied(self):
-        assert condition_reports(ZERO_BLOCK, BlockHadamard())[0].satisfied
+        assert condition_reports(ZERO_BLOCK, BlockHadamard()).satisfied
         assert sums_form(ZERO_BLOCK).satisfied
 
     def test_cross_form_implies_sums_form(self):
         # one direction always holds; the other fails (see the referee test)
         for seed in range(40):
             m = random_block_hadamard_symmetric(seed, 6)
-            assert condition_reports(m, BlockHadamard())[0].satisfied
+            assert condition_reports(m, BlockHadamard()).satisfied
             assert sums_form(m).satisfied
 
     def test_forms_separate_and_oracle_referees(self):
@@ -250,7 +253,7 @@ class TestBlockHadamardChecker:
         z2 = parse_symbol("z^2")
         m = MatrixSymbol(z2, -1 * z2, -1 * z2, -1 * z2)
         assert sums_form(m).satisfied
-        assert not condition_reports(m, BlockHadamard())[0].satisfied
+        assert not condition_reports(m, BlockHadamard()).satisfied
         assert not is_c_symmetric(m, BlockHadamard()).symmetric
 
     def test_entrywise_symmetric_assembly_passes_sums_form(self):
@@ -271,9 +274,9 @@ class TestBlockHadamardChecker:
         zero = LaurentSymbol()
         m = MatrixSymbol(s, zero, zero, zero)
         for entry in m.entries:
-            assert condition_reports(entry, Reversal(2))[0].satisfied
+            assert condition_reports(entry, Reversal(2)).satisfied
         assert sums_form(m).satisfied
-        assert not condition_reports(m, BlockHadamard())[0].satisfied
+        assert not condition_reports(m, BlockHadamard()).satisfied
         report = is_c_symmetric(m, BlockHadamard())
         assert not report.symmetric and report.residual > 1e-2
 
@@ -358,8 +361,8 @@ class TestEquivalenceTrials:
     def test_scaling_leaves_checkers_invariant(self):
         sym = random_symbol(5, 6, 0.6)
         for factor in (2.0, -3.5):
-            a = condition_reports(sym, Reversal(3))[0].satisfied
-            b = condition_reports(factor * sym, Reversal(3))[0].satisfied
+            a = condition_reports(sym, Reversal(3)).satisfied
+            b = condition_reports(factor * sym, Reversal(3)).satisfied
             assert a == b
 
 
@@ -397,17 +400,25 @@ class TestSamplers:
 
 
 class TestRunCheck:
-    def test_conjecture_spec_has_advisory(self):
+    def test_swap_outside_the_covered_cases_is_decided(self):
         outcome = run_check(parse_symbol("z^5 + z^-5"), Transposition(5, 1, 3))
-        assert outcome.advisory is not None
-        assert outcome.advisory.mode == CONJECTURE
         assert outcome.condition.mode == IFF
-        assert outcome.agree
+        assert outcome.condition.table.names == ("multiples", "vanish")
+        assert outcome.agree and outcome.oracle.symmetric
 
     def test_characterized_spec_has_no_advisory(self):
         outcome = run_check(parse_symbol("z^2 + z^-2"), Reversal(2))
-        assert outcome.advisory is None
+        assert outcome_to_json(outcome)["advisory"] is None
         assert outcome.agree and outcome.oracle.symmetric
+
+    def test_undecided_residue_permutation_reads_the_raw_table(self, monkeypatch):
+        # no swap with p <= 30 is undecided; stand one in to reach the branch
+        spec = Transposition(5, 1, 3)
+        monkeypatch.setitem(spec.__dict__, "characterization", None)
+        outcome = run_check(parse_symbol("z"), spec)
+        assert outcome.condition.mode == IFF
+        assert outcome.condition.table.names == ("raw",)
+        assert not outcome.condition.satisfied and outcome.agree
 
     def test_necessary_only_agreement(self):
         # condition satisfied + oracle not symmetric is consistent for the
@@ -426,6 +437,18 @@ class TestRunCheck:
 
 
 class TestProjectToRaw:
+    def test_closed_form_projection_equals_the_raw_one_for_swaps(self):
+        # the trials project a swap by the closed form; the benchmark's check
+        # draws the same symbol again through the raw table
+        for p in range(2, 10):
+            for i in range(p):
+                for j in range(i + 1, p):
+                    spec = Transposition(p, i, j)
+                    for band in (6, 12, 20, 30):
+                        for seed in range(3):
+                            sym = random_symbol(seed, band, 0.5)
+                            assert repr(project_to_conditions(sym, spec)) == \
+                                repr(project_to_raw(sym, spec, band)), (spec, band, seed)
     def test_output_is_exactly_symmetric(self):
         for spec in (Transposition(5, 1, 3), Transposition(4, 0, 1),
                      GeneralPermutation(5, (0, 3, 2, 1, 4))):
@@ -456,18 +479,30 @@ class TestProjectToRaw:
 class TestExplorers:
     def test_transposition_explorer_clean(self):
         report = explore_transposition(5, 1, 3, band=10, trials=60, seed=0)
-        assert report["anomalies"] == []
-        # no raw-symmetric symbol violating the closed-form conditions found:
-        # consistent with the conjectured characterization
-        assert report["candidates"] == []
+        assert report["finite_residues"] == [0] and report["period"] == 5
+        assert report["candidates"] == [] and report["anomalies"] == []
 
-    def test_transposition_explorer_rejects_characterized_case(self):
-        with pytest.raises(ValueError):
-            explore_transposition(4, 0, 2, band=6, trials=5, seed=0)
+    @pytest.mark.parametrize("p, i, j", [(4, 0, 2), (9, 2, 7)])
+    def test_transposition_explorer_reports_the_decision(self, p, i, j):
+        # a swap in the paper's covered cases (4, 0, 2) was refused
+        report = explore_transposition(p, i, j, band=6, trials=5, seed=0)
+        assert report["finite_residues"] == [0] and report["period"] == p
+
+    def test_transposition_explorer_draws_no_symbol(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the explorer drew a symbol")
+
+        monkeypatch.setattr(conditions, "random_symbol", refuse)
+        monkeypatch.setattr(conditions, "_raw_components", refuse)
+        explore_transposition(5, 1, 3, band=9, trials=6, seed=4)
 
     def test_transposition_explorer_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             explore_transposition(5, 1, 3, band=6, trials=0, seed=0)
+
+    def test_transposition_explorer_rejects_a_negative_band(self):
+        with pytest.raises(ValueError):
+            explore_transposition(5, 1, 3, band=-1, trials=5, seed=0)
 
     def test_block_mixed_explorer_finds_sufficiency_gap(self):
         report = explore_block_mixed(band=4, trials=25, seed=0)
@@ -495,16 +530,16 @@ class TestCoefficientTolerance:
 
     def test_unit_norm_symbols_keep_the_absolute_tolerance(self):
         # ||c||_2 <= 1, so the tolerance stays 1e-12
-        report = condition_reports(LaurentSymbol({2: 0.5 + 0.9e-12, -2: 0.5}), Reversal(2))[0]
+        report = condition_reports(LaurentSymbol({2: 0.5 + 0.9e-12, -2: 0.5}), Reversal(2))
         assert report.satisfied
-        report = condition_reports(LaurentSymbol({2: 0.5 + 1.1e-12, -2: 0.5}), Reversal(2))[0]
+        report = condition_reports(LaurentSymbol({2: 0.5 + 1.1e-12, -2: 0.5}), Reversal(2))
         assert not report.satisfied
 
     def test_tolerance_grows_with_the_coefficient_norm(self):
         # ||c||_2 = 5e6 * sqrt(2): a defect of 5e-6 is within 1e-12 relative
-        report = condition_reports(LaurentSymbol({2: 5e6 + 5e-6, -2: 5e6}), Reversal(2))[0]
+        report = condition_reports(LaurentSymbol({2: 5e6 + 5e-6, -2: 5e6}), Reversal(2))
         assert report.satisfied
-        report = condition_reports(LaurentSymbol({2: 5e6 + 1e-4, -2: 5e6}), Reversal(2))[0]
+        report = condition_reports(LaurentSymbol({2: 5e6 + 1e-4, -2: 5e6}), Reversal(2))
         assert not report.satisfied
 
     def test_norm_past_the_float_limit_still_checks(self):
@@ -518,14 +553,3 @@ class TestOneEvaluator:
     def test_block_mixed_nullspace_dimensions(self):
         dims = [conditions._block_mixed_nullspace(b).shape[1] for b in range(11)]
         assert dims == [4, 6, 10, 12, 16, 18, 22, 24, 28, 30, 34]
-
-    def test_explorer_enumerates_the_raw_table_once(self, monkeypatch):
-        calls = []
-        for name in ("raw_relations_general", "raw_relations_transposition"):
-            original = getattr(conditions, name)
-            monkeypatch.setattr(conditions, name,
-                                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-        conditions._raw_components.cache_clear()
-        report = explore_transposition(5, 1, 3, band=9, trials=6, seed=4)
-        assert report["anomalies"] == []
-        assert calls == ["raw_relations_general"]

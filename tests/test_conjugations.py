@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from toepsym.conditions import _raw_components
 from toepsym.conjugations import (
     AntilinearOperator,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
+    IFF,
     INV_SQRT2,
     MuLambda,
     Reversal,
     Transposition,
     covered_transposition_case,
+    residue_orbits,
     spec_from_json,
     spec_to_json,
     truncated_matrix,
@@ -222,6 +225,66 @@ class TestCoveredCases:
         assert not covered_transposition_case(5, 1, 3)
         assert not covered_transposition_case(4, 0, 1)
         assert not covered_transposition_case(5, 0, 2)
+
+
+def _involutions(p):
+    """Every involution of ``0..p-1`` as its image tuple."""
+    def pairings(rest):
+        if not rest:
+            yield {}
+            return
+        for b in rest:
+            for pairing in pairings([x for x in rest[1:] if x != b]):
+                yield {**pairing, rest[0]: b, b: rest[0]}
+    return [tuple(pairing[m] for m in range(p)) for pairing in pairings(list(range(p)))]
+
+
+MIRROR = frozenset({(1, 0), (-1, 0)})  # the orbit {k, -k}
+
+
+class TestResidueOrbits:
+    def test_every_swap_up_to_period_30_decides_iff(self):
+        for p in range(2, 31):
+            for i in range(p):
+                for j in range(i + 1, p):
+                    spec = Transposition(p, i, j)
+                    assert residue_orbits(p, spec.sigma) == [MIRROR] + [None] * (p - 1)
+                    assert spec.characterization == IFF
+
+    def test_every_reversal_up_to_30_leaves_only_residue_0_finite(self):
+        for n in range(1, 31):
+            assert residue_orbits(n, Reversal(n).sigma) == [MIRROR] + [None] * (n - 1)
+
+    def test_plain_conjugation_leaves_every_residue_finite(self):
+        assert residue_orbits(1, (0,)) == [MIRROR]
+        assert residue_orbits(3, (0, 1, 2)) == [MIRROR] * 3
+
+    def test_the_decision_is_computed_once_per_spec(self, monkeypatch):
+        import toepsym.conjugations as conjugations
+
+        calls = []
+        monkeypatch.setattr(conjugations, "residue_orbits",
+                            lambda *args: calls.append(args) or residue_orbits(*args))
+        spec = Transposition(5, 1, 3)
+        assert spec.characterization == spec.characterization == IFF
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_orbits_match_the_windowed_raw_components(self, p):
+        # a component the raw table's window leaves free is exactly a finite
+        # orbit inside the band; every other index is pinned to zero
+        for sigma in _involutions(p):
+            orbits = residue_orbits(p, sigma)
+            spec = GeneralPermutation(p, sigma)
+            for band in (0, 1, p, 2 * p + 1, 4 * p + 3):
+                for members, forced_zero in _raw_components(spec, band):
+                    inside = {m for m in members if abs(m) <= band}
+                    for k in inside:
+                        maps = orbits[k % p]
+                        orbit = None if maps is None else {e * k + a for e, a in maps}
+                        free = orbit is not None and all(abs(x) <= band for x in orbit)
+                        assert free == (not forced_zero), (sigma, band, k)
+                        assert not free or orbit == inside, (sigma, band, k)
 
 
 class TestSpecJson:

@@ -84,10 +84,12 @@ def test_matches_golden(name):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
-def test_conjecture_case_reports_violations_and_advisory():
+def test_swap_outside_the_covered_cases_reports_the_closed_form():
     payload = json.loads((GOLDEN_DIR / "check_transposition_conjecture.json").read_text())
+    assert payload["condition"]["mode"] == "iff"
     assert payload["condition"]["violations"]
-    assert payload["advisory"] is not None
+    assert {v["family"] for v in payload["condition"]["violations"]} <= {"multiples", "vanish"}
+    assert payload["advisory"] is None
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from solution_sets import symmetric_symbol
 
 DIGEST_FILE = pathlib.Path(__file__).parent / "golden" / "report_digests.json"
 
-# The benchmark's seven specs: the six families, transposition in a
-# characterized case and in conjecture mode (whose report has an advisory).
+# The benchmark's seven specs: the six families, transposition in one of the
+# paper's covered cases and outside them.
 SPECS = ["general:6:2,1,0,4,3,5", "transposition:4:0:2", "transposition:5:1:3",
          "reversal:2", "mulambda:0,1:0.6,0.8", "block_c", "block_ctilde"]
 BAND = 60
