@@ -5,7 +5,7 @@ built from a finitely supported symbol satisfies ``C T C = T*`` for a family
 of structured antilinear conjugations: symbolically, through coefficient
 conditions, and numerically, through an exact truncation residual.  The two
 routes cross-validate each other; the CLI exposes single checks, batch
-trials, the residue-swap decision and an explorer of the block_ctilde list.
+trials, the residue-swap decision and a test of the exact block_ctilde list.
 """
 
 from .symbols import (

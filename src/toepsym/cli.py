@@ -177,7 +177,7 @@ def _cmd_explore(args, spec):
         report = explore_block_mixed(args.band, args.trials, args.seed, tol=args.tol)
     else:
         raise ValueError(f"explore needs a {Transposition.name} or {BlockMixed.name} spec")
-    return report, EXIT_DISAGREE if report["anomalies"] else EXIT_OK
+    return report, EXIT_DISAGREE if report["anomalies"] or report["candidates"] else EXIT_OK
 
 
 def _cmd_gen(args, spec):
@@ -239,7 +239,7 @@ def build_parser() -> _Parser:
     random_test.set_defaults(func=_cmd_random_test)
 
     explore = commands.add_parser("explore",
-                                  help="decide a residue swap or probe the block_ctilde list")
+                                  help="decide a residue swap or test the block_ctilde list")
     _add_spec_arguments(explore)
     explore.add_argument("--trials", type=integer, default=200)
     explore.add_argument("--seed", type=integer, default=0)

@@ -37,7 +37,6 @@ import numpy as np
 
 from .conjugations import (
     IFF,
-    NECESSARY_ONLY,
     BlockHadamard,
     BlockMixed,
     ConjugationSpec,
@@ -61,7 +60,9 @@ from .symmetry import (
     SymmetryReport,
     is_c_symmetric,
     report_to_json,
+    residual_bytes,
 )
+from .toeplitz import min_truncation
 
 COEFF_TOL = 1e-12
 
@@ -79,16 +80,15 @@ _BLOCK_COMBOS: dict[str, tuple[tuple[int, int, int], ...]] = {
     "phi3-phi4": ((3, 1, 0), (4, -1, 0)),
     "phi1+phi3": ((1, 1, 0), (3, 1, 0)),
     "phi1+phi4": ((1, 1, 0), (4, 1, 0)),
-    "phi2-phi3": ((2, 1, 0), (3, -1, 0)),
-    # step differences f(x) - f(x + 2), used by the telescoping families
-    "step:phi1": ((1, 1, 0), (1, -1, 2)),
-    "step:phi2": ((2, 1, 0), (2, -1, 2)),
-    "step:phi3": ((3, 1, 0), (3, -1, 2)),
-    "step:phi4": ((4, 1, 0), (4, -1, 2)),
-    # mixed sums pairing (phi2+phi3) with the neighbouring (phi1-phi4) read
-    "sum23+diff14_prev": ((2, 1, 0), (3, 1, 0), (1, 1, -1), (4, -1, -1)),
-    "diff14+sum23_next": ((1, 1, 0), (4, -1, 0), (2, 1, 1), (3, 1, 1)),
-    "diff14+sum23_prev": ((1, 1, 0), (4, -1, 0), (2, 1, -1), (3, 1, -1)),
+    # the left sides of the block_ctilde families, named by their terms, a
+    # shifted term as entry[shift]
+    "phi1-phi2[-1]-phi3[+1]+phi4": ((1, 1, 0), (2, -1, -1), (3, -1, 1), (4, 1, 0)),
+    "phi1[-1]-phi2-phi3+phi4[+1]": ((1, 1, -1), (2, -1, 0), (3, -1, 0), (4, 1, 1)),
+    "phi1[+1]-phi2-phi3+phi4[-1]": ((1, 1, 1), (2, -1, 0), (3, -1, 0), (4, 1, -1)),
+    "phi1-phi2[+1]-phi3[-1]+phi4": ((1, 1, 0), (2, -1, 1), (3, -1, -1), (4, 1, 0)),
+    "phi1[-1]+phi2-phi3-phi4[+1]": ((1, 1, -1), (2, 1, 0), (3, -1, 0), (4, -1, 1)),
+    "phi1+phi2[+1]-phi3[-1]-phi4": ((1, 1, 0), (2, 1, 1), (3, -1, -1), (4, -1, 0)),
+    "phi1[+1]+phi2-phi3-phi4[-1]": ((1, 1, 1), (2, 1, 0), (3, -1, 0), (4, -1, -1)),
 }
 
 # Tables store a side's component as an index into _COMPONENTS.  Its terms
@@ -139,7 +139,6 @@ class ConditionReport:
     and imaginary parts), and ``violations``, the violated rows' indices, ascending."""
 
     satisfied: bool
-    mode: str
     table: RelationTable
     violations: np.ndarray
     lhs: np.ndarray
@@ -173,8 +172,8 @@ def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
     return total
 
 
-def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, table: RelationTable,
-                       mode: str = IFF) -> ConditionReport:
+def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
+                       table: RelationTable) -> ConditionReport:
     """Evaluate the relation ``table`` on a scalar or a 2x2 matrix symbol.
 
     A relation holds when its two sides differ by at most
@@ -222,7 +221,7 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol, table: RelationTabl
     violated[near] = [math.hypot(re, im) > tol
                       for re, im in zip(diff_re[near].tolist(), diff_im[near].tolist())]
     at = violated.nonzero()[0]
-    return ConditionReport(not at.size, mode, table, at, lhs, rhs_re, rhs_im)
+    return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)
@@ -344,7 +343,7 @@ def _twist_relations(lam: complex, band: int) -> RelationTable:
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
-    """The residue swap's condition report, in ``iff`` mode: period multiples
+    """The residue swap's condition report: period multiples
     mirror-symmetric and all other coefficients zero where ``residue_orbits``
     decides the swap (every swap with ``p <= 30``), else the raw table."""
     return condition_reports(sym, Transposition(p, i, j))
@@ -374,42 +373,36 @@ def block_hadamard_relations(band: int) -> RelationTable:
 
 
 def block_mixed_necessary_relations(band: int) -> RelationTable:
-    names = ("odd_sum14", "odd_diff23", "telescope1", "telescope2", "telescope3",
-             "telescope4", "mixed_even", "mixed_odd")
-    k = np.arange(-band, band + 1)
-    odd = k[k % 2 != 0]
-    lmax = band // 2 + 2
-    even = 2 * np.arange(-lmax, lmax + 1)
-    steps = np.repeat(_codes("step:phi1", "step:phi2", "step:phi3", "step:phi4"), even.size)
-    return RelationTable(
-        names,
-        # odd_sum14 and odd_diff23 alternate, index by index
-        (np.tile([0, 1], odd.size), True, np.tile(_codes("phi1+phi4", "phi2-phi3"), odd.size),
-         _PHI, np.repeat(odd, 2), 0, 1),
-        (np.repeat([2, 3, 4, 5], even.size), False, steps, steps,
-         np.tile(even, 4), np.tile(-even - 2, 4), -1),
-        # mixed_even and mixed_odd alternate, l by l
-        (np.tile([6, 7], even.size), False,
-         np.tile(_codes("sum23+diff14_prev", "diff14+sum23_next"), even.size),
-         np.tile(_codes("sum23+diff14_prev", "diff14+sum23_prev"), even.size),
-         np.repeat(even, 2), -np.repeat(even, 2), 1))
+    """The exact ``block_ctilde`` list: rows ``lhs(x) == 2 * phi_k(-x + shift)``,
+    family by family, each over every even ``x`` with ``|x| <= band + 1``.
+
+    ``A = (1/sqrt 2) [[C2, C1], [C1, -C2]]`` is real with ``A^2 = I``, so the
+    identity reads ``A T A = T^T``.  Over ``w = z^2`` block ``L`` of an
+    entry's Toeplitz matrix is ``[[c(2L), c(2L-1)], [c(2L+1), c(2L)]]``; each
+    position of the 4x4 identity is then one family over ``x = 2L``.  The four
+    of quadrant (2, 2) and three of quadrant (2, 1) have the oracle's kernel
+    (the tests check bands 0-12), so they stand for all sixteen.
+    """
+    half = (band + 1) // 2
+    x = 2 * np.arange(-half, half + 1)
+    names, lhs, rhs, shift = zip(
+        ("q22_00", "phi1-phi2[-1]-phi3[+1]+phi4", "phi4", 0),
+        ("q22_01", "phi1[-1]-phi2-phi3+phi4[+1]", "phi4", 1),
+        ("q22_10", "phi1[+1]-phi2-phi3+phi4[-1]", "phi4", -1),
+        ("q22_11", "phi1-phi2[+1]-phi3[-1]+phi4", "phi4", 0),
+        ("q21_00", "phi1[-1]+phi2-phi3-phi4[+1]", "phi2", 0),
+        ("q21_10", "phi1+phi2[+1]-phi3[-1]-phi4", "phi2", -1),
+        ("q21_11", "phi1[+1]+phi2-phi3-phi4[-1]", "phi2", 0))
+    return RelationTable(names, (np.repeat(np.arange(len(names)), x.size), False,
+                                 np.repeat(_codes(*lhs), x.size), np.repeat(_codes(*rhs), x.size),
+                                 np.tile(x, len(names)), (np.array(shift)[:, None] - x).ravel(),
+                                 2))
 
 
 def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
-    """The mixed block conjugation's condition list, family by family:
-
-    * ``odd_sum14`` / ``odd_diff23``: odd coefficients of ``phi1+phi4`` and
-      ``phi2-phi3`` vanish;
-    * ``telescope1..4``: the even-index step differences
-      ``f(2l) - f(2l+2)`` of each entry mirror with a sign flip;
-    * ``mixed_even`` / ``mixed_odd``: the two mixed sums of ``phi2+phi3``
-      and ``phi1-phi4`` at adjacent indices mirror.
-
-    The list is not sufficient, and not necessary either: ``telescope2`` and
-    ``telescope3`` reject some symmetric symbols (ROADMAP item 1).
-    """
-    rels = block_mixed_necessary_relations(msym.bandwidth)
-    return evaluate_block_relations(msym, rels, BlockMixed.characterization)
+    """The mixed block conjugation's condition report: the exact list of
+    :func:`block_mixed_necessary_relations`, necessary and sufficient."""
+    return evaluate_block_relations(msym, block_mixed_necessary_relations(msym.bandwidth))
 
 
 # --- dispatch, cross-validation trials ----------------------------------------
@@ -417,31 +410,21 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
 
 def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
     """The condition report of ``symbol`` under ``spec``: the family's
-    closed-form table in the mode of its ``characterization``, or, for a
-    residue permutation without one (``general``, an undecided swap), the raw
-    relation table, exact at the truncation, in ``iff`` mode."""
+    closed-form table when it has a ``characterization``, or, for a residue
+    permutation without one (``general``, an undecided swap), the raw relation
+    table, exact at the truncation.  Either is necessary and sufficient."""
     if isinstance(spec, BlockMixed):
         return check_block_mixed_necessary(symbol)
-    band, mode = symbol.bandwidth, spec.characterization
-    if isinstance(spec, (Transposition, Reversal)) and mode == IFF:
-        return evaluate_scalar_relations(symbol, _period_conditions(spec.period, band), mode)
+    band = symbol.bandwidth
+    if isinstance(spec, (Transposition, Reversal)) and spec.characterization == IFF:
+        return evaluate_scalar_relations(symbol, _period_conditions(spec.period, band))
     if isinstance(spec, (GeneralPermutation, Transposition)):
-        raw = raw_relations_general(spec.p, spec.sigma, band)
-        return evaluate_scalar_relations(symbol, raw, IFF)
+        return evaluate_scalar_relations(symbol, raw_relations_general(spec.p, spec.sigma, band))
     if isinstance(spec, MuLambda):
-        return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band), mode)
+        return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band))
     if isinstance(spec, BlockHadamard):
-        return evaluate_block_relations(symbol, block_hadamard_relations(band), mode)
+        return evaluate_block_relations(symbol, block_hadamard_relations(band))
     raise TypeError(f"not a conjugation spec: {spec!r}")
-
-
-def reports_agree(condition: ConditionReport, oracle: SymmetryReport) -> bool:
-    """Whether a condition verdict and an oracle verdict are consistent:
-    equivalence for ``iff`` reports, one-sided implication (symmetric implies
-    satisfied) for ``necessary_only`` ones."""
-    if condition.mode == NECESSARY_ONLY:
-        return condition.satisfied or not oracle.symmetric
-    return condition.satisfied == oracle.symmetric
 
 
 @dataclass(frozen=True)
@@ -454,7 +437,7 @@ class CheckOutcome:
 def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL) -> CheckOutcome:
     oracle = is_c_symmetric(symbol, spec, tol)
     condition = condition_reports(symbol, spec)
-    return CheckOutcome(condition, oracle, reports_agree(condition, oracle))
+    return CheckOutcome(condition, oracle, condition.satisfied == oracle.symmetric)
 
 
 @dataclass(frozen=True)
@@ -516,29 +499,56 @@ def random_block_hadamard_symmetric(seed: int, max_band: int,
     return MatrixSymbol(phi1, phi2, phi3, phi4)
 
 
+# The terms of block_mixed_basis: A and D as (generator, entry, index,
+# weight); B, C, E and F (kind 0..3) as (kind, entry, sign, offset, weight),
+# generator 4l - 2 + kind with the weight at index sign * 2l + offset.
+_MIXED_ONCE = np.array([(0, 2, 0, 1), (0, 3, 0, -1),  # A
+                        (1, 1, 0, 1), (1, 4, 0, 1)]).T  # D
+_MIXED_PER_L = np.array([
+    (0, 1, 1, 0, 1), (0, 1, -1, 0, 1), (0, 1, 1, -2, 1), (0, 1, -1, 2, 1),  # B
+    (0, 2, 1, -1, 1), (0, 2, -1, 1, 1), (0, 3, 1, -1, 1), (0, 3, -1, 1, 1),
+    (1, 2, 1, 0, -1), (1, 2, -1, 0, -1), (1, 3, 1, 0, 1), (1, 3, -1, 0, 1),  # C
+    (2, 1, -1, 1, 1), (2, 1, 1, -1, -1), (2, 4, -1, 1, -1), (2, 4, 1, -1, 1),  # E
+    (2, 2, 1, -2, 1), (2, 2, 1, 0, 1), (2, 3, -1, 2, -1), (2, 3, -1, 0, -1),
+    (3, 1, 1, 0, 1), (3, 1, -1, 0, 1), (3, 4, 1, 0, 1), (3, 4, -1, 0, 1),  # F
+]).T
+
+
+def block_mixed_basis(band: int) -> np.ndarray:
+    """An integer basis of the exact ``block_ctilde`` list's solution set on
+    ``[-band, band]``, as the columns ``(generator, entry from 0, index,
+    weight)`` of its terms; a generator's coefficient is the sum of its terms.
+    ``A``: ``phi2(0) = 1``, ``phi3(0) = -1``; ``D``: ``phi1(0) = phi4(0) = 1``;
+    then for each ``l = 1 .. band // 2``: ``B_l``, ``phi1`` +1 at ``+-2l`` and
+    ``+-(2l - 2)``, ``phi2`` and ``phi3`` +1 at ``+-(2l - 1)``; ``C_l``,
+    ``phi2(+-2l) = -1``, ``phi3(+-2l) = 1``; ``E_l``, ``phi1(1 - 2l) = 1``,
+    ``phi1(2l - 1) = -1``, ``phi4`` their negatives, ``phi2(2l - 2) = phi2(2l)
+    = 1``, ``phi3(2 - 2l) = phi3(-2l) = -1``; ``F_l``, ``phi1(+-2l) =
+    phi4(+-2l) = 1``.  ``2 + 4 * (band // 2)`` generators in all."""
+    kind, entry, sign, offset, weight = _MIXED_PER_L
+    # each column of a term is affine in l: at l = 0 and its step
+    at_zero = np.stack([kind - 2, entry, offset, weight])
+    step = np.stack([np.full_like(kind, 4), 0 * kind, 2 * sign, 0 * kind])
+    l = np.arange(1, band // 2 + 1)[:, None]
+    terms = np.concatenate([_MIXED_ONCE, (at_zero[:, None] + l * step[:, None]).reshape(4, -1)],
+                           axis=1)
+    terms[1] -= 1  # entries from 0
+    return terms
+
+
 def random_block_mixed_symmetric(seed: int, max_band: int,
                                  density: float = 0.7) -> MatrixSymbol:
     """Random matrix symbol that is exactly symmetric under the mixed block
-    conjugation, drawn from a proper subspace of the symmetric symbols:
-
-    * entries 1 and 4 are even-only with mirror-symmetric coefficients;
-    * entries 2 and 3 share one mirror-symmetric odd part ``q`` and carry
-      opposite mirror-symmetric even parts;
-    * the diagonal gap is pinned by ``f1(2l) - f4(2l) = q(l) + q(l-1)``, where
-      ``q(l)`` is the odd coefficient at ``2l + 1``; at an odd ``max_band``
-      this reaches bandwidth ``max_band + 1``.
-    """
-    q, f2_half, f4_half = draw_coeffs(seed, max_band, density, range((max_band + 1) // 2),
-                                      *[range(0, max_band + 1, 2)] * 2)
-    odd = {2 * l + 1: v for l, v in q.items()}
-    f2 = {s * k: v for half in (f2_half, odd) for k, v in half.items() for s in (1, -1)}
-    f3 = {k: (v if k % 2 else -v) for k, v in f2.items()}
-    f4 = {s * k: v for k, v in f4_half.items() for s in (1, -1)}
-    top = max_band // 2 + 1
-    f1 = {2 * l: f4.get(2 * l, 0j) + f2.get(2 * l + 1, 0j) + f2.get(2 * l - 1, 0j)
-          for l in range(-top, top + 1)}
-    return MatrixSymbol(LaurentSymbol(f1), LaurentSymbol(f2),
-                        LaurentSymbol(f3), LaurentSymbol(f4))
+    conjugation, of bandwidth at most ``max_band``: one :func:`draw_coeffs`
+    weight on each generator of :func:`block_mixed_basis`, in order."""
+    size = 2 + 4 * (max_band // 2)
+    drawn, = draw_coeffs(seed, max_band, density, range(size))
+    weights = np.array([drawn.get(g, 0j) for g in range(size)])
+    generator, entry, index, weight = block_mixed_basis(max_band)
+    grid = np.zeros((4, 2 * max_band + 1), complex)
+    np.add.at(grid, (entry, index + max_band), weight * weights[generator])
+    exponents = np.arange(-max_band, max_band + 1)
+    return MatrixSymbol(*(LaurentSymbol._of(exponents, row) for row in grid))
 
 
 # --- raw-set projection and explorers -------------------------------------------
@@ -608,68 +618,23 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int, seed: 
             "candidates": [], "anomalies": []}
 
 
-def _block_mixed_nullspace(band: int) -> np.ndarray:
-    """Complex null-space basis (columns) of the ``block_ctilde`` list's system
-    over coefficient vectors of the four entries on ``[-band, band]``.  A
-    relation's row holds the weights its ``lhs - rhs`` puts on the unknowns
-    inside the band (its scale is real, +-1); a relation reading nothing
-    inside the band gives no row.  A band whose system would pass
-    ``RESIDUAL_BUDGET_BYTES`` raises ``ValueError`` before any allocation."""
-    # per entry of a square of 8 band + 32 rows (more than the system's rows and
-    # columns): the system (8 bytes), its complex copy (16) and the full SVD:
-    # LAPACK's input copy (16), both factors twice (64), zgesdd's workspace (56)
-    need = 160 * (8 * band + 32) ** 2
-    if need > RESIDUAL_BUDGET_BYTES:
-        raise ValueError(f"the null-space system at band {band} needs {need >> 20} MiB, "
-                         "over its budget")
-    table = block_mixed_necessary_relations(band)
-    width = 2 * band + 1
-    # each term of lhs - rhs: its weight and the index it reads
-    side = np.stack((np.ones(len(table)), np.where(table.vanish, 0.0, -table.rhs_scale.real)))
-    weight = _TERM_WEIGHT[table.component] * side[..., None]
-    at = table.index[..., None] + _TERM_SHIFT[table.component]
-    inside = (weight != 0) & (np.abs(at) <= band)
-    row = inside.nonzero()[1]
-    matrix = np.zeros((len(table), 4 * width))
-    np.add.at(matrix, (row, (_TERM_ENTRY[table.component] * width + at + band)[inside]),
-              weight[inside])
-    # never empty: the telescoping relations at l = 0 read index 0
-    matrix = matrix[np.unique(row)].astype(complex)
-    _, sv, vh = np.linalg.svd(matrix)
-    cutoff = max(matrix.shape) * np.finfo(float).eps * sv[0]
-    rank = int(np.sum(sv > cutoff))
-    return vh[rank:].conj().T
-
-
 def explore_block_mixed(band: int, trials: int, seed: int,
                         tol: float = SYMMETRY_TOL) -> dict:
-    """Probe whether the mixed-block condition list is also sufficient:
-    sample the condition solution set and report every sample the oracle
-    rejects.  Candidates are expected (the list is not sufficient); anomalies
-    mark samples that fail the very conditions they were built to satisfy."""
+    """Check the ``block_ctilde`` list against the oracle on its solution set,
+    trial ``t`` on ``random_block_mixed_symmetric(seed + t, band, 1.0)``: a
+    candidate satisfies the list but not the oracle, an anomaly fails the list.
+    Both stay empty, as the list is exact.  ``nullspace_dim`` is the basis
+    size.  A band over the residual's budget raises ``ValueError`` first."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if band < 0:
         raise ValueError("band must be >= 0")
-    nullspace = _block_mixed_nullspace(band)
-    width = 2 * band + 1
-    dim = nullspace.shape[1]
-    candidates = []
-    anomalies = []
-    degenerate = 0
-    for t in range(trials):
-        s = seed + t
-        rng = np.random.default_rng(s)
-        weights = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec = nullspace @ weights
-        peak = float(np.max(np.abs(vec)))
-        if peak < 1e-9:  # also the zero vector of an empty nullspace
-            degenerate += 1
-            continue
-        vec = vec / peak
-        msym = MatrixSymbol(*(LaurentSymbol({k - band: v for k, v in enumerate(chunk)
-                                             if abs(v) > 1e-13})
-                              for chunk in vec.reshape(4, width)))
+    need = residual_bytes(min_truncation(band, BlockMixed()), BlockMixed())
+    if need > RESIDUAL_BUDGET_BYTES:
+        raise ValueError(f"the residual at band {band} needs {need >> 20} MiB, over its budget")
+    candidates, anomalies = [], []
+    for s in range(seed, seed + trials):
+        msym = random_block_mixed_symmetric(s, band, 1.0)
         condition = check_block_mixed_necessary(msym)
         oracle = is_c_symmetric(msym, BlockMixed(), tol)
         if not condition.satisfied:
@@ -678,7 +643,7 @@ def explore_block_mixed(band: int, trials: int, seed: int,
             candidates.append({"seed": s, "residual": oracle.residual,
                                "symbol": msym.to_json()})
     return {"family": BlockMixed.name, "band": band, "trials": trials, "seed": seed,
-            "nullspace_dim": int(dim), "degenerate": degenerate,
+            "nullspace_dim": 2 + 4 * (band // 2),
             "candidates": candidates, "anomalies": anomalies}
 
 
@@ -699,7 +664,7 @@ def condition_report_to_json(report: ConditionReport) -> dict:
                 in zip(*(column.tolist() for column in columns))]
     return {
         "satisfied": report.satisfied,
-        "mode": report.mode,
+        "mode": IFF,
         "families": {name: report.family_ok(name) for name in report.table.families},
         "violations": rows,
     }

@@ -31,10 +31,9 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 UNIT_MODULUS_TOL = 1e-12
 AXIOM_TOL = 1e-13
 
-# Status of a family's closed-form coefficient characterization; condition
-# reports carry the same strings as their ``mode``.
+# A family's closed-form coefficient characterization, necessary and
+# sufficient; condition reports carry it as their ``mode``.
 IFF = "iff"
-NECESSARY_ONLY = "necessary_only"
 
 
 class WireField(NamedTuple):
@@ -76,10 +75,10 @@ class ConjugationSpec:
     """A conjugation family.  Each subclass is the single definition of its
     family: ``name`` (JSON and CLI), ``wire_fields`` (constructor arguments in
     order), ``period`` (the block period whose divisibility makes truncation
-    exact), ``is_block``, ``characterization`` (``IFF``, ``NECESSARY_ONLY``,
-    or ``None`` when only the raw relation table applies)
-    and ``blocks(size)``, the ``(perms, weights)`` grid of ``A`` in the
-    truncated action ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
+    exact), ``is_block``, ``characterization`` (``IFF``: a closed-form list,
+    necessary and sufficient; ``None`` when only the raw table applies) and
+    ``blocks(size)``, the ``(perms, weights)`` grid of ``A`` in the truncated
+    action ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
     residue-permutation families also carry ``sigma``; the others ``None``."""
 
     name: ClassVar[str]
@@ -238,7 +237,6 @@ class BlockMixed(_PairBlock):
     block-of-two reversal with plain coefficient conjugation ``C1``."""
 
     name = "block_ctilde"
-    characterization = NECESSARY_ONLY
     _off_diagonal_xor = 0  # C1 fixes every index
 
 

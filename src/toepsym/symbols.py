@@ -126,12 +126,6 @@ class LaurentSymbol:
     def __repr__(self) -> str:
         return f"LaurentSymbol({self.coeffs!r})"
 
-    def to_text(self) -> str:
-        """Exact textual form; :func:`parse_symbol` round-trips it."""
-        terms = (f"({c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}i)"
-                 + (f" z^{k}" if k else "") for k, c in self.items())
-        return " + ".join(terms) or "0"
-
     def to_json(self) -> dict[str, list[float]]:
         return dict(zip(map(str, self.exponents.tolist()),
                         self.values.view(float).reshape(-1, 2).tolist()))

@@ -23,8 +23,6 @@ from .symbols import LaurentSymbol, MatrixSymbol
 from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
 SYMMETRY_TOL = 1e-10
-# the residual's allocation, per entry of its strips: their int64 columns (48 bytes),
-# about 40 per grid block and 40 per term (the complex term, its value and index)
 RESIDUAL_BUDGET_BYTES = 1 << 28
 
 SYMMETRIC = "symmetric"
@@ -96,6 +94,15 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
     return math.sqrt(sq) / max(scale, math.sqrt(norm_sq))
 
 
+def residual_bytes(order: int, spec: ConjugationSpec) -> int:
+    """The residual's estimated peak allocation at truncation ``order``, per
+    entry of its ``period * (2 * order - period)`` strips: 144 bytes for their
+    int64 columns and the gathers' temporaries, about 40 per grid block and 40
+    per term."""
+    g, p = (2 if spec.is_block else 1), spec.period
+    return (144 + 40 * g**2 + 40 * g**4) * p * (2 * order - p)
+
+
 def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
                    tol: float = SYMMETRY_TOL) -> SymmetryReport:
     """Build the truncation pair for ``symbol`` under ``spec``, of order
@@ -110,8 +117,8 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     if block != isinstance(symbol, MatrixSymbol):
         kind = "matrix" if block else "scalar"
         raise ValueError(f"spec {spec!r} requires a {kind} symbol")
-    n, p, g = min_truncation(symbol.bandwidth, spec), spec.period, 2 if block else 1
-    need = (48 + 40 * g**2 + 40 * g**4) * p * (2 * n - p)  # p * (2n - p) strip entries
+    n = min_truncation(symbol.bandwidth, spec)
+    need = residual_bytes(n, spec)
     if need > RESIDUAL_BUDGET_BYTES:
         raise ValueError(f"the residual at order {n} needs {need >> 20} MiB, over its budget")
     t = block_truncate(symbol, n) if block else truncate(symbol, n)

@@ -8,6 +8,8 @@
   the cross reflection.  The exact list implies it, but it is strictly
   weaker: ``test_conditions.py`` holds a symbol it accepts and the oracle
   rejects.
+* :func:`block_mixed_generators` gives each generator of the ``block_ctilde``
+  solution-set basis as a matrix symbol.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from toepsym.conditions import (
     random_block_mixed_symmetric,
 )
 from toepsym.conjugations import BlockHadamard, BlockMixed
-from toepsym.symbols import project_to_conditions, random_symbol
+from toepsym.symbols import LaurentSymbol, MatrixSymbol, project_to_conditions, random_symbol
 
 
 def symmetric_symbol(spec, seed, band, density):
@@ -54,4 +56,17 @@ def sums_relations(band: int) -> RelationTable:
 def sums_form(msym):
     """The sums list evaluated on ``msym``, through the module attribute a
     test may wrap."""
-    return conditions.evaluate_block_relations(msym, sums_relations(msym.bandwidth), IFF)
+    return conditions.evaluate_block_relations(msym, sums_relations(msym.bandwidth))
+
+
+def block_mixed_generators(band):
+    """Each generator of ``block_mixed_basis(band)`` as a matrix symbol, in order."""
+    generator, entry, index, weight = conditions.block_mixed_basis(band)
+    symbols = []
+    for g in range(2 + 4 * (band // 2)):
+        coeffs = [{}, {}, {}, {}]
+        at = generator == g
+        for e, k, w in zip(entry[at].tolist(), index[at].tolist(), weight[at].tolist()):
+            coeffs[e][k] = coeffs[e].get(k, 0) + w
+        symbols.append(MatrixSymbol(*map(LaurentSymbol, coeffs)))
+    return symbols

@@ -45,7 +45,7 @@ from toepsym.symbols import (
 from toepsym.symmetry import is_c_symmetric, residual
 from toepsym.toeplitz import block_truncate, min_truncation, truncate
 
-from solution_sets import sums_form
+from solution_sets import block_mixed_generators, sums_form
 
 ORACLE_TOL = 1e-10
 
@@ -208,24 +208,32 @@ def test_criterion_5_remark_individually_symmetric_entries():
 
 
 def test_criterion_6_block_mixed_necessity():
+    # the list is necessary and sufficient.  Necessity: every generator of
+    # its solution set's basis is symmetric and satisfies the list.
     violations = []
     symmetric_seen = 0
-    for t in range(300):
-        msym = random_matrix_symbol(60_000 + t, 6, 0.5)
-        report = is_c_symmetric(msym, BlockMixed(), ORACLE_TOL)
-        if report.residual <= ORACLE_TOL:
-            symmetric_seen += 1
-            if not check_block_mixed_necessary(msym).satisfied:
-                violations.append(t)
-    # necessity is near-vacuous on raw random draws, so exercise it on
-    # constructed symmetric symbols as well
+    for g, msym in enumerate(block_mixed_generators(12)):
+        if is_c_symmetric(msym, BlockMixed(), ORACLE_TOL).residual > ORACLE_TOL:
+            violations.append(("generator not symmetric", g))
+            continue
+        symmetric_seen += 1
+        if not check_block_mixed_necessary(msym).satisfied:
+            violations.append(("generator", g))
+    # sufficiency: every draw that satisfies the list is symmetric; raw
+    # draws, which almost never do, must agree both ways
     for t in range(100):
         msym = random_block_mixed_symmetric(61_000 + t, 6)
-        if is_c_symmetric(msym, BlockMixed(), ORACLE_TOL).residual <= ORACLE_TOL:
-            symmetric_seen += 1
-            if not check_block_mixed_necessary(msym).satisfied:
-                violations.append(("constructed", t))
-    # deliberate violation of each listed family leaves a loud residual
+        assert check_block_mixed_necessary(msym).satisfied
+        if is_c_symmetric(msym, BlockMixed(), ORACLE_TOL).residual > ORACLE_TOL:
+            violations.append(("constructed", t))
+            continue
+        symmetric_seen += 1
+    for t in range(300):
+        msym = random_matrix_symbol(60_000 + t, 6, 0.5)
+        symmetric = is_c_symmetric(msym, BlockMixed(), ORACLE_TOL).residual <= ORACLE_TOL
+        if symmetric != check_block_mixed_necessary(msym).satisfied:
+            violations.append(("raw", t))
+    # deliberate violation of the list leaves a loud residual
     weak = []
     single_entry_cases = [(1, "z"), (2, "z"), (1, "z^2"), (2, "z^2"),
                           (3, "z^2"), (4, "z^2")]
@@ -239,7 +247,7 @@ def test_criterion_6_block_mixed_necessity():
         if residual <= 1e-2:
             weak.append((entry, text, residual))
     ok = not violations and not weak and symmetric_seen >= 100
-    assert _verdict("6", "block mixed: necessity + loud violations", ok,
+    assert _verdict("6", "block mixed: necessity, sufficiency + loud violations", ok,
                     f"{symmetric_seen} symmetric inputs exercised")
 
 

@@ -7,12 +7,12 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toepsym.cli as cli
+import toepsym.conditions as conditions
 import toepsym.symmetry as symmetry
 from toepsym.cli import main, parse_spec_text
 from toepsym.conjugations import (
@@ -214,7 +214,25 @@ class TestExploreCommand:
                                "--trials", "8", "--band", "3")
         assert code == 0
         payload = json.loads(out)
-        assert payload["nullspace_dim"] > 0
+        assert payload["nullspace_dim"] == 6
+        assert payload["candidates"] == payload["anomalies"] == []
+
+    def test_block_ctilde_candidate_is_a_disagreement(self, capsys):
+        # a draw that satisfies the exact list but fails the oracle (here
+        # through a tolerance below rounding) contradicts the list
+        code, out, _ = run_cli(capsys, "explore", "--spec", "block_ctilde",
+                               "--trials", "2", "--band", "2", "--tol", "1e-300")
+        assert code == 2
+        assert [c["seed"] for c in json.loads(out)["candidates"]] == [0, 1]
+
+    def test_symmetric_block_ctilde_symbol_exits_zero(self, capsys):
+        # exactly symmetric (residual about 2e-16): the list must accept it
+        code, out, err = run_cli(capsys, "check", "--spec", "block_ctilde", "--symbol",
+                                 "z - z^-1; -0.5 z^2 + 0.5 z^-2; -0.5 z^2 + 0.5 z^-2; -z + z^-1")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["agree"] is True and payload["condition"]["mode"] == "iff"
+        assert payload["condition"]["satisfied"] and payload["oracle"]["residual"] <= 1e-15
 
     def test_characterized_spec_rejected(self, capsys):
         code, _, err = run_cli(capsys, "explore", "--spec", "reversal:2", "--trials", "4")
@@ -502,13 +520,58 @@ class TestResidualBudget:
         assert (code, out) == (3, "")
         assert "over its budget" in err
 
-    def test_explorer_null_space_exits_three_before_the_svd(self, capsys, monkeypatch):
+    def test_explorer_exits_three_before_drawing(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the budget check came too late")
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        code, out, err = run_cli(capsys, "explore", "--spec", "block_ctilde", "--band", "1000")
+        monkeypatch.setattr(conditions, "draw_coeffs", refuse)
+        code, out, err = run_cli(capsys, "explore", "--spec", "block_ctilde", "--band", "100000")
         assert (code, out) == (3, "")
         assert "over its budget" in err
+
+
+# Prints the residual's peak allocation above the memory in use before it,
+# and its estimate.  The peak is the address space's high-water mark, VmHWM:
+# ru_maxrss also keeps the mark of the process that forked this one.
+_PEAK = """
+import json, sys
+from toepsym.cli import parse_spec_text
+from toepsym.conjugations import truncated_matrix
+from toepsym.symbols import MatrixSymbol, parse_symbol
+from toepsym.symmetry import residual, residual_bytes
+from toepsym.toeplitz import block_truncate, min_truncation, truncate
+
+spec = parse_spec_text(sys.argv[2])
+entries = [parse_symbol(text) for text in sys.argv[1].split(";")]
+symbol = MatrixSymbol(*entries) if spec.is_block else entries[0]
+n = min_truncation(symbol.bandwidth, spec)
+t = (block_truncate if spec.is_block else truncate)(symbol, n)
+c = truncated_matrix(spec, n)
+
+
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(field))
+
+
+before = status("VmRSS:")
+residual(t, c)
+print(json.dumps({"peak": status("VmHWM:") - before, "estimate": residual_bytes(n, spec)}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("symbol, spec", [
+    ("z^50000 + z^-50000", "reversal:2"),
+    ("z^200000 + z^-200000", "reversal:2"),
+    ("z^20000 + z^-20000;0;0;z^20000 + z^-20000", "block_c"),
+], ids=["reversal-50000", "reversal-200000", "block_c-20000"])
+def test_residual_memory_estimate_bounds_its_peak(symbol, spec):
+    # the estimate the budget reads must not fall below what the residual takes
+    proc = subprocess.run([sys.executable, "-c", _PEAK, symbol, spec],
+                          capture_output=True, text=True, env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    measured = json.loads(proc.stdout)
+    assert 0 < measured["peak"] <= measured["estimate"], measured
 
 
 def _module_env(**extra):

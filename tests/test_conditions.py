@@ -8,12 +8,13 @@ import toepsym.conditions as conditions
 from toepsym.cli import parse_spec_text
 from toepsym.conditions import (
     IFF,
-    NECESSARY_ONLY,
+    block_mixed_necessary_relations,
     check_block_mixed_necessary,
     check_transposition,
     condition_report_to_json,
     condition_reports,
     equivalence_trial,
+    evaluate_relations,
     evaluate_scalar_relations,
     explore_block_mixed,
     explore_transposition,
@@ -33,6 +34,7 @@ from toepsym.conjugations import (
     MuLambda,
     Reversal,
     Transposition,
+    truncated_matrix,
 )
 from toepsym.symbols import (
     LaurentSymbol,
@@ -43,8 +45,9 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric
+from toepsym.toeplitz import block_truncate, min_truncation
 
-from solution_sets import sums_form
+from solution_sets import block_mixed_generators, sums_form
 
 BIG = 1e6
 ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
@@ -156,7 +159,7 @@ class TestInterchangeSign:
 class TestTranspositionChecker:
     def test_satisfied_case_one(self):
         rep = check_transposition(parse_symbol("z^4 + z^-4 + 2"), 4, 0, 2)
-        assert rep.satisfied and rep.mode == IFF
+        assert rep.satisfied
 
     def test_vanish_violation(self):
         rep = check_transposition(parse_symbol("z^2"), 4, 0, 2)
@@ -174,7 +177,6 @@ class TestTranspositionChecker:
     def test_swaps_outside_the_covered_cases_read_the_closed_form(self):
         for p, i, j in [(5, 1, 3), (5, 1, 4), (7, 0, 3)]:
             rep = check_transposition(parse_symbol("z"), p, i, j)
-            assert rep.mode == IFF
             assert rep.table.names == ("multiples", "vanish")
 
 
@@ -281,19 +283,46 @@ class TestBlockHadamardChecker:
         assert not report.symmetric and report.residual > 1e-2
 
 
+def _unit_symbols(band):
+    """The unit coefficient symbols on ``[-band, band]``, entry by entry."""
+    for e in range(4):
+        for k in range(-band, band + 1):
+            entries = [LaurentSymbol()] * 4
+            entries[e] = LaurentSymbol({k: 1.0})
+            yield MatrixSymbol(*entries)
+
+
+def _kernel_dimension(matrix):
+    return matrix.shape[1] - np.linalg.matrix_rank(matrix)
+
+
+# the families that read phi1 and phi4 at odd indices (phi2 and phi3 at even
+# ones), and those that read them at even ones: a lone coefficient violates
+# the set that reads it
+_ODD_PHI1_PHI4 = {"q22_01", "q22_10", "q21_00", "q21_11"}
+_EVEN_PHI1_PHI4 = {"q22_00", "q22_11", "q21_10"}
+
+
+def _violated(report):
+    return {name for name in report.table.families if not report.family_ok(name)}
+
+
 class TestBlockMixedChecker:
     def test_zero_satisfied(self):
         assert check_block_mixed_necessary(ZERO_BLOCK).satisfied
 
     def test_antidiagonal_odd_pair(self):
-        z = parse_symbol("z")
-        zero = LaurentSymbol()
+        # phi1 = z, phi4 = -z is half of E_1: without its even phi2 and phi3
+        # terms it is not symmetric, and with them it is
+        z, zero = parse_symbol("z"), LaurentSymbol()
         m = MatrixSymbol(z, zero, zero, -1 * z)
         rep = check_block_mixed_necessary(m)
-        assert rep.family_ok("odd_sum14")
-        assert rep.family_ok("odd_diff23")
-        # mixed families still fail: phi1 - phi4 = 2z leaks into them
-        assert not rep.satisfied
+        assert _violated(rep) == _ODD_PHI1_PHI4
+        assert not is_c_symmetric(m, BlockMixed()).symmetric
+        e1 = MatrixSymbol(parse_symbol("z^-1 - z"), parse_symbol("1 + z^2"),
+                          parse_symbol("-1 - z^-2"), parse_symbol("z - z^-1"))
+        assert check_block_mixed_necessary(e1).satisfied
+        assert is_c_symmetric(e1, BlockMixed()).residual <= 1e-15
 
     def test_constructed_symmetric_pass(self):
         for seed in range(30):
@@ -302,14 +331,13 @@ class TestBlockMixedChecker:
             assert check_block_mixed_necessary(m).satisfied
 
     def test_necessity_on_oracle_symmetric_inputs(self):
-        # the defining property of a necessary-condition set
         for seed in range(30):
             m = random_block_mixed_symmetric(seed, 5)
             if is_c_symmetric(m, BlockMixed()).symmetric:
                 assert check_block_mixed_necessary(m).satisfied
 
     @pytest.mark.parametrize("entry,family", [
-        (1, "odd_sum14"), (2, "odd_diff23"),
+        (1, "q22_01"), (2, "q22_00"),
     ])
     def test_single_odd_coefficient_violates(self, entry, family):
         entries = [LaurentSymbol()] * 4
@@ -317,6 +345,7 @@ class TestBlockMixedChecker:
         m = MatrixSymbol(*entries)
         rep = check_block_mixed_necessary(m)
         assert not rep.family_ok(family)
+        assert _violated(rep) == (_ODD_PHI1_PHI4 if entry == 1 else _EVEN_PHI1_PHI4)
         assert is_c_symmetric(m, BlockMixed()).residual > 1e-2
 
     @pytest.mark.parametrize("entry", [1, 2, 3, 4])
@@ -325,15 +354,67 @@ class TestBlockMixedChecker:
         entries[entry - 1] = parse_symbol("z^2")
         m = MatrixSymbol(*entries)
         rep = check_block_mixed_necessary(m)
-        assert not rep.family_ok(f"telescope{entry}")
+        assert _violated(rep) == (_EVEN_PHI1_PHI4 if entry in (1, 4)
+                                  else _ODD_PHI1_PHI4)
         assert is_c_symmetric(m, BlockMixed()).residual > 1e-2
 
     def test_report_mode(self):
-        assert check_block_mixed_necessary(ZERO_BLOCK).mode == NECESSARY_ONLY
+        assert BlockMixed.characterization == IFF
+        assert condition_report_to_json(check_block_mixed_necessary(ZERO_BLOCK))["mode"] == "iff"
 
-    def test_report_mode_follows_the_family(self, monkeypatch):
-        monkeypatch.setattr(BlockMixed, "characterization", IFF)
-        assert check_block_mixed_necessary(ZERO_BLOCK).mode == IFF
+    def test_report_mode_follows_the_family(self):
+        # every family's list is necessary and sufficient, so every report is iff
+        specs = [GeneralPermutation(3, (2, 1, 0)), Transposition(5, 1, 3), Reversal(2),
+                 MuLambda(1.0, 1j), BlockHadamard(), BlockMixed()]
+        for spec in specs:
+            symbol = ZERO_BLOCK if spec.is_block else LaurentSymbol()
+            assert condition_report_to_json(condition_reports(symbol, spec))["mode"] == "iff"
+
+    def test_combination_names_spell_their_terms(self):
+        # lhs_component prints the name, so it must say what the row reads
+        for name, terms in conditions._BLOCK_COMBOS.items():
+            spelled = "".join(f"{'+' if weight > 0 else '-'}phi{entry}"
+                              + (f"[{shift:+d}]" if shift else "")
+                              for entry, weight, shift in terms)
+            assert spelled.removeprefix("+") == name
+
+    @pytest.mark.parametrize("band", range(13))
+    def test_list_basis_and_oracle_kernels_are_equal(self, band):
+        # over the coefficients on [-band, band]: the list's rows, the basis
+        # and the oracle's C T C - T^* (dense, from unit coefficients).  The
+        # oracle is conjugate-linear, so its kernel is the conjugate of its
+        # matrix's; the basis is real, so containment and equal dimensions
+        # make all three spans one
+        table = block_mixed_necessary_relations(band)
+        rows = []
+        n = min_truncation(band, BlockMixed())
+        a = truncated_matrix(BlockMixed(), n).matrix
+        oracle = []
+        for unit in _unit_symbols(band):
+            report = evaluate_relations(unit, table)
+            rows.append(report.lhs - (report.rhs_re + 1j * report.rhs_im))
+            t = block_truncate(unit, n).data
+            oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
+        rows, oracle = np.array(rows).T, np.array(oracle).T
+        generator, entry, index, weight = conditions.block_mixed_basis(band)
+        size, width = 2 + 4 * (band // 2), 2 * band + 1
+        basis = np.zeros((size, 4 * width))
+        np.add.at(basis, (generator, entry * width + index + band), weight)
+        assert np.linalg.matrix_rank(basis) == size
+        assert not (rows @ basis.T).any()
+        assert np.abs(oracle @ basis.T).max() <= 1e-15
+        assert _kernel_dimension(rows) == _kernel_dimension(oracle) == size
+
+    def test_generators_and_draws_pass_run_check(self):
+        for m in block_mixed_generators(30):
+            outcome = run_check(m, BlockMixed())
+            assert outcome.agree and outcome.oracle.symmetric, m
+        for t in range(200):
+            band, density = t % 31, (0.3, 0.7, 1.0)[t % 3]
+            m = random_block_mixed_symmetric(70_000 + t, band, density)
+            assert m.bandwidth <= band
+            outcome = run_check(m, BlockMixed())
+            assert outcome.agree and outcome.oracle.symmetric, (t, band)
 
 
 class TestEquivalenceTrials:
@@ -352,9 +433,7 @@ class TestEquivalenceTrials:
             result = equivalence_trial(spec, 77, band=6, satisfying=True)
             assert result.oracle_symmetric and result.condition_satisfied
 
-    def test_block_sampler_follows_the_family(self, monkeypatch):
-        # not the mode: an exact block_ctilde list must still draw from its own set
-        monkeypatch.setattr(BlockMixed, "characterization", IFF)
+    def test_block_sampler_follows_the_family(self):
         assert (conditions._trial_symbol(BlockMixed(), 3, 4, 0.7, True)
                 == random_block_mixed_symmetric(3, 4, 0.7))
 
@@ -377,7 +456,7 @@ class TestSamplers:
         "random_block_hadamard_symmetric":
             "7061e738a33156f6503951599dd3004ede0c8c1c1b1fc261e39cdab43005779c",
         "random_block_mixed_symmetric":
-            "4c630df85474fbde5a65c56e010b3b9393225bb37692e30c38ca7baadfbbd58e",
+            "13b1aebc985f803006559dda0b642c5ddeb61d31c6bb04ea06f32593a00329d1",
     }
 
     @pytest.mark.parametrize("sampler", [random_symbol, random_matrix_symbol,
@@ -402,7 +481,6 @@ class TestSamplers:
 class TestRunCheck:
     def test_swap_outside_the_covered_cases_is_decided(self):
         outcome = run_check(parse_symbol("z^5 + z^-5"), Transposition(5, 1, 3))
-        assert outcome.condition.mode == IFF
         assert outcome.condition.table.names == ("multiples", "vanish")
         assert outcome.agree and outcome.oracle.symmetric
 
@@ -416,16 +494,18 @@ class TestRunCheck:
         spec = Transposition(5, 1, 3)
         monkeypatch.setitem(spec.__dict__, "characterization", None)
         outcome = run_check(parse_symbol("z"), spec)
-        assert outcome.condition.mode == IFF
         assert outcome.condition.table.names == ("raw",)
         assert not outcome.condition.satisfied and outcome.agree
 
-    def test_necessary_only_agreement(self):
-        # condition satisfied + oracle not symmetric is consistent for the
-        # mixed block family
+    def test_block_ctilde_agreement_is_equivalence(self):
+        # a satisfied list with a rejecting oracle is a disagreement, as for
+        # every other family
         m = random_block_mixed_symmetric(3, 5)
         outcome = run_check(m, BlockMixed())
-        assert outcome.agree
+        assert outcome.agree and outcome.condition.satisfied and outcome.oracle.symmetric
+        outcome = run_check(m, BlockMixed(), tol=1e-300)
+        assert outcome.condition.satisfied and not outcome.oracle.symmetric
+        assert not outcome.agree
 
     def test_json_shape(self):
         outcome = run_check(parse_symbol("z"), Reversal(2))
@@ -505,16 +585,11 @@ class TestExplorers:
             explore_transposition(5, 1, 3, band=-1, trials=5, seed=0)
 
     def test_block_mixed_explorer_finds_sufficiency_gap(self):
+        # the list is exact: no draw from its solution set fails the oracle
         report = explore_block_mixed(band=4, trials=25, seed=0)
-        assert report["anomalies"] == []
-        assert report["nullspace_dim"] > 0
-        # the necessary conditions are not sufficient: the solution set
-        # contains plainly non-symmetric symbols
-        assert len(report["candidates"]) > 0
-        for cand in report["candidates"]:
-            m = MatrixSymbol.from_json(cand["symbol"])
-            assert check_block_mixed_necessary(m).satisfied
-            assert not is_c_symmetric(m, BlockMixed()).symmetric
+        assert report["anomalies"] == [] and report["candidates"] == []
+        assert report["nullspace_dim"] == 10
+        assert "degenerate" not in report
 
 
 class TestCoefficientTolerance:
@@ -551,5 +626,7 @@ class TestCoefficientTolerance:
 
 class TestOneEvaluator:
     def test_block_mixed_nullspace_dimensions(self):
-        dims = [conditions._block_mixed_nullspace(b).shape[1] for b in range(11)]
-        assert dims == [4, 6, 10, 12, 16, 18, 22, 24, 28, 30, 34]
+        # the basis size, 2 + 4 * (band // 2), which the explorer reports
+        dims = [np.unique(conditions.block_mixed_basis(b)[0]).size for b in range(11)]
+        assert dims == [2, 2, 6, 6, 10, 10, 14, 14, 18, 18, 22]
+        assert dims == [explore_block_mixed(b, 1, 0)["nullspace_dim"] for b in range(11)]

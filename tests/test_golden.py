@@ -66,6 +66,10 @@ COMMANDS = {
                         "--band", "8"]),
     "explore": (0, ["explore", "--spec", "transposition:5:1:3", "--trials", "5",
                     "--band", "7", "--seed", "1"]),
+    # draws from the integer basis of the block_ctilde list's solution set: the
+    # bytes must not depend on the BLAS thread count (CI runs both)
+    "explore_block_ctilde": (0, ["explore", "--spec", "block_ctilde", "--band", "8",
+                                 "--trials", "5", "--seed", "3"]),
 }
 
 

@@ -113,11 +113,13 @@ DIGESTS = {
         "02fe55fd6b8436c75f1790d54c7cfbe0da25bb037a2984621b9122e82d854df8",
     "hadamard_sums":
         "f03125305c4876d75a8468ac2c248f17214ac496c5aa2c0e1c9d1bbf7aa1ccce",
+    # the exact block_ctilde list, written from its table; the tests in
+    # test_conditions.py hold its kernel equal to the oracle's
     "mixed_necessary":
-        "5725ceae7a3136a3f81a48dfb9068701518e228fe971e63c2930697deec43d1a",
+        "b31e43fa2f9a0d210e1772f37caf303614940f0bc14185a2c50fc38e034f2f69",
 }
 
-NULLSPACE_SYSTEM = "2a3508e4c207e4016eee16693b696e81ebb83c1cec9c0d6d45e4bd6cc84de12f"
+BASIS_TERMS = "91a8e883e22efc6899e9b3801be7c1edf970dc6f496dc2ea4200c549ec33536f"
 
 
 @pytest.mark.parametrize("name", list(ENUMERATORS))
@@ -125,21 +127,18 @@ def test_enumerator_rows_are_pinned(name):
     assert _digest(ENUMERATORS[name]()) == DIGESTS[name]
 
 
-def test_block_mixed_nullspace_system_is_pinned(monkeypatch):
-    # the matrix handed to the SVD, bit for bit, at bands 0-12 (written from
-    # the per-relation rows); the SVD's own output bits depend on the LAPACK
-    # build, so the basis is pinned through its input
-    seen = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
-    dims = [conditions._block_mixed_nullspace(band).shape[1] for band in range(13)]
+def test_block_mixed_nullspace_system_is_pinned():
+    # the terms of the block_ctilde solution-set basis, bit for bit, at bands
+    # 0-12 (written from block_mixed_basis); test_conditions.py checks that
+    # the basis spans the list's kernel and the oracle's
     h = hashlib.sha256()
-    for a in seen:
-        h.update(repr((a.shape, a.dtype.str)).encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    assert dims == [4, 6, 10, 12, 16, 18, 22, 24, 28, 30, 34, 36, 40]
-    assert h.hexdigest() == NULLSPACE_SYSTEM
+    for band in range(13):
+        terms = conditions.block_mixed_basis(band)
+        assert terms.dtype == np.int64 and terms.shape[0] == 4
+        assert np.unique(terms[0]).tolist() == list(range(2 + 4 * (band // 2)))
+        h.update(repr(terms.shape).encode())
+        h.update(np.ascontiguousarray(terms).tobytes())
+    assert h.hexdigest() == BASIS_TERMS
 
 
 # --- the evaluator against the per-relation loop ---------------------------
@@ -197,8 +196,8 @@ def compared(monkeypatch):
     calls = []
     evaluate = conditions.evaluate_relations
 
-    def checked(symbol, table, mode=conditions.IFF):
-        report = evaluate(symbol, table, mode)
+    def checked(symbol, table):
+        report = evaluate(symbol, table)
         _assert_same(symbol, table, report)
         calls.append(len(report.violations))
         return report
@@ -260,7 +259,7 @@ def test_other_tables_match_the_reference(compared):
                 sym = project_to_raw(drawn, Transposition(p, q - 1, p - 1), drawn.bandwidth)
                 for symbol in (sym, random_symbol(seed, band, 0.7), _signed_zeros(sym)):
                     conditions.evaluate_scalar_relations(
-                        symbol, interchange_sign_relations(p, q, band), conditions.IFF)
+                        symbol, interchange_sign_relations(p, q, band))
     assert any(compared)
 
 
@@ -284,7 +283,7 @@ def test_filtered_lists_match_the_reference():
         for symbol in (random_symbol(seed, 15, 0.5), random_symbol(seed, 20, 0.5)):
             _assert_same(symbol, table, evaluate_relations(symbol, table))
     full = block_mixed_necessary_relations(6)
-    block = _filtered(full, _in_families(full, lambda name: name.startswith("mixed")))
+    block = _filtered(full, _in_families(full, lambda name: name.startswith("q21")))
     m = random_matrix_symbol(3, 6, 0.6)
     _assert_same(m, block, evaluate_relations(m, block))
     empty = _filtered(full, np.zeros(len(full), bool))
