@@ -27,7 +27,6 @@ from .conjugations import (
     MuLambda,
     Reversal,
     Transposition,
-    covered_transposition_case,
     residue_orbits,
     spec_from_json,
     spec_to_json,
@@ -44,17 +43,12 @@ from .symmetry import SymmetryReport, is_c_symmetric, residual
 from .conditions import (
     ConditionReport,
     check_block_mixed_necessary,
-    check_transposition,
     condition_reports,
     equivalence_trial,
     explore_block_mixed,
     explore_transposition,
-    interchange_sign_relations,
-    project_to_raw,
     random_block_hadamard_symmetric,
     random_block_mixed_symmetric,
-    raw_relations_general,
-    raw_relations_transposition,
     run_check,
 )
 

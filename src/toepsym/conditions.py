@@ -8,17 +8,11 @@ evaluates a table against a symbol with a few vectorized gathers, and
 cross-checks every symbolic verdict against the brute-force matrix oracle in
 :mod:`toepsym.symmetry`.
 
-A table holds one of three kinds of relation set:
-
-* *raw* sets -- the entry-by-entry identities of the truncated operator
-  equation, valid for any residue permutation; they are exact by
-  construction and serve as the reference the closed-form condition sets
-  are compared against;
-* *closed-form* sets -- the compact characterizations (period multiples
-  symmetric, everything else vanishing; reflection with a power of lambda;
-  the block condition lists);
-* *rule* sets -- the interchange/sign rewriting of the raw relations for
-  residue swaps with ``p = m*q + 1``, ``i = q - 1``, ``j = p - 1``.
+Every family's table is exact: a residue permutation's is read off its
+orbits, the twist family's is a reflection with powers of lambda, and the
+block families' are their condition lists.  The raw entry identities of the
+operator equation and the paper's rule sets for residue swaps stay as the
+reference the tests compare against; no command reads them.
 
 A :class:`ConditionReport` is the evaluated table, the values of its rows
 and the indices of its violated rows; the JSON writer reads the table's
@@ -31,12 +25,11 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .conjugations import (
-    IFF,
     BlockHadamard,
     BlockMixed,
     ConjugationSpec,
@@ -44,7 +37,6 @@ from .conjugations import (
     MuLambda,
     Reversal,
     Transposition,
-    residue_orbits,
 )
 from .symbols import (
     LaurentSymbol,
@@ -230,7 +222,7 @@ evaluate_scalar_relations = evaluate_relations
 evaluate_block_relations = evaluate_relations
 
 
-# --- raw relation sets --------------------------------------------------------
+# --- raw relation sets: the tests' reference ----------------------------------
 
 
 def _pair_rows(cells: Sequence[tuple[int, int, str]], p: int, band: int) -> RelationTable:
@@ -262,8 +254,8 @@ def raw_relations_general(p: int, sigma: Sequence[int], band: int) -> RelationTa
     truncated operator equation, where a residue cell ``(m0, s0)`` forces
     ``c_(m0 - sigma(s0) + p*l) == c_(s0 - sigma(m0) - p*l)`` for every ``l``.
 
-    This set is an exact characterization of the truncated identity, for any
-    involution, and anchors all cross-checks.
+    This set is exact for any involution by construction; the tests hold
+    the orbit tables to its kernel.
     """
     sigma = GeneralPermutation(p, tuple(sigma)).sigma
     return _pair_rows([(m0 - sigma[s0], s0 - sigma[m0], "raw")
@@ -324,14 +316,29 @@ def interchange_sign_relations(p: int, q: int, band: int) -> RelationTable:
 # --- closed-form condition sets -------------------------------------------------
 
 
-def _period_conditions(p: int, band: int) -> RelationTable:
-    """Residue swaps and block reversals: period multiples mirror-symmetric,
-    all other coefficients zero (for ``p = 1`` only the mirror remains)."""
-    multiples = p * np.arange(1, band // p + 1)
+def _orbit_conditions(orbits, band: int) -> RelationTable:
+    """The exact table of a residue permutation with these ``orbits``
+    (:func:`~toepsym.conjugations.residue_orbits`).  ``multiples``: for each
+    map ``(e, a)`` of a finite orbit, ``c_k == c_(e*k + a)`` over the ``k`` in
+    ``[-band, band]`` of its residue where ``k > e*k + a`` or ``e*k + a`` lies
+    outside the band, residue by residue; ``vanish``: every index in the band
+    whose orbit is infinite."""
+    p, lhs, rhs = len(orbits), [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for r, orbit in enumerate(orbits):
+        if orbit is None:
+            continue
+        k = np.arange(-band + (r + band) % p, band + 1, p)
+        for e, a in sorted(orbit):
+            image = e * k + a
+            # each pair once: from its larger index, or its one index in the band
+            keep = (k > image) | (abs(image) > band)
+            lhs.append(k[keep])
+            rhs.append(image[keep])
     k = np.arange(-band, band + 1)
+    infinite = np.array([orbit is None for orbit in orbits])
     return RelationTable(("multiples", "vanish"),
-                         (0, False, _PHI, _PHI, multiples, -multiples, 1),
-                         (1, True, _PHI, _PHI, k[k % p != 0], 0, 1))
+                         (0, False, _PHI, _PHI, np.concatenate(lhs), np.concatenate(rhs), 1),
+                         (1, True, _PHI, _PHI, k[infinite[k % p]], 0, 1))
 
 
 def _twist_relations(lam: complex, band: int) -> RelationTable:
@@ -343,9 +350,8 @@ def _twist_relations(lam: complex, band: int) -> RelationTable:
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
-    """The residue swap's condition report: period multiples
-    mirror-symmetric and all other coefficients zero where ``residue_orbits``
-    decides the swap (every swap with ``p <= 30``), else the raw table."""
+    """The residue swap's condition report, from its orbit table: for every
+    swap tested, period multiples mirror-symmetric and all else zero."""
     return condition_reports(sym, Transposition(p, i, j))
 
 
@@ -409,17 +415,14 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
 
 
 def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
-    """The condition report of ``symbol`` under ``spec``: the family's
-    closed-form table when it has a ``characterization``, or, for a residue
-    permutation without one (``general``, an undecided swap), the raw relation
-    table, exact at the truncation.  Either is necessary and sufficient."""
+    """The condition report of ``symbol`` under ``spec``, from the family's
+    exact table: a residue permutation's is read off its orbits.  Every table
+    is necessary and sufficient."""
     if isinstance(spec, BlockMixed):
         return check_block_mixed_necessary(symbol)
     band = symbol.bandwidth
-    if isinstance(spec, (Transposition, Reversal)) and spec.characterization == IFF:
-        return evaluate_scalar_relations(symbol, _period_conditions(spec.period, band))
-    if isinstance(spec, (GeneralPermutation, Transposition)):
-        return evaluate_scalar_relations(symbol, raw_relations_general(spec.p, spec.sigma, band))
+    if spec.sigma is not None:
+        return evaluate_scalar_relations(symbol, _orbit_conditions(spec.orbits, band))
     if isinstance(spec, MuLambda):
         return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band))
     if isinstance(spec, BlockHadamard):
@@ -457,11 +460,7 @@ def _trial_symbol(spec: ConjugationSpec, seed: int, band: int, density: float,
             return random_block_hadamard_symmetric(seed, band, density)
         return random_block_mixed_symmetric(seed, band, density)
     sym = random_symbol(seed, band, density)
-    if not satisfying:
-        return sym
-    if spec.characterization == IFF:
-        return project_to_conditions(sym, spec)
-    return project_to_raw(sym, spec, band)
+    return project_to_conditions(sym, spec) if satisfying else sym
 
 
 def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
@@ -478,6 +477,8 @@ def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
 
 # --- solution-set samplers ------------------------------------------------------
 
+_PAIR_REVERSAL = Reversal(2)  # its orbits are walked once, not per draw
+
 
 def random_block_hadamard_symmetric(seed: int, max_band: int,
                                     density: float = 0.7) -> MatrixSymbol:
@@ -487,8 +488,8 @@ def random_block_hadamard_symmetric(seed: int, max_band: int,
     ``phi3+phi4`` to its reflection."""
     rng = np.random.default_rng(seed)
     s1, s2, s3 = (int(v) for v in rng.integers(0, 2**62, size=3))
-    sum12 = project_to_conditions(random_symbol(s1, max_band, density), Reversal(2))
-    diff34 = project_to_conditions(random_symbol(s2, max_band, density), Reversal(2))
+    sum12 = project_to_conditions(random_symbol(s1, max_band, density), _PAIR_REVERSAL)
+    diff34 = project_to_conditions(random_symbol(s2, max_band, density), _PAIR_REVERSAL)
     raw = random_symbol(s3, max_band, density)
     diff12 = LaurentSymbol({k: v for k, v in raw.items() if k % 2 == 0})
     sum34 = LaurentSymbol({-k: v for k, v in diff12.items()})
@@ -551,10 +552,9 @@ def random_block_mixed_symmetric(seed: int, max_band: int,
     return MatrixSymbol(*(LaurentSymbol._of(exponents, row) for row in grid))
 
 
-# --- raw-set projection and explorers -------------------------------------------
+# --- raw-set projection (the tests' reference) and explorers ---------------------
 
 
-@lru_cache
 def _raw_components(spec: ConjugationSpec, band: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     """The connected components of the equality graph of ``spec``'s raw
     relation table at ``band`` over the enumeration window, each with a flag
@@ -604,18 +604,15 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> Laur
 
 def explore_transposition(p: int, i: int, j: int, band: int, trials: int, seed: int) -> dict:
     """The swap's decision, the same at every band: the residues whose orbits
-    :func:`residue_orbits` finds finite, and the closed form's period (``None``
-    unless the swap is decided ``iff``).  Nothing is sampled: ``candidates``
-    and ``anomalies`` keep the explorer report's shape and stay empty."""
+    are finite, and the period of the closed form, the gcd of ``p`` and those
+    residues.  Nothing is sampled: ``candidates`` and ``anomalies`` keep the
+    explorer report's shape and stay empty."""
     if trials < 1 or band < 0:
         raise ValueError("need trials >= 1 and band >= 0")
-    spec = Transposition(p, i, j)
-    orbits = residue_orbits(p, spec.sigma)
+    finite = [r for r, orbit in enumerate(Transposition(p, i, j).orbits) if orbit is not None]
     return {"family": Transposition.name, "p": p, "i": i, "j": j, "band": band,
-            "trials": trials, "seed": seed,
-            "finite_residues": [r for r, orbit in enumerate(orbits) if orbit is not None],
-            "period": p if spec.characterization == IFF else None,
-            "candidates": [], "anomalies": []}
+            "trials": trials, "seed": seed, "finite_residues": finite,
+            "period": math.gcd(p, *finite), "candidates": [], "anomalies": []}
 
 
 def explore_block_mixed(band: int, trials: int, seed: int,
@@ -664,7 +661,7 @@ def condition_report_to_json(report: ConditionReport) -> dict:
                 in zip(*(column.tolist() for column in columns))]
     return {
         "satisfied": report.satisfied,
-        "mode": IFF,
+        "mode": "iff",
         "families": {name: report.family_ok(name) for name in report.table.families},
         "violations": rows,
     }

@@ -31,10 +31,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 UNIT_MODULUS_TOL = 1e-12
 AXIOM_TOL = 1e-13
 
-# A family's closed-form coefficient characterization, necessary and
-# sufficient; condition reports carry it as their ``mode``.
-IFF = "iff"
-
 
 class WireField(NamedTuple):
     """One constructor argument of a family: its JSON key, the attribute it
@@ -75,16 +71,14 @@ class ConjugationSpec:
     """A conjugation family.  Each subclass is the single definition of its
     family: ``name`` (JSON and CLI), ``wire_fields`` (constructor arguments in
     order), ``period`` (the block period whose divisibility makes truncation
-    exact), ``is_block``, ``characterization`` (``IFF``: a closed-form list,
-    necessary and sufficient; ``None`` when only the raw table applies) and
-    ``blocks(size)``, the ``(perms, weights)`` grid of ``A`` in the truncated
-    action ``x -> A conj(x)`` (see :class:`AntilinearOperator`).  The
-    residue-permutation families also carry ``sigma``; the others ``None``."""
+    exact), ``is_block`` and ``blocks(size)``, the ``(perms, weights)`` grid of
+    ``A`` in the truncated action ``x -> A conj(x)`` (see
+    :class:`AntilinearOperator`).  The residue-permutation families also carry
+    ``sigma`` and its ``orbits``; the others have ``sigma = None``."""
 
     name: ClassVar[str]
     wire_fields: ClassVar[tuple[WireField, ...]] = ()
     is_block: ClassVar[bool] = False
-    characterization: ClassVar[str | None] = IFF
 
 
 class _ResiduePermutation(ConjugationSpec):
@@ -94,6 +88,11 @@ class _ResiduePermutation(ConjugationSpec):
     @property
     def period(self) -> int:
         return self.p
+
+    @cached_property
+    def orbits(self) -> list[frozenset[tuple[int, int]] | None]:
+        """:func:`residue_orbits` of ``sigma``, walked once per spec."""
+        return residue_orbits(self.period, self.sigma)
 
     def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         p, m = self.period, np.arange(size)
@@ -106,7 +105,6 @@ class GeneralPermutation(_ResiduePermutation):
 
     name = "general"
     wire_fields = (_int_field("p"), WireField("sigma", "sigma", list, _int_list, is_list=True))
-    characterization = None
 
     p: int
     sigma: tuple[int, ...]
@@ -144,14 +142,6 @@ class Transposition(_ResiduePermutation):
         sigma = list(range(self.p))
         sigma[self.i], sigma[self.j] = self.j, self.i
         return tuple(sigma)
-
-    @cached_property
-    def characterization(self) -> str | None:
-        """``IFF`` when :func:`residue_orbits` leaves only residue 0 finite (so
-        at every band only ``c_k = c_-k`` at period multiples survives), as for
-        every swap with ``p <= 30``; otherwise ``None``: the raw table decides."""
-        orbits = residue_orbits(self.p, self.sigma)
-        return IFF if [r for r, orbit in enumerate(orbits) if orbit is not None] == [0] else None
 
 
 @dataclass(frozen=True)
@@ -249,15 +239,21 @@ def residue_orbits(p: int, sigma) -> list[frozenset[tuple[int, int]] | None]:
     """Each residue's orbit under the raw equalities of the involution
     ``sigma``: the maps ``(e, a)``, ``k -> e*k + a``, that reach an index ``k``
     of the residue, or ``None`` when the orbit is infinite.  Reads ``p`` and
-    ``sigma`` only.  The raw cell ``(m0, s0)`` says ``c_x = c_(s - x)`` for
-    ``x = c`` or ``d`` (mod ``p``), ``c = m0 - sigma(s0)``, ``d = s0 - sigma(m0)``
-    and ``s = c + d``.  Two maps of one sign at one residue compose to a nonzero
-    translation: the orbit is infinite, and finite support forces it to zero."""
-    m0, s0 = np.indices((p, p)).reshape(2, -1)
-    c, d = m0 - np.take(sigma, s0), s0 - np.take(sigma, m0)
+    ``sigma`` only.  With the displacement ``tau(u) = sigma(u) - u``, the raw
+    cells say ``c_x = c_(s - x)`` for ``x = a`` (mod ``p``) and ``s = tau(u) -
+    tau(u + a)``, over every residue ``u``.  Two maps of one sign at one
+    residue compose to a nonzero translation: the orbit is infinite, and
+    finite support forces it to zero.  Memory is O(p) for a swap or a
+    reversal; time is O(p^2)."""
+    tau, u = np.asarray(sigma) - np.arange(p), np.arange(p)
     reflections = [set() for _ in range(p)]
-    for at, s in zip((np.concatenate([c, d]) % p).tolist(), np.tile(c + d, 2).tolist()):
-        reflections[at].add(s)
+    rows = max(1, (1 << 16) // p)  # residues a per chunk: a chunk holds 2^16 values of s
+    for start in range(0, p, rows):
+        a = np.arange(start, min(start + rows, p))[:, None]
+        seen = np.zeros((len(a), 4 * p), dtype=bool)  # |s| < 2p
+        seen[a - start, tau - tau[(u + a) % p] + 2 * p] = True
+        for at, s in zip(*(part.tolist() for part in seen.nonzero())):
+            reflections[start + at].add(s - 2 * p)
     orbits: list = [False] * p  # False until the residue's class is walked
     for root in range(p):
         if orbits[root] is not False:
@@ -280,9 +276,9 @@ def residue_orbits(p: int, sigma) -> list[frozenset[tuple[int, int]] | None]:
 def covered_transposition_case(p: int, i: int, j: int) -> bool:
     """The paper's two covered cases of the residue swap (p, i, j): either p
     even with the swap spanning half a block (j - i = p/2), or p = m*q + 1 for
-    some m >= 2 with i = q - 1 and j = p - 1.  ``Transposition.characterization``
-    decides every swap by :func:`residue_orbits`; the tests show that the
-    decision reproduces these cases."""
+    some m >= 2 with i = q - 1 and j = p - 1.  The program decides every swap
+    by its ``orbits`` and does not read this; the tests show that the orbit
+    decision reproduces both cases."""
     if not 0 <= i < j < p:
         raise ValueError("need 0 <= i < j < p")
     if p % 2 == 0 and j - i == p // 2:

@@ -358,26 +358,37 @@ def random_matrix_symbol(seed: int, max_band: int, density: float = 1.0) -> Matr
 
 
 def project_to_conditions(sym: LaurentSymbol, spec) -> LaurentSymbol:
-    """Project a symbol onto the exact solution set of a family's
-    coefficient characterization.
+    """Project a symbol onto the exact solution set of a scalar family's
+    coefficient conditions, within its own bandwidth ``B``.
 
-    Supported families: residue swaps decided ``iff``, block
-    reversals, and the diagonal-twist family.  For the first two the output
-    keeps only indices divisible by the period, replaced by the symmetrized
-    value ``(c_k + c_-k)/2``; for the twist family negative-index
-    coefficients are overwritten by ``c_n * lambda**n``.  The projection is
-    idempotent and its outputs pass the matching checker exactly.
+    For a residue permutation, each finite orbit of ``spec.orbits`` that lies
+    inside ``[-B, B]`` takes the mean of its coefficients, summed map by map
+    from its largest index (``(c_k + c_-k) / 2`` for the orbit ``{k, -k}``),
+    and every other coefficient is zeroed.  For the twist family,
+    negative-index coefficients are overwritten by ``c_n * lambda**n``.  The
+    projection is idempotent and its outputs satisfy the family's table
+    exactly.
     """
-    from .conjugations import IFF
-
-    if spec.is_block or spec.characterization != IFF:
-        raise ValueError(
-            f"projection needs a scalar family with a proven closed-form "
-            f"characterization, not {spec!r}")
+    if spec.is_block:
+        raise ValueError(f"projection needs a scalar family, not {spec!r}")
     if spec.sigma is None:  # the twist family
         out = {k: v for k, v in sym.items() if k >= 0}
         out.update({-k: v * spec.lam**k for k, v in sym.items() if k > 0})
         return LaurentSymbol(out)
-    coeffs, multiples = sym.coeffs, range(0, sym.bandwidth + 1, spec.period)
-    return LaurentSymbol({s * k: (coeffs.get(k, 0j) + coeffs.get(-k, 0j)) / 2
-                          for k in multiples for s in (1, -1)})
+    band, p = sym.bandwidth, spec.period
+    grid = np.zeros(2 * band + 1, dtype=complex)
+    grid[sym.exponents + band] = sym.values
+    out = {}
+    for r, orbit in enumerate(spec.orbits):
+        if orbit is None:
+            continue
+        e, a = np.array(sorted(orbit, reverse=True)).T[..., None]  # (1, 0) first: c_k + c_-k
+        k = np.arange(-band + (r + band) % p, band + 1, p)
+        members = e * k + a
+        # once per orbit: at its largest index, when it lies inside the band
+        members = members[:, (members <= k).all(axis=0) & (members >= -band).all(axis=0)]
+        values = grid[members + band]
+        total = sum(values[1:], values[0])
+        # Python's complex division: numpy's may round differently
+        out.update(zip(members.ravel().tolist(), [v / len(e) for v in total.tolist()] * len(e)))
+    return LaurentSymbol(out)

@@ -1,8 +1,9 @@
 """Solution sets shared by several test modules.
 
 * :func:`symmetric_symbol` draws a symbol that is exactly symmetric under a
-  spec: the block samplers at their default density, a scalar draw projected
-  onto the closed form (``iff`` families) or onto the raw table.
+  spec: the block samplers at their default density, or a scalar draw
+  projected onto the family's table.
+* :func:`involutions` lists every involution of ``0..p-1``.
 * :func:`sums_relations` is the ``block_c`` list with the three pairwise
   sums ``phi1+phi2``, ``phi1+phi3``, ``phi1+phi4`` even-symmetric in place of
   the cross reflection.  The exact list implies it, but it is strictly
@@ -16,10 +17,8 @@ import numpy as np
 
 import toepsym.conditions as conditions
 from toepsym.conditions import (
-    IFF,
     RelationTable,
     block_hadamard_relations,
-    project_to_raw,
     random_block_hadamard_symmetric,
     random_block_mixed_symmetric,
 )
@@ -32,10 +31,19 @@ def symmetric_symbol(spec, seed, band, density):
         return random_block_hadamard_symmetric(seed, band)
     if isinstance(spec, BlockMixed):
         return random_block_mixed_symmetric(seed, band)
-    symbol = random_symbol(seed, band, density)
-    if spec.characterization == IFF:
-        return project_to_conditions(symbol, spec)
-    return project_to_raw(symbol, spec, band)
+    return project_to_conditions(random_symbol(seed, band, density), spec)
+
+
+def involutions(p):
+    """Every involution of ``0..p-1`` as its image tuple."""
+    def pairings(rest):
+        if not rest:
+            yield {}
+            return
+        for b in rest:
+            for pairing in pairings([x for x in rest[1:] if x != b]):
+                yield {**pairing, rest[0]: b, b: rest[0]}
+    return [tuple(pairing[m] for m in range(p)) for pairing in pairings(list(range(p)))]
 
 
 def sums_relations(band: int) -> RelationTable:

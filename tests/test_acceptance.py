@@ -24,7 +24,6 @@ from toepsym.conditions import (
     raw_relations_transposition,
 )
 from toepsym.conjugations import (
-    IFF,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
@@ -129,7 +128,8 @@ def test_covered_cases_decide_iff():
     # the paper's two cases, reproduced by the orbit decision
     for p, i, j in CASE_ONE + [(p, q - 1, p - 1) for p, q in CASE_TWO]:
         assert covered_transposition_case(p, i, j)
-        assert Transposition(p, i, j).characterization == IFF
+        finite = [r for r, orbit in enumerate(Transposition(p, i, j).orbits) if orbit]
+        assert finite == [0]
 
 
 def test_criterion_2_residue_swap_half_period():

@@ -264,6 +264,42 @@ class TestGenCommand:
         code, _, _ = run_cli(capsys, "gen", "--spec", "block_c")
         assert code == 3
 
+    def test_general_is_projected_by_its_orbits(self, capsys, tmp_path):
+        # general:2:1,0 is the conjugation that reversal:2 is
+        runs = [run_cli(capsys, "gen", "--spec", spec, "--band", "6")
+                for spec in ("general:2:1,0", "reversal:2")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        symbols = [json.loads(out)["symbol"] for _, out, _ in runs]
+        assert symbols[0] == symbols[1] != {}
+        code, out, _ = run_cli(capsys, "gen", "--spec", "general:6:2,1,0,4,3,5", "--band", "20",
+                               "--density", "1")
+        assert code == 0
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(json.loads(out)["symbol"]))
+        assert run_cli(capsys, "check", "--symbol-file", str(path),
+                       "--spec", "general:6:2,1,0,4,3,5")[0] == 0
+
+
+@pytest.mark.parametrize("spec", ["general:6:2,1,0,4,3,5", "transposition:4:0:2",
+                                  "transposition:5:1:3", "reversal:2"])
+def test_no_command_reads_the_raw_table(capsys, monkeypatch, tmp_path, spec):
+    # the raw table, its graph and its projection are the tests' reference only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command reached the raw table")
+    for name in ("raw_relations_general", "_raw_components", "project_to_raw"):
+        monkeypatch.setattr(conditions, name, refuse)
+    code, out, err = run_cli(capsys, "gen", "--spec", spec, "--band", "12", "--density", "1")
+    assert code == 0, err
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(json.loads(out)["symbol"]))
+    assert run_cli(capsys, "check", "--symbol-file", str(path), "--spec", spec)[0] == 0
+    assert run_cli(capsys, "check", "--symbol", "z + z^-2", "--spec", spec)[0] == 1
+    assert run_cli(capsys, "random-test", "--spec", spec, "--mode", "mixed",
+                   "--trials", "6", "--band", "9")[0] == 0
+    # explore decides swaps; it refuses the other residue families as usage
+    expected = 0 if spec.startswith("transposition") else 3
+    assert run_cli(capsys, "explore", "--spec", spec, "--band", "9")[0] == expected
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -529,6 +565,14 @@ class TestResidualBudget:
         assert "over its budget" in err
 
 
+_STATUS = """
+
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(field))
+
+"""
+
 # Prints the residual's peak allocation above the memory in use before it,
 # and its estimate.  The peak is the address space's high-water mark, VmHWM:
 # ru_maxrss also keeps the mark of the process that forked this one.
@@ -546,13 +590,7 @@ symbol = MatrixSymbol(*entries) if spec.is_block else entries[0]
 n = min_truncation(symbol.bandwidth, spec)
 t = (block_truncate if spec.is_block else truncate)(symbol, n)
 c = truncated_matrix(spec, n)
-
-
-def status(field):
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(field))
-
-
+""" + _STATUS + """
 before = status("VmRSS:")
 residual(t, c)
 print(json.dumps({"peak": status("VmHWM:") - before, "estimate": residual_bytes(n, spec)}))
@@ -572,6 +610,29 @@ def test_residual_memory_estimate_bounds_its_peak(symbol, spec):
     assert proc.returncode == 0, proc.stderr
     measured = json.loads(proc.stdout)
     assert 0 < measured["peak"] <= measured["estimate"], measured
+
+
+# Prints the exit code of a swap's explore and its peak above the memory in
+# use before it.
+_EXPLORE_PEAK = """
+import contextlib, io, sys
+from toepsym.cli import main
+""" + _STATUS + """
+before = status("VmRSS:")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["explore", "--spec", sys.argv[1], "--band", "2", "--trials", "1"])
+print(code, status("VmHWM:") - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_swap_orbit_walk_memory_does_not_grow_with_the_period_squared():
+    # two lists of 2 p^2 ints took about 550 MB at p = 2000
+    proc = subprocess.run([sys.executable, "-c", _EXPLORE_PEAK, "transposition:2000:0:1"],
+                          capture_output=True, text=True, env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0 and peak <= 32 << 20, peak
 
 
 def _module_env(**extra):

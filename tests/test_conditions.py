@@ -7,7 +7,6 @@ import pytest
 import toepsym.conditions as conditions
 from toepsym.cli import parse_spec_text
 from toepsym.conditions import (
-    IFF,
     block_mixed_necessary_relations,
     check_block_mixed_necessary,
     check_transposition,
@@ -47,7 +46,7 @@ from toepsym.symbols import (
 from toepsym.symmetry import is_c_symmetric
 from toepsym.toeplitz import block_truncate, min_truncation
 
-from solution_sets import block_mixed_generators, sums_form
+from solution_sets import block_mixed_generators, involutions, sums_form
 
 BIG = 1e6
 ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
@@ -359,7 +358,6 @@ class TestBlockMixedChecker:
         assert is_c_symmetric(m, BlockMixed()).residual > 1e-2
 
     def test_report_mode(self):
-        assert BlockMixed.characterization == IFF
         assert condition_report_to_json(check_block_mixed_necessary(ZERO_BLOCK))["mode"] == "iff"
 
     def test_report_mode_follows_the_family(self):
@@ -489,14 +487,6 @@ class TestRunCheck:
         assert outcome_to_json(outcome)["advisory"] is None
         assert outcome.agree and outcome.oracle.symmetric
 
-    def test_undecided_residue_permutation_reads_the_raw_table(self, monkeypatch):
-        # no swap with p <= 30 is undecided; stand one in to reach the branch
-        spec = Transposition(5, 1, 3)
-        monkeypatch.setitem(spec.__dict__, "characterization", None)
-        outcome = run_check(parse_symbol("z"), spec)
-        assert outcome.condition.table.names == ("raw",)
-        assert not outcome.condition.satisfied and outcome.agree
-
     def test_block_ctilde_agreement_is_equivalence(self):
         # a satisfied list with a rejecting oracle is a disagreement, as for
         # every other family
@@ -516,19 +506,43 @@ class TestRunCheck:
                                "rhs_component", "lhs_value", "rhs_value"}
 
 
+def _band_matrix(table, band):
+    """The rows of ``table`` as a matrix over the coefficients in
+    ``[-band, band]``: ``+1`` at the lhs, ``-1`` at the rhs of an equality;
+    an index outside the band reads zero, so its column is dropped."""
+    matrix = np.zeros((len(table), 2 * band + 1))
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        rows = np.flatnonzero((abs(table.index[side]) <= band) & ((side == 0) | ~table.vanish))
+        np.add.at(matrix, (rows, table.index[side, rows] + band), sign)
+    return matrix
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_kernel_equals_the_raw_tables(self, p):
+        # the two tables admit the same symbols of bandwidth at most band
+        for sigma in involutions(p):
+            for band in (0, 2, p, 2 * p + 1):
+                orbit = _band_matrix(conditions._orbit_conditions(
+                    GeneralPermutation(p, sigma).orbits, band), band)
+                raw = _band_matrix(raw_relations_general(p, sigma, band), band)
+                ranks = [np.linalg.matrix_rank(m) if m.size else 0
+                         for m in (orbit, raw, np.vstack([orbit, raw]))]
+                assert len(set(ranks)) == 1, (sigma, band, ranks)
+
+
 class TestProjectToRaw:
-    def test_closed_form_projection_equals_the_raw_one_for_swaps(self):
-        # the trials project a swap by the closed form; the benchmark's check
-        # draws the same symbol again through the raw table
-        for p in range(2, 10):
-            for i in range(p):
-                for j in range(i + 1, p):
-                    spec = Transposition(p, i, j)
-                    for band in (6, 12, 20, 30):
-                        for seed in range(3):
-                            sym = random_symbol(seed, band, 0.5)
-                            assert repr(project_to_conditions(sym, spec)) == \
-                                repr(project_to_raw(sym, spec, band)), (spec, band, seed)
+    def test_orbit_projection_equals_the_raw_one(self):
+        # the trials project by the orbits; the benchmark's check draws the
+        # same symbol again through the raw table
+        for p in range(1, 8):
+            for sigma in involutions(p):
+                spec = GeneralPermutation(p, sigma)
+                for band in (0, 1, p, 2 * p + 1):
+                    sym = random_symbol(p + band, band, 0.7)
+                    assert repr(project_to_conditions(sym, spec)) == \
+                        repr(project_to_raw(sym, spec, band)), (sigma, band)
+
     def test_output_is_exactly_symmetric(self):
         for spec in (Transposition(5, 1, 3), Transposition(4, 0, 1),
                      GeneralPermutation(5, (0, 3, 2, 1, 4))):
@@ -540,16 +554,6 @@ class TestProjectToRaw:
         spec = Transposition(4, 0, 2)
         sym = project_to_conditions(random_symbol(5, 8, 0.7), spec)
         assert project_to_raw(sym, spec, band=8) == sym
-
-    def test_raw_graph_cache_is_bounded(self):
-        # a long session projecting at many bands keeps 128 graphs, not all
-        conditions._raw_components.cache_clear()
-        try:
-            for band in range(129):
-                conditions._raw_components(Reversal(1), band)
-            assert conditions._raw_components.cache_info().currsize == 128
-        finally:
-            conditions._raw_components.cache_clear()
 
     def test_non_permutation_spec_rejected(self):
         with pytest.raises(ValueError):

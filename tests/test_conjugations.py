@@ -7,7 +7,6 @@ from toepsym.conjugations import (
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
-    IFF,
     INV_SQRT2,
     MuLambda,
     Reversal,
@@ -19,6 +18,8 @@ from toepsym.conjugations import (
     truncated_matrix,
     verify_axioms,
 )
+
+from solution_sets import involutions
 
 ALL_SPECS = [
     GeneralPermutation(4, (2, 1, 0, 3)),
@@ -227,29 +228,16 @@ class TestCoveredCases:
         assert not covered_transposition_case(5, 0, 2)
 
 
-def _involutions(p):
-    """Every involution of ``0..p-1`` as its image tuple."""
-    def pairings(rest):
-        if not rest:
-            yield {}
-            return
-        for b in rest:
-            for pairing in pairings([x for x in rest[1:] if x != b]):
-                yield {**pairing, rest[0]: b, b: rest[0]}
-    return [tuple(pairing[m] for m in range(p)) for pairing in pairings(list(range(p)))]
-
-
 MIRROR = frozenset({(1, 0), (-1, 0)})  # the orbit {k, -k}
 
 
 class TestResidueOrbits:
     def test_every_swap_up_to_period_30_decides_iff(self):
+        # only residue 0 is finite: c_k = c_-k at period multiples, else zero
         for p in range(2, 31):
             for i in range(p):
                 for j in range(i + 1, p):
-                    spec = Transposition(p, i, j)
-                    assert residue_orbits(p, spec.sigma) == [MIRROR] + [None] * (p - 1)
-                    assert spec.characterization == IFF
+                    assert Transposition(p, i, j).orbits == [MIRROR] + [None] * (p - 1)
 
     def test_every_reversal_up_to_30_leaves_only_residue_0_finite(self):
         for n in range(1, 31):
@@ -266,14 +254,26 @@ class TestResidueOrbits:
         monkeypatch.setattr(conjugations, "residue_orbits",
                             lambda *args: calls.append(args) or residue_orbits(*args))
         spec = Transposition(5, 1, 3)
-        assert spec.characterization == spec.characterization == IFF
+        assert spec.orbits is spec.orbits
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_orbit_shape_up_to_period_10(self, p):
+        # the finite residues are the multiples of d, the least period of the
+        # displacement tau(u) = sigma(u) - u on Z_p, and each finite orbit is
+        # {k, -k}; the decision itself does not rest on this shape
+        for sigma in involutions(p):
+            tau = np.array(sigma) - np.arange(p)
+            d = next(d for d in range(1, p + 1) if p % d == 0
+                     and np.array_equal(tau, np.roll(tau, -d)))
+            assert residue_orbits(p, sigma) == [MIRROR if r % d == 0 else None
+                                                for r in range(p)], sigma
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_orbits_match_the_windowed_raw_components(self, p):
         # a component the raw table's window leaves free is exactly a finite
         # orbit inside the band; every other index is pinned to zero
-        for sigma in _involutions(p):
+        for sigma in involutions(p):
             orbits = residue_orbits(p, sigma)
             spec = GeneralPermutation(p, sigma)
             for band in (0, 1, p, 2 * p + 1, 4 * p + 3):

@@ -28,8 +28,8 @@ COMMANDS = {
     "check_transposition_sym": (0, ["check", "--symbol", "z^4 + z^-4",
                                     "--spec", "transposition:4:0:2"]),
     "check_transposition_nonsym": (1, ["check", "--symbol", "z", "--spec", "transposition:4:0:2"]),
-    "check_transposition_conjecture": (1, ["check", "--symbol", "z",
-                                           "--spec", "transposition:5:1:3"]),
+    "check_transposition_uncovered": (1, ["check", "--symbol", "z",
+                                          "--spec", "transposition:5:1:3"]),
     "check_reversal_sym": (0, ["check", "--symbol", "z^2 + z^-2", "--spec", "reversal:2"]),
     "check_reversal_nonsym": (1, ["check", "--symbol", "z", "--spec", "reversal:2"]),
     "check_mulambda_sym": (0, ["check", "--symbol", "z + i z^-1", "--spec", "mulambda:1,0:0,1"]),
@@ -89,7 +89,7 @@ def test_matches_golden(name):
 
 
 def test_swap_outside_the_covered_cases_reports_the_closed_form():
-    payload = json.loads((GOLDEN_DIR / "check_transposition_conjecture.json").read_text())
+    payload = json.loads((GOLDEN_DIR / "check_transposition_uncovered.json").read_text())
     assert payload["condition"]["mode"] == "iff"
     assert payload["condition"]["violations"]
     assert {v["family"] for v in payload["condition"]["violations"]} <= {"multiples", "vanish"}

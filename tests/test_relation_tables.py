@@ -81,7 +81,8 @@ def _digest(tables) -> str:
 
 
 ENUMERATORS = {
-    "period": lambda: [conditions._period_conditions(p, band)
+    # the orbit table of a reversal: the period table it replaced
+    "period": lambda: [conditions._orbit_conditions(Reversal(p).orbits, band)
                        for p in range(1, 7) for band in BANDS],
     # condition_reports passes the spec's normalized lam
     "mu_lambda": lambda: [conditions._twist_relations(MuLambda(1.0, lam).lam, band)

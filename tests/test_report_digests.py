@@ -5,7 +5,8 @@ cases run ``check`` on the benchmark's seven specs at band 60, each with one
 seeded dense symbol (a report listing hundreds of violations) and one seeded
 symmetric symbol, and compare the exit code and the digest of stdout with
 ``tests/golden/report_digests.json``.  To regenerate after an intended output
-change, run ``PYTHONPATH=src python tests/test_report_digests.py`` and review
+change, run ``PYTHONPATH=src python tests/test_report_digests.py NAME...`` with
+the names of the cases that change (no names rewrites all of them) and review
 which digests moved.
 """
 
@@ -60,8 +61,15 @@ def test_report_digest(tmp_path, name):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {unknown}")
+    digests = json.loads(DIGEST_FILE.read_text()) if DIGEST_FILE.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
-        digests = {name: list(run(name, pathlib.Path(scratch))) for name in CASES}
-    DIGEST_FILE.write_text(json.dumps(digests, indent=1) + "\n")
+        digests.update({name: list(run(name, pathlib.Path(scratch))) for name in names})
+    ordered = {name: digests[name] for name in CASES if name in digests}
+    DIGEST_FILE.write_text(json.dumps(ordered, indent=1) + "\n")

@@ -17,7 +17,13 @@ from toepsym.symbols import (
     random_matrix_symbol,
     random_symbol,
 )
-from toepsym.conjugations import GeneralPermutation, MuLambda, Reversal, Transposition
+from toepsym.conjugations import (
+    BlockHadamard,
+    GeneralPermutation,
+    MuLambda,
+    Reversal,
+    Transposition,
+)
 
 
 def to_text(sym: LaurentSymbol) -> str:
@@ -208,9 +214,15 @@ class TestProjection:
         out = project_to_conditions(parse_symbol("z - z^-1"), MuLambda(1.0, -1.0))
         assert out.coeffs.get(-1, 0j) == out.coeffs.get(1, 0j) * (-1)
 
-    def test_family_without_a_closed_form_rejected(self):
+    def test_general_projects_by_its_orbits(self):
+        # sigma = (2, 1, 0) is the reversal of blocks of three
+        sym = random_symbol(8, 9, 0.7)
+        assert project_to_conditions(sym, GeneralPermutation(3, (2, 1, 0))) == \
+            project_to_conditions(sym, Reversal(3))
+
+    def test_block_family_rejected(self):
         with pytest.raises(ValueError):
-            project_to_conditions(parse_symbol("z"), GeneralPermutation(3, (2, 1, 0)))
+            project_to_conditions(parse_symbol("z"), BlockHadamard())
 
 
 class TestSerialization:
