@@ -27,7 +27,6 @@ from .conjugations import (
     MuLambda,
     Reversal,
     Transposition,
-    residue_orbits,
     spec_from_json,
     spec_to_json,
     truncated_matrix,

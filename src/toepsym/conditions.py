@@ -8,11 +8,13 @@ evaluates a table against a symbol with a few vectorized gathers, and
 cross-checks every symbolic verdict against the brute-force matrix oracle in
 :mod:`toepsym.symmetry`.
 
-Every family's table is exact: a residue permutation's is read off its
-orbits, the twist family's is a reflection with powers of lambda, and the
-block families' are their condition lists.  The raw entry identities of the
-operator equation and the paper's rule sets for residue swaps stay as the
-reference the tests compare against; no command reads them.
+Every family's table is exact: a residue permutation's is the closed form
+of its mirror period ``d`` (coefficients at multiples of ``d``
+mirror-symmetric, all others zero), the twist family's is a reflection with
+powers of lambda, and the block families' are their condition lists.  The
+raw entry identities of the operator equation and the paper's rule sets for
+residue swaps stay as the reference the tests compare against; no command
+reads them.
 
 A :class:`ConditionReport` is the evaluated table, the values of its rows
 and the indices of its violated rows; the JSON writer reads the table's
@@ -255,7 +257,7 @@ def raw_relations_general(p: int, sigma: Sequence[int], band: int) -> RelationTa
     ``c_(m0 - sigma(s0) + p*l) == c_(s0 - sigma(m0) - p*l)`` for every ``l``.
 
     This set is exact for any involution by construction; the tests hold
-    the orbit tables to its kernel.
+    the closed-form tables to its kernel.
     """
     sigma = GeneralPermutation(p, tuple(sigma)).sigma
     return _pair_rows([(m0 - sigma[s0], s0 - sigma[m0], "raw")
@@ -316,29 +318,15 @@ def interchange_sign_relations(p: int, q: int, band: int) -> RelationTable:
 # --- closed-form condition sets -------------------------------------------------
 
 
-def _orbit_conditions(orbits, band: int) -> RelationTable:
-    """The exact table of a residue permutation with these ``orbits``
-    (:func:`~toepsym.conjugations.residue_orbits`).  ``multiples``: for each
-    map ``(e, a)`` of a finite orbit, ``c_k == c_(e*k + a)`` over the ``k`` in
-    ``[-band, band]`` of its residue where ``k > e*k + a`` or ``e*k + a`` lies
-    outside the band, residue by residue; ``vanish``: every index in the band
-    whose orbit is infinite."""
-    p, lhs, rhs = len(orbits), [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for r, orbit in enumerate(orbits):
-        if orbit is None:
-            continue
-        k = np.arange(-band + (r + band) % p, band + 1, p)
-        for e, a in sorted(orbit):
-            image = e * k + a
-            # each pair once: from its larger index, or its one index in the band
-            keep = (k > image) | (abs(image) > band)
-            lhs.append(k[keep])
-            rhs.append(image[keep])
-    k = np.arange(-band, band + 1)
-    infinite = np.array([orbit is None for orbit in orbits])
+def _mirror_conditions(d: int, band: int) -> RelationTable:
+    """The exact table of a residue permutation of mirror period ``d``
+    (``spec.mirror_period``): ``multiples`` rows ``c_k == c_(-k)`` for
+    ``0 < k <= band`` with ``d | k``, ascending, and a ``vanish`` row for
+    every other index in ``[-band, band]``."""
+    k, mirror = np.arange(-band, band + 1), np.arange(d, band + 1, d)
     return RelationTable(("multiples", "vanish"),
-                         (0, False, _PHI, _PHI, np.concatenate(lhs), np.concatenate(rhs), 1),
-                         (1, True, _PHI, _PHI, k[infinite[k % p]], 0, 1))
+                         (0, False, _PHI, _PHI, mirror, -mirror, 1),
+                         (1, True, _PHI, _PHI, k[k % d != 0], 0, 1))
 
 
 def _twist_relations(lam: complex, band: int) -> RelationTable:
@@ -350,8 +338,9 @@ def _twist_relations(lam: complex, band: int) -> RelationTable:
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
-    """The residue swap's condition report, from its orbit table: for every
-    swap tested, period multiples mirror-symmetric and all else zero."""
+    """The residue swap's condition report, from its closed-form table: a
+    swap's mirror period is ``p``, so period multiples mirror-symmetric and
+    all else zero."""
     return condition_reports(sym, Transposition(p, i, j))
 
 
@@ -416,13 +405,13 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
 
 def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
     """The condition report of ``symbol`` under ``spec``, from the family's
-    exact table: a residue permutation's is read off its orbits.  Every table
-    is necessary and sufficient."""
+    exact table: a residue permutation's is the closed form of its
+    ``mirror_period``.  Every table is necessary and sufficient."""
     if isinstance(spec, BlockMixed):
         return check_block_mixed_necessary(symbol)
     band = symbol.bandwidth
     if spec.sigma is not None:
-        return evaluate_scalar_relations(symbol, _orbit_conditions(spec.orbits, band))
+        return evaluate_scalar_relations(symbol, _mirror_conditions(spec.mirror_period, band))
     if isinstance(spec, MuLambda):
         return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band))
     if isinstance(spec, BlockHadamard):
@@ -477,9 +466,6 @@ def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
 
 # --- solution-set samplers ------------------------------------------------------
 
-_PAIR_REVERSAL = Reversal(2)  # its orbits are walked once, not per draw
-
-
 def random_block_hadamard_symmetric(seed: int, max_band: int,
                                     density: float = 0.7) -> MatrixSymbol:
     """Random matrix symbol satisfying the cross-form Hadamard conditions
@@ -488,8 +474,8 @@ def random_block_hadamard_symmetric(seed: int, max_band: int,
     ``phi3+phi4`` to its reflection."""
     rng = np.random.default_rng(seed)
     s1, s2, s3 = (int(v) for v in rng.integers(0, 2**62, size=3))
-    sum12 = project_to_conditions(random_symbol(s1, max_band, density), _PAIR_REVERSAL)
-    diff34 = project_to_conditions(random_symbol(s2, max_band, density), _PAIR_REVERSAL)
+    sum12 = project_to_conditions(random_symbol(s1, max_band, density), Reversal(2))
+    diff34 = project_to_conditions(random_symbol(s2, max_band, density), Reversal(2))
     raw = random_symbol(s3, max_band, density)
     diff12 = LaurentSymbol({k: v for k, v in raw.items() if k % 2 == 0})
     sum34 = LaurentSymbol({-k: v for k, v in diff12.items()})
@@ -603,16 +589,17 @@ def project_to_raw(sym: LaurentSymbol, spec: ConjugationSpec, band: int) -> Laur
 
 
 def explore_transposition(p: int, i: int, j: int, band: int, trials: int, seed: int) -> dict:
-    """The swap's decision, the same at every band: the residues whose orbits
-    are finite, and the period of the closed form, the gcd of ``p`` and those
-    residues.  Nothing is sampled: ``candidates`` and ``anomalies`` keep the
-    explorer report's shape and stay empty."""
+    """The swap's decision, the same at every band: the closed form's
+    ``period``, the swap's mirror period ``d``, and ``finite_residues``, the
+    residues whose coefficients may be nonzero, the multiples of ``d``.
+    Nothing is sampled: ``candidates`` and ``anomalies`` keep the explorer
+    report's shape and stay empty."""
     if trials < 1 or band < 0:
         raise ValueError("need trials >= 1 and band >= 0")
-    finite = [r for r, orbit in enumerate(Transposition(p, i, j).orbits) if orbit is not None]
+    d = Transposition(p, i, j).mirror_period
     return {"family": Transposition.name, "p": p, "i": i, "j": j, "band": band,
-            "trials": trials, "seed": seed, "finite_residues": finite,
-            "period": math.gcd(p, *finite), "candidates": [], "anomalies": []}
+            "trials": trials, "seed": seed, "finite_residues": list(range(0, p, d)),
+            "period": d, "candidates": [], "anomalies": []}
 
 
 def explore_block_mixed(band: int, trials: int, seed: int,

@@ -3,7 +3,9 @@
 Every family acts as ``x -> A @ conj(x)``, ``A`` unitary and given by ``blocks``:
 
 * ``GeneralPermutation(p, sigma)`` conjugates coefficients and permutes the
-  residues of each length-``p`` block by an involution ``sigma``.
+  residues of each length-``p`` block by an involution ``sigma``.  Its
+  ``mirror_period`` ``d`` decides it: ``T_phi`` is symmetric exactly when
+  ``c_k = c_(-k)`` for ``d | k`` and every other ``c_k`` is zero.
 * ``Transposition(p, i, j)`` is the special case swapping residues ``i`` and
   ``j``; ``Reversal(n)`` reverses each length-``n`` block.
 * ``MuLambda(mu, lam)`` sends ``f(z) -> mu * conj(f(lam * conj(z)))``, a
@@ -74,7 +76,7 @@ class ConjugationSpec:
     exact), ``is_block`` and ``blocks(size)``, the ``(perms, weights)`` grid of
     ``A`` in the truncated action ``x -> A conj(x)`` (see
     :class:`AntilinearOperator`).  The residue-permutation families also carry
-    ``sigma`` and its ``orbits``; the others have ``sigma = None``."""
+    ``sigma`` and its ``mirror_period``; the others have ``sigma = None``."""
 
     name: ClassVar[str]
     wire_fields: ClassVar[tuple[WireField, ...]] = ()
@@ -90,9 +92,15 @@ class _ResiduePermutation(ConjugationSpec):
         return self.p
 
     @cached_property
-    def orbits(self) -> list[frozenset[tuple[int, int]] | None]:
-        """:func:`residue_orbits` of ``sigma``, walked once per spec."""
-        return residue_orbits(self.period, self.sigma)
+    def mirror_period(self) -> int:
+        """The least period ``d`` of the displacement ``tau(u) = sigma(u) - u``
+        on ``Z_p``: the least divisor ``t`` of ``p`` with ``tau`` equal to
+        ``tau`` rotated by ``t``, O(p) per divisor.  ``T_phi`` is symmetric
+        exactly when ``c_k = c_(-k)`` for ``d | k`` and ``c_k = 0`` otherwise
+        (the README proves it)."""
+        p, tau = self.period, np.asarray(self.sigma) - np.arange(self.period)
+        return next(t for t in range(1, p + 1)
+                    if p % t == 0 and np.array_equal(tau[t:], tau[:p - t]))
 
     def blocks(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         p, m = self.period, np.arange(size)
@@ -235,50 +243,13 @@ FAMILIES: dict[str, type[ConjugationSpec]] = {
                               MuLambda, BlockHadamard, BlockMixed)}
 
 
-def residue_orbits(p: int, sigma) -> list[frozenset[tuple[int, int]] | None]:
-    """Each residue's orbit under the raw equalities of the involution
-    ``sigma``: the maps ``(e, a)``, ``k -> e*k + a``, that reach an index ``k``
-    of the residue, or ``None`` when the orbit is infinite.  Reads ``p`` and
-    ``sigma`` only.  With the displacement ``tau(u) = sigma(u) - u``, the raw
-    cells say ``c_x = c_(s - x)`` for ``x = a`` (mod ``p``) and ``s = tau(u) -
-    tau(u + a)``, over every residue ``u``.  Two maps of one sign at one
-    residue compose to a nonzero translation: the orbit is infinite, and
-    finite support forces it to zero.  Memory is O(p) for a swap or a
-    reversal; time is O(p^2)."""
-    tau, u = np.asarray(sigma) - np.arange(p), np.arange(p)
-    reflections = [set() for _ in range(p)]
-    rows = max(1, (1 << 16) // p)  # residues a per chunk: a chunk holds 2^16 values of s
-    for start in range(0, p, rows):
-        a = np.arange(start, min(start + rows, p))[:, None]
-        seen = np.zeros((len(a), 4 * p), dtype=bool)  # |s| < 2p
-        seen[a - start, tau - tau[(u + a) % p] + 2 * p] = True
-        for at, s in zip(*(part.tolist() for part in seen.nonzero())):
-            reflections[start + at].add(s - 2 * p)
-    orbits: list = [False] * p  # False until the residue's class is walked
-    for root in range(p):
-        if orbits[root] is not False:
-            continue
-        # one class of residues: each reached by maps k -> e*k + a, (residue, e) -> a
-        maps, todo, finite = {(root, 1): 0}, [(root, 1, 0)], True
-        while todo:
-            at, e, a = todo.pop()
-            for s in reflections[at]:
-                key = ((s - at) % p, -e)
-                if key not in maps:
-                    todo.append((*key, s - a))
-                finite &= maps.setdefault(key, s - a) == s - a
-        for (at, e), a in maps.items():  # at residue at, k' = e*k + a: f*k + b = f*e*k' + b - f*e*a
-            orbits[at] = (frozenset((f * e, b - f * e * a) for (_, f), b in maps.items())
-                          if finite else None)
-    return orbits
-
-
 def covered_transposition_case(p: int, i: int, j: int) -> bool:
     """The paper's two covered cases of the residue swap (p, i, j): either p
     even with the swap spanning half a block (j - i = p/2), or p = m*q + 1 for
     some m >= 2 with i = q - 1 and j = p - 1.  The program decides every swap
-    by its ``orbits`` and does not read this; the tests show that the orbit
-    decision reproduces both cases."""
+    by its ``mirror_period`` and does not read this: a swap's displacement
+    takes ``j - i`` only at ``i``, so its period is ``p``, and the closed form
+    at ``d = p`` is the paper's in both cases."""
     if not 0 <= i < j < p:
         raise ValueError("need 0 <= i < j < p")
     if p % 2 == 0 and j - i == p // 2:

@@ -361,9 +361,8 @@ def project_to_conditions(sym: LaurentSymbol, spec) -> LaurentSymbol:
     """Project a symbol onto the exact solution set of a scalar family's
     coefficient conditions, within its own bandwidth ``B``.
 
-    For a residue permutation, each finite orbit of ``spec.orbits`` that lies
-    inside ``[-B, B]`` takes the mean of its coefficients, summed map by map
-    from its largest index (``(c_k + c_-k) / 2`` for the orbit ``{k, -k}``),
+    For a residue permutation of mirror period ``d`` (``spec.mirror_period``),
+    each ``c_k`` with ``d | k`` and ``|k| <= B`` becomes ``(c_k + c_-k) / 2``
     and every other coefficient is zeroed.  For the twist family,
     negative-index coefficients are overwritten by ``c_n * lambda**n``.  The
     projection is idempotent and its outputs satisfy the family's table
@@ -375,20 +374,10 @@ def project_to_conditions(sym: LaurentSymbol, spec) -> LaurentSymbol:
         out = {k: v for k, v in sym.items() if k >= 0}
         out.update({-k: v * spec.lam**k for k, v in sym.items() if k > 0})
         return LaurentSymbol(out)
-    band, p = sym.bandwidth, spec.period
+    band = sym.bandwidth
     grid = np.zeros(2 * band + 1, dtype=complex)
     grid[sym.exponents + band] = sym.values
-    out = {}
-    for r, orbit in enumerate(spec.orbits):
-        if orbit is None:
-            continue
-        e, a = np.array(sorted(orbit, reverse=True)).T[..., None]  # (1, 0) first: c_k + c_-k
-        k = np.arange(-band + (r + band) % p, band + 1, p)
-        members = e * k + a
-        # once per orbit: at its largest index, when it lies inside the band
-        members = members[:, (members <= k).all(axis=0) & (members >= -band).all(axis=0)]
-        values = grid[members + band]
-        total = sum(values[1:], values[0])
-        # Python's complex division: numpy's may round differently
-        out.update(zip(members.ravel().tolist(), [v / len(e) for v in total.tolist()] * len(e)))
-    return LaurentSymbol(out)
+    k = np.arange(0, band + 1, spec.mirror_period)
+    # Python's complex division: numpy's may round differently
+    mean = [v / 2 for v in (grid[band + k] + grid[band - k]).tolist()]
+    return LaurentSymbol({**dict(zip((-k).tolist(), mean)), **dict(zip(k.tolist(), mean))})

@@ -3,7 +3,8 @@
 * :func:`symmetric_symbol` draws a symbol that is exactly symmetric under a
   spec: the block samplers at their default density, or a scalar draw
   projected onto the family's table.
-* :func:`involutions` lists every involution of ``0..p-1``.
+* :func:`involutions` lists every involution of ``0..p-1``;
+  :func:`involution_cases` the ones the closed form is held to at ``p``.
 * :func:`sums_relations` is the ``block_c`` list with the three pairwise
   sums ``phi1+phi2``, ``phi1+phi3``, ``phi1+phi4`` even-symmetric in place of
   the cross reflection.  The exact list implies it, but it is strictly
@@ -44,6 +45,16 @@ def involutions(p):
             for pairing in pairings([x for x in rest[1:] if x != b]):
                 yield {**pairing, rest[0]: b, b: rest[0]}
     return [tuple(pairing[m] for m in range(p)) for pairing in pairings(list(range(p)))]
+
+
+def involution_cases(p):
+    """Every involution of ``0..p-1`` for ``p <= 7``; for larger ``p``, every
+    involution of ``0..d-1`` for each proper divisor ``d`` of ``p``, repeated
+    on each length-``d`` block, so that its mirror period divides ``d < p``."""
+    if p <= 7:
+        return involutions(p)
+    return [tuple(s[u % d] + u - u % d for u in range(p))
+            for d in range(1, p) if p % d == 0 for s in involutions(d)]
 
 
 def sums_relations(band: int) -> RelationTable:

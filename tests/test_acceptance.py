@@ -125,11 +125,11 @@ def _three_way_agreement(triples, trials, check_rules):
 
 
 def test_covered_cases_decide_iff():
-    # the paper's two cases, reproduced by the orbit decision
+    # the paper's two cases, reproduced by the closed form: mirror period p,
+    # so only the period multiples may be nonzero
     for p, i, j in CASE_ONE + [(p, q - 1, p - 1) for p, q in CASE_TWO]:
         assert covered_transposition_case(p, i, j)
-        finite = [r for r, orbit in enumerate(Transposition(p, i, j).orbits) if orbit]
-        assert finite == [0]
+        assert Transposition(p, i, j).mirror_period == p
 
 
 def test_criterion_2_residue_swap_half_period():

@@ -264,7 +264,7 @@ class TestGenCommand:
         code, _, _ = run_cli(capsys, "gen", "--spec", "block_c")
         assert code == 3
 
-    def test_general_is_projected_by_its_orbits(self, capsys, tmp_path):
+    def test_general_gen_matches_its_reversal_and_checks_symmetric(self, capsys, tmp_path):
         # general:2:1,0 is the conjugation that reversal:2 is
         runs = [run_cli(capsys, "gen", "--spec", spec, "--band", "6")
                 for spec in ("general:2:1,0", "reversal:2")]
@@ -612,27 +612,33 @@ def test_residual_memory_estimate_bounds_its_peak(symbol, spec):
     assert 0 < measured["peak"] <= measured["estimate"], measured
 
 
-# Prints the exit code of a swap's explore and its peak above the memory in
-# use before it.
-_EXPLORE_PEAK = """
+# Prints the exit code of a command and its peak above the memory in use
+# before it.
+_COMMAND_PEAK = """
 import contextlib, io, sys
 from toepsym.cli import main
 """ + _STATUS + """
 before = status("VmRSS:")
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["explore", "--spec", sys.argv[1], "--band", "2", "--trials", "1"])
+    code = main(sys.argv[1:])
 print(code, status("VmHWM:") - before)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_swap_orbit_walk_memory_does_not_grow_with_the_period_squared():
-    # two lists of 2 p^2 ints took about 550 MB at p = 2000
-    proc = subprocess.run([sys.executable, "-c", _EXPLORE_PEAK, "transposition:2000:0:1"],
-                          capture_output=True, text=True, env=_module_env())
-    assert proc.returncode == 0, proc.stderr
-    code, peak = map(int, proc.stdout.split())
-    assert code == 0 and peak <= 32 << 20, peak
+    # two lists of 2 p^2 ints took about 550 MB at p = 2000, and a walk over
+    # the p^2 residue pairs ran for minutes at p = 200000; the mirror period
+    # reads O(p) per divisor of p
+    for argv in (["explore", "--spec", "transposition:2000:0:1", "--band", "2", "--trials", "1"],
+                 ["explore", "--spec", "transposition:200000:0:1", "--band", "2",
+                  "--trials", "1"],
+                 ["gen", "--spec", "reversal:200000", "--band", "6"]):
+        proc = subprocess.run([sys.executable, "-c", _COMMAND_PEAK, *argv],
+                              capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.split())
+        assert code == 0 and peak <= 32 << 20, (argv, peak)
 
 
 def _module_env(**extra):

@@ -46,7 +46,7 @@ from toepsym.symbols import (
 from toepsym.symmetry import is_c_symmetric
 from toepsym.toeplitz import block_truncate, min_truncation
 
-from solution_sets import block_mixed_generators, involutions, sums_form
+from solution_sets import block_mixed_generators, involution_cases, sums_form
 
 BIG = 1e6
 ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
@@ -518,25 +518,26 @@ def _band_matrix(table, band):
 
 
 class TestOrbitTable:
-    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("p", [*range(1, 8), 8, 9, 12])
     def test_kernel_equals_the_raw_tables(self, p):
-        # the two tables admit the same symbols of bandwidth at most band
-        for sigma in involutions(p):
+        # the closed-form table of the mirror period and the raw table admit
+        # the same symbols of bandwidth at most band
+        for sigma in involution_cases(p):
             for band in (0, 2, p, 2 * p + 1):
-                orbit = _band_matrix(conditions._orbit_conditions(
-                    GeneralPermutation(p, sigma).orbits, band), band)
+                mirror = _band_matrix(conditions._mirror_conditions(
+                    GeneralPermutation(p, sigma).mirror_period, band), band)
                 raw = _band_matrix(raw_relations_general(p, sigma, band), band)
                 ranks = [np.linalg.matrix_rank(m) if m.size else 0
-                         for m in (orbit, raw, np.vstack([orbit, raw]))]
+                         for m in (mirror, raw, np.vstack([mirror, raw]))]
                 assert len(set(ranks)) == 1, (sigma, band, ranks)
 
 
 class TestProjectToRaw:
     def test_orbit_projection_equals_the_raw_one(self):
-        # the trials project by the orbits; the benchmark's check draws the
-        # same symbol again through the raw table
-        for p in range(1, 8):
-            for sigma in involutions(p):
+        # the trials project by the mirror period; the benchmark's check
+        # draws the same symbol again through the raw table
+        for p in [*range(1, 8), 8, 9, 12]:
+            for sigma in involution_cases(p):
                 spec = GeneralPermutation(p, sigma)
                 for band in (0, 1, p, 2 * p + 1):
                     sym = random_symbol(p + band, band, 0.7)

@@ -12,14 +12,13 @@ from toepsym.conjugations import (
     Reversal,
     Transposition,
     covered_transposition_case,
-    residue_orbits,
     spec_from_json,
     spec_to_json,
     truncated_matrix,
     verify_axioms,
 )
 
-from solution_sets import involutions
+from solution_sets import involution_cases, involutions
 
 ALL_SPECS = [
     GeneralPermutation(4, (2, 1, 0, 3)),
@@ -228,63 +227,61 @@ class TestCoveredCases:
         assert not covered_transposition_case(5, 0, 2)
 
 
-MIRROR = frozenset({(1, 0), (-1, 0)})  # the orbit {k, -k}
+def _least_period(sigma):
+    """The least ``d`` dividing ``p`` with ``tau(u + d) = tau(u)`` on ``Z_p``,
+    ``tau(u) = sigma(u) - u``, read through ``np.roll``."""
+    p = len(sigma)
+    tau = np.array(sigma) - np.arange(p)
+    return next(d for d in range(1, p + 1) if p % d == 0 and np.array_equal(tau, np.roll(tau, -d)))
 
 
 class TestResidueOrbits:
     def test_every_swap_up_to_period_30_decides_iff(self):
-        # only residue 0 is finite: c_k = c_-k at period multiples, else zero
+        # d = p: c_k = c_-k at period multiples, else zero
         for p in range(2, 31):
             for i in range(p):
                 for j in range(i + 1, p):
-                    assert Transposition(p, i, j).orbits == [MIRROR] + [None] * (p - 1)
+                    assert Transposition(p, i, j).mirror_period == p, (p, i, j)
 
     def test_every_reversal_up_to_30_leaves_only_residue_0_finite(self):
         for n in range(1, 31):
-            assert residue_orbits(n, Reversal(n).sigma) == [MIRROR] + [None] * (n - 1)
+            assert Reversal(n).mirror_period == n
 
     def test_plain_conjugation_leaves_every_residue_finite(self):
-        assert residue_orbits(1, (0,)) == [MIRROR]
-        assert residue_orbits(3, (0, 1, 2)) == [MIRROR] * 3
+        assert GeneralPermutation(1, (0,)).mirror_period == 1
+        assert GeneralPermutation(3, (0, 1, 2)).mirror_period == 1
 
     def test_the_decision_is_computed_once_per_spec(self, monkeypatch):
-        import toepsym.conjugations as conjugations
-
-        calls = []
-        monkeypatch.setattr(conjugations, "residue_orbits",
-                            lambda *args: calls.append(args) or residue_orbits(*args))
+        calls, sigma = [], Transposition.sigma
+        monkeypatch.setattr(Transposition, "sigma",
+                            property(lambda spec: calls.append(spec) or sigma.fget(spec)))
         spec = Transposition(5, 1, 3)
-        assert spec.orbits is spec.orbits
+        assert spec.mirror_period == spec.mirror_period == 5
         assert len(calls) == 1
 
     @pytest.mark.parametrize("p", range(1, 11))
     def test_orbit_shape_up_to_period_10(self, p):
-        # the finite residues are the multiples of d, the least period of the
-        # displacement tau(u) = sigma(u) - u on Z_p, and each finite orbit is
-        # {k, -k}; the decision itself does not rest on this shape
+        # mirror_period d is the least period of the displacement on Z_p; the
+        # README proves that the orbit of k is {k, -k} when d | k and infinite
+        # otherwise, and the windowed test below checks that against the raw
+        # table
         for sigma in involutions(p):
-            tau = np.array(sigma) - np.arange(p)
-            d = next(d for d in range(1, p + 1) if p % d == 0
-                     and np.array_equal(tau, np.roll(tau, -d)))
-            assert residue_orbits(p, sigma) == [MIRROR if r % d == 0 else None
-                                                for r in range(p)], sigma
+            assert GeneralPermutation(p, sigma).mirror_period == _least_period(sigma), sigma
 
-    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("p", [*range(1, 8), 8, 9, 12])
     def test_orbits_match_the_windowed_raw_components(self, p):
-        # a component the raw table's window leaves free is exactly a finite
-        # orbit inside the band; every other index is pinned to zero
-        for sigma in involutions(p):
-            orbits = residue_orbits(p, sigma)
+        # a component the raw table's window leaves free is exactly {k, -k}
+        # for a multiple k of d inside the band; every other index is pinned
+        # to zero
+        for sigma in involution_cases(p):
             spec = GeneralPermutation(p, sigma)
+            d = spec.mirror_period
             for band in (0, 1, p, 2 * p + 1, 4 * p + 3):
                 for members, forced_zero in _raw_components(spec, band):
                     inside = {m for m in members if abs(m) <= band}
                     for k in inside:
-                        maps = orbits[k % p]
-                        orbit = None if maps is None else {e * k + a for e, a in maps}
-                        free = orbit is not None and all(abs(x) <= band for x in orbit)
-                        assert free == (not forced_zero), (sigma, band, k)
-                        assert not free or orbit == inside, (sigma, band, k)
+                        assert (k % d == 0) == (not forced_zero), (sigma, band, k)
+                        assert forced_zero or inside == {k, -k}, (sigma, band, k)
 
 
 class TestSpecJson:

@@ -81,8 +81,8 @@ def _digest(tables) -> str:
 
 
 ENUMERATORS = {
-    # the orbit table of a reversal: the period table it replaced
-    "period": lambda: [conditions._orbit_conditions(Reversal(p).orbits, band)
+    # the closed-form table of a reversal, whose mirror period is n
+    "period": lambda: [conditions._mirror_conditions(Reversal(p).mirror_period, band)
                        for p in range(1, 7) for band in BANDS],
     # condition_reports passes the spec's normalized lam
     "mu_lambda": lambda: [conditions._twist_relations(MuLambda(1.0, lam).lam, band)

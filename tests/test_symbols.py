@@ -214,7 +214,7 @@ class TestProjection:
         out = project_to_conditions(parse_symbol("z - z^-1"), MuLambda(1.0, -1.0))
         assert out.coeffs.get(-1, 0j) == out.coeffs.get(1, 0j) * (-1)
 
-    def test_general_projects_by_its_orbits(self):
+    def test_general_projects_like_the_reversal_it_equals(self):
         # sigma = (2, 1, 0) is the reversal of blocks of three
         sym = random_symbol(8, 9, 0.7)
         assert project_to_conditions(sym, GeneralPermutation(3, (2, 1, 0))) == \
