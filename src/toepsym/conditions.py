@@ -18,7 +18,9 @@ reads them.
 
 A :class:`ConditionReport` is the evaluated table, the values of its rows
 and the indices of its violated rows; the JSON writer reads the table's
-columns at those indices.
+columns at those indices.  Each table depends only on its builder's
+arguments, so the builders keep their tables, read-only, in
+``symmetry.PLAN_CACHE`` beside the residual's plans.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .symbols import (
     random_symbol,
 )
 from .symmetry import (
+    PLAN_CACHE,
     RESIDUAL_BUDGET_BYTES,
     SYMMETRY_TOL,
     SymmetryReport,
@@ -318,6 +321,7 @@ def interchange_sign_relations(p: int, q: int, band: int) -> RelationTable:
 # --- closed-form condition sets -------------------------------------------------
 
 
+@PLAN_CACHE.memoize
 def _mirror_conditions(d: int, band: int) -> RelationTable:
     """The exact table of a residue permutation of mirror period ``d``
     (``spec.mirror_period``): ``multiples`` rows ``c_k == c_(-k)`` for
@@ -329,6 +333,7 @@ def _mirror_conditions(d: int, band: int) -> RelationTable:
                          (1, True, _PHI, _PHI, k[k % d != 0], 0, 1))
 
 
+@PLAN_CACHE.memoize
 def _twist_relations(lam: complex, band: int) -> RelationTable:
     """The twist-family condition ``c_(-n) = c_n * lam**n`` for every ``n``."""
     n = np.arange(1, band + 1)
@@ -348,6 +353,7 @@ def _codes(*names: str) -> np.ndarray:
     return np.array([_CODE[name] for name in names])
 
 
+@PLAN_CACHE.memoize
 def block_hadamard_relations(band: int) -> RelationTable:
     """The exact ``block_c`` list: ``phi1+phi2`` and ``phi3-phi4`` even-symmetric,
     the cross reflection ``(phi1-phi2)(2l) == (phi3+phi4)(-2l)``, odd ones zero."""
@@ -367,6 +373,7 @@ def block_hadamard_relations(band: int) -> RelationTable:
          np.tile(odd, 4), 0, 1))
 
 
+@PLAN_CACHE.memoize
 def block_mixed_necessary_relations(band: int) -> RelationTable:
     """The exact ``block_ctilde`` list: rows ``lhs(x) == 2 * phi_k(-x + shift)``,
     family by family, each over every even ``x`` with ``|x| <= band + 1``.
@@ -501,6 +508,7 @@ _MIXED_PER_L = np.array([
 ]).T
 
 
+@PLAN_CACHE.memoize
 def block_mixed_basis(band: int) -> np.ndarray:
     """An integer basis of the exact ``block_ctilde`` list's solution set on
     ``[-band, band]``, as the columns ``(generator, entry from 0, index,

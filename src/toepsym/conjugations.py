@@ -359,6 +359,10 @@ def spec_from_json(obj: dict) -> ConjugationSpec:
     cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ValueError(f"unknown conjugation family {family!r}")
+    known = {"family", *(field.key for field in cls.wire_fields)}
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"spec JSON for {family!r} has unknown field {unknown[0]!r}")
     try:
         return cls(*(field.from_json(obj[field.key]) for field in cls.wire_fields))
     except KeyError as exc:

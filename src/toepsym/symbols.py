@@ -198,8 +198,12 @@ class MatrixSymbol:
     def from_json(cls, obj: Mapping[str, Mapping]) -> "MatrixSymbol":
         if not isinstance(obj, Mapping):
             raise ValueError("matrix symbol JSON must be an object with keys phi1..phi4")
+        keys = [f"phi{i}" for i in (1, 2, 3, 4)]
+        unknown = [key for key in obj if key not in keys]
+        if unknown:
+            raise ValueError(f"matrix symbol JSON has unknown entry {unknown[0]!r}")
         try:
-            parts = [LaurentSymbol.from_json(obj[f"phi{i}"]) for i in (1, 2, 3, 4)]
+            parts = [LaurentSymbol.from_json(obj[key]) for key in keys]
         except KeyError as exc:
             raise ValueError(f"matrix symbol JSON missing entry {exc.args[0]!r}") from exc
         return cls(*parts)

@@ -8,13 +8,18 @@ invariant under nonzero rescaling of the symbol at the zero-residual level.
 Both norms come from the symbol's coefficients: the difference is block
 Toeplitz, so its first block row and column carry every distinct block.  It
 agrees with the dense formula to rounding (the tests hold it to
-``1e-12 * max(1, dense)``), not bit for bit.
+``1e-12 * max(1, dense)``), not bit for bit.  What the residual reads of the
+operator depends only on the conjugation and the order, so it is planned once
+per ``(spec, order)`` and kept in ``PLAN_CACHE``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncat
 
 SYMMETRY_TOL = 1e-10
 RESIDUAL_BUDGET_BYTES = 1 << 28
+PLAN_CACHE_BYTES = 1 << 22
 
 SYMMETRIC = "symmetric"
 NOT_SYMMETRIC = "not_symmetric"
@@ -39,6 +45,63 @@ class SymmetryReport:
     @property
     def symmetric(self) -> bool:
         return self.verdict == SYMMETRIC
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """The arrays of an array, a tuple or an object's attributes."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    fields = value if isinstance(value, tuple) else vars(value).values()
+    return [field for field in fields if isinstance(field, np.ndarray)]
+
+
+class PlanCache:
+    """Values that depend only on a conjugation and a shape, least recently
+    used first out, at most ``budget`` bytes in all.  An entry's size is the
+    sum of its arrays' ``nbytes``; an entry larger than the budget is returned
+    but never kept.  Every caller shares an entry, so its arrays are made
+    read-only."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, size)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self):
+        self._entries.clear()
+        self.nbytes = 0
+
+    def get(self, key, build):
+        """The value kept under ``key``, or ``build()``'s, kept if it fits."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return self._entries[key][0]
+        value = build()
+        arrays = _arrays(value)
+        for array in arrays:
+            array.setflags(write=False)
+        size = sum(array.nbytes for array in arrays)
+        if size <= self.budget:
+            while self.nbytes + size > self.budget:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+            self._entries[key] = value, size
+            self.nbytes += size
+        return value
+
+    def memoize(self, fn):
+        """``fn`` with its results kept here, keyed on the ``repr`` of its
+        arguments, which tells ``-0.0`` from ``0.0``."""
+        @functools.wraps(fn)
+        def cached(*args):
+            return self.get((fn, repr(args)), lambda: fn(*args))
+        return cached
+
+
+# the residual plans and the condition tables, for every caller
+PLAN_CACHE = PlanCache(PLAN_CACHE_BYTES)
 
 
 def _strips(order: int, period: int) -> tuple[np.ndarray, ...]:
@@ -57,8 +120,48 @@ def _strips(order: int, period: int) -> tuple[np.ndarray, ...]:
             np.repeat(order - abs(np.arange(1 - order, order)), 2))
 
 
-def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
-    """``||A conj(T) conj(A) - T^*||_F / max(1, ||T||_F)``, from coefficients.
+class ResidualPlan(NamedTuple):
+    """What :func:`residual` reads of ``A`` at one order, for any symbol: the
+    flat index into the coefficients of every term (``at``, axes ``(i, j, k,
+    l, entry)``), its left and right weights, the index of the adjoint's
+    entry, and the repeat counts of the strips and of the diagonals."""
+
+    grid: int
+    order: int
+    at: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    adjoint: np.ndarray
+    repeats: np.ndarray
+    lengths: np.ndarray
+
+
+def residual_plan(c: AntilinearOperator) -> ResidualPlan:
+    """The gather plan of :func:`residual` for the operator ``c``."""
+    n, g, perms, weights = c.size, c.perms.shape[0], c.perms, c.weights
+    rows, base, residue, adjoint_at, repeats, lengths = _strips(n, c.period)
+    # column q of conj(A_lj) is the unit row perm_lj^-1(q) weighted conj(w);
+    # the inverse commutes with period shifts too, so it comes from residues
+    inverse = perms[..., :c.period].argsort().take(residue, axis=2) + base
+    block = np.arange(g * g).reshape(g, g, 1)  # flat index of grid block (k, l)
+    # term (k, l) of quadrant (i, j), axes (i, j, k, l, entry), broadcast:
+    # w_ik[m] conj(c^kl_(perm_ik[m] - inverse_lj[q])) conj(w_lj[inverse_lj[q]])
+    at = block * (2 * n - 1) + (n - 1) + perms[:, None, :, None, rows] \
+        - inverse.transpose(1, 0, 2)[None, :, None]
+    left = weights[:, None, :, None, rows]
+    right = np.conj(weights.take(inverse + block * n)).transpose(1, 0, 2)[None, :, None]
+    # (T^*)_ij[m, q] = conj(c^ji_(q - m))
+    adjoint = block.transpose(1, 0, 2) * (2 * n - 1) + adjoint_at
+    # every index and count is below g**2 * (2n - 1): int32 halves the
+    # cached bytes, and the values, so the sums, stay the same
+    small = np.int32 if g * g * 2 * n < 2**31 else np.intp
+    return ResidualPlan(g, n, at.astype(small), left, right, adjoint.astype(small),
+                        repeats.astype(small), lengths.astype(small))
+
+
+def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> float:
+    """``||A conj(T) conj(A) - T^*||_F / max(1, ||T||_F)``, from coefficients;
+    ``c`` is the operator ``A`` or its :func:`residual_plan`.
 
     ``A``'s blocks commute with shifts by ``c.period``, so each quadrant of
     ``R = A conj(T) conj(A) - T^*`` is block Toeplitz, ``K`` period-square
@@ -69,28 +172,20 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator) -> float:
     by ``2**-e``, ``2**e > max |Re|, |Im|``, so huge symbols do not overflow;
     numpy's pairwise sums do not depend on the BLAS thread count.
     """
-    n, g, perms, weights = t.order, t.grid, c.perms, c.weights
-    if (g, n) != (perms.shape[0], c.size):
-        raise ValueError(f"shape mismatch: operator has {perms.shape[0]}-square grid of size "
-                         f"{c.size}, matrix {g}-square grid of order {n}")
-    rows, base, residue, adjoint_at, repeats, lengths = _strips(n, c.period)
+    n, g = t.order, t.grid
+    if isinstance(c, AntilinearOperator):
+        c = residual_plan(c)
+    if (g, n) != (c.grid, c.order):
+        raise ValueError(f"shape mismatch: operator has {c.grid}-square grid of size "
+                         f"{c.order}, matrix {g}-square grid of order {n}")
     e = max(0, math.frexp(np.abs(t.diagonals.view(float)).max())[1])
     scale = math.ldexp(1.0, -e)
     v = np.conj(t.diagonals * scale)  # conj(2**-e T): entry e's c_d at [e, d + n - 1]
-    # column q of conj(A_lj) is the unit row perm_lj^-1(q) weighted conj(w);
-    # the inverse commutes with period shifts too, so it comes from residues
-    inverse = perms[..., :c.period].argsort().take(residue, axis=2) + base
-    block = np.arange(g * g).reshape(g, g, 1)  # flat index of grid block (k, l)
-    # term (k, l) of quadrant (i, j), axes (i, j, k, l, entry), broadcast:
-    # w_ik[m] conj(c^kl_(perm_ik[m] - inverse_lj[q])) conj(w_lj[inverse_lj[q]])
-    at = block * (2 * n - 1) + (n - 1) + perms[:, None, :, None, rows] \
-        - inverse.transpose(1, 0, 2)[None, :, None]
-    terms = weights[:, None, :, None, rows] * v.take(at)
-    terms *= np.conj(weights.take(inverse + block * n)).transpose(1, 0, 2)[None, :, None]
-    # (T^*)_ij[m, q] = conj(c^ji_(q - m))
-    lhs = terms.sum(axis=(2, 3)) - v.take(block.transpose(1, 0, 2) * (2 * n - 1) + adjoint_at)
-    sq = (np.square(lhs.view(float)) * repeats).sum()
-    norm_sq = (np.square(v.view(float)) * lengths).sum()
+    terms = c.left * v.take(c.at)
+    terms *= c.right
+    lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
+    sq = (np.square(lhs.view(float)) * c.repeats).sum()
+    norm_sq = (np.square(v.view(float)) * c.lengths).sum()
     return math.sqrt(sq) / max(scale, math.sqrt(norm_sq))
 
 
@@ -110,6 +205,8 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     verdict.  Block specs require a :class:`MatrixSymbol` and scalar specs a
     :class:`LaurentSymbol`.  An order whose residual would pass
     ``RESIDUAL_BUDGET_BYTES`` raises ``ValueError`` before any allocation.
+    The residual's plan comes from ``PLAN_CACHE``, keyed on ``spec`` and the
+    order.
     """
     if not 0 < tol < math.inf:  # also false for NaN
         raise ValueError("tol must be finite and positive")
@@ -122,8 +219,8 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     if need > RESIDUAL_BUDGET_BYTES:
         raise ValueError(f"the residual at order {n} needs {need >> 20} MiB, over its budget")
     t = block_truncate(symbol, n) if block else truncate(symbol, n)
-    c = truncated_matrix(spec, n)
-    r = residual(t, c)
+    plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
+    r = residual(t, plan)
     verdict = SYMMETRIC if r <= tol else NOT_SYMMETRIC
     return SymmetryReport(r, n, verdict, tol)
 

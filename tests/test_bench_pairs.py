@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.summarize``: the win count and the quartiles it writes
-into ``BENCH_<pr>.json``."""
+"""``tools/bench_pairs.summarize``: the win count, the quartiles and the
+verdict it writes into ``BENCH_<pr>.json``."""
 
 import pathlib
 import sys
@@ -7,7 +7,7 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import summarize, verdict  # noqa: E402
 
 
 def _runs(base, head):
@@ -38,3 +38,46 @@ def test_quartiles_are_inclusive():
     assert out["base_median"] == out["head_median"] == 3
     assert out["base"] == [1, 2, 3, 4, 5] and out["head"] == [5, 4, 3, 2, 1]
     assert (out["unit"], out["better"], out["bound"]) == ("ms", "lower", 0.25)
+
+
+# ten pairs around 10 with an interquartile range of 0.2
+BASE = [9.8, 9.9, 9.9, 10.0, 10.0, 10.0, 10.0, 10.1, 10.1, 10.2]
+
+
+def _verdict(base, head, better="lower"):
+    return summarize(_metric(better), _runs(base, head), "w")["verdict"]
+
+
+def test_gain_needs_nine_wins_in_ten():
+    assert _verdict(BASE, [7.0] * 9 + [11.0]) == "gain"
+    # 30 % better in the median, but two pairs lost
+    assert _verdict(BASE, [7.0] * 8 + [11.0] * 2) == "within_bound"
+
+
+def test_gain_needs_a_gap_wider_than_the_base_spread():
+    wide = [8.0, 8.0, 8.0, 9.0, 10.0, 10.0, 11.0, 12.0, 12.0, 12.0]
+    # every pair won, by less than the base's interquartile range of 3.5,
+    # which is wider than the bound (2.5 at a median of 10)
+    assert _verdict(wide, [v - 0.5 for v in wide]) == "unresolved"
+    assert _verdict(wide, [v - 4.0 for v in wide]) == "gain"
+
+
+def test_worse_is_a_median_past_the_bound():
+    assert _verdict(BASE, [v * 1.2 for v in BASE]) == "within_bound"
+    assert _verdict(BASE, [v * 1.3 for v in BASE]) == "worse"
+    # worse is reported even when the base spreads wider than the bound
+    wide = [8.0, 8.0, 8.0, 9.0, 10.0, 10.0, 11.0, 12.0, 12.0, 12.0]
+    assert _verdict(wide, [v * 1.3 for v in wide]) == "worse"
+
+
+def test_higher_is_better_flips_the_verdict():
+    assert _verdict(BASE, [v * 1.3 for v in BASE], "higher") == "gain"
+    assert _verdict(BASE, [v * 0.7 for v in BASE], "higher") == "worse"
+
+
+def test_verdict_reads_the_summary():
+    summary = {"better": "lower", "bound": 0.1, "base": [1.0] * 10, "head_wins": 0,
+               "base_median": 1.0, "head_median": 1.05, "base_quartiles": [1.0, 1.0]}
+    assert verdict(summary) == "within_bound"
+    assert verdict({**summary, "head_median": 1.11}) == "worse"
+    assert verdict({**summary, "base_quartiles": [0.9, 1.2]}) == "unresolved"

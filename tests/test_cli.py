@@ -432,6 +432,9 @@ class TestInputValidation:
         ("--symbol-file", "[1, 2]", "--spec", "reversal:2"),
         ("--symbol-file", '{"2": 5}', "--spec", "reversal:2"),
         ("--symbol-file", '{"phi1": [1]}', "--spec", "block_c"),
+        ("--symbol-file", '{"phi1": {}, "phi2": {}, "phi3": {}, "phi4": {}, "phi5": {"1": [1, 0]}}',
+         "--spec", "block_c"),
+        ("--symbol", "z", "--spec-file", '{"family": "reversal", "n": 2, "p": 7}'),
         ("--symbol", "z", "--spec-file",
          '{"family": "mulambda", "mu": 5, "lambda": [1, 0]}'),
         ("--symbol-file", '{"2": [true, false]}', "--spec", "reversal:2"),
@@ -448,7 +451,8 @@ class TestInputValidation:
          '{"family": "mulambda", "mu": [1, 0, 0], "lambda": [0.6, 0.8]}'),
         ("--symbol", "z", "--spec-file",
          '{"family": "mulambda", "mu": [1, 0], "lambda": [0.6]}'),
-    ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "scalar-mu",
+    ], ids=["list-symbol", "scalar-coefficient", "list-block-entry", "extra-block-entry",
+            "extra-spec-field", "scalar-mu",
             "bool-parts", "string-parts", "underscore-key", "spaced-key", "int-past-float-range",
             "none-key",
             "bool-spec-parts", "string-spec-parts", "long-spec-pair", "short-spec-pair"])

@@ -326,6 +326,16 @@ class TestSpecJson:
         with pytest.raises(ValueError):
             spec_from_json(obj)
 
+    @pytest.mark.parametrize("obj", [
+        {"family": "reversal", "n": 2, "p": 7},
+        {"family": "block_c", "n": 2},
+        {"family": "mulambda", "mu": [1, 0], "lambda": [1, 0], "lam": [1, 0]},
+    ])
+    def test_unknown_fields_rejected(self, obj):
+        # a stray field is an error, as a missing one is, not dropped
+        with pytest.raises(ValueError, match="unknown field"):
+            spec_from_json(obj)
+
     def test_integral_values_accepted(self):
         assert spec_from_json({"family": "reversal", "n": 2.0}) == Reversal(2)
         with pytest.raises(ValueError):  # integer fields are JSON numbers, not strings

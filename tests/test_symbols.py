@@ -351,6 +351,8 @@ def _reference_from_json(obj):
 def _reference_matrix_from_json(obj):
     if not isinstance(obj, Mapping):
         raise ValueError("matrix symbol JSON must be an object with keys phi1..phi4")
+    if set(obj) - {"phi1", "phi2", "phi3", "phi4"}:
+        raise ValueError("matrix symbol JSON has an unknown entry")
     try:
         return [_reference_from_json(obj[f"phi{i}"]) for i in (1, 2, 3, 4)]
     except KeyError as exc:
@@ -432,7 +434,8 @@ def test_json_decoder_matches_the_per_pair_reference(obj):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     st.fixed_dictionaries({f"phi{i}": _ENTRIES for i in (1, 2, 3, 4)}),
-    st.fixed_dictionaries({f"phi{i}": _VALID_ENTRIES for i in (1, 2, 3, 4)}),
+    st.fixed_dictionaries({f"phi{i}": _VALID_ENTRIES for i in (1, 2, 3, 4)},
+                          optional={"phi5": _VALID_ENTRIES, "phi0": _VALID_ENTRIES}),
     st.dictionaries(st.sampled_from(["phi1", "phi2", "phi3", "phi4", "phi5"]), _VALID_ENTRIES),
     st.lists(_VALID_ENTRIES, max_size=4)))
 def test_matrix_json_decoder_matches_the_per_pair_reference(obj):

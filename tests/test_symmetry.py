@@ -23,7 +23,8 @@ from toepsym.symbols import (
     random_matrix_symbol,
     random_symbol,
 )
-from toepsym import symmetry
+from toepsym import conditions, symmetry
+from toepsym.conditions import run_check
 from toepsym.symmetry import SYMMETRY_TOL, is_c_symmetric, report_to_json, residual
 from toepsym.toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
@@ -244,12 +245,18 @@ class TestStructuredResidual:
     ``A conj(T) conj(A)``."""
 
     @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=lambda s: s.name)
-    @pytest.mark.parametrize("band", [0, 1, 2, 3, 6, 13, 20, 50, 200])
+    @pytest.mark.parametrize("band", [*range(14), 20, 50, 200])
     def test_matches_dense_product(self, spec, band):
         n = min_truncation(band, spec)
         c = truncated_matrix(spec, n)
         for symmetric, base in ((True, symmetric_symbol(spec, 5, band, 0.5)),
                                 (False, _generic_symbol(spec, 5, band))):
+            # the check's cached plan, cold and then warm, gives the residual
+            # of a plan built afresh from the operator, bit for bit
+            order = min_truncation(base.bandwidth, spec)
+            fresh = residual(_truncation(base, spec, order), truncated_matrix(spec, order))
+            symmetry.PLAN_CACHE.clear()
+            assert [is_c_symmetric(base, spec).residual for _ in ("cold", "warm")] == [fresh] * 2
             # closed-form symmetric symbols of the permutation families have
             # equal coefficients where the relations say so: exact zero
             exact = symmetric and spec.name in PERMUTATION_FAMILIES
@@ -285,6 +292,58 @@ class TestStructuredResidual:
             tracemalloc.stop()
         assert not report.symmetric
         assert peak < 8 * report.order ** 2
+
+
+class TestPlanCache:
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        plans = []
+        def keep(t, plan):
+            plans.append(plan)
+            return residual(t, plan)
+        monkeypatch.setattr(symmetry, "residual", keep)
+        is_c_symmetric(random_matrix_symbol(1, 6, 0.5), BlockMixed())
+        tables = [conditions._mirror_conditions(2, 6), conditions._twist_relations(1j, 6),
+                  conditions.block_hadamard_relations(6),
+                  conditions.block_mixed_necessary_relations(6)]
+        plan = plans[0]
+        arrays = [plan.at, plan.left, plan.right, plan.adjoint, plan.repeats, plan.lengths,
+                  *(column for table in tables for column in
+                    (table.family, table.vanish, table.component, table.index, table.rhs_scale)),
+                  conditions.block_mixed_basis(6)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+        # a second call returns the kept table itself
+        assert conditions.block_hadamard_relations(6) is tables[2]
+
+    def test_specs_of_one_family_keep_their_own_plans(self):
+        # both swaps truncate z^3 + 2z^-1 at order 24: a key on the family
+        # name would hand the second the first one's plan
+        symbol = parse_symbol("z^3 + 2 z^-1")
+        for spec in (Transposition(4, 0, 2), Transposition(4, 1, 2)):
+            n = is_c_symmetric(symbol, spec).order
+            assert is_c_symmetric(symbol, spec).residual == residual(
+                truncate(symbol, n), truncated_matrix(spec, n))
+
+    def test_held_bytes_stay_within_the_budget(self):
+        symmetry.PLAN_CACHE.clear()
+        for band in range(1, 601):
+            entry = parse_symbol(f"z^{band} - z^-{band}")
+            run_check(MatrixSymbol(entry, entry, entry, entry), BlockHadamard())
+            assert symmetry.PLAN_CACHE.nbytes <= symmetry.PLAN_CACHE_BYTES
+        # the sweep holds more than the budget, so entries were dropped
+        assert 0 < len(symmetry.PLAN_CACHE) < 2 * 600
+
+    def test_plan_over_the_budget_is_not_kept(self):
+        spec, band = BlockHadamard(), 4000
+        n = min_truncation(band, spec)
+        plan = symmetry.residual_plan(truncated_matrix(spec, n))
+        assert sum(array.nbytes for array in plan[2:]) > symmetry.PLAN_CACHE_BYTES
+        entry = parse_symbol(f"z^{band}")
+        symmetry.PLAN_CACHE.clear()
+        report = is_c_symmetric(MatrixSymbol(entry, entry, entry, entry), spec)
+        assert report.order == n
+        assert (len(symmetry.PLAN_CACHE), symmetry.PLAN_CACHE.nbytes) == (0, 0)
 
 
 def test_report_json_shape():

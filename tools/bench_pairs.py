@@ -9,8 +9,8 @@ revision at a time, in 10 pairs.  Pair ``i`` runs both revisions at seed
 ``--seed + i``, the base first when ``i`` is even and the head first when it
 is odd.  For every end-to-end metric that the head's ``BENCHMARK.json`` lists,
 on every workload, the file holds each run, each side's median and quartiles,
-and the number of pairs the head won (a tie counts for neither side), beside
-each run's ``failed`` and ``correct``.
+the number of pairs the head won (a tie counts for neither side) and a
+verdict (see :func:`verdict`), beside each run's ``failed`` and ``correct``.
 
 To measure uncommitted work, stage it and pass the commit that
 ``git stash create`` prints as ``--head``.
@@ -50,6 +50,25 @@ def run(tree: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def verdict(summary: dict) -> str:
+    """``gain`` when the head won at least 9 pairs in 10 and its median beats
+    the base's by more than the base's interquartile range; else ``worse``
+    when its median is worse than the base's by more than ``bound`` (a share
+    of the base median); else ``unresolved`` when the base's interquartile
+    range is wider than that share; else ``within_bound``."""
+    sign = 1 if summary["better"] == "higher" else -1
+    base, head = summary["base_median"], summary["head_median"]
+    q1, q3 = summary["base_quartiles"]
+    allowed = summary["bound"] * abs(base)
+    if 10 * summary["head_wins"] >= 9 * len(summary["base"]) and sign * (head - base) > q3 - q1:
+        return "gain"
+    if sign * (base - head) > allowed:
+        return "worse"
+    if q3 - q1 > allowed:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(metric: dict, runs: dict[str, list[dict]], workload: str) -> dict:
     name = metric["name"]
     values = {side: [r[workload]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -60,6 +79,7 @@ def summarize(metric: dict, runs: dict[str, list[dict]], workload: str) -> dict:
         q1, _, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
         out.update({side: values[side], f"{side}_median": statistics.median(values[side]),
                     f"{side}_quartiles": [q1, q3]})
+    out["verdict"] = verdict(out)
     return out
 
 
@@ -103,7 +123,8 @@ def main(argv=None) -> int:
         for m in metrics:
             s = entry[m["name"]]
             print(f"{workload:<16} {m['name']:<12} {s['base_median']:>10.4g} -> "
-                  f"{s['head_median']:<10.4g} head wins {s['head_wins']}/{PAIRS}")
+                  f"{s['head_median']:<10.4g} head wins {s['head_wins']}/{PAIRS} "
+                  f"{s['verdict']}")
     return 0
 
 
