@@ -1,26 +1,22 @@
-"""Coefficient-condition checkers and their cross-validation harness.
+"""Coefficient-condition checkers, solution-set bases and the cross-validation harness.
 
-Deciding whether a Toeplitz truncation commutes correctly with a conjugation
-(``C T C = T*``) reduces to families of linear identities between Fourier
-coefficients.  This module enumerates those identities as
-:class:`RelationTable` objects, one numpy column per relation field,
-evaluates a table against a symbol with a few vectorized gathers, and
-cross-checks every symbolic verdict against the brute-force matrix oracle in
+``C T C = T*`` reduces to linear identities between Fourier coefficients.
+This module builds them as :class:`RelationTable` objects, one numpy column
+per relation field, evaluates a table on a symbol with a few vectorized
+gathers, and cross-checks each verdict against the matrix oracle in
 :mod:`toepsym.symmetry`.
 
-Every family's table is exact: a residue permutation's is the closed form
-of its mirror period ``d`` (coefficients at multiples of ``d``
-mirror-symmetric, all others zero), the twist family's is a reflection with
-powers of lambda, and the block families' are their condition lists.  The
-raw entry identities of the operator equation and the paper's rule sets for
-residue swaps stay as the reference the tests compare against; no command
-reads them.
+Every family's table is exact: a residue permutation's is the closed form of
+its mirror period ``d`` (coefficients at multiples of ``d`` mirror-symmetric,
+all others zero), the twist family's a reflection with powers of lambda, and
+each block family's its condition list, whose solution set has an integer
+basis (:func:`block_hadamard_basis`, :func:`block_mixed_basis`) that the
+samplers and the explorer draw on.  The raw entry identities and the paper's
+rule sets for residue swaps are the tests' reference; no command reads them.
 
-A :class:`ConditionReport` is the evaluated table, the values of its rows
-and the indices of its violated rows; the JSON writer reads the table's
-columns at those indices.  Each table depends only on its builder's
-arguments, so the builders keep their tables, read-only, in
-``symmetry.PLAN_CACHE`` beside the residual's plans.
+A :class:`ConditionReport` is the evaluated table, its row values and the
+indices of its violated rows.  Tables and bases depend only on their
+builders' arguments and are kept, read-only, in ``symmetry.PLAN_CACHE``.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from .conjugations import (
     ConjugationSpec,
     GeneralPermutation,
     MuLambda,
-    Reversal,
     Transposition,
 )
 from .symbols import (
@@ -52,14 +47,12 @@ from .symbols import (
 )
 from .symmetry import (
     PLAN_CACHE,
-    RESIDUAL_BUDGET_BYTES,
     SYMMETRY_TOL,
     SymmetryReport,
+    budgeted_order,
     is_c_symmetric,
     report_to_json,
-    residual_bytes,
 )
-from .toeplitz import min_truncation
 
 COEFF_TOL = 1e-12
 
@@ -464,38 +457,28 @@ def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
                       satisfying: bool = False) -> TrialResult:
     """One seeded cross-validation trial: draw a symbol (optionally projected
     onto the family's solution set so the satisfied direction gets exercised),
-    then compare the condition verdict with the oracle verdict."""
+    then compare the condition verdict with the oracle verdict.  A band over
+    the residual's budget raises ``ValueError`` before the draw."""
+    budgeted_order(band, spec)
     symbol = _trial_symbol(spec, seed, band, density, satisfying)
     outcome = run_check(symbol, spec, tol)
     return TrialResult(outcome.agree, outcome.condition.satisfied,
                        outcome.oracle.symmetric, outcome.oracle.residual)
 
 
-# --- solution-set samplers ------------------------------------------------------
+# --- solution-set bases and their sampler ----------------------------------------
 
-def random_block_hadamard_symmetric(seed: int, max_band: int,
-                                    density: float = 0.7) -> MatrixSymbol:
-    """Random matrix symbol satisfying the cross-form Hadamard conditions
-    exactly: draw the two even-symmetric combinations ``phi1+phi2`` and
-    ``phi3-phi4``, a free even-only difference ``phi1-phi2``, and set
-    ``phi3+phi4`` to its reflection."""
-    rng = np.random.default_rng(seed)
-    s1, s2, s3 = (int(v) for v in rng.integers(0, 2**62, size=3))
-    sum12 = project_to_conditions(random_symbol(s1, max_band, density), Reversal(2))
-    diff34 = project_to_conditions(random_symbol(s2, max_band, density), Reversal(2))
-    raw = random_symbol(s3, max_band, density)
-    diff12 = LaurentSymbol({k: v for k, v in raw.items() if k % 2 == 0})
-    sum34 = LaurentSymbol({-k: v for k, v in diff12.items()})
-    phi1 = (sum12 + diff12) * 0.5
-    phi2 = (sum12 - diff12) * 0.5
-    phi3 = (sum34 + diff34) * 0.5
-    phi4 = (sum34 - diff34) * 0.5
-    return MatrixSymbol(phi1, phi2, phi3, phi4)
-
-
-# The terms of block_mixed_basis: A and D as (generator, entry, index,
-# weight); B, C, E and F (kind 0..3) as (kind, entry, sign, offset, weight),
-# generator 4l - 2 + kind with the weight at index sign * 2l + offset.
+# The terms of a pair family's basis: the generators at index 0 as
+# (generator, entry, index, weight); the four per l >= 1 (kind 0..3) as
+# (kind, entry, sign, offset, weight), generator once + 4(l - 1) + kind with
+# the weight at index sign * 2l + offset.
+_HADAMARD_ONCE = np.array([(0, 1, 0, 1), (0, 2, 0, 1), (1, 3, 0, 1), (1, 4, 0, -1),
+                           (2, 1, 0, 1), (2, 2, 0, -1), (2, 3, 0, 1), (2, 4, 0, 1)]).T
+_HADAMARD_PER_L = np.array([
+    (0, 1, 1, 0, 1), (0, 1, -1, 0, 1), (0, 2, 1, 0, 1), (0, 2, -1, 0, 1),
+    (1, 3, 1, 0, 1), (1, 3, -1, 0, 1), (1, 4, 1, 0, -1), (1, 4, -1, 0, -1),
+    (2, 1, 1, 0, 1), (2, 2, 1, 0, -1), (2, 3, -1, 0, 1), (2, 4, -1, 0, 1),
+    (3, 1, -1, 0, 1), (3, 2, -1, 0, -1), (3, 3, 1, 0, 1), (3, 4, 1, 0, 1)]).T
 _MIXED_ONCE = np.array([(0, 2, 0, 1), (0, 3, 0, -1),  # A
                         (1, 1, 0, 1), (1, 4, 0, 1)]).T  # D
 _MIXED_PER_L = np.array([
@@ -508,11 +491,35 @@ _MIXED_PER_L = np.array([
 ]).T
 
 
+def _pair_basis(once: np.ndarray, per_l: np.ndarray, band: int) -> np.ndarray:
+    """The terms of ``once`` and of ``per_l`` for ``l = 1 .. band // 2``, as
+    the columns ``(generator, entry from 0, index, weight)``; a generator's
+    coefficient is the sum of its terms."""
+    kind, entry, sign, offset, weight = per_l
+    # each column of a term is affine in l: at l = 0 and its step
+    at_zero = np.stack([kind + once[0].max() - 3, entry, offset, weight])
+    step = np.stack([np.full_like(kind, 4), 0 * kind, 2 * sign, 0 * kind])
+    l = np.arange(1, band // 2 + 1)[:, None]
+    terms = np.concatenate([once, (at_zero[:, None] + l * step[:, None]).reshape(4, -1)], axis=1)
+    terms[1] -= 1  # entries from 0
+    return terms
+
+
+@PLAN_CACHE.memoize
+def block_hadamard_basis(band: int) -> np.ndarray:
+    """An integer basis of the ``block_c`` list's solution set on ``[-band,
+    band]``, in :func:`_pair_basis`'s columns: at index 0, ``phi1 = phi2 =
+    1``; ``phi3 = -phi4 = 1``; ``phi1 = -phi2 = phi3 = phi4 = 1``; then for
+    each ``l = 1 .. band // 2``, the first two at ``+-2l``, ``phi1(2l) =
+    -phi2(2l) = phi3(-2l) = phi4(-2l) = 1``, and that with ``2l`` and ``-2l``
+    swapped.  ``3 + 4 * (band // 2)`` generators in all."""
+    return _pair_basis(_HADAMARD_ONCE, _HADAMARD_PER_L, band)
+
+
 @PLAN_CACHE.memoize
 def block_mixed_basis(band: int) -> np.ndarray:
     """An integer basis of the exact ``block_ctilde`` list's solution set on
-    ``[-band, band]``, as the columns ``(generator, entry from 0, index,
-    weight)`` of its terms; a generator's coefficient is the sum of its terms.
+    ``[-band, band]``, in :func:`_pair_basis`'s columns.
     ``A``: ``phi2(0) = 1``, ``phi3(0) = -1``; ``D``: ``phi1(0) = phi4(0) = 1``;
     then for each ``l = 1 .. band // 2``: ``B_l``, ``phi1`` +1 at ``+-2l`` and
     ``+-(2l - 2)``, ``phi2`` and ``phi3`` +1 at ``+-(2l - 1)``; ``C_l``,
@@ -520,30 +527,32 @@ def block_mixed_basis(band: int) -> np.ndarray:
     ``phi1(2l - 1) = -1``, ``phi4`` their negatives, ``phi2(2l - 2) = phi2(2l)
     = 1``, ``phi3(2 - 2l) = phi3(-2l) = -1``; ``F_l``, ``phi1(+-2l) =
     phi4(+-2l) = 1``.  ``2 + 4 * (band // 2)`` generators in all."""
-    kind, entry, sign, offset, weight = _MIXED_PER_L
-    # each column of a term is affine in l: at l = 0 and its step
-    at_zero = np.stack([kind - 2, entry, offset, weight])
-    step = np.stack([np.full_like(kind, 4), 0 * kind, 2 * sign, 0 * kind])
-    l = np.arange(1, band // 2 + 1)[:, None]
-    terms = np.concatenate([_MIXED_ONCE, (at_zero[:, None] + l * step[:, None]).reshape(4, -1)],
-                           axis=1)
-    terms[1] -= 1  # entries from 0
-    return terms
+    return _pair_basis(_MIXED_ONCE, _MIXED_PER_L, band)
 
 
-def random_block_mixed_symmetric(seed: int, max_band: int,
-                                 density: float = 0.7) -> MatrixSymbol:
-    """Random matrix symbol that is exactly symmetric under the mixed block
-    conjugation, of bandwidth at most ``max_band``: one :func:`draw_coeffs`
-    weight on each generator of :func:`block_mixed_basis`, in order."""
-    size = 2 + 4 * (max_band // 2)
+def _basis_symbol(basis, once: int, seed: int, max_band: int, density: float) -> MatrixSymbol:
+    """One :func:`draw_coeffs` weight on each of the ``once + 4 * (max_band // 2)``
+    generators of ``basis(max_band)``, summed in order into a matrix symbol."""
+    size = once + 4 * (max_band // 2)
     drawn, = draw_coeffs(seed, max_band, density, range(size))
     weights = np.array([drawn.get(g, 0j) for g in range(size)])
-    generator, entry, index, weight = block_mixed_basis(max_band)
+    generator, entry, index, weight = basis(max_band)
     grid = np.zeros((4, 2 * max_band + 1), complex)
     np.add.at(grid, (entry, index + max_band), weight * weights[generator])
     exponents = np.arange(-max_band, max_band + 1)
     return MatrixSymbol(*(LaurentSymbol._of(exponents, row) for row in grid))
+
+
+def random_block_hadamard_symmetric(seed: int, max_band: int,
+                                    density: float = 0.7) -> MatrixSymbol:
+    """A ``block_c``-symmetric draw on :func:`block_hadamard_basis`."""
+    return _basis_symbol(block_hadamard_basis, 3, seed, max_band, density)
+
+
+def random_block_mixed_symmetric(seed: int, max_band: int,
+                                 density: float = 0.7) -> MatrixSymbol:
+    """A ``block_ctilde``-symmetric draw on :func:`block_mixed_basis`."""
+    return _basis_symbol(block_mixed_basis, 2, seed, max_band, density)
 
 
 # --- raw-set projection (the tests' reference) and explorers ---------------------
@@ -619,11 +628,7 @@ def explore_block_mixed(band: int, trials: int, seed: int,
     size.  A band over the residual's budget raises ``ValueError`` first."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if band < 0:
-        raise ValueError("band must be >= 0")
-    need = residual_bytes(min_truncation(band, BlockMixed()), BlockMixed())
-    if need > RESIDUAL_BUDGET_BYTES:
-        raise ValueError(f"the residual at band {band} needs {need >> 20} MiB, over its budget")
+    budgeted_order(band, BlockMixed())
     candidates, anomalies = [], []
     for s in range(seed, seed + trials):
         msym = random_block_mixed_symmetric(s, band, 1.0)

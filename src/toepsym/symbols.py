@@ -94,20 +94,6 @@ class LaurentSymbol:
     def items(self) -> Iterator[tuple[int, complex]]:
         return zip(self.exponents.tolist(), self.values.tolist())
 
-    def __add__(self, other: "LaurentSymbol") -> "LaurentSymbol":
-        # a coefficient of other alone is 0j + v, so its -0.0 parts turn +0.0
-        exponents = np.union1d(self.exponents, other.exponents)
-        values = np.zeros(exponents.size, dtype=complex)
-        values[exponents.searchsorted(self.exponents)] = self.values
-        values[exponents.searchsorted(other.exponents)] += other.values
-        return LaurentSymbol._of(exponents, values)
-
-    def __sub__(self, other: "LaurentSymbol") -> "LaurentSymbol":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentSymbol":
-        return LaurentSymbol._of(self.exponents, -self.values)
-
     def __mul__(self, scalar: complex) -> "LaurentSymbol":
         # Python's complex product: numpy's may round differently
         values = np.array([v * scalar for v in self.values.tolist()], dtype=complex)
@@ -332,8 +318,8 @@ def draw_coeffs(seed: int, max_band: int, density: float, *ranges: range) -> lis
     """One coefficient dict per index range from one stream of doubles, drawn in
     blocks and read as per-index ``rng.random() < density`` and, for a kept index,
     ``rng.uniform(-1.0, 1.0, size=2)`` calls would read it (``-1.0 + 2.0 * u``)."""
-    if max_band < 0:
-        raise ValueError("max_band must be >= 0")
+    if not 0 <= max_band <= MAX_EXPONENT:
+        raise ValueError(f"max_band {max_band} out of range [0, {MAX_EXPONENT}]")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     rng, size = np.random.default_rng(seed), min(3 * sum(map(len, ranges)), 1 << 16)

@@ -181,7 +181,9 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     e = max(0, math.frexp(np.abs(t.diagonals.view(float)).max())[1])
     scale = math.ldexp(1.0, -e)
     v = np.conj(t.diagonals * scale)  # conj(2**-e T): entry e's c_d at [e, d + n - 1]
-    terms = c.left * v.take(c.at)
+    # left * v.take(at), in place: one term-sized temporary fewer
+    terms = v.take(c.at)
+    np.multiply(c.left, terms, out=terms)
     terms *= c.right
     lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
     sq = (np.square(lhs.view(float)) * c.repeats).sum()
@@ -196,6 +198,15 @@ def residual_bytes(order: int, spec: ConjugationSpec) -> int:
     per term."""
     g, p = (2 if spec.is_block else 1), spec.period
     return (144 + 40 * g**2 + 40 * g**4) * p * (2 * order - p)
+
+
+def budgeted_order(band: int, spec: ConjugationSpec) -> int:
+    """:func:`min_truncation` of ``band``; ``ValueError`` if its residual passes the budget."""
+    n = min_truncation(band, spec)
+    need = residual_bytes(n, spec)
+    if need > RESIDUAL_BUDGET_BYTES:
+        raise ValueError(f"the residual at order {n} needs {need >> 20} MiB, over its budget")
+    return n
 
 
 def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
@@ -214,10 +225,7 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     if block != isinstance(symbol, MatrixSymbol):
         kind = "matrix" if block else "scalar"
         raise ValueError(f"spec {spec!r} requires a {kind} symbol")
-    n = min_truncation(symbol.bandwidth, spec)
-    need = residual_bytes(n, spec)
-    if need > RESIDUAL_BUDGET_BYTES:
-        raise ValueError(f"the residual at order {n} needs {need >> 20} MiB, over its budget")
+    n = budgeted_order(symbol.bandwidth, spec)
     t = block_truncate(symbol, n) if block else truncate(symbol, n)
     plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
     r = residual(t, plan)

@@ -10,7 +10,7 @@
   the cross reflection.  The exact list implies it, but it is strictly
   weaker: ``test_conditions.py`` holds a symbol it accepts and the oracle
   rejects.
-* :func:`block_mixed_generators` gives each generator of the ``block_ctilde``
+* :func:`basis_generators` gives each generator of a block family's
   solution-set basis as a matrix symbol.
 """
 
@@ -78,11 +78,12 @@ def sums_form(msym):
     return conditions.evaluate_block_relations(msym, sums_relations(msym.bandwidth))
 
 
-def block_mixed_generators(band):
-    """Each generator of ``block_mixed_basis(band)`` as a matrix symbol, in order."""
-    generator, entry, index, weight = conditions.block_mixed_basis(band)
+def basis_generators(basis, band):
+    """Each generator of the block basis ``basis(band)`` (``block_hadamard_basis``
+    or ``block_mixed_basis``) as a matrix symbol, in order."""
+    generator, entry, index, weight = basis(band)
     symbols = []
-    for g in range(2 + 4 * (band // 2)):
+    for g in range(int(generator.max()) + 1):
         coeffs = [{}, {}, {}, {}]
         at = generator == g
         for e, k, w in zip(entry[at].tolist(), index[at].tolist(), weight[at].tolist()):

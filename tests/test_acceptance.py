@@ -15,6 +15,7 @@ import pytest
 
 from toepsym.cli import main
 from toepsym.conditions import (
+    block_mixed_basis,
     check_block_mixed_necessary,
     check_transposition,
     condition_reports,
@@ -44,7 +45,7 @@ from toepsym.symbols import (
 from toepsym.symmetry import is_c_symmetric, residual
 from toepsym.toeplitz import block_truncate, min_truncation, truncate
 
-from solution_sets import block_mixed_generators, sums_form
+from solution_sets import basis_generators, sums_form
 
 ORACLE_TOL = 1e-10
 
@@ -212,7 +213,7 @@ def test_criterion_6_block_mixed_necessity():
     # its solution set's basis is symmetric and satisfies the list.
     violations = []
     symmetric_seen = 0
-    for g, msym in enumerate(block_mixed_generators(12)):
+    for g, msym in enumerate(basis_generators(block_mixed_basis, 12)):
         if is_c_symmetric(msym, BlockMixed(), ORACLE_TOL).residual > ORACLE_TOL:
             violations.append(("generator not symmetric", g))
             continue

@@ -1,5 +1,6 @@
 """``tools/bench_pairs.summarize``: the win count, the quartiles and the
-verdict it writes into ``BENCH_<pr>.json``."""
+verdict it writes into ``BENCH_<pr>.json``; ``failure_shares``: each side's
+median share of failed operations and the ``more_failures`` flag."""
 
 import pathlib
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
-from bench_pairs import summarize, verdict  # noqa: E402
+from bench_pairs import failure_shares, summarize, verdict  # noqa: E402
 
 
 def _runs(base, head):
@@ -81,3 +82,23 @@ def test_verdict_reads_the_summary():
     assert verdict(summary) == "within_bound"
     assert verdict({**summary, "head_median": 1.11}) == "worse"
     assert verdict({**summary, "base_quartiles": [0.9, 1.2]}) == "unresolved"
+
+
+def _counts(base, head):
+    """Runs with ``(attempted, failed)`` counts on workload ``w``."""
+    return {side: [{"w": {"attempted": a, "failed": f}} for a, f in counts]
+            for side, counts in (("base", base), ("head", head))}
+
+
+def test_failure_share_is_the_median_of_failed_over_attempted():
+    out = failure_shares(_counts([(100, 0), (200, 2), (50, 5)], [(10, 0), (0, 0), (40, 1)]), "w")
+    # base shares 0, 0.01, 0.1; head 0, 0 (nothing attempted), 0.025
+    assert (out["base_failed_share"], out["head_failed_share"]) == (0.01, 0.0)
+    assert not out["more_failures"]
+
+
+def test_more_failures_flags_a_higher_head_share():
+    # more failed operations at an equal share is no rise; a higher share is
+    assert not failure_shares(_counts([(100, 1)], [(300, 3)]), "w")["more_failures"]
+    assert failure_shares(_counts([(100, 1)], [(100, 2)]), "w")["more_failures"]
+    assert failure_shares(_counts([(100, 0)], [(4000, 1)]), "w")["more_failures"]

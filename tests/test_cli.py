@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -567,6 +568,28 @@ class TestResidualBudget:
         code, out, err = run_cli(capsys, "explore", "--spec", "block_ctilde", "--band", "100000")
         assert (code, out) == (3, "")
         assert "over its budget" in err
+
+    @pytest.mark.parametrize("spec, mode", [("block_c", "satisfying"),
+                                            ("block_ctilde", "satisfying"),
+                                            ("reversal:2", "random")])
+    def test_random_test_exits_three_before_drawing(self, capsys, monkeypatch, spec, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the budget check came too late")
+        for name in ("draw_coeffs", "random_symbol", "random_matrix_symbol"):
+            monkeypatch.setattr(conditions, name, refuse)
+        code, out, err = run_cli(capsys, "random-test", "--spec", spec, "--band", "999999",
+                                 "--trials", "1", "--mode", mode)
+        assert (code, out) == (3, "")
+        assert "over its budget" in err
+
+
+def test_gen_refuses_a_band_past_the_exponent_range_before_drawing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew before the range check")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, out, err = run_cli(capsys, "gen", "--spec", "reversal:2", "--band", "3000000")
+    assert (code, out) == (3, "")
+    assert "max_band 3000000 out of range" in err
 
 
 _STATUS = """

@@ -7,6 +7,7 @@ import pytest
 import toepsym.conditions as conditions
 from toepsym.cli import parse_spec_text
 from toepsym.conditions import (
+    block_hadamard_relations,
     block_mixed_necessary_relations,
     check_block_mixed_necessary,
     check_transposition,
@@ -46,7 +47,7 @@ from toepsym.symbols import (
 from toepsym.symmetry import is_c_symmetric
 from toepsym.toeplitz import block_truncate, min_truncation
 
-from solution_sets import block_mixed_generators, involution_cases, sums_form
+from solution_sets import basis_generators, involution_cases, sums_form
 
 BIG = 1e6
 ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
@@ -222,7 +223,70 @@ class TestMuLambdaChecker:
             [spec.lam**n for n in table.index[1].tolist()]
 
 
-class TestBlockHadamardChecker:
+def _unit_symbols(band):
+    """The unit coefficient symbols on ``[-band, band]``, entry by entry."""
+    for e in range(4):
+        for k in range(-band, band + 1):
+            entries = [LaurentSymbol()] * 4
+            entries[e] = LaurentSymbol({k: 1.0})
+            yield MatrixSymbol(*entries)
+
+
+def _kernel_dimension(matrix):
+    return matrix.shape[1] - np.linalg.matrix_rank(matrix)
+
+
+class _PairBasisChecks:
+    """The checks of a block family's integer basis: ``table`` is its exact
+    list, ``basis`` the basis with ``once`` generators at index 0, and
+    ``sampler`` draws on it."""
+
+    @pytest.mark.parametrize("band", range(13))
+    def test_list_basis_and_oracle_kernels_are_equal(self, band):
+        # over the coefficients on [-band, band]: the list's rows, the basis
+        # and the oracle's C T C - T^* (dense, from unit coefficients).  The
+        # oracle is conjugate-linear, so its kernel is the conjugate of its
+        # matrix's; the basis is real, so containment and equal dimensions
+        # make all three spans one
+        table = self.table(band)
+        rows = []
+        n = min_truncation(band, self.spec)
+        a = truncated_matrix(self.spec, n).matrix
+        oracle = []
+        for unit in _unit_symbols(band):
+            report = evaluate_relations(unit, table)
+            rows.append(report.lhs - (report.rhs_re + 1j * report.rhs_im))
+            t = block_truncate(unit, n).data
+            oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
+        rows, oracle = np.array(rows).T, np.array(oracle).T
+        generator, entry, index, weight = self.basis(band)
+        size, width = self.once + 4 * (band // 2), 2 * band + 1
+        basis = np.zeros((size, 4 * width))
+        np.add.at(basis, (generator, entry * width + index + band), weight)
+        assert np.linalg.matrix_rank(basis) == size
+        assert not (rows @ basis.T).any()
+        assert np.abs(oracle @ basis.T).max() <= 1e-15
+        assert _kernel_dimension(rows) == _kernel_dimension(oracle) == size
+
+    def test_generators_and_draws_pass_run_check(self):
+        for m in basis_generators(self.basis, 30):
+            outcome = run_check(m, self.spec)
+            assert outcome.agree and outcome.oracle.symmetric, m
+        for t in range(200):
+            band, density = t % 31, (0.3, 0.7, 1.0)[t % 3]
+            m = self.sampler(70_000 + t, band, density)
+            assert m.bandwidth <= band
+            outcome = run_check(m, self.spec)
+            assert outcome.agree and outcome.oracle.symmetric, (t, band)
+
+
+class TestBlockHadamardChecker(_PairBasisChecks):
+    spec = BlockHadamard()
+    table = staticmethod(block_hadamard_relations)
+    basis = staticmethod(conditions.block_hadamard_basis)
+    once = 3
+    sampler = staticmethod(random_block_hadamard_symmetric)
+
     def test_diagonal_even_pair_satisfied(self):
         s = parse_symbol("z^2 + z^-2")
         zero = LaurentSymbol()
@@ -282,19 +346,6 @@ class TestBlockHadamardChecker:
         assert not report.symmetric and report.residual > 1e-2
 
 
-def _unit_symbols(band):
-    """The unit coefficient symbols on ``[-band, band]``, entry by entry."""
-    for e in range(4):
-        for k in range(-band, band + 1):
-            entries = [LaurentSymbol()] * 4
-            entries[e] = LaurentSymbol({k: 1.0})
-            yield MatrixSymbol(*entries)
-
-
-def _kernel_dimension(matrix):
-    return matrix.shape[1] - np.linalg.matrix_rank(matrix)
-
-
 # the families that read phi1 and phi4 at odd indices (phi2 and phi3 at even
 # ones), and those that read them at even ones: a lone coefficient violates
 # the set that reads it
@@ -306,7 +357,13 @@ def _violated(report):
     return {name for name in report.table.families if not report.family_ok(name)}
 
 
-class TestBlockMixedChecker:
+class TestBlockMixedChecker(_PairBasisChecks):
+    spec = BlockMixed()
+    table = staticmethod(block_mixed_necessary_relations)
+    basis = staticmethod(conditions.block_mixed_basis)
+    once = 2
+    sampler = staticmethod(random_block_mixed_symmetric)
+
     def test_zero_satisfied(self):
         assert check_block_mixed_necessary(ZERO_BLOCK).satisfied
 
@@ -376,44 +433,6 @@ class TestBlockMixedChecker:
                               for entry, weight, shift in terms)
             assert spelled.removeprefix("+") == name
 
-    @pytest.mark.parametrize("band", range(13))
-    def test_list_basis_and_oracle_kernels_are_equal(self, band):
-        # over the coefficients on [-band, band]: the list's rows, the basis
-        # and the oracle's C T C - T^* (dense, from unit coefficients).  The
-        # oracle is conjugate-linear, so its kernel is the conjugate of its
-        # matrix's; the basis is real, so containment and equal dimensions
-        # make all three spans one
-        table = block_mixed_necessary_relations(band)
-        rows = []
-        n = min_truncation(band, BlockMixed())
-        a = truncated_matrix(BlockMixed(), n).matrix
-        oracle = []
-        for unit in _unit_symbols(band):
-            report = evaluate_relations(unit, table)
-            rows.append(report.lhs - (report.rhs_re + 1j * report.rhs_im))
-            t = block_truncate(unit, n).data
-            oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
-        rows, oracle = np.array(rows).T, np.array(oracle).T
-        generator, entry, index, weight = conditions.block_mixed_basis(band)
-        size, width = 2 + 4 * (band // 2), 2 * band + 1
-        basis = np.zeros((size, 4 * width))
-        np.add.at(basis, (generator, entry * width + index + band), weight)
-        assert np.linalg.matrix_rank(basis) == size
-        assert not (rows @ basis.T).any()
-        assert np.abs(oracle @ basis.T).max() <= 1e-15
-        assert _kernel_dimension(rows) == _kernel_dimension(oracle) == size
-
-    def test_generators_and_draws_pass_run_check(self):
-        for m in block_mixed_generators(30):
-            outcome = run_check(m, BlockMixed())
-            assert outcome.agree and outcome.oracle.symmetric, m
-        for t in range(200):
-            band, density = t % 31, (0.3, 0.7, 1.0)[t % 3]
-            m = random_block_mixed_symmetric(70_000 + t, band, density)
-            assert m.bandwidth <= band
-            outcome = run_check(m, BlockMixed())
-            assert outcome.agree and outcome.oracle.symmetric, (t, band)
-
 
 class TestEquivalenceTrials:
     @pytest.mark.parametrize("spec", [
@@ -452,7 +471,7 @@ class TestSamplers:
         "random_matrix_symbol":
             "5ee87803a7199336f5e142a6903d9f606417d8c244e0e5db388d17f34eb5f971",
         "random_block_hadamard_symmetric":
-            "7061e738a33156f6503951599dd3004ede0c8c1c1b1fc261e39cdab43005779c",
+            "1937bf85051b52165bff0a5bf8bf00fffdb935f28f5c3dc2eec1a9f17d36b218",
         "random_block_mixed_symmetric":
             "13b1aebc985f803006559dda0b642c5ddeb61d31c6bb04ea06f32593a00329d1",
     }

@@ -10,7 +10,9 @@ revision at a time, in 10 pairs.  Pair ``i`` runs both revisions at seed
 is odd.  For every end-to-end metric that the head's ``BENCHMARK.json`` lists,
 on every workload, the file holds each run, each side's median and quartiles,
 the number of pairs the head won (a tie counts for neither side) and a
-verdict (see :func:`verdict`), beside each run's ``failed`` and ``correct``.
+verdict (see :func:`verdict`), beside each run's ``attempted``, ``failed`` and
+``correct``.  Each workload also gets each side's median share of failed
+operations and a ``more_failures`` flag (see :func:`failure_shares`).
 
 To measure uncommitted work, stage it and pass the commit that
 ``git stash create`` prints as ``--head``.
@@ -83,6 +85,19 @@ def summarize(metric: dict, runs: dict[str, list[dict]], workload: str) -> dict:
     return out
 
 
+def failure_shares(runs: dict[str, list[dict]], workload: str) -> dict:
+    """Each side's median of ``failed / attempted`` over its runs (0 for a run
+    that attempted nothing), and ``more_failures``, true when the head's
+    median is higher than the base's."""
+    out = {}
+    for side in SIDES:
+        shares = [r[workload]["failed"] / r[workload]["attempted"] if r[workload]["attempted"]
+                  else 0.0 for r in runs[side]]
+        out[f"{side}_failed_share"] = statistics.median(shares)
+    out["more_failures"] = out["head_failed_share"] > out["base_failed_share"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent revision")
@@ -108,6 +123,7 @@ def main(argv=None) -> int:
             **{m["name"]: summarize(m, runs, workload) for m in metrics},
             **{key: {side: [r[workload][key] for r in runs[side]] for side in SIDES}
                for key in ("attempted", "failed", "correct")},
+            "failures": failure_shares(runs, workload),
         }
         for workload in runs["head"][0]}
     report = {"base": shas["base"], "head": shas["head"], "pairs": PAIRS,
@@ -125,6 +141,10 @@ def main(argv=None) -> int:
             print(f"{workload:<16} {m['name']:<12} {s['base_median']:>10.4g} -> "
                   f"{s['head_median']:<10.4g} head wins {s['head_wins']}/{PAIRS} "
                   f"{s['verdict']}")
+        f = entry["failures"]
+        print(f"{workload:<16} {'failed share':<12} {f['base_failed_share']:>10.4g} -> "
+              f"{f['head_failed_share']:<10.4g}"
+              f"{' more_failures' if f['more_failures'] else ''}")
     return 0
 
 
