@@ -4,8 +4,11 @@ The package decides, two independent ways, whether a (block) Toeplitz matrix
 built from a finitely supported symbol satisfies ``C T C = T*`` for a family
 of structured antilinear conjugations: symbolically, through coefficient
 conditions, and numerically, through an exact truncation residual.  The two
-routes cross-validate each other; the CLI exposes single checks, batch
-trials, the residue-swap decision and a test of the exact block_ctilde list.
+routes cross-validate each other.  ``draw_symbol`` is the one seeded draw
+per family, random or on the family's solution set, and ``run_check`` the
+one check of a symbol; the CLI exposes single checks, batch trials, the
+residue-swap decision, a test of the exact block_ctilde list and a draw on
+any family's solution set (``gen``).
 """
 
 from .symbols import (
@@ -43,6 +46,7 @@ from .conditions import (
     ConditionReport,
     check_block_mixed_necessary,
     condition_reports,
+    draw_symbol,
     equivalence_trial,
     explore_block_mixed,
     explore_transposition,

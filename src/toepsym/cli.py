@@ -23,11 +23,13 @@ from .conjugations import (
     BlockMixed,
     ConjugationSpec,
     Transposition,
+    axiom_bytes,
     spec_from_json,
     spec_to_json,
     verify_axioms,
 )
 from .conditions import (
+    draw_symbol,
     equivalence_trial,
     explore_block_mixed,
     explore_transposition,
@@ -40,10 +42,8 @@ from .symbols import (
     NUMBER_PATTERN,
     SymbolSyntaxError,
     parse_symbol,
-    project_to_conditions,
-    random_symbol,
 )
-from .symmetry import SYMMETRY_TOL
+from .symmetry import RESIDUAL_BUDGET_BYTES, SYMMETRY_TOL
 from .toeplitz import min_truncation
 
 EXIT_OK = 0
@@ -145,6 +145,9 @@ def _cmd_check(args, spec):
 
 def _cmd_verify(args, spec):
     size = args.size if args.size is not None else min_truncation(0, spec)
+    need = axiom_bytes(size, spec)
+    if need > RESIDUAL_BUDGET_BYTES:
+        raise ValueError(f"verify at size {size} needs {need >> 20} MiB, over its budget")
     report = verify_axioms(spec, size, probes=args.probes, seed=args.seed)
     payload = {"n": report.size, "probes": report.probes, "seed": args.seed, "ok": report.ok,
                "involution_deviation": report.involution_deviation,
@@ -181,7 +184,7 @@ def _cmd_explore(args, spec):
 
 
 def _cmd_gen(args, spec):
-    symbol = project_to_conditions(random_symbol(args.seed, args.band, args.density), spec)
+    symbol = draw_symbol(spec, args.seed, args.band, args.density, satisfying=True)
     return {"seed": args.seed, "band": args.band, "density": args.density,
             "symbol": symbol.to_json()}, EXIT_OK
 
@@ -247,7 +250,7 @@ def build_parser() -> _Parser:
     explore.add_argument("--tol", type=decimal, default=argparse.SUPPRESS)
     explore.set_defaults(func=_cmd_explore)
 
-    gen = commands.add_parser("gen", help="generate a condition-satisfying random symbol")
+    gen = commands.add_parser("gen", help="draw a random symbol on any family's solution set")
     _add_spec_arguments(gen)
     gen.add_argument("--seed", type=integer, default=0)
     gen.add_argument("--band", type=integer, default=6)

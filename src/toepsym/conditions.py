@@ -11,8 +11,11 @@ its mirror period ``d`` (coefficients at multiples of ``d`` mirror-symmetric,
 all others zero), the twist family's a reflection with powers of lambda, and
 each block family's its condition list, whose solution set has an integer
 basis (:func:`block_hadamard_basis`, :func:`block_mixed_basis`) that the
-samplers and the explorer draw on.  The raw entry identities and the paper's
-rule sets for residue swaps are the tests' reference; no command reads them.
+block samplers draw on.  :func:`draw_symbol` is the one function that maps a
+family to its draw, random or on its solution set, for ``random-test``,
+``explore`` and ``gen``, and :func:`run_check` the one check of a draw.  The
+raw entry identities and the paper's rule sets for residue swaps are the
+tests' reference; no command reads them.
 
 A :class:`ConditionReport` is the evaluated table, its row values and the
 indices of its violated rows.  Tables and bases depend only on their
@@ -40,6 +43,7 @@ from .conjugations import (
 from .symbols import (
     LaurentSymbol,
     MatrixSymbol,
+    check_draw,
     draw_coeffs,
     project_to_conditions,
     random_matrix_symbol,
@@ -440,28 +444,28 @@ class TrialResult:
     residual: float
 
 
-def _trial_symbol(spec: ConjugationSpec, seed: int, band: int, density: float,
-                  satisfying: bool):
-    if spec.is_block:
-        if not satisfying:
-            return random_matrix_symbol(seed, band, density)
-        if isinstance(spec, BlockHadamard):
-            return random_block_hadamard_symmetric(seed, band, density)
-        return random_block_mixed_symmetric(seed, band, density)
-    sym = random_symbol(seed, band, density)
-    return project_to_conditions(sym, spec) if satisfying else sym
+def draw_symbol(spec: ConjugationSpec, seed: int, band: int, density: float, satisfying: bool):
+    """The one draw per family: random, or with ``satisfying`` on its solution
+    set.  A block band over the residual's budget raises before the draw."""
+    if not spec.is_block:
+        sym = random_symbol(seed, band, density)
+        return project_to_conditions(sym, spec) if satisfying else sym
+    budgeted_order(band, spec)
+    if not satisfying:
+        return random_matrix_symbol(seed, band, density)
+    if isinstance(spec, BlockHadamard):
+        return random_block_hadamard_symmetric(seed, band, density)
+    return random_block_mixed_symmetric(seed, band, density)
 
 
 def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
                       density: float = 0.5, tol: float = SYMMETRY_TOL,
                       satisfying: bool = False) -> TrialResult:
-    """One seeded cross-validation trial: draw a symbol (optionally projected
-    onto the family's solution set so the satisfied direction gets exercised),
-    then compare the condition verdict with the oracle verdict.  A band over
-    the residual's budget raises ``ValueError`` before the draw."""
+    """One seeded cross-validation trial: the condition verdict against the
+    oracle's on a :func:`draw_symbol` draw.  A band over the residual's budget
+    raises ``ValueError`` before the draw."""
     budgeted_order(band, spec)
-    symbol = _trial_symbol(spec, seed, band, density, satisfying)
-    outcome = run_check(symbol, spec, tol)
+    outcome = run_check(draw_symbol(spec, seed, band, density, satisfying), spec, tol)
     return TrialResult(outcome.agree, outcome.condition.satisfied,
                        outcome.oracle.symmetric, outcome.oracle.residual)
 
@@ -530,13 +534,14 @@ def block_mixed_basis(band: int) -> np.ndarray:
     return _pair_basis(_MIXED_ONCE, _MIXED_PER_L, band)
 
 
-def _basis_symbol(basis, once: int, seed: int, max_band: int, density: float) -> MatrixSymbol:
-    """One :func:`draw_coeffs` weight on each of the ``once + 4 * (max_band // 2)``
-    generators of ``basis(max_band)``, summed in order into a matrix symbol."""
-    size = once + 4 * (max_band // 2)
+def _basis_symbol(basis, seed: int, max_band: int, density: float) -> MatrixSymbol:
+    """One :func:`draw_coeffs` weight on each generator of ``basis(max_band)``
+    (built once the arguments pass), summed in order into a matrix symbol."""
+    check_draw(max_band, density)
+    generator, entry, index, weight = basis(max_band)
+    size = int(generator.max()) + 1
     drawn, = draw_coeffs(seed, max_band, density, range(size))
     weights = np.array([drawn.get(g, 0j) for g in range(size)])
-    generator, entry, index, weight = basis(max_band)
     grid = np.zeros((4, 2 * max_band + 1), complex)
     np.add.at(grid, (entry, index + max_band), weight * weights[generator])
     exponents = np.arange(-max_band, max_band + 1)
@@ -546,13 +551,13 @@ def _basis_symbol(basis, once: int, seed: int, max_band: int, density: float) ->
 def random_block_hadamard_symmetric(seed: int, max_band: int,
                                     density: float = 0.7) -> MatrixSymbol:
     """A ``block_c``-symmetric draw on :func:`block_hadamard_basis`."""
-    return _basis_symbol(block_hadamard_basis, 3, seed, max_band, density)
+    return _basis_symbol(block_hadamard_basis, seed, max_band, density)
 
 
 def random_block_mixed_symmetric(seed: int, max_band: int,
                                  density: float = 0.7) -> MatrixSymbol:
     """A ``block_ctilde``-symmetric draw on :func:`block_mixed_basis`."""
-    return _basis_symbol(block_mixed_basis, 2, seed, max_band, density)
+    return _basis_symbol(block_mixed_basis, seed, max_band, density)
 
 
 # --- raw-set projection (the tests' reference) and explorers ---------------------
@@ -622,25 +627,23 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int, seed: 
 def explore_block_mixed(band: int, trials: int, seed: int,
                         tol: float = SYMMETRY_TOL) -> dict:
     """Check the ``block_ctilde`` list against the oracle on its solution set,
-    trial ``t`` on ``random_block_mixed_symmetric(seed + t, band, 1.0)``: a
-    candidate satisfies the list but not the oracle, an anomaly fails the list.
-    Both stay empty, as the list is exact.  ``nullspace_dim`` is the basis
-    size.  A band over the residual's budget raises ``ValueError`` first."""
+    :func:`run_check` on trial ``t``'s :func:`draw_symbol` at ``seed + t`` and
+    density 1: a candidate satisfies the list but not the oracle, an anomaly
+    fails the list.  Both stay empty, as the list is exact.  ``nullspace_dim``
+    is the basis size.  A band over the residual's budget raises before any draw."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    budgeted_order(band, BlockMixed())
     candidates, anomalies = [], []
     for s in range(seed, seed + trials):
-        msym = random_block_mixed_symmetric(s, band, 1.0)
-        condition = check_block_mixed_necessary(msym)
-        oracle = is_c_symmetric(msym, BlockMixed(), tol)
-        if not condition.satisfied:
+        msym = draw_symbol(BlockMixed(), s, band, 1.0, satisfying=True)
+        outcome = run_check(msym, BlockMixed(), tol)
+        if not outcome.condition.satisfied:
             anomalies.append(s)
-        elif not oracle.symmetric:
-            candidates.append({"seed": s, "residual": oracle.residual,
+        elif not outcome.oracle.symmetric:
+            candidates.append({"seed": s, "residual": outcome.oracle.residual,
                                "symbol": msym.to_json()})
     return {"family": BlockMixed.name, "band": band, "trials": trials, "seed": seed,
-            "nullspace_dim": 2 + 4 * (band // 2),
+            "nullspace_dim": int(block_mixed_basis(band)[0].max()) + 1,
             "candidates": candidates, "anomalies": anomalies}
 
 

@@ -319,6 +319,37 @@ class AxiomCheck:
     probes: int
 
 
+def _involution_deviation(op: AntilinearOperator) -> float:
+    """``max |A conj(A) - I|`` over every entry, from ``perms`` and ``weights``
+    in O(g**4 * size).  Row ``m`` of block ``(i, c)`` of ``A conj(A)`` holds,
+    for each ``k``, the term ``w_ik[m] conj(w_kc[q])`` at column
+    ``perm_kc[q]``, ``q = perm_ik[m]``; the terms at one column add in ``k``
+    order, as two :meth:`AntilinearOperator.apply` calls add them."""
+    g, rows = op.perms.shape[0], np.arange(op.size)
+    k = np.arange(g)[:, None]
+    deviation = 0.0
+    for i, c in np.ndindex(g, g):
+        q = op.perms[i]
+        column = op.perms[k, c, q]
+        term = op.weights[i] * np.conj(op.weights[k, c, q])
+        # entry (m, column[k, m]): every term at that column, the others zero
+        entry = np.where(column[:, None] == column, term, 0).sum(axis=1)
+        diagonal = (i == c) & (column == rows)
+        deviation = max(deviation, float(np.abs(entry - diagonal).max()))
+        if i == c and not diagonal.any(axis=0).all():  # a zero on the diagonal
+            deviation = max(deviation, 1.0)
+    return deviation
+
+
+def axiom_bytes(size: int, spec: ConjugationSpec) -> int:
+    """The estimated peak allocation of :func:`verify_axioms` at ``size``,
+    ``80 * g + 40 * g**2`` bytes per index for grid ``g`` (1, or 2 for the
+    block families): the operator's index and weight arrays, and a probe's
+    complex vectors and the gathered terms of :meth:`AntilinearOperator.apply`."""
+    g = 2 if spec.is_block else 1
+    return (80 * g + 40 * g**2) * size
+
+
 def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
                   seed: int = 0) -> AxiomCheck:
     """Check the two conjugation axioms on the truncation: ``A conj(A) = I``
@@ -326,12 +357,7 @@ def verify_axioms(spec: ConjugationSpec, size: int, probes: int = 50,
     if probes < 1:
         raise ValueError("probes must be >= 1")
     op = truncated_matrix(spec, size)
-    # A conj(A) keeps every index in its period block, so the real vector
-    # that is 1 on one residue class of one component reads one entry a row
-    index = np.arange(op.dim)
-    label = index // size * spec.period + index % spec.period
-    involution = max(float(np.abs(op.apply(op.apply(label == k)) - (label == k)).max())
-                     for k in range(label[-1] + 1))
+    involution = _involution_deviation(op)
     rng = np.random.default_rng(seed)
     isometry = 0.0
     for _ in range(probes):

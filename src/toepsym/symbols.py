@@ -314,14 +314,19 @@ def parse_symbol(text: str) -> LaurentSymbol:
 # --- random generation -------------------------------------------------------
 
 
-def draw_coeffs(seed: int, max_band: int, density: float, *ranges: range) -> list[dict]:
-    """One coefficient dict per index range from one stream of doubles, drawn in
-    blocks and read as per-index ``rng.random() < density`` and, for a kept index,
-    ``rng.uniform(-1.0, 1.0, size=2)`` calls would read it (``-1.0 + 2.0 * u``)."""
+def check_draw(max_band: int, density: float):
+    """Raise ``ValueError`` unless ``0 <= max_band <= MAX_EXPONENT`` and ``0 < density <= 1``."""
     if not 0 <= max_band <= MAX_EXPONENT:
         raise ValueError(f"max_band {max_band} out of range [0, {MAX_EXPONENT}]")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
+
+
+def draw_coeffs(seed: int, max_band: int, density: float, *ranges: range) -> list[dict]:
+    """One coefficient dict per index range from one stream of doubles, drawn in
+    blocks and read as per-index ``rng.random() < density`` and, for a kept index,
+    ``rng.uniform(-1.0, 1.0, size=2)`` calls would read it (``-1.0 + 2.0 * u``)."""
+    check_draw(max_band, density)
     rng, size = np.random.default_rng(seed), min(3 * sum(map(len, ranges)), 1 << 16)
     draws = chain.from_iterable(iter(lambda: rng.random(size).tolist(), None))
     return [{k: complex(-1.0 + 2.0 * next(draws), -1.0 + 2.0 * next(draws))

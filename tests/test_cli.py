@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,16 +15,19 @@ from hypothesis import strategies as st
 
 import toepsym.cli as cli
 import toepsym.conditions as conditions
+import toepsym.conjugations as conjugations
 import toepsym.symmetry as symmetry
 from toepsym.cli import main, parse_spec_text
 from toepsym.conjugations import (
     FAMILIES,
+    AxiomCheck,
     BlockHadamard,
     BlockMixed,
     GeneralPermutation,
     MuLambda,
     Reversal,
     Transposition,
+    axiom_bytes,
     spec_from_json,
 )
 from toepsym.symbols import random_matrix_symbol
@@ -155,6 +159,29 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--spec", "reversal:2", "--size", "7")
         assert code == 3
 
+    def test_large_period_in_linear_time(self, capsys):
+        # an involution check that applies the operator twice per residue
+        # class is O(p * size), over a minute at this period
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--spec", "reversal:20000")
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("spec", ["block_c", "reversal:2"])
+    def test_size_over_the_budget_is_refused_before_building(self, capsys, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the operator")
+        monkeypatch.setattr(conjugations, "truncated_matrix", refuse)
+        reached = []
+        monkeypatch.setattr(cli, "verify_axioms", lambda spec, size, probes, seed: reached.append(
+            size) or AxiomCheck(True, 0.0, 0.0, size, probes))
+        # the largest size within the budget, even for both periods
+        limit = symmetry.RESIDUAL_BUDGET_BYTES // axiom_bytes(2, parse_spec_text(spec)) * 2
+        assert run_cli(capsys, "verify", "--spec", spec, "--size", str(limit))[0] == 0
+        code, out, err = run_cli(capsys, "verify", "--spec", spec, "--size", str(limit + 2))
+        assert (code, out) == (3, "")
+        assert "over its budget" in err and reached == [limit]
+
     @pytest.mark.parametrize("probes", ["-3", "0"])
     def test_probes_below_one_exit_three(self, capsys, probes):
         # no probe would check no isometry at all
@@ -261,9 +288,29 @@ class TestGenCommand:
                                  "--spec", "mulambda:1,0:0,1")
         assert code2 == 0
 
-    def test_block_spec_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "gen", "--spec", "block_c")
-        assert code == 3
+    @pytest.mark.parametrize("spec", ["block_c", "block_ctilde"])
+    def test_block_gen_then_check(self, capsys, tmp_path, spec):
+        # gen draws a block family on its solution-set basis, as random-test does
+        path = tmp_path / "sym.json"
+        for seed in range(3):
+            for band in (0, 1, 6, 31):
+                code, out, err = run_cli(capsys, "gen", "--spec", spec, "--seed", str(seed),
+                                         "--band", str(band))
+                assert code == 0, err
+                path.write_text(json.dumps(json.loads(out)["symbol"]))
+                code, out, err = run_cli(capsys, "check", "--symbol-file", str(path),
+                                         "--spec", spec)
+                assert code == 0 and json.loads(out)["agree"] is True, (seed, band, err)
+
+    def test_block_band_over_the_budget_is_refused_before_drawing(self, capsys, monkeypatch):
+        # a block draw at band 10**6 peaks near 1 GB; the residual's budget
+        # refuses it as random-test and explore do
+        def refuse(*args):
+            raise AssertionError("drew before the budget check")
+        monkeypatch.setattr(conditions, "draw_coeffs", refuse)
+        code, out, err = run_cli(capsys, "gen", "--spec", "block_c", "--band", "999999")
+        assert (code, out) == (3, "")
+        assert "over its budget" in err
 
     def test_general_gen_matches_its_reversal_and_checks_symmetric(self, capsys, tmp_path):
         # general:2:1,0 is the conjugation that reversal:2 is
@@ -666,6 +713,20 @@ def test_swap_orbit_walk_memory_does_not_grow_with_the_period_squared():
         assert proc.returncode == 0, proc.stderr
         code, peak = map(int, proc.stdout.split())
         assert code == 0 and peak <= 32 << 20, (argv, peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("spec, size", [("reversal:2", 500_000),
+                                        ("mulambda:0,1:0.6,0.8", 500_000),
+                                        ("block_c", 250_000)])
+def test_verify_memory_estimate_bounds_its_peak(spec, size):
+    # the estimate that refuses a size must not fall below what verify takes
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_PEAK, "verify", "--spec", spec,
+                           "--size", str(size)],
+                          capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0 and 0 < peak <= axiom_bytes(size, parse_spec_text(spec)), peak
 
 
 def _module_env(**extra):

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 
@@ -45,7 +46,7 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric
-from toepsym.toeplitz import block_truncate, min_truncation
+from toepsym.toeplitz import block_truncate, min_truncation, truncate
 
 from solution_sets import basis_generators, involution_cases, sums_form
 
@@ -214,6 +215,37 @@ class TestMuLambdaChecker:
             assert (condition_reports(sym, MuLambda(1.0, 1.0)).satisfied
                     == condition_reports(sym, Reversal(1)).satisfied)
 
+    @pytest.mark.parametrize("band", range(13))
+    @pytest.mark.parametrize("lam", [1j, LAM, cmath.exp(1j)], ids=["i", "0.6+0.8i", "exp(i)"])
+    @pytest.mark.parametrize("mu", [1.0, 1j], ids=["1", "i"])
+    def test_table_and_oracle_kernels_are_equal(self, mu, lam, band):
+        # over the coefficients on [-band, band]: the table's rows, the
+        # README's basis (c_0, and c_n + lam^n c_-n for n >= 1) and the
+        # oracle's C T C - T^* (dense, from unit coefficients).  The oracle is
+        # conjugate-linear, so its kernel is the conjugate of its matrix's.
+        # exp(i) is not a root of unity: no power of lambda repeats
+        spec = MuLambda(mu, lam)
+        table = conditions._twist_relations(spec.lam, band)
+        n = min_truncation(band, spec)
+        a = truncated_matrix(spec, n).matrix
+        rows, oracle = [], []
+        for k in range(-band, band + 1):
+            unit = LaurentSymbol({k: 1.0})
+            report = evaluate_relations(unit, table)
+            rows.append(report.lhs - (report.rhs_re + 1j * report.rhs_im))
+            t = truncate(unit, n).data
+            oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
+        rows, oracle = np.array(rows).T, np.conj(np.array(oracle).T)
+        basis = np.zeros((band + 1, 2 * band + 1), complex)
+        basis[0, band] = 1
+        for m in range(1, band + 1):
+            basis[m, band + m], basis[m, band - m] = 1, spec.lam**m
+        assert np.abs(rows @ basis.T).max(initial=0) <= 1e-15
+        assert np.abs(oracle @ basis.T).max() <= 1e-14
+        # an absolute rank tolerance: at band 0 the oracle's matrix is rounding
+        # alone, |mu conj(lam)^m|^2 - 1, which a relative one counts as rank
+        assert _kernel_dimension(rows, 1e-9) == _kernel_dimension(oracle, 1e-9) == band + 1
+
     def test_table_reads_the_spec_lambda(self):
         # normalizing this lam a second time moves it by an ulp
         spec = parse_spec_text("mulambda:1,0:0.6000000000002,0.8")
@@ -232,8 +264,8 @@ def _unit_symbols(band):
             yield MatrixSymbol(*entries)
 
 
-def _kernel_dimension(matrix):
-    return matrix.shape[1] - np.linalg.matrix_rank(matrix)
+def _kernel_dimension(matrix, tol=None):
+    return matrix.shape[1] - np.linalg.matrix_rank(matrix, tol)
 
 
 class _PairBasisChecks:
@@ -451,7 +483,7 @@ class TestEquivalenceTrials:
             assert result.oracle_symmetric and result.condition_satisfied
 
     def test_block_sampler_follows_the_family(self):
-        assert (conditions._trial_symbol(BlockMixed(), 3, 4, 0.7, True)
+        assert (conditions.draw_symbol(BlockMixed(), 3, 4, 0.7, True)
                 == random_block_mixed_symmetric(3, 4, 0.7))
 
     def test_scaling_leaves_checkers_invariant(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import toepsym.conjugations as conjugations
+
 from toepsym.conditions import _raw_components
 from toepsym.conjugations import (
     AntilinearOperator,
@@ -190,6 +192,24 @@ class TestAxioms:
         assert abs(report.involution_deviation - dense_involution) <= 1e-15
         np.testing.assert_allclose(truncated_matrix(spec, size).apply(x), a @ np.conj(x),
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("phases", [False, True], ids=["normal", "half-phases"])
+    def test_involution_deviation_of_any_operator_is_the_dense_one(self, g, phases):
+        # block (i, k) rotates each period of 3 by 1 + i + k, so A conj(A) has
+        # no diagonal term; with weights of modulus 1/2 its entries are at
+        # most 1/2, and the missing diagonal sets the deviation to 1
+        period, size = 3, 12
+        m = np.arange(size)
+        perms = np.array([[(m + 1 + i + k) % period + m - m % period for k in range(g)]
+                          for i in range(g)])
+        weights = np.random.default_rng(g).standard_normal((g, g, size, 2)) @ [1, 1j]
+        if phases:
+            weights *= 0.5 / np.abs(weights)
+        op = AntilinearOperator(perms, weights, period)
+        dense = np.max(np.abs(op.matrix @ np.conj(op.matrix) - np.eye(op.dim)))
+        assert abs(conjugations._involution_deviation(op) - dense) <= 1e-15 * dense
+        assert (dense == 1.0) == phases
 
     @pytest.mark.parametrize("spec", [Reversal(2), MuLambda(1j, -1j), BlockMixed()],
                              ids=lambda s: s.name)

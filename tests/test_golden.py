@@ -61,6 +61,9 @@ COMMANDS = {
                               "(1+i) z^2 + z^−2; 2*z; −z ^ -1; 1+2i z^2 + 1-2i",
                               "--spec", "block_c"]),
     "gen": (0, ["gen", "--spec", "transposition:4:0:2", "--seed", "5", "--band", "9"]),
+    # a block gen draws on the list's integer basis, as explore does
+    "gen_block_ctilde": (0, ["gen", "--spec", "block_ctilde", "--seed", "4", "--band", "5",
+                             "--density", "1"]),
     "verify": (0, ["verify", "--spec", "block_ctilde", "--size", "8"]),
     "random_test": (0, ["random-test", "--spec", GENERAL, "--trials", "20", "--seed", "2",
                         "--band", "8"]),
