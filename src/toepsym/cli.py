@@ -53,6 +53,8 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 TOL_ENV_VAR = "TOEPSYM_TOL"
+# the version of the check report's layout
+REPORT_SCHEMA = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +135,23 @@ def _emit(payload: dict, output: str | None):
         sys.stdout.write(text)
 
 
+def _symbol_summary(symbol: LaurentSymbol | MatrixSymbol) -> dict:
+    """The symbol as a check report names it: its bandwidth, its term count
+    and the SHA-256 of its canonical binary form, which is, for each entry in
+    order, its term count as 8-byte little-endian, then its exponents as
+    ``<i8`` and its values as ``<c16``."""
+    import hashlib  # here, not at the top: only check pays for the import
+
+    entries = symbol.entries if isinstance(symbol, MatrixSymbol) else (symbol,)
+    digest = hashlib.sha256()
+    for entry in entries:
+        digest.update(entry.exponents.size.to_bytes(8, "little"))
+        digest.update(entry.exponents.astype("<i8").tobytes())
+        digest.update(entry.values.astype("<c16").tobytes())
+    return {"bandwidth": symbol.bandwidth, "terms": sum(entry.values.size for entry in entries),
+            "sha256": digest.hexdigest()}
+
+
 # Each command returns its report, less the ``command`` and ``spec`` keys
 # that ``main`` adds, and its exit code.
 def _cmd_check(args, spec):
@@ -140,7 +159,8 @@ def _cmd_check(args, spec):
     outcome = run_check(symbol, spec, tol=args.tol)
     code = (EXIT_DISAGREE if not outcome.agree
             else EXIT_OK if outcome.oracle.symmetric else EXIT_NOT_SYMMETRIC)
-    return {"symbol": symbol.to_json(), **outcome_to_json(outcome)}, code
+    return {"schema": REPORT_SCHEMA, "symbol": _symbol_summary(symbol),
+            **outcome_to_json(outcome)}, code
 
 
 def _cmd_verify(args, spec):
@@ -159,6 +179,8 @@ def _cmd_random_test(args, spec):
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     disagreements = []
+    # trials by the decade of their residual, split by the oracle's verdict
+    histogram = {"symmetric": {}, "not_symmetric": {}}
     for t in range(args.trials):
         seed = args.seed + t
         satisfying = args.mode == "satisfying" or (args.mode == "mixed" and t % 2 == 1)
@@ -166,10 +188,13 @@ def _cmd_random_test(args, spec):
                                    tol=args.tol, satisfying=satisfying)
         if not result.agree:
             disagreements.append(seed)
+        counts = histogram["symmetric" if result.oracle_symmetric else "not_symmetric"]
+        decade = str(math.floor(math.log10(result.residual))) if result.residual else "zero"
+        counts[decade] = counts.get(decade, 0) + 1
     payload = {"trials": args.trials, "seed": args.seed, "band": args.band,
                "density": args.density, "mode": args.mode,
                "agreements": args.trials - len(disagreements),
-               "disagreements": disagreements}
+               "disagreements": disagreements, "residual_log10": histogram}
     return payload, EXIT_DISAGREE if disagreements else EXIT_OK
 
 

@@ -59,6 +59,8 @@ from .symmetry import (
 )
 
 COEFF_TOL = 1e-12
+# the violated rows a check report lists
+WORST_ROWS = 10
 
 
 # Entry combinations referenced by block relations: tuples of
@@ -130,7 +132,9 @@ class RelationTable:
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """``table`` evaluated on a symbol: every row's ``lhs`` and ``rhs`` (as real
-    and imaginary parts), and ``violations``, the violated rows' indices, ascending."""
+    and imaginary parts) and ``distance`` between them, ``violations``, the
+    indices of the rows whose distance passes ``tol``, ascending, and ``tol``,
+    the tolerance scaled to the symbol."""
 
     satisfied: bool
     table: RelationTable
@@ -138,14 +142,18 @@ class ConditionReport:
     lhs: np.ndarray
     rhs_re: np.ndarray
     rhs_im: np.ndarray
+    distance: np.ndarray
+    tol: float
 
     @cached_property
-    def _violated_families(self) -> frozenset[str]:
-        counts = np.bincount(self.table.family[self.violations]).tolist()
-        return frozenset(name for name, count in zip(self.table.names, counts) if count)
+    def violations_by_family(self) -> dict[str, int]:
+        """The number of violated rows of each family that has rows."""
+        t = self.table
+        counts = np.bincount(t.family[self.violations], minlength=len(t.names)).tolist()
+        return {name: count for name, count in zip(t.names, counts) if name in t.families}
 
     def family_ok(self, family: str) -> bool:
-        return self.satisfied or family not in self._violated_families
+        return self.satisfied or not self.violations_by_family.get(family)
 
 
 def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
@@ -212,10 +220,10 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
         distance = np.hypot(diff_re, diff_im)
         violated = distance > tol * (1 + 1e-15)
         near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
-    violated[near] = [math.hypot(re, im) > tol
-                      for re, im in zip(diff_re[near].tolist(), diff_im[near].tolist())]
+    distance[near] = list(map(math.hypot, diff_re[near].tolist(), diff_im[near].tolist()))
+    violated[near] = distance[near] > tol
     at = violated.nonzero()[0]
-    return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im)
+    return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im, distance, tol)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)
@@ -650,30 +658,52 @@ def explore_block_mixed(band: int, trials: int, seed: int,
 # --- JSON views ------------------------------------------------------------------
 
 
+def _finite(x: float) -> float:
+    """``x``, or the largest float where ``x`` overflowed."""
+    return x if x <= sys.float_info.max else sys.float_info.max
+
+
+def _worst_rows(report: ConditionReport) -> np.ndarray:
+    """The ``WORST_ROWS`` violated rows of largest distance, by distance
+    descending and row ascending."""
+    at = report.violations
+    distance = report.distance[at]
+    if at.size > WORST_ROWS:  # keep the rows at or above the cut, ties included
+        cut = np.partition(distance, at.size - WORST_ROWS)[at.size - WORST_ROWS]
+        at, distance = at[distance >= cut], distance[distance >= cut]
+    return at[np.argsort(-distance, kind="stable")[:WORST_ROWS]]
+
+
 def condition_report_to_json(report: ConditionReport) -> dict:
-    """The report as JSON, each violation read from the columns at its row."""
-    t, at, rows = report.table, report.violations, []
-    if not report.satisfied:
-        columns = (t.family[at], t.vanish[at], *t.index[:, at], *t.component[:, at],
-                   report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at])
-        rows = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
-                 "lhs_component": _COMPONENTS[lc],
-                 "rhs_component": None if vanish else _COMPONENTS[rc],
-                 "lhs_value": [lhs_re, lhs_im], "rhs_value": [rhs_re, rhs_im]}
-                for family, vanish, lhs, rhs, lc, rc, lhs_re, lhs_im, rhs_re, rhs_im
-                in zip(*(column.tolist() for column in columns))]
+    """The report as JSON: the violations counted, in all and by family,
+    ``defect_l2``, the 2-norm of every row's distance, and ``worst``, the
+    :func:`_worst_rows`, each read from the columns at its row with its
+    distance over the tolerance."""
+    t, at = report.table, _worst_rows(report)
+    columns = (t.family[at], t.vanish[at], *t.index[:, at], *t.component[:, at],
+               report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at],
+               report.distance[at])
+    worst = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
+              "lhs_component": _COMPONENTS[lc],
+              "rhs_component": None if vanish else _COMPONENTS[rc],
+              "lhs_value": [lhs_re, lhs_im], "rhs_value": [rhs_re, rhs_im],
+              "over_tol": _finite(distance / report.tol)}
+             for family, vanish, lhs, rhs, lc, rc, lhs_re, lhs_im, rhs_re, rhs_im, distance
+             in zip(*(column.tolist() for column in columns))]
     return {
         "satisfied": report.satisfied,
-        "mode": "iff",
-        "families": {name: report.family_ok(name) for name in report.table.families},
-        "violations": rows,
+        "families": {name: report.family_ok(name) for name in t.families},
+        "violation_count": report.violations.size,
+        "violations_by_family": report.violations_by_family,
+        "defect_l2": _finite(math.hypot(*report.distance.tolist())),
+        "worst": worst,
     }
 
 
 def outcome_to_json(outcome: CheckOutcome) -> dict:
+    oracle = outcome.oracle
     return {
         "agree": outcome.agree,
         "condition": condition_report_to_json(outcome.condition),
-        "advisory": None,
-        "oracle": report_to_json(outcome.oracle),
+        "oracle": {**report_to_json(oracle), "over_tol": _finite(oracle.residual / oracle.tol)},
     }

@@ -259,7 +259,7 @@ class TestExploreCommand:
                                  "z - z^-1; -0.5 z^2 + 0.5 z^-2; -0.5 z^2 + 0.5 z^-2; -z + z^-1")
         assert code == 0, err
         payload = json.loads(out)
-        assert payload["agree"] is True and payload["condition"]["mode"] == "iff"
+        assert payload["agree"] is True and payload["condition"]["violation_count"] == 0
         assert payload["condition"]["satisfied"] and payload["oracle"]["residual"] <= 1e-15
 
     def test_characterized_spec_rejected(self, capsys):

@@ -447,15 +447,22 @@ class TestBlockMixedChecker(_PairBasisChecks):
         assert is_c_symmetric(m, BlockMixed()).residual > 1e-2
 
     def test_report_mode(self):
-        assert condition_report_to_json(check_block_mixed_necessary(ZERO_BLOCK))["mode"] == "iff"
+        # every list is necessary and sufficient, so the report names no mode
+        obj = condition_report_to_json(check_block_mixed_necessary(ZERO_BLOCK))
+        assert set(obj) == {"satisfied", "families", "violation_count",
+                            "violations_by_family", "defect_l2", "worst"}
 
     def test_report_mode_follows_the_family(self):
-        # every family's list is necessary and sufficient, so every report is iff
+        # one report shape for every family, and a zero symbol violates nothing
         specs = [GeneralPermutation(3, (2, 1, 0)), Transposition(5, 1, 3), Reversal(2),
                  MuLambda(1.0, 1j), BlockHadamard(), BlockMixed()]
         for spec in specs:
             symbol = ZERO_BLOCK if spec.is_block else LaurentSymbol()
-            assert condition_report_to_json(condition_reports(symbol, spec))["mode"] == "iff"
+            report = condition_reports(symbol, spec)
+            obj = condition_report_to_json(report)
+            assert "mode" not in obj
+            assert (obj["violation_count"], obj["defect_l2"], obj["worst"]) == (0, 0.0, [])
+            assert obj["violations_by_family"] == dict.fromkeys(report.table.families, 0)
 
     def test_combination_names_spell_their_terms(self):
         # lhs_component prints the name, so it must say what the row reads
@@ -535,7 +542,7 @@ class TestRunCheck:
 
     def test_characterized_spec_has_no_advisory(self):
         outcome = run_check(parse_symbol("z^2 + z^-2"), Reversal(2))
-        assert outcome_to_json(outcome)["advisory"] is None
+        assert set(outcome_to_json(outcome)) == {"agree", "condition", "oracle"}
         assert outcome.agree and outcome.oracle.symmetric
 
     def test_block_ctilde_agreement_is_equivalence(self):
@@ -551,10 +558,13 @@ class TestRunCheck:
     def test_json_shape(self):
         outcome = run_check(parse_symbol("z"), Reversal(2))
         obj = condition_report_to_json(outcome.condition)
-        assert not obj["satisfied"]
-        record = obj["violations"][0]
+        assert not obj["satisfied"] and obj["violation_count"] == 1
+        record = obj["worst"][0]
         assert set(record) == {"family", "lhs", "rhs", "lhs_component",
-                               "rhs_component", "lhs_value", "rhs_value"}
+                               "rhs_component", "lhs_value", "rhs_value", "over_tol"}
+        assert record["over_tol"] == 1e12
+        oracle = outcome_to_json(outcome)["oracle"]
+        assert oracle["over_tol"] == oracle["residual"] / oracle["tol"]
 
 
 def _band_matrix(table, band):

@@ -103,6 +103,41 @@ class TestParse:
         assert err.value.offset == offset
 
 
+# The symbol-text goldens' inputs, each with the symbol its check report
+# echoed before reports named a symbol by its hash; compared as canonical
+# JSON text, so the sign of a zero part counts.
+PARSED_GOLDENS = {
+    "parens": ("(-0.5+0.25i)*z^2 + (-0.5+0.25i) z^-2 + (+3-i)",
+               '{"-2":[-0.5,0.25],"0":[3.0,-1.0],"2":[-0.5,0.25]}'),
+    "fold": ("1+2i z^3 + 1 - 2i z^-3 + 4 - z^3",
+             '{"-3":[1.0,-2.0],"0":[4.0,0.0],"3":[0.0,2.0]}'),
+    "imag_units": ("i z^2 + j z^-2 - 2j", '{"-2":[0.0,1.0],"0":[0.0,-2.0],"2":[0.0,1.0]}'),
+    "star": ("2*z^2 + 3 * z^-2 + (1+i)*z", '{"-2":[3.0,0.0],"1":[1.0,1.0],"2":[2.0,0.0]}'),
+    "unicode_minus": ("z^2 − z^−2 − 1", '{"-2":[-1.0,0.0],"0":[-1.0,0.0],"2":[1.0,0.0]}'),
+    "signed_exponent": ("z ^ - 2 + z ^ + 2", '{"-2":[1.0,0.0],"2":[1.0,0.0]}'),
+    "repeated_exponents": ("z^2 + 2 z^2 - 0.5 z^2 + 2.5 z^-2 + z - z",
+                           '{"-2":[2.5,0.0],"2":[2.5,0.0]}'),
+    "block": ("(1+i) z^2 + z^−2; 2*z; −z ^ -1; 1+2i z^2 + 1-2i",
+              '{"phi1":{"-2":[1.0,0.0],"2":[1.0,1.0]},"phi2":{"1":[2.0,0.0]},'
+              '"phi3":{"-1":[-1.0,0.0]},"phi4":{"0":[1.0,-2.0],"2":[1.0,2.0]}}'),
+}
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", list(PARSED_GOLDENS))
+def test_parse_matches_the_symbol_text_golden(name):
+    text, expected = PARSED_GOLDENS[name]
+    pieces = text.split(";")
+    if len(pieces) == 4:
+        obj = {f"phi{i}": parse_symbol(piece).to_json() for i, piece in enumerate(pieces, 1)}
+    else:
+        obj = parse_symbol(text).to_json()
+    assert _canonical(obj) == expected
+
+
 class TestCanonicalForm:
     def test_exact_zeros_dropped(self):
         assert sorted(LaurentSymbol({3: 0.0, -1: 0j, 0: 2}).coeffs) == [0]

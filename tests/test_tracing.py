@@ -31,7 +31,7 @@ def test_traced_check_counts_what_the_report_lists(monkeypatch, tmp_path, capsys
     with tracing.traced(tracer):
         code = cli.main(["check", "--symbol-file", str(path), "--spec", "block_ctilde"])
     payload = json.loads(capsys.readouterr().out)
-    reported = len(payload["condition"]["violations"])
+    reported = payload["condition"]["violation_count"]
     assert code == 1 and reported > 0
     assert tracer.counters["conditions.violations"] == reported
     assert tracer.counters["conditions.relations"] > 0
