@@ -18,13 +18,16 @@ raw entry identities and the paper's rule sets for residue swaps are the
 tests' reference; no command reads them.
 
 A :class:`ConditionReport` is the evaluated table, its row values and the
-indices of its violated rows.  Tables and bases depend only on their
+indices of its violated rows, read, as the oracle's residual, from the
+coefficients times ``2**-e`` for the least ``e >= 0`` that brings every part
+below 1, so no side overflows.  Tables and bases depend only on their
 builders' arguments and are kept, read-only, in ``symmetry.PLAN_CACHE``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -63,39 +66,25 @@ COEFF_TOL = 1e-12
 WORST_ROWS = 10
 
 
-# Entry combinations referenced by block relations: tuples of
-# (1-based entry, coefficient, index shift).
-_BLOCK_COMBOS: dict[str, tuple[tuple[int, int, int], ...]] = {
-    "phi1": ((1, 1, 0),),
-    "phi2": ((2, 1, 0),),
-    "phi3": ((3, 1, 0),),
-    "phi4": ((4, 1, 0),),
-    "phi1+phi2": ((1, 1, 0), (2, 1, 0)),
-    "phi1-phi2": ((1, 1, 0), (2, -1, 0)),
-    "phi3+phi4": ((3, 1, 0), (4, 1, 0)),
-    "phi3-phi4": ((3, 1, 0), (4, -1, 0)),
-    "phi1+phi3": ((1, 1, 0), (3, 1, 0)),
-    "phi1+phi4": ((1, 1, 0), (4, 1, 0)),
-    # the left sides of the block_ctilde families, named by their terms, a
-    # shifted term as entry[shift]
-    "phi1-phi2[-1]-phi3[+1]+phi4": ((1, 1, 0), (2, -1, -1), (3, -1, 1), (4, 1, 0)),
-    "phi1[-1]-phi2-phi3+phi4[+1]": ((1, 1, -1), (2, -1, 0), (3, -1, 0), (4, 1, 1)),
-    "phi1[+1]-phi2-phi3+phi4[-1]": ((1, 1, 1), (2, -1, 0), (3, -1, 0), (4, 1, -1)),
-    "phi1-phi2[+1]-phi3[-1]+phi4": ((1, 1, 0), (2, -1, 1), (3, -1, -1), (4, 1, 0)),
-    "phi1[-1]+phi2-phi3-phi4[+1]": ((1, 1, -1), (2, 1, 0), (3, -1, 0), (4, -1, 1)),
-    "phi1+phi2[+1]-phi3[-1]-phi4": ((1, 1, 0), (2, 1, 1), (3, -1, -1), (4, -1, 0)),
-    "phi1[+1]+phi2-phi3-phi4[-1]": ((1, 1, 1), (2, 1, 0), (3, -1, 0), (4, -1, -1)),
-}
-
-# Tables store a side's component as an index into _COMPONENTS.  Its terms
-# are the rows of the _TERM_* arrays (entries counted from 0), padded with
-# zero weights; the scalar component has none, as a scalar symbol is read
-# directly.
-_COMPONENTS = ("phi", *_BLOCK_COMBOS)
+# Tables store a side's component as an index into _COMPONENTS.  A block
+# component's name spells its terms, each [+-]phiE[+-s]: entry E (from 1) at
+# the row's index shifted by s.  They are parsed into the rows of the _TERM_*
+# arrays (entries from 0), padded with zero weights; "phi", the scalar
+# symbol, has none, as a scalar symbol is read directly.  phiE's code is E.
+_HADAMARD_SIDES = ("phi1+phi2", "phi1-phi2", "phi3+phi4", "phi3-phi4")
+# the left sides of the block_ctilde families, in family order
+_MIXED_LHS = ("phi1-phi2[-1]-phi3[+1]+phi4", "phi1[-1]-phi2-phi3+phi4[+1]",
+              "phi1[+1]-phi2-phi3+phi4[-1]", "phi1-phi2[+1]-phi3[-1]+phi4",
+              "phi1[-1]+phi2-phi3-phi4[+1]", "phi1+phi2[+1]-phi3[-1]-phi4",
+              "phi1[+1]+phi2-phi3-phi4[-1]")
+_COMPONENTS = ("phi", "phi1", "phi2", "phi3", "phi4", *_HADAMARD_SIDES, "phi1+phi3", "phi1+phi4",
+               *_MIXED_LHS)
 _CODE = {name: code for code, name in enumerate(_COMPONENTS)}
-_PADDED = [(*terms, *[(1, 0, 0)] * (4 - len(terms))) for terms in ((), *_BLOCK_COMBOS.values())]
-_TERM_ENTRY, _TERM_WEIGHT, _TERM_SHIFT = np.array(_PADDED).transpose(2, 0, 1)
-_TERM_ENTRY = _TERM_ENTRY - 1
+_TERMS = [[(int(entry) - 1, -1 if sign == "-" else 1, int(shift or 0))
+           for sign, entry, shift in re.findall(r"([+-]?)phi(\d)(?:\[([+-]\d+)\])?", name)]
+          for name in _COMPONENTS]
+_TERM_ENTRY, _TERM_WEIGHT, _TERM_SHIFT = np.array(
+    [terms + [(0, 0, 0)] * (4 - len(terms)) for terms in _TERMS]).transpose(2, 0, 1)
 _PHI = _CODE["phi"]
 
 
@@ -104,8 +93,8 @@ class RelationTable:
     where ``vanish``, one numpy column per field, built from row blocks
     ``(family, vanish, lhs_component, rhs_component, lhs_index, rhs_index,
     rhs_scale)``, each field an array or one value for the block.  A side
-    reads a component (``"phi"`` of a scalar symbol, or an entry combination
-    such as ``"phi1+phi2"``) at an index.  ``component`` (codes into
+    reads a component (``phi`` of a scalar symbol, or an entry combination
+    such as ``phi1+phi2``) at an index.  ``component`` (codes into
     ``_COMPONENTS``) and ``index`` stack the lhs column over the rhs one;
     ``family`` codes into ``names`` (in first-appearance order)."""
 
@@ -183,15 +172,23 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     coefficient of every entry: relative, like the oracle's residual, so a
     rescaled symbol gets the same verdict.  Values and verdicts are those of
     Python's complex arithmetic and ``math.hypot``, row by row.
+
+    Rows are read from the coefficients times ``2**-e``, ``e = max(0,
+    frexp(max |Re|, |Im|)[1])`` as in ``symmetry.residual``, against the
+    tolerance scaled alike: exact, and no side overflows.  The report is
+    scaled back, a value past the float range to an infinity.
     """
     block = isinstance(symbol, MatrixSymbol)
     entries = symbol.entries if block else (symbol,)
     keys = np.concatenate([entry.exponents for entry in entries])
-    values = np.concatenate([entry.values for entry in entries])
-    # hypot throughout, as a sum of squares overflows and complex abs raises
-    # OverflowError; an infinite norm would pass every relation
+    # the float view: a complex product by the scale would drop -0.0 parts
+    parts = np.concatenate([entry.values for entry in entries]).view(float)
+    e = max(0, math.frexp(np.abs(parts).max(initial=0.0))[1])
+    if e:
+        parts *= math.ldexp(1.0, -e)
+    values = parts.view(complex)
     norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
-    tol = COEFF_TOL * min(max(1.0, norm), sys.float_info.max)
+    tol = COEFF_TOL * max(math.ldexp(1.0, -e), norm)
     vanish = table.vanish
     if block and not (table.component[0].all() and (table.component[1] | vanish).all()):
         raise ValueError("a scalar relation cannot read a matrix symbol")
@@ -204,25 +201,32 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     grid = np.zeros((len(entries), hi - lo + 1), dtype=complex)
     grid[np.repeat(np.arange(len(entries)), [entry.values.size for entry in entries]),
          keys - lo] = values
-    # Python's float arithmetic: overflow gives inf or nan, silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, value = _read(grid, lo, table.component, table.index, block)
-        # Python's complex product, from real parts: numpy's complex multiply
-        # may fuse a multiply and an add and round differently
-        scale = table.rhs_scale
-        rhs_re = scale.real * value.real - scale.imag * value.imag
-        rhs_im = scale.real * value.imag + scale.imag * value.real
-        rhs_re[vanish] = rhs_im[vanish] = 0.0
-        diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
-        # np.hypot is within an ulp of math.hypot, and the band around the
-        # tolerance is about 4 ulp wide: numpy decides every row outside it,
-        # math.hypot the rows inside
-        distance = np.hypot(diff_re, diff_im)
-        violated = distance > tol * (1 + 1e-15)
-        near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
+    lhs, value = _read(grid, lo, table.component, table.index, block)
+    # Python's complex product, from real parts: numpy's complex multiply
+    # may fuse a multiply and an add and round differently
+    scale = table.rhs_scale
+    rhs_re = scale.real * value.real - scale.imag * value.imag
+    rhs_im = scale.real * value.imag + scale.imag * value.real
+    rhs_re[vanish] = rhs_im[vanish] = 0.0
+    diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
+    # np.hypot is within an ulp of math.hypot, and the band around the
+    # tolerance is about 4 ulp wide: numpy decides every row outside it,
+    # math.hypot the rows inside
+    distance = np.hypot(diff_re, diff_im)
+    violated = distance > tol * (1 + 1e-15)
+    near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
     distance[near] = list(map(math.hypot, diff_re[near].tolist(), diff_im[near].tolist()))
     violated[near] = distance[near] > tol
     at = violated.nonzero()[0]
+    # scaled back: a value is below 64 here (four parts below 1, times 2),
+    # so only past 2**1018 can one leave the float range, to +-inf
+    if e:
+        top = math.ldexp(sys.float_info.max, -e)
+        for column in (lhs.view(float), rhs_re, rhs_im, distance):
+            if top < 64:
+                column[np.abs(column) > top] *= np.inf
+            np.ldexp(column, e, out=column)
+        tol = math.ldexp(tol, e)
     return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im, distance, tol)
 
 
@@ -364,18 +368,17 @@ def block_hadamard_relations(band: int) -> RelationTable:
     the cross reflection ``(phi1-phi2)(2l) == (phi3+phi4)(-2l)``, odd ones zero."""
     half = band // 2
     even = 2 * np.arange(1, half + 1)
+    sum12, diff12, sum34, diff34 = _codes(*_HADAMARD_SIDES)
     # sum12_even and diff34_even alternate, l by l
-    pair = _codes("phi1+phi2", "phi3-phi4")
+    pair = np.tile([sum12, diff34], half)
     reflect = 2 * np.arange(-half, half + 1)
     k = np.arange(-band, band + 1)
     odd = k[k % 2 != 0]
     return RelationTable(
         ("sum12_even", "diff34_even", "cross_reflect", "odd_vanish"),
-        (np.tile([0, 1], half), False, np.tile(pair, half), np.tile(pair, half),
-         np.repeat(even, 2), -np.repeat(even, 2), 1),
-        (2, False, _CODE["phi1-phi2"], _CODE["phi3+phi4"], reflect, -reflect, 1),
-        (3, True, np.repeat(_codes("phi1", "phi2", "phi3", "phi4"), odd.size), _PHI,
-         np.tile(odd, 4), 0, 1))
+        (np.tile([0, 1], half), False, pair, pair, np.repeat(even, 2), -np.repeat(even, 2), 1),
+        (2, False, diff12, sum34, reflect, -reflect, 1),
+        (3, True, np.repeat(np.arange(1, 5), odd.size), _PHI, np.tile(odd, 4), 0, 1))
 
 
 @PLAN_CACHE.memoize
@@ -392,16 +395,12 @@ def block_mixed_necessary_relations(band: int) -> RelationTable:
     """
     half = (band + 1) // 2
     x = 2 * np.arange(-half, half + 1)
-    names, lhs, rhs, shift = zip(
-        ("q22_00", "phi1-phi2[-1]-phi3[+1]+phi4", "phi4", 0),
-        ("q22_01", "phi1[-1]-phi2-phi3+phi4[+1]", "phi4", 1),
-        ("q22_10", "phi1[+1]-phi2-phi3+phi4[-1]", "phi4", -1),
-        ("q22_11", "phi1-phi2[+1]-phi3[-1]+phi4", "phi4", 0),
-        ("q21_00", "phi1[-1]+phi2-phi3-phi4[+1]", "phi2", 0),
-        ("q21_10", "phi1+phi2[+1]-phi3[-1]-phi4", "phi2", -1),
-        ("q21_11", "phi1[+1]+phi2-phi3-phi4[-1]", "phi2", 0))
+    # the left sides are _MIXED_LHS, the right sides phi4 or phi2 at a shift
+    names, rhs, shift = zip(("q22_00", 4, 0), ("q22_01", 4, 1), ("q22_10", 4, -1),
+                            ("q22_11", 4, 0), ("q21_00", 2, 0), ("q21_10", 2, -1),
+                            ("q21_11", 2, 0))
     return RelationTable(names, (np.repeat(np.arange(len(names)), x.size), False,
-                                 np.repeat(_codes(*lhs), x.size), np.repeat(_codes(*rhs), x.size),
+                                 np.repeat(_codes(*_MIXED_LHS), x.size), np.repeat(rhs, x.size),
                                  np.tile(x, len(names)), (np.array(shift)[:, None] - x).ravel(),
                                  2))
 
@@ -508,11 +507,17 @@ def _pair_basis(once: np.ndarray, per_l: np.ndarray, band: int) -> np.ndarray:
     the columns ``(generator, entry from 0, index, weight)``; a generator's
     coefficient is the sum of its terms."""
     kind, entry, sign, offset, weight = per_l
-    # each column of a term is affine in l: at l = 0 and its step
-    at_zero = np.stack([kind + once[0].max() - 3, entry, offset, weight])
-    step = np.stack([np.full_like(kind, 4), 0 * kind, 2 * sign, 0 * kind])
-    l = np.arange(1, band // 2 + 1)[:, None]
-    terms = np.concatenate([once, (at_zero[:, None] + l * step[:, None]).reshape(4, -1)], axis=1)
+    l, size = np.arange(1, band // 2 + 1)[:, None], once.shape[1]
+    terms = np.empty((4, size + l.size * kind.size), np.int64)
+    terms[:, :size] = once
+    # each column of a term is affine in l, written in place: the table is
+    # the size of a draw, and no temporary of its size is made
+    generator, entries, index, weights = terms[:, size:].reshape(4, l.size, kind.size)
+    np.multiply(l, 4, out=generator)
+    generator += kind + once[0].max() - 3
+    np.multiply(l, 2 * sign, out=index)
+    index += offset
+    entries[:], weights[:] = entry, weight
     terms[1] -= 1  # entries from 0
     return terms
 
@@ -659,8 +664,8 @@ def explore_block_mixed(band: int, trials: int, seed: int,
 
 
 def _finite(x: float) -> float:
-    """``x``, or the largest float where ``x`` overflowed."""
-    return x if x <= sys.float_info.max else sys.float_info.max
+    """``x`` clamped to +-the largest float, where it overflowed."""
+    return min(max(x, -sys.float_info.max), sys.float_info.max)
 
 
 def _worst_rows(report: ConditionReport) -> np.ndarray:
@@ -686,7 +691,8 @@ def condition_report_to_json(report: ConditionReport) -> dict:
     worst = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
               "lhs_component": _COMPONENTS[lc],
               "rhs_component": None if vanish else _COMPONENTS[rc],
-              "lhs_value": [lhs_re, lhs_im], "rhs_value": [rhs_re, rhs_im],
+              "lhs_value": [_finite(lhs_re), _finite(lhs_im)],
+              "rhs_value": [_finite(rhs_re), _finite(rhs_im)],
               "over_tol": _finite(distance / report.tol)}
              for family, vanish, lhs, rhs, lc, rc, lhs_re, lhs_im, rhs_re, rhs_im, distance
              in zip(*(column.tolist() for column in columns))]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import re
 from contextlib import suppress
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping
 
@@ -143,42 +144,29 @@ class LaurentSymbol:
         return cls._of(exponents[order], parts.view(complex)[order])
 
 
+@dataclass(frozen=True, slots=True)
 class MatrixSymbol:
     """A 2x2 array of Laurent symbols, row-major ``[[phi1, phi2], [phi3, phi4]]``."""
 
-    __slots__ = ("_entries",)
+    phi1: LaurentSymbol
+    phi2: LaurentSymbol
+    phi3: LaurentSymbol
+    phi4: LaurentSymbol
 
-    def __init__(self, phi1: LaurentSymbol, phi2: LaurentSymbol,
-                 phi3: LaurentSymbol, phi4: LaurentSymbol):
-        entries = (phi1, phi2, phi3, phi4)
-        if not all(isinstance(e, LaurentSymbol) for e in entries):
+    def __post_init__(self):
+        if not all(isinstance(e, LaurentSymbol) for e in self.entries):
             raise TypeError("MatrixSymbol entries must be LaurentSymbol")
-        object.__setattr__(self, "_entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixSymbol is immutable")
 
     @property
     def entries(self) -> tuple[LaurentSymbol, ...]:
-        return self._entries
+        return self.phi1, self.phi2, self.phi3, self.phi4
 
     @property
     def bandwidth(self) -> int:
-        return max(e.bandwidth for e in self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixSymbol):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        return f"MatrixSymbol{self._entries!r}"
+        return max(e.bandwidth for e in self.entries)
 
     def to_json(self) -> dict[str, dict[str, list[float]]]:
-        return {f"phi{i}": e.to_json() for i, e in enumerate(self._entries, start=1)}
+        return {f"phi{i}": e.to_json() for i, e in enumerate(self.entries, start=1)}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Mapping]) -> "MatrixSymbol":

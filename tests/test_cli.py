@@ -566,6 +566,22 @@ class TestScaledAndHugeSymbols:
         assert json.loads(out)["agree"] is True
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("phi2", ['{"2": [1.7e308, 0]}',
+                                      '{"2": [1.7e308, 0], "-2": [1e308, 0]}'],
+                             ids=["one-side-overflows", "both-sides-overflow"])
+    def test_block_sides_past_the_float_range_get_a_verdict(self, capsys, tmp_path, phi2):
+        # (phi1+phi2)(2) passes the float range, and with the second phi2
+        # (phi1+phi2)(-2) too: read unscaled, the first made the report
+        # non-finite (exit 3), the second a NaN distance that passed the row
+        symbol = ('{"phi1": {"2": [1.7e308, 0], "-2": [1.7e308, 0]}, "phi2": %s, '
+                  '"phi3": {}, "phi4": {}}' % phi2)
+        argv = _materialize(tmp_path, ("--symbol-file", symbol, "--spec", "block_c"))
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 1, err
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+        assert payload["agree"] is True
+        assert payload["condition"]["families"]["sum12_even"] is False
+
     def test_negative_zero_survives_in_violation_values(self, capsys, tmp_path):
         argv = _materialize(tmp_path, ("--symbol-file", '{"1": [-1.0, -0.0]}',
                                        "--spec", "reversal:2"))
@@ -727,6 +743,29 @@ def test_verify_memory_estimate_bounds_its_peak(spec, size):
     assert proc.returncode == 0, proc.stderr
     code, peak = map(int, proc.stdout.split())
     assert code == 0 and 0 < peak <= axiom_bytes(size, parse_spec_text(spec)), peak
+
+
+# Prints the size of the block_ctilde basis at a band and the peak of its
+# build above the memory in use before it.
+_BASIS_PEAK = """
+import sys
+from toepsym.conditions import block_mixed_basis
+""" + _STATUS + """
+before = status("VmRSS:")
+terms = block_mixed_basis(int(sys.argv[1]))
+print(terms.nbytes, status("VmHWM:") - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_pair_basis_is_built_in_place():
+    # a block draw holds the whole term table; built from full-size
+    # temporaries, this 38 MB table peaked at 77 MB
+    proc = subprocess.run([sys.executable, "-c", _BASIS_PEAK, "100000"],
+                          capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    size, peak = map(int, proc.stdout.split())
+    assert 0 < peak <= 1.3 * size, (size, peak)
 
 
 def _module_env(**extra):

@@ -465,12 +465,18 @@ class TestBlockMixedChecker(_PairBasisChecks):
             assert obj["violations_by_family"] == dict.fromkeys(report.table.families, 0)
 
     def test_combination_names_spell_their_terms(self):
-        # lhs_component prints the name, so it must say what the row reads
-        for name, terms in conditions._BLOCK_COMBOS.items():
-            spelled = "".join(f"{'+' if weight > 0 else '-'}phi{entry}"
+        # lhs_component prints the name, and the rows parsed from it are what
+        # the table reads: spelled back, the zero-weight padding left out,
+        # they give the name ("phi", the scalar symbol, has no terms)
+        rows = zip(conditions._TERM_ENTRY.tolist(), conditions._TERM_WEIGHT.tolist(),
+                   conditions._TERM_SHIFT.tolist())
+        for name, terms in zip(conditions._COMPONENTS, rows, strict=True):
+            terms = [term for term in zip(*terms) if term[1]]
+            assert all(weight in (-1, 1) for _, weight, _ in terms)
+            spelled = "".join(f"{'+' if weight > 0 else '-'}phi{entry + 1}"
                               + (f"[{shift:+d}]" if shift else "")
                               for entry, weight, shift in terms)
-            assert spelled.removeprefix("+") == name
+            assert (spelled.removeprefix("+") or "phi") == name
 
 
 class TestEquivalenceTrials:

@@ -16,6 +16,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toepsym.conditions as conditions
 from toepsym.cli import main
@@ -146,9 +148,15 @@ def test_block_mixed_nullspace_system_is_pinned():
 
 
 def _reference_read(coeffs, component, index):
+    """``component``'s terms from its parsed rows, the zero-weight padding
+    left out, summed from ``0j``."""
     total = 0j
-    for entry, coeff, shift in conditions._BLOCK_COMBOS[component]:
-        total += coeff * coeffs[entry - 1].get(index + shift, 0j)
+    code = conditions._CODE[component]
+    terms = (conditions._TERM_ENTRY[code], conditions._TERM_WEIGHT[code],
+             conditions._TERM_SHIFT[code])
+    for entry, weight, shift in zip(*(column.tolist() for column in terms)):
+        if weight:
+            total += weight * coeffs[entry].get(index + shift, 0j)
     return total
 
 
@@ -316,6 +324,31 @@ def test_difference_at_the_tolerance(compared, x, y):
     report = condition_reports(symbol, Reversal(2))
     assert report.satisfied == (not math.hypot(x, y) > 1e-12)
     assert compared == [len(report.violations)]
+
+
+# --- a block verdict does not depend on the symbol's scale -------------------
+
+# parts on a grid of 1/2 below 2**24: a side's value is exact, so a row's
+# distance is 0 or at least 1/2 and far from the tolerance; times 2**k,
+# k <= 1000, every part stays finite, but a side that sums parts past 2**24
+# would not (the examples: both sides of a row past the float range)
+_PART = st.integers(1 - 2 ** 25, 2 ** 25 - 1).map(lambda n: n / 2)
+_ENTRY = st.dictionaries(st.integers(-4, 4), st.builds(complex, _PART, _PART), max_size=6)
+_HIGH, _HIGHER = complex(3 * 2 ** 22), complex(3 * 2 ** 22 + 2 ** 21)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(_ENTRY, min_size=4, max_size=4), k=st.integers(0, 1000),
+       spec=st.sampled_from([BlockHadamard(), BlockMixed()]))
+@example(entries=[{2: _HIGH, -2: _HIGH}, {2: _HIGH, -2: _HIGHER}, {}, {}], k=1000,
+         spec=BlockHadamard())
+@example(entries=[{0: _HIGHER}, {-1: -_HIGH}, {}, {0: _HIGH}], k=1000, spec=BlockMixed())
+def test_block_verdict_and_counts_are_scale_free(entries, k, spec):
+    symbol = MatrixSymbol(*map(LaurentSymbol, entries))
+    base = condition_reports(symbol, spec)
+    scaled = condition_reports(_scaled(symbol, 2.0 ** k), spec)
+    assert scaled.satisfied == base.satisfied
+    assert scaled.violations_by_family == base.violations_by_family
 
 
 # --- what the check path builds ---------------------------------------------
