@@ -4,6 +4,9 @@ Every command prints exactly one JSON document to standard output (or to
 ``--output``); diagnostics go to standard error.  Output is byte-identical
 for identical configurations, so reports can be diffed and golden-tested.
 
+The ``check`` report, schema 1, is built only by :func:`_check_report`,
+from a condition report on its power-of-two scale; it unscales what it prints.
+
 Exit codes: 0 success/symmetric, 1 checked and not symmetric, 2 condition
 checker and matrix oracle disagree (correctness alarm), 3 input or usage
 error, 4 internal error (an unexpected exception such as ``MemoryError``).
@@ -18,6 +21,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .conjugations import (
     FAMILIES,
     BlockMixed,
@@ -29,11 +34,13 @@ from .conjugations import (
     verify_axioms,
 )
 from .conditions import (
+    COMPONENTS,
+    CheckOutcome,
+    ConditionReport,
     draw_symbol,
     equivalence_trial,
     explore_block_mixed,
     explore_transposition,
-    outcome_to_json,
     run_check,
 )
 from .symbols import (
@@ -55,6 +62,8 @@ EXIT_INTERNAL = 4
 TOL_ENV_VAR = "TOEPSYM_TOL"
 # the version of the check report's layout
 REPORT_SCHEMA = 1
+# the violated rows a check report lists
+WORST_ROWS = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,14 +151,58 @@ def _symbol_summary(symbol: LaurentSymbol | MatrixSymbol) -> dict:
     ``<i8`` and its values as ``<c16``."""
     import hashlib  # here, not at the top: only check pays for the import
 
-    entries = symbol.entries if isinstance(symbol, MatrixSymbol) else (symbol,)
     digest = hashlib.sha256()
-    for entry in entries:
+    for entry in symbol.entries:
         digest.update(entry.exponents.size.to_bytes(8, "little"))
         digest.update(entry.exponents.astype("<i8").tobytes())
         digest.update(entry.values.astype("<c16").tobytes())
-    return {"bandwidth": symbol.bandwidth, "terms": sum(entry.values.size for entry in entries),
+    return {"bandwidth": symbol.bandwidth, "terms": sum(e.values.size for e in symbol.entries),
             "sha256": digest.hexdigest()}
+
+
+def _worst_rows(report: ConditionReport) -> np.ndarray:
+    """The ``WORST_ROWS`` violated rows of largest distance, by distance
+    descending and row ascending."""
+    at = report.violations
+    distance = report.distance[at]
+    if at.size > WORST_ROWS:  # keep the rows at or above the cut, ties included
+        cut = np.partition(distance, at.size - WORST_ROWS)[at.size - WORST_ROWS]
+        at, distance = at[distance >= cut], distance[distance >= cut]
+    return at[np.argsort(-distance, kind="stable")[:WORST_ROWS]]
+
+
+def _printed(x: float, e: int = 0) -> float:
+    """``x * 2**e``, clamped to +-the largest float: stdout is strict JSON."""
+    top = math.ldexp(sys.float_info.max, -e)  # exact: e is at most 1024
+    return math.ldexp(min(max(x, -top), top), e)
+
+
+def _check_report(symbol: LaurentSymbol | MatrixSymbol, outcome: CheckOutcome) -> dict:
+    """The ``check`` report, less ``command`` and ``spec``.  The condition
+    part counts the violations, in all and by family, and lists the
+    :func:`_worst_rows`, each with its distance over the tolerance, exact on
+    the report's ``2**-exponent`` scale; the values printed are scaled back."""
+    report, oracle = outcome.condition, outcome.oracle
+    t, at, e = report.table, _worst_rows(report), report.exponent
+    columns = (t.family[at], t.vanish[at], *t.index[:, at], *t.component[:, at],
+               report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at],
+               report.distance[at])
+    worst = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
+              "lhs_component": COMPONENTS[lc], "rhs_component": None if vanish else COMPONENTS[rc],
+              "lhs_value": [_printed(lhs_re, e), _printed(lhs_im, e)],
+              "rhs_value": [_printed(rhs_re, e), _printed(rhs_im, e)],
+              "over_tol": _printed(distance / report.tol)}
+             for family, vanish, lhs, rhs, lc, rc, lhs_re, lhs_im, rhs_re, rhs_im, distance
+             in zip(*(column.tolist() for column in columns))]
+    condition = {"satisfied": report.satisfied,
+                 "families": {name: report.family_ok(name) for name in t.families},
+                 "violation_count": report.violations.size,
+                 "violations_by_family": report.violations_by_family,
+                 "defect_l2": _printed(math.hypot(*report.distance.tolist()), e), "worst": worst}
+    return {"schema": REPORT_SCHEMA, "symbol": _symbol_summary(symbol), "agree": outcome.agree,
+            "condition": condition,
+            "oracle": {"residual": oracle.residual, "n": oracle.order, "verdict": oracle.verdict,
+                       "tol": oracle.tol, "over_tol": _printed(oracle.residual / oracle.tol)}}
 
 
 # Each command returns its report, less the ``command`` and ``spec`` keys
@@ -159,8 +212,7 @@ def _cmd_check(args, spec):
     outcome = run_check(symbol, spec, tol=args.tol)
     code = (EXIT_DISAGREE if not outcome.agree
             else EXIT_OK if outcome.oracle.symmetric else EXIT_NOT_SYMMETRIC)
-    return {"schema": REPORT_SCHEMA, "symbol": _symbol_summary(symbol),
-            **outcome_to_json(outcome)}, code
+    return _check_report(symbol, outcome), code
 
 
 def _cmd_verify(args, spec):

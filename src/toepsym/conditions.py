@@ -20,15 +20,15 @@ tests' reference; no command reads them.
 A :class:`ConditionReport` is the evaluated table, its row values and the
 indices of its violated rows, read, as the oracle's residual, from the
 coefficients times ``2**-e`` for the least ``e >= 0`` that brings every part
-below 1, so no side overflows.  Tables and bases depend only on their
-builders' arguments and are kept, read-only, in ``symmetry.PLAN_CACHE``.
+below 1, so no side overflows; it stays on that scale, and :mod:`toepsym.cli`
+unscales what it prints.  Tables and bases depend only on their builders'
+arguments and are kept, read-only, in ``symmetry.PLAN_CACHE``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,15 +58,13 @@ from .symmetry import (
     SymmetryReport,
     budgeted_order,
     is_c_symmetric,
-    report_to_json,
+    scale_exponent,
 )
 
 COEFF_TOL = 1e-12
-# the violated rows a check report lists
-WORST_ROWS = 10
 
 
-# Tables store a side's component as an index into _COMPONENTS.  A block
+# Tables store a side's component as an index into COMPONENTS.  A block
 # component's name spells its terms, each [+-]phiE[+-s]: entry E (from 1) at
 # the row's index shifted by s.  They are parsed into the rows of the _TERM_*
 # arrays (entries from 0), padded with zero weights; "phi", the scalar
@@ -77,12 +75,12 @@ _MIXED_LHS = ("phi1-phi2[-1]-phi3[+1]+phi4", "phi1[-1]-phi2-phi3+phi4[+1]",
               "phi1[+1]-phi2-phi3+phi4[-1]", "phi1-phi2[+1]-phi3[-1]+phi4",
               "phi1[-1]+phi2-phi3-phi4[+1]", "phi1+phi2[+1]-phi3[-1]-phi4",
               "phi1[+1]+phi2-phi3-phi4[-1]")
-_COMPONENTS = ("phi", "phi1", "phi2", "phi3", "phi4", *_HADAMARD_SIDES, "phi1+phi3", "phi1+phi4",
-               *_MIXED_LHS)
-_CODE = {name: code for code, name in enumerate(_COMPONENTS)}
+COMPONENTS = ("phi", "phi1", "phi2", "phi3", "phi4", *_HADAMARD_SIDES, "phi1+phi3", "phi1+phi4",
+              *_MIXED_LHS)
+_CODE = {name: code for code, name in enumerate(COMPONENTS)}
 _TERMS = [[(int(entry) - 1, -1 if sign == "-" else 1, int(shift or 0))
            for sign, entry, shift in re.findall(r"([+-]?)phi(\d)(?:\[([+-]\d+)\])?", name)]
-          for name in _COMPONENTS]
+          for name in COMPONENTS]
 _TERM_ENTRY, _TERM_WEIGHT, _TERM_SHIFT = np.array(
     [terms + [(0, 0, 0)] * (4 - len(terms)) for terms in _TERMS]).transpose(2, 0, 1)
 _PHI = _CODE["phi"]
@@ -95,7 +93,7 @@ class RelationTable:
     rhs_scale)``, each field an array or one value for the block.  A side
     reads a component (``phi`` of a scalar symbol, or an entry combination
     such as ``phi1+phi2``) at an index.  ``component`` (codes into
-    ``_COMPONENTS``) and ``index`` stack the lhs column over the rhs one;
+    ``COMPONENTS``) and ``index`` stack the lhs column over the rhs one;
     ``family`` codes into ``names`` (in first-appearance order)."""
 
     def __init__(self, names: tuple[str, ...], *blocks):
@@ -123,7 +121,8 @@ class ConditionReport:
     """``table`` evaluated on a symbol: every row's ``lhs`` and ``rhs`` (as real
     and imaginary parts) and ``distance`` between them, ``violations``, the
     indices of the rows whose distance passes ``tol``, ascending, and ``tol``,
-    the tolerance scaled to the symbol."""
+    the tolerance scaled to the symbol.  The values, distances and ``tol`` are
+    those of the coefficients times ``2**-exponent``."""
 
     satisfied: bool
     table: RelationTable
@@ -133,6 +132,7 @@ class ConditionReport:
     rhs_im: np.ndarray
     distance: np.ndarray
     tol: float
+    exponent: int
 
     @cached_property
     def violations_by_family(self) -> dict[str, int]:
@@ -173,17 +173,17 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     rescaled symbol gets the same verdict.  Values and verdicts are those of
     Python's complex arithmetic and ``math.hypot``, row by row.
 
-    Rows are read from the coefficients times ``2**-e``, ``e = max(0,
-    frexp(max |Re|, |Im|)[1])`` as in ``symmetry.residual``, against the
-    tolerance scaled alike: exact, and no side overflows.  The report is
-    scaled back, a value past the float range to an infinity.
+    Rows are read from the coefficients times ``2**-e``, ``e`` their
+    ``symmetry.scale_exponent`` as in ``symmetry.residual``, against the
+    tolerance scaled alike: exact, and no side overflows.  The report stays
+    on that scale, with ``e`` as its ``exponent``.
     """
     block = isinstance(symbol, MatrixSymbol)
-    entries = symbol.entries if block else (symbol,)
+    entries = symbol.entries
     keys = np.concatenate([entry.exponents for entry in entries])
     # the float view: a complex product by the scale would drop -0.0 parts
     parts = np.concatenate([entry.values for entry in entries]).view(float)
-    e = max(0, math.frexp(np.abs(parts).max(initial=0.0))[1])
+    e = scale_exponent(parts)
     if e:
         parts *= math.ldexp(1.0, -e)
     values = parts.view(complex)
@@ -218,16 +218,7 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     distance[near] = list(map(math.hypot, diff_re[near].tolist(), diff_im[near].tolist()))
     violated[near] = distance[near] > tol
     at = violated.nonzero()[0]
-    # scaled back: a value is below 64 here (four parts below 1, times 2),
-    # so only past 2**1018 can one leave the float range, to +-inf
-    if e:
-        top = math.ldexp(sys.float_info.max, -e)
-        for column in (lhs.view(float), rhs_re, rhs_im, distance):
-            if top < 64:
-                column[np.abs(column) > top] *= np.inf
-            np.ldexp(column, e, out=column)
-        tol = math.ldexp(tol, e)
-    return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im, distance, tol)
+    return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im, distance, tol, e)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)
@@ -658,58 +649,3 @@ def explore_block_mixed(band: int, trials: int, seed: int,
     return {"family": BlockMixed.name, "band": band, "trials": trials, "seed": seed,
             "nullspace_dim": int(block_mixed_basis(band)[0].max()) + 1,
             "candidates": candidates, "anomalies": anomalies}
-
-
-# --- JSON views ------------------------------------------------------------------
-
-
-def _finite(x: float) -> float:
-    """``x`` clamped to +-the largest float, where it overflowed."""
-    return min(max(x, -sys.float_info.max), sys.float_info.max)
-
-
-def _worst_rows(report: ConditionReport) -> np.ndarray:
-    """The ``WORST_ROWS`` violated rows of largest distance, by distance
-    descending and row ascending."""
-    at = report.violations
-    distance = report.distance[at]
-    if at.size > WORST_ROWS:  # keep the rows at or above the cut, ties included
-        cut = np.partition(distance, at.size - WORST_ROWS)[at.size - WORST_ROWS]
-        at, distance = at[distance >= cut], distance[distance >= cut]
-    return at[np.argsort(-distance, kind="stable")[:WORST_ROWS]]
-
-
-def condition_report_to_json(report: ConditionReport) -> dict:
-    """The report as JSON: the violations counted, in all and by family,
-    ``defect_l2``, the 2-norm of every row's distance, and ``worst``, the
-    :func:`_worst_rows`, each read from the columns at its row with its
-    distance over the tolerance."""
-    t, at = report.table, _worst_rows(report)
-    columns = (t.family[at], t.vanish[at], *t.index[:, at], *t.component[:, at],
-               report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at],
-               report.distance[at])
-    worst = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
-              "lhs_component": _COMPONENTS[lc],
-              "rhs_component": None if vanish else _COMPONENTS[rc],
-              "lhs_value": [_finite(lhs_re), _finite(lhs_im)],
-              "rhs_value": [_finite(rhs_re), _finite(rhs_im)],
-              "over_tol": _finite(distance / report.tol)}
-             for family, vanish, lhs, rhs, lc, rc, lhs_re, lhs_im, rhs_re, rhs_im, distance
-             in zip(*(column.tolist() for column in columns))]
-    return {
-        "satisfied": report.satisfied,
-        "families": {name: report.family_ok(name) for name in t.families},
-        "violation_count": report.violations.size,
-        "violations_by_family": report.violations_by_family,
-        "defect_l2": _finite(math.hypot(*report.distance.tolist())),
-        "worst": worst,
-    }
-
-
-def outcome_to_json(outcome: CheckOutcome) -> dict:
-    oracle = outcome.oracle
-    return {
-        "agree": outcome.agree,
-        "condition": condition_report_to_json(outcome.condition),
-        "oracle": {**report_to_json(oracle), "over_tol": _finite(oracle.residual / oracle.tol)},
-    }

@@ -84,6 +84,15 @@ class LaurentSymbol:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSymbol is immutable")
 
+    def __reduce__(self):
+        # unpickling must not set the slots through __setattr__
+        return LaurentSymbol._of, (self.exponents, self.values)
+
+    @property
+    def entries(self) -> tuple[LaurentSymbol]:
+        """The symbol as its one entry, as :attr:`MatrixSymbol.entries` lists four."""
+        return (self,)
+
     @property
     def coeffs(self) -> dict[int, complex]:
         return dict(self.items())

@@ -159,6 +159,12 @@ def residual_plan(c: AntilinearOperator) -> ResidualPlan:
                         repeats.astype(small), lengths.astype(small))
 
 
+def scale_exponent(parts: np.ndarray) -> int:
+    """The least ``e >= 0`` with every element of the float array ``parts``
+    below ``2**e`` in modulus: times ``2**-e``, exactly, each lies below 1."""
+    return max(0, math.frexp(np.abs(parts).max(initial=0.0))[1])
+
+
 def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> float:
     """``||A conj(T) conj(A) - T^*||_F / max(1, ||T||_F)``, from coefficients;
     ``c`` is the operator ``A`` or its :func:`residual_plan`.
@@ -169,7 +175,7 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     blocks of its first block row and column: O(period * order) entries, each
     a sum of ``w c w'`` terms read from ``c`` and ``t.diagonals``.
     ``||T||_F^2 = sum_d (order - |d|) |c_d|^2``.  The coefficients are scaled
-    by ``2**-e``, ``2**e > max |Re|, |Im|``, so huge symbols do not overflow;
+    by ``2**-e`` (:func:`scale_exponent`), so huge symbols do not overflow;
     numpy's pairwise sums do not depend on the BLAS thread count.
     """
     n, g = t.order, t.grid
@@ -178,8 +184,7 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     if (g, n) != (c.grid, c.order):
         raise ValueError(f"shape mismatch: operator has {c.grid}-square grid of size "
                          f"{c.order}, matrix {g}-square grid of order {n}")
-    e = max(0, math.frexp(np.abs(t.diagonals.view(float)).max())[1])
-    scale = math.ldexp(1.0, -e)
+    scale = math.ldexp(1.0, -scale_exponent(t.diagonals.view(float)))
     v = np.conj(t.diagonals * scale)  # conj(2**-e T): entry e's c_d at [e, d + n - 1]
     # left * v.take(at), in place: one term-sized temporary fewer
     terms = v.take(c.at)
@@ -231,8 +236,3 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     r = residual(t, plan)
     verdict = SYMMETRIC if r <= tol else NOT_SYMMETRIC
     return SymmetryReport(r, n, verdict, tol)
-
-
-def report_to_json(report: SymmetryReport) -> dict:
-    return {"residual": report.residual, "n": report.order,
-            "verdict": report.verdict, "tol": report.tol}

@@ -58,7 +58,7 @@ class TruncatedToeplitz:
 def truncate(sym: LaurentSymbol, order: int) -> TruncatedToeplitz:
     """Compression of multiplication by ``sym`` to the first ``order``
     coefficients; constant along diagonals by construction."""
-    return TruncatedToeplitz((sym,), order)
+    return TruncatedToeplitz(sym.entries, order)
 
 
 def block_truncate(msym: MatrixSymbol, order: int) -> TruncatedToeplitz:

@@ -1,18 +1,18 @@
 import cmath
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 import toepsym.conditions as conditions
-from toepsym.cli import parse_spec_text
+from toepsym.cli import _check_report, parse_spec_text
 from toepsym.conditions import (
     block_hadamard_relations,
     block_mixed_necessary_relations,
     check_block_mixed_necessary,
     check_transposition,
-    condition_report_to_json,
     condition_reports,
     equivalence_trial,
     evaluate_relations,
@@ -20,7 +20,6 @@ from toepsym.conditions import (
     explore_block_mixed,
     explore_transposition,
     interchange_sign_relations,
-    outcome_to_json,
     project_to_raw,
     random_block_hadamard_symmetric,
     random_block_mixed_symmetric,
@@ -232,7 +231,8 @@ class TestMuLambdaChecker:
         for k in range(-band, band + 1):
             unit = LaurentSymbol({k: 1.0})
             report = evaluate_relations(unit, table)
-            rows.append(report.lhs - (report.rhs_re + 1j * report.rhs_im))
+            rows.append((report.lhs - (report.rhs_re + 1j * report.rhs_im))
+                        * math.ldexp(1.0, report.exponent))
             t = truncate(unit, n).data
             oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
         rows, oracle = np.array(rows).T, np.conj(np.array(oracle).T)
@@ -287,7 +287,8 @@ class _PairBasisChecks:
         oracle = []
         for unit in _unit_symbols(band):
             report = evaluate_relations(unit, table)
-            rows.append(report.lhs - (report.rhs_re + 1j * report.rhs_im))
+            rows.append((report.lhs - (report.rhs_re + 1j * report.rhs_im))
+                        * math.ldexp(1.0, report.exponent))
             t = block_truncate(unit, n).data
             oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
         rows, oracle = np.array(rows).T, np.array(oracle).T
@@ -448,7 +449,7 @@ class TestBlockMixedChecker(_PairBasisChecks):
 
     def test_report_mode(self):
         # every list is necessary and sufficient, so the report names no mode
-        obj = condition_report_to_json(check_block_mixed_necessary(ZERO_BLOCK))
+        obj = _check_report(ZERO_BLOCK, run_check(ZERO_BLOCK, BlockMixed()))["condition"]
         assert set(obj) == {"satisfied", "families", "violation_count",
                             "violations_by_family", "defect_l2", "worst"}
 
@@ -458,8 +459,8 @@ class TestBlockMixedChecker(_PairBasisChecks):
                  MuLambda(1.0, 1j), BlockHadamard(), BlockMixed()]
         for spec in specs:
             symbol = ZERO_BLOCK if spec.is_block else LaurentSymbol()
-            report = condition_reports(symbol, spec)
-            obj = condition_report_to_json(report)
+            outcome = run_check(symbol, spec)
+            report, obj = outcome.condition, _check_report(symbol, outcome)["condition"]
             assert "mode" not in obj
             assert (obj["violation_count"], obj["defect_l2"], obj["worst"]) == (0, 0.0, [])
             assert obj["violations_by_family"] == dict.fromkeys(report.table.families, 0)
@@ -470,7 +471,7 @@ class TestBlockMixedChecker(_PairBasisChecks):
         # they give the name ("phi", the scalar symbol, has no terms)
         rows = zip(conditions._TERM_ENTRY.tolist(), conditions._TERM_WEIGHT.tolist(),
                    conditions._TERM_SHIFT.tolist())
-        for name, terms in zip(conditions._COMPONENTS, rows, strict=True):
+        for name, terms in zip(conditions.COMPONENTS, rows, strict=True):
             terms = [term for term in zip(*terms) if term[1]]
             assert all(weight in (-1, 1) for _, weight, _ in terms)
             spelled = "".join(f"{'+' if weight > 0 else '-'}phi{entry + 1}"
@@ -547,8 +548,10 @@ class TestRunCheck:
         assert outcome.agree and outcome.oracle.symmetric
 
     def test_characterized_spec_has_no_advisory(self):
-        outcome = run_check(parse_symbol("z^2 + z^-2"), Reversal(2))
-        assert set(outcome_to_json(outcome)) == {"agree", "condition", "oracle"}
+        symbol = parse_symbol("z^2 + z^-2")
+        outcome = run_check(symbol, Reversal(2))
+        assert set(_check_report(symbol, outcome)) == {"schema", "symbol", "agree", "condition",
+                                                       "oracle"}
         assert outcome.agree and outcome.oracle.symmetric
 
     def test_block_ctilde_agreement_is_equivalence(self):
@@ -562,14 +565,15 @@ class TestRunCheck:
         assert not outcome.agree
 
     def test_json_shape(self):
-        outcome = run_check(parse_symbol("z"), Reversal(2))
-        obj = condition_report_to_json(outcome.condition)
+        symbol = parse_symbol("z")
+        outcome = run_check(symbol, Reversal(2))
+        obj = _check_report(symbol, outcome)["condition"]
         assert not obj["satisfied"] and obj["violation_count"] == 1
         record = obj["worst"][0]
         assert set(record) == {"family", "lhs", "rhs", "lhs_component",
                                "rhs_component", "lhs_value", "rhs_value", "over_tol"}
         assert record["over_tol"] == 1e12
-        oracle = outcome_to_json(outcome)["oracle"]
+        oracle = _check_report(symbol, outcome)["oracle"]
         assert oracle["over_tol"] == oracle["residual"] / oracle["tol"]
 
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepsym.conditions as conditions
-from toepsym.cli import main
+from toepsym.cli import _check_report, main
 from toepsym.conditions import (
     COEFF_TOL,
     RelationTable,
@@ -33,6 +33,7 @@ from toepsym.conditions import (
     random_block_hadamard_symmetric,
     raw_relations_general,
     raw_relations_transposition,
+    run_check,
 )
 from toepsym.conjugations import (
     BlockHadamard,
@@ -64,8 +65,8 @@ def _rows(table, at=slice(None)):
     columns, as ``(kind, lhs_index, rhs_index, lhs_component,
     rhs_component, rhs_scale, family)`` with Python values."""
     columns = (table.vanish, *table.index, *table.component, table.rhs_scale, table.family)
-    return [("vanish" if vanish else "equality", lhs, rhs, conditions._COMPONENTS[lc],
-             conditions._COMPONENTS[rc], complex(scale), table.names[family])
+    return [("vanish" if vanish else "equality", lhs, rhs, conditions.COMPONENTS[lc],
+             conditions.COMPONENTS[rc], complex(scale), table.names[family])
             for vanish, lhs, rhs, lc, rc, scale, family
             in zip(*(column[at].tolist() for column in columns))]
 
@@ -164,8 +165,7 @@ def _reference_violations(symbol, table):
     """``(row, lhs, rhs)`` of every violated row of ``table``, read one row
     at a time: block sides summed from ``0j`` term by term, scalar sides read
     directly."""
-    entries = symbol.entries if isinstance(symbol, MatrixSymbol) else (symbol,)
-    coeffs = [entry.coeffs for entry in entries]
+    coeffs = [entry.coeffs for entry in symbol.entries]
     if isinstance(symbol, MatrixSymbol):
         def value(component, index):
             return _reference_read(coeffs, component, index)
@@ -191,8 +191,11 @@ def _assert_same(symbol, table, report):
                 for row, lhs, rhs in _reference_violations(symbol, table)]
     assert report.table is table
     at = report.violations
-    rhs = map(complex, report.rhs_re[at].tolist(), report.rhs_im[at].tolist())
-    got = list(zip(_rows(table, at), map(repr, report.lhs[at].tolist()), map(repr, rhs)))
+    # the report is on the scale 2**-exponent; np.ldexp scales it back exactly
+    parts = [np.ldexp(part[at], report.exponent).tolist()
+             for part in (report.lhs.real, report.lhs.imag, report.rhs_re, report.rhs_im)]
+    lhs, rhs = map(complex, *parts[:2]), map(complex, *parts[2:])
+    got = list(zip(_rows(table, at), map(repr, lhs), map(repr, rhs)))
     assert got == expected
     assert report.satisfied == (not expected)
     assert report.table.families == tuple(dict.fromkeys(row[-1] for row in _rows(table)))
@@ -326,15 +329,33 @@ def test_difference_at_the_tolerance(compared, x, y):
     assert compared == [len(report.violations)]
 
 
-# --- a block verdict does not depend on the symbol's scale -------------------
+# --- a verdict and its printed rows do not depend on the symbol's scale ----
 
 # parts on a grid of 1/2 below 2**24: a side's value is exact, so a row's
 # distance is 0 or at least 1/2 and far from the tolerance; times 2**k,
 # k <= 1000, every part stays finite, but a side that sums parts past 2**24
-# would not (the examples: both sides of a row past the float range)
+# would not (the examples: both sides of a row, or its distance, past the
+# float range)
 _PART = st.integers(1 - 2 ** 25, 2 ** 25 - 1).map(lambda n: n / 2)
 _ENTRY = st.dictionaries(st.integers(-4, 4), st.builds(complex, _PART, _PART), max_size=6)
 _HIGH, _HIGHER = complex(3 * 2 ** 22), complex(3 * 2 ** 22 + 2 ** 21)
+
+
+def _printed_rows(symbol, spec):
+    """The check report's worst rows, in order, each with its ``over_tol``."""
+    worst = _check_report(symbol, run_check(symbol, spec))["condition"]["worst"]
+    return [(row["family"], row["lhs"], row["rhs"], row["over_tol"]) for row in worst]
+
+
+def _assert_scale_free(symbol, spec, k):
+    base = condition_reports(symbol, spec)
+    scaled = condition_reports(_scaled(symbol, 2.0 ** k), spec)
+    assert scaled.satisfied == base.satisfied
+    assert scaled.violations_by_family == base.violations_by_family
+    # the tolerance's floor, max(1, ||c||_2), is scale-free once every
+    # nonzero part is at least 1: the symbol doubled against it times 2**k
+    assert _printed_rows(_scaled(symbol, 2.0), spec) == \
+        _printed_rows(_scaled(symbol, 2.0 ** max(k, 1)), spec)
 
 
 @settings(max_examples=150, deadline=None)
@@ -343,12 +364,17 @@ _HIGH, _HIGHER = complex(3 * 2 ** 22), complex(3 * 2 ** 22 + 2 ** 21)
 @example(entries=[{2: _HIGH, -2: _HIGH}, {2: _HIGH, -2: _HIGHER}, {}, {}], k=1000,
          spec=BlockHadamard())
 @example(entries=[{0: _HIGHER}, {-1: -_HIGH}, {}, {0: _HIGH}], k=1000, spec=BlockMixed())
+@example(entries=[{2: _HIGHER}, {2: _HIGHER}, {}, {}], k=1000, spec=BlockHadamard())
 def test_block_verdict_and_counts_are_scale_free(entries, k, spec):
-    symbol = MatrixSymbol(*map(LaurentSymbol, entries))
-    base = condition_reports(symbol, spec)
-    scaled = condition_reports(_scaled(symbol, 2.0 ** k), spec)
-    assert scaled.satisfied == base.satisfied
-    assert scaled.violations_by_family == base.violations_by_family
+    _assert_scale_free(MatrixSymbol(*map(LaurentSymbol, entries)), spec, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(entry=_ENTRY, k=st.integers(0, 1000),
+       spec=st.sampled_from([Reversal(2), Transposition(5, 1, 3)]))
+@example(entry={1: _HIGHER + 1j * _HIGHER, 2: _HIGH}, k=1000, spec=Reversal(2))
+def test_scalar_verdict_counts_and_worst_rows_are_scale_free(entry, k, spec):
+    _assert_scale_free(LaurentSymbol(entry), spec, k)
 
 
 # --- what the check path builds ---------------------------------------------

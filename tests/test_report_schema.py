@@ -10,14 +10,15 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from toepsym import conditions
-from toepsym.cli import main, parse_spec_text
-from toepsym.conditions import WORST_ROWS, run_check
+from toepsym import cli
+from toepsym.cli import WORST_ROWS, main, parse_spec_text
+from toepsym.conditions import run_check
 from toepsym.symbols import LaurentSymbol, MatrixSymbol, random_matrix_symbol, random_symbol
 
 # The benchmark's seven specs: the six families, transposition in one of the
@@ -83,14 +84,16 @@ def test_worst_rows_are_the_brute_force_top_ten(tmp_path, text, symbol):
     for row in report.violations.tolist():
         counts[table.names[table.family[row]]] += 1
     assert condition["violations_by_family"] == counts
-    assert condition["defect_l2"] == pytest.approx(float(np.sqrt(np.sum(report.distance ** 2))))
+    # the report's distances are on the scale 2**-exponent
+    defect_l2 = math.ldexp(float(np.sqrt(np.sum(report.distance ** 2))), report.exponent)
+    assert condition["defect_l2"] == pytest.approx(defect_l2)
 
 
 def test_tied_rows_follow_row_order():
     symbol = CASES[-1][1]
     report = run_check(symbol, parse_spec_text("reversal:2")).condition
     assert len(set(report.distance[report.violations].tolist())) == 1
-    assert conditions._worst_rows(report).tolist() == report.violations[:WORST_ROWS].tolist()
+    assert cli._worst_rows(report).tolist() == report.violations[:WORST_ROWS].tolist()
 
 
 def _numpy_sha256(obj) -> str:
@@ -139,10 +142,13 @@ def test_rerun_is_byte_identical(tmp_path, text):
 
 
 def test_overflowing_ratios_are_clamped(tmp_path):
+    # the row's distance passes the float range, but it is 1e12 times its
+    # tolerance, both read on the evaluator's scale; the 2-norm is clamped
     code, out = _check(tmp_path, "reversal:2", {"1": [1.7e308, 1.7e308]})
     condition = json.loads(out)["condition"]
     assert code == 1
-    assert condition["defect_l2"] == condition["worst"][0]["over_tol"] == sys.float_info.max
+    assert condition["worst"][0]["over_tol"] == 1e12
+    assert condition["defect_l2"] == sys.float_info.max
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["check", "--symbol", "z", "--spec", "reversal:2", "--tol", "1e-320"]) == 1
@@ -150,10 +156,10 @@ def test_overflowing_ratios_are_clamped(tmp_path):
 
 
 def test_random_test_writes_no_condition_report(monkeypatch, capsys):
-    def refuse(report):
-        raise AssertionError("random-test serialized a condition report")
+    def refuse(*args):
+        raise AssertionError("random-test built a check report")
 
-    monkeypatch.setattr(conditions, "condition_report_to_json", refuse)
+    monkeypatch.setattr(cli, "_check_report", refuse)
     code = main(["random-test", "--spec", "block_c", "--trials", "4", "--band", "6"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["agreements"] == 4

@@ -1,4 +1,5 @@
 import json
+import pickle
 from collections.abc import Mapping
 
 import numpy as np
@@ -161,6 +162,10 @@ class TestCanonicalForm:
         with pytest.raises(AttributeError):
             sym._coeffs = {}
 
+    def test_a_scalar_symbol_is_its_one_entry(self):
+        sym = LaurentSymbol({1: 1})
+        assert sym.entries == (sym,) and sym.entries[0] is sym
+
     def test_arrays_are_read_only(self):
         a = LaurentSymbol.from_json({"2": [1, 0], "-1": [0.5, -0.0]})
         for sym in (a, LaurentSymbol({0: 1j}), 2 * a, a * -1):
@@ -317,6 +322,23 @@ class TestSerialization:
     def test_matrix_round_trip(self):
         msym = random_matrix_symbol(9, 4, 0.6)
         assert MatrixSymbol.from_json(msym.to_json()) == msym
+
+    def test_pickle_round_trip(self):
+        # a -0.0 part, the empty symbol, and both as block entries: what
+        # crosses a process boundary comes back equal, bit for bit, and frozen
+        signed = LaurentSymbol.from_json({"-3": [1.5, -0.0], "2": [-0.0, 2.0]})
+        scalars = [LaurentSymbol({1: 2j}), signed, LaurentSymbol(), random_symbol(4, 6, 0.7)]
+        for sym in scalars:
+            back = pickle.loads(pickle.dumps(sym))
+            assert type(back) is LaurentSymbol and back == sym
+            assert back.exponents.dtype == np.int64 and back.values.dtype == complex
+            assert back.values.view(np.uint64).tolist() == sym.values.view(np.uint64).tolist()
+            assert back.exponents.tolist() == sym.exponents.tolist()
+            assert not back.exponents.flags.writeable and not back.values.flags.writeable
+        for msym in (MatrixSymbol(*scalars), random_matrix_symbol(9, 4, 0.6)):
+            back = pickle.loads(pickle.dumps(msym))
+            assert back == msym and json.dumps(back.to_json()) == json.dumps(msym.to_json())
+            assert all(not entry.values.flags.writeable for entry in back.entries)
 
 
 class TestMatrixSymbol:

@@ -24,8 +24,9 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym import conditions, symmetry
+from toepsym.cli import _check_report
 from toepsym.conditions import run_check
-from toepsym.symmetry import SYMMETRY_TOL, is_c_symmetric, report_to_json, residual
+from toepsym.symmetry import SYMMETRY_TOL, is_c_symmetric, residual
 from toepsym.toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
 
 from solution_sets import symmetric_symbol
@@ -348,8 +349,11 @@ class TestPlanCache:
 
 
 def test_report_json_shape():
-    report = is_c_symmetric(parse_symbol("z^2 + z^-2"), Reversal(2))
-    obj = report_to_json(report)
-    assert set(obj) == {"residual", "n", "verdict", "tol"}
+    # the oracle's part of the check report
+    symbol = parse_symbol("z^2 + z^-2")
+    outcome = run_check(symbol, Reversal(2))
+    report, obj = outcome.oracle, _check_report(symbol, outcome)["oracle"]
+    assert set(obj) == {"residual", "n", "verdict", "tol", "over_tol"}
+    assert (obj["residual"], obj["tol"]) == (report.residual, report.tol)
     assert obj["verdict"] == "symmetric"
     assert obj["n"] == report.order
