@@ -154,8 +154,9 @@ def _symbol_summary(symbol: LaurentSymbol | MatrixSymbol) -> dict:
     digest = hashlib.sha256()
     for entry in symbol.entries:
         digest.update(entry.exponents.size.to_bytes(8, "little"))
-        digest.update(entry.exponents.astype("<i8").tobytes())
-        digest.update(entry.values.astype("<c16").tobytes())
+        # the arrays themselves where they are contiguous and little-endian
+        digest.update(np.ascontiguousarray(entry.exponents, "<i8"))
+        digest.update(np.ascontiguousarray(entry.values, "<c16"))
     return {"bandwidth": symbol.bandwidth, "terms": sum(e.values.size for e in symbol.entries),
             "sha256": digest.hexdigest()}
 

@@ -111,9 +111,35 @@ class RelationTable:
              self.rhs_scale[rows]) = block
         counts = np.bincount(self.family, minlength=len(names)).tolist()
         self.families = tuple(name for name, count in zip(names, counts) if count)
+        self._plan_reads()
 
     def __len__(self) -> int:
         return self.family.size
+
+    def _plan_reads(self):
+        """The table's read plan, ``reads``: for each term, side and row (axes
+        in that order), the flat index of what the term reads in a grid of
+        ``read_columns`` columns from index ``read_lo``.  A scalar table reads
+        its one row at column ``k - read_lo``.  A block table's grid has the
+        symbol's four entries in rows 0-3 and their negatives in rows 4-7, so
+        a term of weight -1 reads a negated entry; its terms stop at the most
+        any of its components has, and a row with fewer reads column 0, which
+        no term reads and stays zero."""
+        at = self.index[None]
+        if self.component.any():  # a block table
+            terms = max(int(np.count_nonzero(_TERM_WEIGHT, axis=1).take(self.component).max()), 1)
+            weight, shift, entry = (column.T[:terms].take(self.component, axis=1)
+                                    for column in (_TERM_WEIGHT, _TERM_SHIFT, _TERM_ENTRY))
+            at = at + shift
+            row = entry + 4 * (weight < 0)
+        else:
+            weight, row = np.ones_like(at), 0
+        # the padding's index, the row's own, may widen the grid, never narrow it
+        lo = int(at.min(initial=1)) - 1
+        self.read_lo, self.read_columns = lo, int(at.max(initial=lo)) - lo + 1
+        # every value is below 8 * read_columns: int32 holds it
+        self.reads = np.where(weight != 0, row * self.read_columns + at - lo, 0).astype(np.int32)
+        self.reads.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,21 +171,18 @@ class ConditionReport:
         return self.satisfied or not self.violations_by_family.get(family)
 
 
-def _read(grid: np.ndarray, lo: int, component: np.ndarray, index: np.ndarray,
-          block: bool) -> np.ndarray:
-    """Each ``component`` at ``index``, from ``grid`` (entries by index from
-    ``lo``; an index outside reads the zero first or last column).  A block
-    value is summed term by term from ``0j``: a weight of 0 or +-1 is exact
-    but for the sign of a zero, which the sum from ``+0.0`` drops.  A scalar
-    value is read directly, so a ``-0.0`` part survives."""
+def _read(grid: np.ndarray, table: RelationTable, block: bool) -> np.ndarray:
+    """Each side's value at each row of ``table``, read from the flat
+    ``grid`` by the table's plan.  A block value is summed term by term from
+    ``0j``: a negated entry is exact but for the sign of a zero, which the
+    sum from ``+0.0`` drops.  A scalar value is read directly, so a ``-0.0``
+    part survives."""
+    terms = grid.take(table.reads)
     if not block:
-        return grid[0].take(index - lo, mode="clip")
-    at = np.minimum(np.maximum(index[..., None] + _TERM_SHIFT[component] - lo, 0),
-                    grid.shape[1] - 1)
-    terms = _TERM_WEIGHT[component] * grid[_TERM_ENTRY[component], at]
-    total = terms[..., 0] + 0j
-    for t in range(1, terms.shape[-1]):
-        total += terms[..., t]
+        return terms[0]
+    total = terms[0] + 0j
+    for term in terms[1:]:
+        total += term
     return total
 
 
@@ -194,14 +217,17 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
         raise ValueError("a scalar relation cannot read a matrix symbol")
     if not block and table.component.any():
         raise ValueError("a block relation cannot read a scalar symbol")
-    # every entry's coefficients as the rows of one grid, from one index
-    # below the support to one above it
-    lo, hi = (int(np.minimum.reduce(keys)) - 1, int(np.maximum.reduce(keys)) + 1) \
-        if keys.size else (0, 0)
-    grid = np.zeros((len(entries), hi - lo + 1), dtype=complex)
-    grid[np.repeat(np.arange(len(entries)), [entry.values.size for entry in entries]),
-         keys - lo] = values
-    lhs, value = _read(grid, lo, table.component, table.index, block)
+    # the coefficients the table reads, one grid row per entry and index k
+    # at column k - lo; a block table also reads the entries negated
+    lo, columns = table.read_lo, table.read_columns
+    grid = np.zeros((8 if block else 1, columns), dtype=complex)
+    at = keys - lo + np.repeat(np.arange(len(entries)) * columns,
+                               [entry.values.size for entry in entries])
+    inside = (keys > lo) & (keys < lo + columns)
+    grid.reshape(-1)[at[inside]] = values[inside]
+    if block:
+        np.negative(grid[:4], out=grid[4:])
+    lhs, value = _read(grid.reshape(-1), table, block)
     # Python's complex product, from real parts: numpy's complex multiply
     # may fuse a multiply and an add and round differently
     scale = table.rhs_scale

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import cmath
 import re
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -54,6 +53,76 @@ def _exponents(keys: list[int]) -> np.ndarray:
     if keys and max(-min(keys), max(keys)) > MAX_EXPONENT:
         raise ValueError(f"exponent {max(keys, key=abs)} out of range")
     return np.fromiter(keys, np.int64, len(keys))
+
+
+def _decode_entry(obj) -> tuple[np.ndarray, np.ndarray]:
+    """One JSON entry's ascending exponents and values, read key by key and
+    pair by pair; the first bad key, then the first bad pair, then an
+    exponent out of range, raises."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
+    for key in obj:
+        try:
+            canonical = str(int(key)) == key
+        except (TypeError, ValueError):
+            canonical = False
+        if not canonical:
+            raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
+    values = np.array([complex_from_pair(pair) for pair in obj.values()], dtype=complex)
+    exponents = _exponents(list(map(int, obj)))
+    order = exponents.argsort()
+    return exponents[order], values[order]
+
+
+# canonical decimal keys joined by commas, of at most seven digits, so that
+# int64 holds each; a longer key is out of range or not canonical
+_JOINED_KEYS = re.compile(r"(?:0|-?[1-9][0-9]{0,6}+)(?:,(?:0|-?[1-9][0-9]{0,6}+))*+")
+
+
+def _decode_together(objs: list) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """What :func:`_decode_entry` reads of each JSON entry, read for every
+    entry at once: one pattern match and one ``int64`` parse of the joined
+    keys, one flatten, type check and conversion of every ``[re, im]`` pair,
+    then a split into the entries; ``None`` where a check does not pass."""
+    if not all(type(obj) is dict for obj in objs):
+        return None
+    sizes = list(map(len, objs))
+    total = sum(sizes)
+    try:
+        joined = ",".join(chain.from_iterable(objs))
+    except TypeError:  # a key that is not a str
+        return None
+    # a key that holds a comma adds one to the count
+    if total and (joined.count(",") != total - 1 or not _JOINED_KEYS.fullmatch(joined)):
+        return None
+    exponents = np.fromstring(joined, np.int64, sep=",") if total else np.empty(0, np.int64)
+    pairs = list(chain.from_iterable(map(dict.values, objs)))
+    if np.abs(exponents).max(initial=0) > MAX_EXPONENT or \
+            not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        parts = np.array(flat, dtype=float)
+    except OverflowError:  # an int past float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    values = parts.view(complex)
+    # by entry, then by exponent; each entry takes its own copies
+    entry = np.repeat(np.arange(len(objs)), sizes)
+    order = (entry * (2 * MAX_EXPONENT + 1) + exponents).argsort()
+    return [(exponents.take(at), values.take(at))
+            for at in np.split(order, np.cumsum(sizes)[:-1])]
+
+
+def _decode(objs: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each JSON entry's ascending exponents and values: read together, or,
+    where that does not pass its checks, entry by entry, so every value is
+    accepted or rejected, with the same message, as :func:`_decode_entry`
+    alone would."""
+    return _decode_together(objs) or list(map(_decode_entry, objs))
 
 
 class LaurentSymbol:
@@ -130,27 +199,8 @@ class LaurentSymbol:
     def from_json(cls, obj: Mapping[str, Iterable[float]]) -> "LaurentSymbol":
         """Read the form :meth:`to_json` writes: keys are decimal integers without
         sign ``+``, spaces, ``_`` or leading zeros, and parts are JSON numbers."""
-        if not isinstance(obj, Mapping):
-            raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
-        keys, pairs, exponents = list(obj), list(obj.values()), []
-        with suppress(TypeError, ValueError):  # extend keeps what int() read before failing
-            exponents.extend(map(int, keys))
-        if list(map(str, exponents)) != keys:
-            bad = [k for k, t in zip(keys, map(str, exponents)) if k != t] + keys[len(exponents):]
-            raise ValueError(f"symbol JSON key {bad[0]!r} is not a canonical decimal integer")
-        # complex_from_pair's checks, each over every pair at once
-        parts = None
-        if all(map(isinstance, pairs, repeat((list, tuple)))) and set(map(len, pairs)) <= {2}:
-            flat = list(chain.from_iterable(pairs))
-            if set(map(type, flat)) <= {int, float}:
-                with suppress(OverflowError):  # an int past float range
-                    parts = np.array(flat, dtype=float)
-        if parts is None or not np.isfinite(parts).all():
-            for pair in pairs:  # raises for the first bad pair
-                complex_from_pair(pair)
-        exponents = _exponents(exponents)
-        order = exponents.argsort()
-        return cls._of(exponents[order], parts.view(complex)[order])
+        (exponents, values), = _decode([obj])
+        return cls._of(exponents, values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,10 +236,14 @@ class MatrixSymbol:
         if unknown:
             raise ValueError(f"matrix symbol JSON has unknown entry {unknown[0]!r}")
         try:
-            parts = [LaurentSymbol.from_json(obj[key]) for key in keys]
+            objs = [obj[key] for key in keys]
         except KeyError as exc:
+            # the entries before the missing one are read first, so their faults come first
+            for key in keys[:keys.index(exc.args[0])]:
+                _decode_entry(obj[key])
             raise ValueError(f"matrix symbol JSON missing entry {exc.args[0]!r}") from exc
-        return cls(*parts)
+        entries = _decode(objs)
+        return cls(*(LaurentSymbol._of(exponents, values) for exponents, values in entries))
 
 
 # --- text parser ------------------------------------------------------------

@@ -124,13 +124,15 @@ class ResidualPlan(NamedTuple):
     """What :func:`residual` reads of ``A`` at one order, for any symbol: the
     flat index into the coefficients of every term (``at``, axes ``(i, j, k,
     l, entry)``), its left and right weights, the index of the adjoint's
-    entry, and the repeat counts of the strips and of the diagonals."""
+    entry, and the repeat counts of the strips and of the diagonals.  Weights
+    that are one per grid block have one entry on the last axis, and weights
+    that are all 1 are ``None``."""
 
     grid: int
     order: int
     at: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray | None
     adjoint: np.ndarray
     repeats: np.ndarray
     lengths: np.ndarray
@@ -148,8 +150,14 @@ def residual_plan(c: AntilinearOperator) -> ResidualPlan:
     # w_ik[m] conj(c^kl_(perm_ik[m] - inverse_lj[q])) conj(w_lj[inverse_lj[q]])
     at = block * (2 * n - 1) + (n - 1) + perms[:, None, :, None, rows] \
         - inverse.transpose(1, 0, 2)[None, :, None]
-    left = weights[:, None, :, None, rows]
-    right = np.conj(weights.take(inverse + block * n)).transpose(1, 0, 2)[None, :, None]
+    if (weights == 1).all():  # the residue families: no product at all
+        left = right = None
+    elif (weights == weights[..., :1]).all():  # the pair blocks: +-1/sqrt 2 per block
+        left = weights[:, None, :, None, :1]
+        right = np.conj(weights[..., :1]).transpose(1, 0, 2)[None, :, None]
+    else:
+        left = weights[:, None, :, None, rows]
+        right = np.conj(weights.take(inverse + block * n)).transpose(1, 0, 2)[None, :, None]
     # (T^*)_ij[m, q] = conj(c^ji_(q - m))
     adjoint = block.transpose(1, 0, 2) * (2 * n - 1) + adjoint_at
     # every index and count is below g**2 * (2n - 1): int32 halves the
@@ -186,10 +194,12 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
                          f"{c.order}, matrix {g}-square grid of order {n}")
     scale = math.ldexp(1.0, -scale_exponent(t.diagonals.view(float)))
     v = np.conj(t.diagonals * scale)  # conj(2**-e T): entry e's c_d at [e, d + n - 1]
-    # left * v.take(at), in place: one term-sized temporary fewer
+    # left * v.take(at), in place: one term-sized temporary fewer.  A weight
+    # of 1 changes no term but for the sign of a zero, which squaring drops
     terms = v.take(c.at)
-    np.multiply(c.left, terms, out=terms)
-    terms *= c.right
+    if c.left is not None:
+        np.multiply(c.left, terms, out=terms)
+        terms *= c.right
     lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
     sq = (np.square(lhs.view(float)) * c.repeats).sum()
     norm_sq = (np.square(v.view(float)) * c.lengths).sum()

@@ -1,13 +1,19 @@
 """``tools/bench_pairs.summarize``: the win count, the quartiles and the
 verdict it writes into ``BENCH_<pr>.json``; ``failure_shares``: each side's
-median share of failed operations and the ``more_failures`` flag."""
+median share of failed operations and the ``more_failures`` flag;
+``check_groups``: each side's median check time by group, read from a fake
+run's report lines."""
 
+import json
 import pathlib
+import statistics
+import subprocess
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+import bench_pairs  # noqa: E402
 from bench_pairs import failure_shares, summarize, verdict  # noqa: E402
 
 
@@ -102,3 +108,73 @@ def test_more_failures_flags_a_higher_head_share():
     assert not failure_shares(_counts([(100, 1)], [(300, 3)]), "w")["more_failures"]
     assert failure_shares(_counts([(100, 1)], [(100, 2)]), "w")["more_failures"]
     assert failure_shares(_counts([(100, 0)], [(4000, 1)]), "w")["more_failures"]
+
+
+def _check(spec, band, kind, ms):
+    return {"spec": spec, "band": band, "input": kind, "n": 2 * band + 2, "ms": ms,
+            "residual": 0.5, "reference": 0.5, "verdict": "not_symmetric"}
+
+
+def _fake_stdout(side: str, seed: int) -> str:
+    """What ``run.py --workload all`` prints: a report line per workload,
+    the table, then the results.  The head's checks take 1 ms less."""
+    ms = (5.0 if side == "base" else 4.0) + seed / 100
+    checks = [_check("block_c", 200, "generic", ms), _check("block_c", 200, "generic", ms + 1),
+              _check("reversal:2", 800, "symmetric", 10 * ms)]
+    if side == "head":  # a group that only the head's runs reach
+        checks.append(_check("block_ctilde", 200, "symmetric", ms))
+    result = {"attempted": 3, "failed": 0, "correct": True,
+              "metrics": {"op_p50_ms": {"value": ms, "unit": "ms"}}}
+    return "\n".join([json.dumps({"report": {"checks": checks, "setup_raw": {}}}),
+                      json.dumps({"report": {"trials": 3}}),
+                      "workload         metric    value unit",
+                      json.dumps({"oracle-wide": result, "crossval-narrow": result})]) + "\n"
+
+
+def test_parse_gives_each_workload_its_report_line():
+    results = bench_pairs.parse(_fake_stdout("base", 0))
+    assert list(results) == ["oracle-wide", "crossval-narrow"]
+    assert [c["ms"] for c in results["oracle-wide"]["report"]["checks"]] == [5.0, 6.0, 50.0]
+    assert results["crossval-narrow"]["report"] == {"trials": 3}
+    assert results["oracle-wide"]["metrics"]["op_p50_ms"]["value"] == 5.0
+
+
+def test_a_fake_run_writes_check_medians_by_group(tmp_path, monkeypatch):
+    def extract(rev, into):
+        (pathlib.Path(into) / "SIDE").write_text(rev)
+        (pathlib.Path(into) / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+
+    real_run = subprocess.run
+
+    def fake_run(argv, cwd=None, **kwargs):
+        if argv[1:2] != ["perfbench/run.py"]:  # platform.processor() runs uname
+            return real_run(argv, cwd=cwd, **kwargs)
+        seed = int(argv[argv.index("--seed") + 1])
+        return subprocess.CompletedProcess(argv, 0, _fake_stdout(
+            (pathlib.Path(cwd) / "SIDE").read_text(), seed), "")
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: subprocess.CompletedProcess(
+        args, 0, args[-1] + "\n", ""))
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", "base", "--head", "head", "--seed", "1",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    groups = report["workloads"]["oracle-wide"]["check_ms_by_group"]
+    assert list(groups) == ["block_c@200/generic", "block_ctilde@200/symmetric",
+                            "reversal:2@800/symmetric"]
+    seeds = range(1, 11)
+    # the median of every check in the group, pooled over the side's ten runs
+    assert groups["block_c@200/generic"] == {
+        side: statistics.median([ms + extra for s in seeds for extra in (0, 1)
+                                 for ms in [(5.0 if side == "base" else 4.0) + s / 100]])
+        for side in ("base", "head")}
+    assert groups["reversal:2@800/symmetric"]["base"] == statistics.median(
+        [10 * (5.0 + s / 100) for s in seeds])
+    assert groups["block_ctilde@200/symmetric"] == {
+        "head": statistics.median([4.0 + s / 100 for s in seeds])}
+    # a workload whose report lists no checks gets no groups
+    assert "check_ms_by_group" not in report["workloads"]["crossval-narrow"]
+    assert report["workloads"]["oracle-wide"]["op_p50_ms"]["head_wins"] == 10

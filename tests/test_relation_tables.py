@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepsym.conditions as conditions
+import toepsym.symmetry as symmetry
 from toepsym.cli import _check_report, main
 from toepsym.conditions import (
     COEFF_TOL,
@@ -327,6 +328,73 @@ def test_difference_at_the_tolerance(compared, x, y):
     report = condition_reports(symbol, Reversal(2))
     assert report.satisfied == (not math.hypot(x, y) > 1e-12)
     assert compared == [len(report.violations)]
+
+
+# --- every row of a block table, read by its plan ----------------------------
+
+
+def _drawn_entry(rng, lo, hi, density=0.7):
+    """Parts uniform in [-1, 1] at each index of ``[lo, hi]`` kept with ``density``."""
+    k = np.arange(lo, hi + 1)
+    k = k[rng.random(k.size) < density]
+    parts = rng.uniform(-1.0, 1.0, (k.size, 2))
+    return LaurentSymbol(dict(zip(k.tolist(), map(complex, *parts.T.tolist()))))
+
+
+def _plan_cases(band, seed):
+    """Symbols that a table of ``band`` reads: one-sided, narrower than the
+    band, wider than it on both sides, with empty entries, and with signed
+    zeros."""
+    rng, half, empty = np.random.default_rng(seed), band // 2, LaurentSymbol()
+    cases = [MatrixSymbol(*(_drawn_entry(rng, 0, band) for _ in range(4))),
+             MatrixSymbol(*(_drawn_entry(rng, -band, 0) for _ in range(4))),
+             MatrixSymbol(_drawn_entry(rng, 1, band), _drawn_entry(rng, -band, -1),
+                          _drawn_entry(rng, 0, band + 1), _drawn_entry(rng, -band - 1, 0)),
+             MatrixSymbol(*(_drawn_entry(rng, -half, half) for _ in range(4))),
+             MatrixSymbol(*(_drawn_entry(rng, -band - 3, band + 3, 0.9) for _ in range(4))),
+             MatrixSymbol(_drawn_entry(rng, -band, band), empty, _drawn_entry(rng, -half, 0),
+                          empty),
+             MatrixSymbol(empty, empty, empty, empty)]
+    return cases + [_signed_zeros(cases[5])]
+
+
+def _assert_rows_match_the_reference(symbol, table):
+    """Every row's sides, not only the violated ones, ``repr``-equal to the
+    per-row reference read."""
+    report = evaluate_relations(symbol, table)
+    coeffs = [entry.coeffs for entry in symbol.entries]
+    parts = [np.ldexp(part, report.exponent).tolist()
+             for part in (report.lhs.real, report.lhs.imag, report.rhs_re, report.rhs_im)]
+    for row, lhs_re, lhs_im, rhs_re, rhs_im in zip(_rows(table), *parts, strict=True):
+        kind, lhs_index, rhs_index, lhs_component, rhs_component, scale, _ = row
+        assert repr(complex(lhs_re, lhs_im)) == repr(
+            _reference_read(coeffs, lhs_component, lhs_index))
+        rhs = 0j if kind == "vanish" else scale * _reference_read(coeffs, rhs_component, rhs_index)
+        assert repr(complex(rhs_re, rhs_im)) == repr(rhs)
+
+
+@pytest.mark.parametrize("relations", [block_hadamard_relations, block_mixed_necessary_relations])
+def test_read_plans_match_the_reference_on_every_row(relations):
+    for band in range(41):
+        table = relations(band)
+        for symbol in _plan_cases(band, band):
+            _assert_rows_match_the_reference(symbol, table)
+            # the table at the symbol's own bandwidth, whose reads the
+            # support may not reach on one side
+            _assert_rows_match_the_reference(symbol, relations(symbol.bandwidth))
+
+
+def test_read_plans_are_read_only_and_counted():
+    symmetry.PLAN_CACHE.clear()
+    table = block_mixed_necessary_relations(40)
+    assert table.reads.dtype == np.int32 and not table.reads.flags.writeable
+    # terms, sides, rows: four terms, as every left side has four
+    assert table.reads.shape == (4, 2, len(table))
+    columns = (table.family, table.vanish, table.component, table.index, table.rhs_scale)
+    assert symmetry.PLAN_CACHE.nbytes == sum(column.nbytes for column in columns) \
+        + table.reads.nbytes
+    # a filtered table, outside the cache, gets its own frozen plan
+    assert not _filtered(table, table.family == 0).reads.flags.writeable
 
 
 # --- a verdict and its printed rows do not depend on the symbol's scale ----

@@ -513,3 +513,94 @@ def test_matrix_json_decoder_matches_the_per_pair_reference(obj):
     else:
         for sym, entry in zip(MatrixSymbol.from_json(obj).entries, reference, strict=True):
             _assert_matches(sym, entry)
+
+
+# --- explicit decoder cases, each with the message of the per-key decoder ----
+
+_FULL = {"-1": [0.5, -0.25], "0": [1, 0], "3": [0.0, 2.0]}
+_FULL_JSON = {"-1": [0.5, -0.25], "0": [1.0, 0.0], "3": [0.0, 2.0]}
+
+REJECTED = [
+    # a comma inside a key: joined with the others, it reads as two keys
+    (LaurentSymbol, {"1,2": [1, 0]}, "symbol JSON key '1,2' is not a canonical decimal integer"),
+    (LaurentSymbol, {"0": [1, 0], "1,2": [1, 0]},
+     "symbol JSON key '1,2' is not a canonical decimal integer"),
+    # canonical, but past int64
+    (LaurentSymbol, {"123456789012345678901234567890": [1, 0]},
+     "exponent 123456789012345678901234567890 out of range"),
+    (LaurentSymbol, {"-123456789012345678901234567890": [1, 0], "1": [1, 0]},
+     "exponent -123456789012345678901234567890 out of range"),
+    # of two keys of one modulus past the range, the first is named
+    (LaurentSymbol, {"1000002": [1, 0], "-1000002": [1, 0]}, "exponent 1000002 out of range"),
+    (LaurentSymbol, {"9999999": [1, 0]}, "exponent 9999999 out of range"),
+    (MatrixSymbol, {"phi1": _FULL, "phi2": _FULL, "phi3": {"0": [1, 0], "1000001": [1, 0]},
+                    "phi4": _FULL}, "exponent 1000001 out of range"),
+    (MatrixSymbol, {"phi1": _FULL, "phi2": _FULL, "phi3": {"1000001": [1, 0]}},
+     "exponent 1000001 out of range"),
+    # keys that are not str, from Python callers
+    (LaurentSymbol, {2: [1, 0]}, "symbol JSON key 2 is not a canonical decimal integer"),
+    (LaurentSymbol, {"1": [1, 0], 2: [1, 0]},
+     "symbol JSON key 2 is not a canonical decimal integer"),
+    (LaurentSymbol, {None: [1, 0]}, "symbol JSON key None is not a canonical decimal integer"),
+    (LaurentSymbol, {1.0: [1, 0]}, "symbol JSON key 1.0 is not a canonical decimal integer"),
+    (LaurentSymbol, {(1,): [1, 0]}, "symbol JSON key (1,) is not a canonical decimal integer"),
+    (MatrixSymbol, {"phi1": {3: [1, 0]}, "phi2": {}, "phi3": {}, "phi4": {}},
+     "symbol JSON key 3 is not a canonical decimal integer"),
+    # entries are read in order, and a missing one fails in its turn
+    (MatrixSymbol, {"phi1": {"1": [1]}, "phi3": {}, "phi4": {}},
+     "expected a finite [re, im] pair of JSON numbers, got [1]"),
+    (MatrixSymbol, {"phi1": {}, "phi3": {}, "phi4": {}},
+     "matrix symbol JSON missing entry 'phi2'"),
+    (MatrixSymbol, {"phi1": {}, "phi2": [], "phi3": {}, "phi4": {}},
+     "symbol JSON must be an object mapping exponents to [re, im]"),
+    (MatrixSymbol, {"phi4": {"x": [1, 0]}, "phi1": {"2": [1, True]}, "phi2": {}, "phi3": {}},
+     "expected a finite [re, im] pair of JSON numbers, got [1, True]"),
+]
+
+
+@pytest.mark.parametrize("cls, obj, message", REJECTED)
+def test_json_rejection_messages(cls, obj, message):
+    with pytest.raises(ValueError) as info:
+        cls.from_json(obj)
+    assert str(info.value) == message
+
+
+ACCEPTED = [
+    # empty entries beside full ones
+    (MatrixSymbol, {"phi1": {}, "phi2": _FULL, "phi3": {}, "phi4": {"7": [1, 0]}},
+     {"phi1": {}, "phi2": _FULL_JSON, "phi3": {}, "phi4": {"7": [1.0, 0.0]}}),
+    (MatrixSymbol, {f"phi{i}": {} for i in (1, 2, 3, 4)}, {f"phi{i}": {} for i in (1, 2, 3, 4)}),
+    (LaurentSymbol, {}, {}),
+    # a key duplicated in the file text: json.loads keeps the last
+    (LaurentSymbol, json.loads('{"1": [1, 0], "2": [3, 4], "1": [2, 0]}'),
+     {"1": [2.0, 0.0], "2": [3.0, 4.0]}),
+    (MatrixSymbol, json.loads('{"phi1": {"1": [1, 0]}, "phi2": {}, "phi3": {}, "phi4": {},'
+                              ' "phi1": {"-1": [5, 0]}}'),
+     {"phi1": {"-1": [5.0, 0.0]}, "phi2": {}, "phi3": {}, "phi4": {}}),
+    # the range's ends, a tuple pair and an int past 2**53
+    (LaurentSymbol, {"1000000": (1, 2), "-1000000": [2**60 + 1, -0.0]},
+     {"-1000000": [float(2**60), -0.0], "1000000": [1.0, 2.0]}),
+]
+
+
+@pytest.mark.parametrize("cls, obj, expected", ACCEPTED)
+def test_json_accepted_edge_cases(cls, obj, expected):
+    assert json.dumps(cls.from_json(obj).to_json()) == json.dumps(expected)
+
+
+def test_decoded_arrays_are_frozen_separate_and_pickle():
+    obj = random_matrix_symbol(3, 12, 0.7).to_json()
+    obj["phi3"] = {}
+    msym = MatrixSymbol.from_json(obj)
+    arrays = [array for entry in msym.entries for array in (entry.exponents, entry.values)]
+    assert all(not array.flags.writeable for array in arrays)
+    # no entry's arrays share memory with another entry's, writable or not
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 2 - i % 2:]:
+            assert not np.shares_memory(a, b)
+    back = pickle.loads(pickle.dumps(msym))
+    assert back == msym and json.dumps(back.to_json()) == json.dumps(obj)
+    assert all(not entry.values.flags.writeable for entry in back.entries)
+    scalar = LaurentSymbol.from_json(obj["phi1"])
+    assert not scalar.exponents.flags.writeable and not scalar.values.flags.writeable
+    assert pickle.loads(pickle.dumps(scalar)) == scalar

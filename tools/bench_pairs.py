@@ -12,7 +12,10 @@ on every workload, the file holds each run, each side's median and quartiles,
 the number of pairs the head won (a tie counts for neither side) and a
 verdict (see :func:`verdict`), beside each run's ``attempted``, ``failed`` and
 ``correct``.  Each workload also gets each side's median share of failed
-operations and a ``more_failures`` flag (see :func:`failure_shares`).
+operations and a ``more_failures`` flag (see :func:`failure_shares`), and a
+workload whose report lists its ``checks`` (oracle-wide) each side's median
+check time by ``spec@band/input`` group (see :func:`check_groups`), which
+shows the group that carries ``op_p50_ms``.
 
 To measure uncommitted work, stage it and pass the commit that
 ``git stash create`` prints as ``--head``.
@@ -22,12 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
@@ -45,11 +50,23 @@ def extract(rev: str, into: str):
 
 
 def run(tree: str, seed: int) -> dict:
-    """``perfbench/run.py``'s result for each workload, by name."""
+    """``perfbench/run.py``'s result for each workload, by name (see :func:`parse`)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
                            "--seed", str(seed), "--seconds", str(SECONDS)],
                           cwd=tree, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse(proc.stdout)
+
+
+def parse(stdout: str) -> dict:
+    """The results on the last line of ``run.py --workload all``, each
+    workload's with the ``report`` that the run printed for it, one
+    ``{"report": ...}`` line per workload, in order, before the last line."""
+    lines = stdout.strip().splitlines()
+    results = json.loads(lines[-1])
+    reports = [json.loads(line)["report"] for line in lines[:-1] if line.startswith('{"report"')]
+    for result, report in zip(results.values(), reports, strict=True):
+        result["report"] = report
+    return results
 
 
 def verdict(summary: dict) -> str:
@@ -98,6 +115,20 @@ def failure_shares(runs: dict[str, list[dict]], workload: str) -> dict:
     return out
 
 
+def check_groups(runs: dict[str, list[dict]], workload: str) -> dict:
+    """Each side's median ``ms`` over the ``checks`` that the workload's
+    reports list, pooled over its runs, by ``spec@band/input`` group; empty
+    when the reports list none."""
+    times = {side: defaultdict(list) for side in SIDES}
+    for side in SIDES:
+        for r in runs[side]:
+            for check in r[workload]["report"].get("checks", ()):
+                times[side][f"{check['spec']}@{check['band']}/{check['input']}"].append(check["ms"])
+    return {group: {side: statistics.median(times[side][group]) for side in SIDES
+                    if times[side][group]}
+            for group in sorted(times["base"].keys() | times["head"].keys())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent revision")
@@ -126,6 +157,9 @@ def main(argv=None) -> int:
             "failures": failure_shares(runs, workload),
         }
         for workload in runs["head"][0]}
+    for workload, entry in workloads.items():
+        if groups := check_groups(runs, workload):
+            entry["check_ms_by_group"] = groups
     report = {"base": shas["base"], "head": shas["head"], "pairs": PAIRS,
               "seeds": [args.seed + i for i in range(PAIRS)], "seconds": SECONDS,
               "first_in_pair": ["base" if i % 2 == 0 else "head" for i in range(PAIRS)],
@@ -145,6 +179,9 @@ def main(argv=None) -> int:
         print(f"{workload:<16} {'failed share':<12} {f['base_failed_share']:>10.4g} -> "
               f"{f['head_failed_share']:<10.4g}"
               f"{' more_failures' if f['more_failures'] else ''}")
+        for group, ms in entry.get("check_ms_by_group", {}).items():
+            print(f"{workload:<16} {group:<36} {ms.get('base', math.nan):>8.4g} -> "
+                  f"{ms.get('head', math.nan):<8.4g} ms")
     return 0
 
 
