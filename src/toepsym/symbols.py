@@ -55,10 +55,10 @@ def _exponents(keys: list[int]) -> np.ndarray:
     return np.fromiter(keys, np.int64, len(keys))
 
 
-def _decode_entry(obj) -> tuple[np.ndarray, np.ndarray]:
-    """One JSON entry's ascending exponents and values, read key by key and
-    pair by pair; the first bad key, then the first bad pair, then an
-    exponent out of range, raises."""
+def _check_entry(obj):
+    """Raise for the first fault of one JSON entry, read key by key and pair by
+    pair: a value that is not an object, then the first bad key, then the
+    first bad pair, then an exponent out of range."""
     if not isinstance(obj, Mapping):
         raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
     for key in obj:
@@ -68,24 +68,25 @@ def _decode_entry(obj) -> tuple[np.ndarray, np.ndarray]:
             canonical = False
         if not canonical:
             raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
-    values = np.array([complex_from_pair(pair) for pair in obj.values()], dtype=complex)
-    exponents = _exponents(list(map(int, obj)))
-    order = exponents.argsort()
-    return exponents[order], values[order]
+    for pair in obj.values():
+        complex_from_pair(pair)
+    _exponents(list(map(int, obj)))
 
 
 # canonical decimal keys joined by commas, of at most seven digits, so that
-# int64 holds each; a longer key is out of range or not canonical
-_JOINED_KEYS = re.compile(r"(?:0|-?[1-9][0-9]{0,6}+)(?:,(?:0|-?[1-9][0-9]{0,6}+))*+")
+# int64 holds each; a longer key is out of range or not canonical.  Every
+# token ends at a comma or at the end, so a failing match is linear too
+_JOINED_KEYS = re.compile(r"(?:0|-?[1-9][0-9]{0,6})(?:,(?:0|-?[1-9][0-9]{0,6}))*")
 
 
 def _decode_together(objs: list) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """What :func:`_decode_entry` reads of each JSON entry, read for every
-    entry at once: one pattern match and one ``int64`` parse of the joined
-    keys, one flatten, type check and conversion of every ``[re, im]`` pair,
-    then a split into the entries; ``None`` where a check does not pass."""
-    if not all(type(obj) is dict for obj in objs):
+    """Each JSON entry's ascending exponents and values, read for every entry
+    at once: one pattern match and one ``int64`` parse of the joined keys, one
+    flatten, type check and conversion of every ``[re, im]`` pair, then a
+    split into the entries; ``None`` where a check does not pass."""
+    if not all(isinstance(obj, Mapping) for obj in objs):
         return None
+    objs = [obj if type(obj) is dict else dict(obj) for obj in objs]
     sizes = list(map(len, objs))
     total = sum(sizes)
     try:
@@ -98,7 +99,8 @@ def _decode_together(objs: list) -> list[tuple[np.ndarray, np.ndarray]] | None:
     exponents = np.fromstring(joined, np.int64, sep=",") if total else np.empty(0, np.int64)
     pairs = list(chain.from_iterable(map(dict.values, objs)))
     if np.abs(exponents).max(initial=0) > MAX_EXPONENT or \
-            not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
+            not all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) or \
+            not set(map(len, pairs)) <= {2}:
         return None
     flat = list(chain.from_iterable(pairs))
     if not set(map(type, flat)) <= {int, float}:
@@ -118,11 +120,15 @@ def _decode_together(objs: list) -> list[tuple[np.ndarray, np.ndarray]] | None:
 
 
 def _decode(objs: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each JSON entry's ascending exponents and values: read together, or,
-    where that does not pass its checks, entry by entry, so every value is
-    accepted or rejected, with the same message, as :func:`_decode_entry`
-    alone would."""
-    return _decode_together(objs) or list(map(_decode_entry, objs))
+    """:func:`_decode_together` of ``objs``; where that does not pass its
+    checks, :func:`_check_entry` raises for the first fault in entry order,
+    so every value is rejected with the message a per-key read gives."""
+    decoded = _decode_together(objs)
+    if decoded is None:
+        for obj in objs:
+            _check_entry(obj)
+        raise AssertionError(f"a valid symbol failed the whole-array checks: {objs!r}")
+    return decoded
 
 
 class LaurentSymbol:
@@ -240,7 +246,7 @@ class MatrixSymbol:
         except KeyError as exc:
             # the entries before the missing one are read first, so their faults come first
             for key in keys[:keys.index(exc.args[0])]:
-                _decode_entry(obj[key])
+                _check_entry(obj[key])
             raise ValueError(f"matrix symbol JSON missing entry {exc.args[0]!r}") from exc
         entries = _decode(objs)
         return cls(*(LaurentSymbol._of(exponents, values) for exponents, values in entries))

@@ -150,9 +150,9 @@ def residual_plan(c: AntilinearOperator) -> ResidualPlan:
     # w_ik[m] conj(c^kl_(perm_ik[m] - inverse_lj[q])) conj(w_lj[inverse_lj[q]])
     at = block * (2 * n - 1) + (n - 1) + perms[:, None, :, None, rows] \
         - inverse.transpose(1, 0, 2)[None, :, None]
-    if (weights == 1).all():  # the residue families: no product at all
+    if (weights == 1).all():  # the residue families (and mu = lam = 1): no product
         left = right = None
-    elif (weights == weights[..., :1]).all():  # the pair blocks: +-1/sqrt 2 per block
+    elif (weights == weights[..., :1]).all():  # +-1/sqrt 2 per pair block, or a twist's mu
         left = weights[:, None, :, None, :1]
         right = np.conj(weights[..., :1]).transpose(1, 0, 2)[None, :, None]
     else:

@@ -1,6 +1,7 @@
 import json
 import pickle
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -565,6 +566,14 @@ def test_json_rejection_messages(cls, obj, message):
     assert str(info.value) == message
 
 
+class _Key(str):
+    pass
+
+
+class _Pair(list):
+    pass
+
+
 ACCEPTED = [
     # empty entries beside full ones
     (MatrixSymbol, {"phi1": {}, "phi2": _FULL, "phi3": {}, "phi4": {"7": [1, 0]}},
@@ -580,6 +589,12 @@ ACCEPTED = [
     # the range's ends, a tuple pair and an int past 2**53
     (LaurentSymbol, {"1000000": (1, 2), "-1000000": [2**60 + 1, -0.0]},
      {"-1000000": [float(2**60), -0.0], "1000000": [1.0, 2.0]}),
+    # from Python callers: a mapping that is not a dict, subclasses of str and list
+    (LaurentSymbol, MappingProxyType({"2": [1, 0], "-1": [0, 1]}),
+     {"-1": [0.0, 1.0], "2": [1.0, 0.0]}),
+    (MatrixSymbol, MappingProxyType({"phi1": MappingProxyType({"1": [1, 0]}), "phi2": {},
+                                     "phi3": {_Key("-3"): _Pair([2, 0.5])}, "phi4": {}}),
+     {"phi1": {"1": [1.0, 0.0]}, "phi2": {}, "phi3": {"-3": [2.0, 0.5]}, "phi4": {}}),
 ]
 
 

@@ -299,12 +299,13 @@ class TestStructuredResidual:
 
 # each family's residual, by float.hex, on generic and solution-set draws at
 # these bands, seeds 0-19, written before the residual plans held their
-# weights per grid block or dropped weights of 1
+# weights per grid block or dropped weights of 1; a twist with lam = 1 has
+# one weight, mu, throughout, so it takes the per-block or the no-weight path
 PINNED_SPECS = [GeneralPermutation(6, (2, 1, 0, 4, 3, 5)), Transposition(4, 0, 2),
                 Transposition(5, 1, 3), Reversal(2), MuLambda(1j, complex(0.6, 0.8)),
-                BlockHadamard(), BlockMixed()]
+                BlockHadamard(), BlockMixed(), MuLambda(complex(0.6, 0.8), 1), MuLambda(1, 1)]
 PINNED_BANDS = [0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 23, 30, 39, 200]
-RESIDUAL_BITS = "de99e269c9d2c74fae20853ffea293c18526cc84a49bd5f9f08005e90403c38a"
+RESIDUAL_BITS = "db264b88237b0409f04b30c4036a2962fa4a057db6059d76abb2f676a2d55a65"
 
 
 def test_residuals_are_pinned_bit_for_bit():
