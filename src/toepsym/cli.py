@@ -15,6 +15,7 @@ error, 4 internal error (an unexpected exception such as ``MemoryError``).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -50,7 +51,7 @@ from .symbols import (
     SymbolSyntaxError,
     parse_symbol,
 )
-from .symmetry import RESIDUAL_BUDGET_BYTES, SYMMETRY_TOL
+from .symmetry import RESIDUAL_BUDGET_BYTES, SYMMETRY_TOL, budgeted_order
 from .toeplitz import min_truncation
 
 EXIT_OK = 0
@@ -64,6 +65,8 @@ TOL_ENV_VAR = "TOEPSYM_TOL"
 REPORT_SCHEMA = 1
 # the violated rows a check report lists
 WORST_ROWS = 10
+# a symbol file is read this many bytes at a time
+CHUNK_BYTES = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,8 +120,18 @@ def _load_spec(args) -> ConjugationSpec:
 
 def _load_symbol(args, spec: ConjugationSpec):
     if args.symbol_file is not None:
-        with open(args.symbol_file) as fh:
-            obj = json.load(fh)
+        # each "[" of a valid file opens a pair, and an entry of m pairs has a
+        # bandwidth of at least m // 2: once the pairs counted so far force a
+        # band over the residual's budget, its message comes before any parse
+        data, count, entries = io.BytesIO(), 0, 4 if spec.is_block else 1
+        with open(args.symbol_file, "rb") as fh:
+            for chunk in iter(lambda: fh.read(CHUNK_BYTES), b""):
+                count += chunk.count(b"[")
+                budgeted_order(-(-count // entries) // 2, spec)
+                data.write(chunk)
+        data.seek(0)
+        # decoded as a file opened in text mode is, so that json.load reads what it did
+        obj = json.load(io.TextIOWrapper(data))
         return MatrixSymbol.from_json(obj) if spec.is_block else LaurentSymbol.from_json(obj)
     if not spec.is_block:
         return parse_symbol(args.symbol)

@@ -99,9 +99,10 @@ class RelationTable:
     def __init__(self, names: tuple[str, ...], *blocks):
         size = sum(len(block[4]) for block in blocks)
         self.names = names
+        # narrow integer columns, so that more tables fit in PLAN_CACHE
         self.family, self.vanish, self.rhs_scale = (np.empty(size, dtype)
-                                                    for dtype in (np.intp, bool, complex))
-        self.component, self.index = np.empty((2, size), np.intp), np.empty((2, size), np.int64)
+                                                    for dtype in (np.int8, bool, complex))
+        self.component, self.index = np.empty((2, size), np.int8), np.empty((2, size), np.int32)
         end = 0
         for block in blocks:
             rows = slice(end, end + len(block[4]))

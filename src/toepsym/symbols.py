@@ -55,80 +55,49 @@ def _exponents(keys: list[int]) -> np.ndarray:
     return np.fromiter(keys, np.int64, len(keys))
 
 
-def _check_entry(obj):
-    """Raise for the first fault of one JSON entry, read key by key and pair by
-    pair: a value that is not an object, then the first bad key, then the
-    first bad pair, then an exponent out of range."""
-    if not isinstance(obj, Mapping):
-        raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
-    for key in obj:
-        try:
-            canonical = str(int(key)) == key
-        except (TypeError, ValueError):
-            canonical = False
-        if not canonical:
-            raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
-    for pair in obj.values():
-        complex_from_pair(pair)
-    _exponents(list(map(int, obj)))
-
-
 # canonical decimal keys joined by commas, of at most seven digits, so that
 # int64 holds each; a longer key is out of range or not canonical.  Every
 # token ends at a comma or at the end, so a failing match is linear too
 _JOINED_KEYS = re.compile(r"(?:0|-?[1-9][0-9]{0,6})(?:,(?:0|-?[1-9][0-9]{0,6}))*")
 
 
-def _decode_together(objs: list) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Each JSON entry's ascending exponents and values, read for every entry
-    at once: one pattern match and one ``int64`` parse of the joined keys, one
-    flatten, type check and conversion of every ``[re, im]`` pair, then a
-    split into the entries; ``None`` where a check does not pass."""
-    if not all(isinstance(obj, Mapping) for obj in objs):
-        return None
-    objs = [obj if type(obj) is dict else dict(obj) for obj in objs]
-    sizes = list(map(len, objs))
-    total = sum(sizes)
+def _decode(obj) -> tuple[np.ndarray, np.ndarray]:
+    """One JSON entry's ascending exponents and values, read in whole-array
+    passes: the object, every key (one join and match), every ``[re, im]`` pair
+    (one flatten, type check and conversion), the exponent range.  Only a pass
+    that fails reads its input one by one, to name its first fault."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("symbol JSON must be an object mapping exponents to [re, im]")
+    keys, pairs = list(obj), list(obj.values())
     try:
-        joined = ",".join(chain.from_iterable(objs))
+        joined = ",".join(keys)
     except TypeError:  # a key that is not a str
-        return None
+        joined = ""
     # a key that holds a comma adds one to the count
-    if total and (joined.count(",") != total - 1 or not _JOINED_KEYS.fullmatch(joined)):
-        return None
-    exponents = np.fromstring(joined, np.int64, sep=",") if total else np.empty(0, np.int64)
-    pairs = list(chain.from_iterable(map(dict.values, objs)))
-    if np.abs(exponents).max(initial=0) > MAX_EXPONENT or \
-            not all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) or \
-            not set(map(len, pairs)) <= {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
+    if keys and joined.count(",") == len(keys) - 1 and _JOINED_KEYS.fullmatch(joined):
+        exponents = np.fromstring(joined, np.int64, sep=",")
+    else:  # no key, a bad one, or a canonical one past int64 that the range check names
+        for key in keys:
+            try:
+                canonical = str(int(key)) == key
+            except (TypeError, ValueError):
+                canonical = False
+            if not canonical:
+                raise ValueError(f"symbol JSON key {key!r} is not a canonical decimal integer")
+        exponents = None
+    shaped = all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) and \
+        set(map(len, pairs)) <= {2}
+    flat = list(chain.from_iterable(pairs)) if shaped else []
     try:
-        parts = np.array(flat, dtype=float)
+        parts = np.array(flat, float) if shaped and set(map(type, flat)) <= {int, float} else None
     except OverflowError:  # an int past float range
-        return None
-    if not np.isfinite(parts).all():
-        return None
-    values = parts.view(complex)
-    # by entry, then by exponent; each entry takes its own copies
-    entry = np.repeat(np.arange(len(objs)), sizes)
-    order = (entry * (2 * MAX_EXPONENT + 1) + exponents).argsort()
-    return [(exponents.take(at), values.take(at))
-            for at in np.split(order, np.cumsum(sizes)[:-1])]
-
-
-def _decode(objs: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_decode_together` of ``objs``; where that does not pass its
-    checks, :func:`_check_entry` raises for the first fault in entry order,
-    so every value is rejected with the message a per-key read gives."""
-    decoded = _decode_together(objs)
-    if decoded is None:
-        for obj in objs:
-            _check_entry(obj)
-        raise AssertionError(f"a valid symbol failed the whole-array checks: {objs!r}")
-    return decoded
+        parts = None
+    if parts is None or not np.isfinite(parts).all():
+        parts = np.array(list(map(complex_from_pair, pairs)), complex).view(float)
+    if exponents is None or np.abs(exponents).max() > MAX_EXPONENT:
+        exponents = _exponents(list(map(int, keys)))
+    order = exponents.argsort()
+    return exponents.take(order), parts.view(complex).take(order)
 
 
 class LaurentSymbol:
@@ -205,8 +174,7 @@ class LaurentSymbol:
     def from_json(cls, obj: Mapping[str, Iterable[float]]) -> "LaurentSymbol":
         """Read the form :meth:`to_json` writes: keys are decimal integers without
         sign ``+``, spaces, ``_`` or leading zeros, and parts are JSON numbers."""
-        (exponents, values), = _decode([obj])
-        return cls._of(exponents, values)
+        return cls._of(*_decode(obj))
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,15 +209,12 @@ class MatrixSymbol:
         unknown = [key for key in obj if key not in keys]
         if unknown:
             raise ValueError(f"matrix symbol JSON has unknown entry {unknown[0]!r}")
-        try:
-            objs = [obj[key] for key in keys]
-        except KeyError as exc:
-            # the entries before the missing one are read first, so their faults come first
-            for key in keys[:keys.index(exc.args[0])]:
-                _check_entry(obj[key])
-            raise ValueError(f"matrix symbol JSON missing entry {exc.args[0]!r}") from exc
-        entries = _decode(objs)
-        return cls(*(LaurentSymbol._of(exponents, values) for exponents, values in entries))
+        entries = []
+        for key in keys:  # in order: an entry's faults come before a later one's absence
+            if key not in obj:
+                raise ValueError(f"matrix symbol JSON missing entry {key!r}")
+            entries.append(LaurentSymbol._of(*_decode(obj[key])))
+        return cls(*entries)
 
 
 # --- text parser ------------------------------------------------------------

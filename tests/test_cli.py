@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -644,6 +645,53 @@ class TestResidualBudget:
                                  "--trials", "1", "--mode", mode)
         assert (code, out) == (3, "")
         assert "over its budget" in err
+
+    @staticmethod
+    def _lower_budget(monkeypatch, spec, band):
+        """A budget that admits ``spec`` up to ``band`` and no further."""
+        need = symmetry.residual_bytes(symmetry.min_truncation(band, spec), spec)
+        monkeypatch.setattr(symmetry, "RESIDUAL_BUDGET_BYTES", need)
+
+    @pytest.mark.parametrize("text", ["reversal:2", "block_c"])
+    def test_symbol_file_at_the_bound_parses_and_one_pair_more_is_refused(
+            self, capsys, monkeypatch, tmp_path, text):
+        spec, band = parse_spec_text(text), 40
+        self._lower_budget(monkeypatch, spec, band)
+        entry = {str(k): [1, 0] for k in range(-band, band + 1)}
+        path = tmp_path / "symbol.json"
+        for extra, expected in (({}, 1), ({str(band + 1): [1, 0]}, 3)):
+            full = {**entry, **extra}
+            path.write_text(json.dumps({f"phi{i}": full for i in (1, 2, 3, 4)}
+                                       if spec.is_block else full))
+            code, out, err = run_cli(capsys, "check", "--symbol-file", str(path), "--spec", text)
+            assert code == expected, err
+        # the message the residual's own budget check gives for that band
+        order = symmetry.min_truncation(band + 1, spec)
+        assert (out, err) == ("", f"toepsym: error: the residual at order {order} needs "
+                                  f"{symmetry.residual_bytes(order, spec) >> 20} MiB, "
+                                  f"over its budget\n")
+
+    def test_symbol_file_over_the_bound_is_refused_within_a_few_chunks(
+            self, capsys, monkeypatch, tmp_path):
+        # 200,001 pairs, about 3.4 MB of JSON: parsed and decoded, they take
+        # tens of MB; over the bound of a budget lowered to band 50, the read
+        # stops in the first chunk, before json.load.  An invalid file gets
+        # the budget's message too, since it is counted before it is parsed
+        spec = parse_spec_text("reversal:2")
+        self._lower_budget(monkeypatch, spec, 50)
+        path = tmp_path / "symbol.json"
+        for text in (json.dumps({str(k): [1, 0] for k in range(-100000, 100001)}),
+                     "[x" * 10**6):
+            path.write_text(text)
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(capsys, "check", "--symbol-file", str(path),
+                                         "--spec", "reversal:2")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (3, "") and err.endswith("over its budget\n")
+            assert peak <= 3 * cli.CHUNK_BYTES, peak
 
 
 def test_gen_refuses_a_band_past_the_exponent_range_before_drawing(capsys, monkeypatch):

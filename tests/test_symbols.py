@@ -556,6 +556,17 @@ REJECTED = [
      "symbol JSON must be an object mapping exponents to [re, im]"),
     (MatrixSymbol, {"phi4": {"x": [1, 0]}, "phi1": {"2": [1, True]}, "phi2": {}, "phi3": {}},
      "expected a finite [re, im] pair of JSON numbers, got [1, True]"),
+    # within an entry every key comes before any pair, and every pair before the range
+    (LaurentSymbol, {"123456789012345678901234567890": [1, 0], "2": [1]},
+     "expected a finite [re, im] pair of JSON numbers, got [1]"),
+    (LaurentSymbol, {"1": [1], "x": [1, 0]}, "symbol JSON key 'x' is not a canonical decimal integer"),
+    # each entry is finished before the next one starts
+    (MatrixSymbol, {"phi1": {"1000001": [1, 0]}, "phi2": {"x": [1, 0]}, "phi3": {}, "phi4": {}},
+     "exponent 1000001 out of range"),
+    (MatrixSymbol, {"phi1": {"1000001": [1, 0]}, "phi3": {}, "phi4": {}},
+     "exponent 1000001 out of range"),
+    (MatrixSymbol, {"phi1": {}, "phi2": {"5": [1, 0], 7: [1]}, "phi3": {}, "phi4": {}},
+     "symbol JSON key 7 is not a canonical decimal integer"),
 ]
 
 

@@ -25,7 +25,7 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym import conditions, symmetry
-from toepsym.cli import _check_report
+from toepsym.cli import _check_report, parse_spec_text
 from toepsym.conditions import draw_symbol, run_check
 from toepsym.symmetry import SYMMETRY_TOL, is_c_symmetric, residual
 from toepsym.toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
@@ -358,6 +358,23 @@ class TestPlanCache:
             assert symmetry.PLAN_CACHE.nbytes <= symmetry.PLAN_CACHE_BYTES
         # the sweep holds more than the budget, so entries were dropped
         assert 0 < len(symmetry.PLAN_CACHE) < 2 * 600
+
+    def test_an_oracle_wide_round_fits_the_budget(self, monkeypatch):
+        # one check per benchmark spec at bands 200 and 800 keeps 28 plans and
+        # tables; a second round must find every one of them still kept
+        texts = ["general:6:2,1,0,4,3,5", "transposition:4:0:2", "transposition:5:1:3",
+                 "reversal:2", "mulambda:0,1:0.6,0.8", "block_c", "block_ctilde"]
+        requested, get = set(), symmetry.PLAN_CACHE.get
+        monkeypatch.setattr(symmetry.PLAN_CACHE, "get",
+                            lambda key, build: requested.add(key) or get(key, build))
+        symmetry.PLAN_CACHE.clear()
+        for _ in range(2):
+            for band in (200, 800):
+                for spec in map(parse_spec_text, texts):
+                    draw = random_matrix_symbol if spec.is_block else random_symbol
+                    run_check(draw(1, band), spec)
+        assert len(symmetry.PLAN_CACHE) == len(requested) == 28
+        assert symmetry.PLAN_CACHE.nbytes <= symmetry.PLAN_CACHE_BYTES
 
     def test_plan_over_the_budget_is_not_kept(self):
         # the plan at band 6000 holds about 4.2 MiB
