@@ -35,7 +35,6 @@ from .conjugations import (
     verify_axioms,
 )
 from .conditions import (
-    COMPONENTS,
     CheckOutcome,
     ConditionReport,
     draw_symbol,
@@ -202,7 +201,8 @@ def _check_report(symbol: LaurentSymbol | MatrixSymbol, outcome: CheckOutcome) -
                report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at],
                report.distance[at])
     worst = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
-              "lhs_component": COMPONENTS[lc], "rhs_component": None if vanish else COMPONENTS[rc],
+              "lhs_component": t.components[lc],
+              "rhs_component": None if vanish else t.components[rc],
               "lhs_value": [_printed(lhs_re, e), _printed(lhs_im, e)],
               "rhs_value": [_printed(rhs_re, e), _printed(rhs_im, e)],
               "over_tol": _printed(distance / report.tol)}

@@ -64,26 +64,22 @@ from .symmetry import (
 COEFF_TOL = 1e-12
 
 
-# Tables store a side's component as an index into COMPONENTS.  A block
-# component's name spells its terms, each [+-]phiE[+-s]: entry E (from 1) at
-# the row's index shifted by s.  They are parsed into the rows of the _TERM_*
-# arrays (entries from 0), padded with zero weights; "phi", the scalar
-# symbol, has none, as a scalar symbol is read directly.  phiE's code is E.
-_HADAMARD_SIDES = ("phi1+phi2", "phi1-phi2", "phi3+phi4", "phi3-phi4")
+def terms(component: str) -> list[tuple[int, int, int]]:
+    """The terms ``(entry, weight, shift)`` that ``component``'s name spells,
+    each ``[+-]phiE[+-s]``: entry ``E`` (from 1, read from 0) at the row's
+    index shifted by ``s``.  The bare ``phi``, a scalar symbol, is one term
+    on entry 0."""
+    return [(int(entry or 1) - 1, -1 if sign == "-" else 1, int(shift or 0))
+            for sign, entry, shift in re.findall(r"([+-]?)phi(\d?)(?:\[([+-]\d+)\])?", component)]
+
+
+# the components of a block table: first these, so code E reads phiE
+_ENTRIES = ("phi", "phi1", "phi2", "phi3", "phi4")
 # the left sides of the block_ctilde families, in family order
 _MIXED_LHS = ("phi1-phi2[-1]-phi3[+1]+phi4", "phi1[-1]-phi2-phi3+phi4[+1]",
               "phi1[+1]-phi2-phi3+phi4[-1]", "phi1-phi2[+1]-phi3[-1]+phi4",
               "phi1[-1]+phi2-phi3-phi4[+1]", "phi1+phi2[+1]-phi3[-1]-phi4",
               "phi1[+1]+phi2-phi3-phi4[-1]")
-COMPONENTS = ("phi", "phi1", "phi2", "phi3", "phi4", *_HADAMARD_SIDES, "phi1+phi3", "phi1+phi4",
-              *_MIXED_LHS)
-_CODE = {name: code for code, name in enumerate(COMPONENTS)}
-_TERMS = [[(int(entry) - 1, -1 if sign == "-" else 1, int(shift or 0))
-           for sign, entry, shift in re.findall(r"([+-]?)phi(\d)(?:\[([+-]\d+)\])?", name)]
-          for name in COMPONENTS]
-_TERM_ENTRY, _TERM_WEIGHT, _TERM_SHIFT = np.array(
-    [terms + [(0, 0, 0)] * (4 - len(terms)) for terms in _TERMS]).transpose(2, 0, 1)
-_PHI = _CODE["phi"]
 
 
 class RelationTable:
@@ -93,12 +89,13 @@ class RelationTable:
     rhs_scale)``, each field an array or one value for the block.  A side
     reads a component (``phi`` of a scalar symbol, or an entry combination
     such as ``phi1+phi2``) at an index.  ``component`` (codes into
-    ``COMPONENTS``) and ``index`` stack the lhs column over the rhs one;
-    ``family`` codes into ``names`` (in first-appearance order)."""
+    ``components``, the names the rows read) and ``index`` stack the lhs
+    column over the rhs one; ``family`` codes into ``names`` (in
+    first-appearance order)."""
 
-    def __init__(self, names: tuple[str, ...], *blocks):
+    def __init__(self, names: tuple[str, ...], components: tuple[str, ...], *blocks):
         size = sum(len(block[4]) for block in blocks)
-        self.names = names
+        self.names, self.components = names, components
         # narrow integer columns, so that more tables fit in PLAN_CACHE
         self.family, self.vanish, self.rhs_scale = (np.empty(size, dtype)
                                                     for dtype in (np.int8, bool, complex))
@@ -120,21 +117,19 @@ class RelationTable:
     def _plan_reads(self):
         """The table's read plan, ``reads``: for each term, side and row (axes
         in that order), the flat index of what the term reads in a grid of
-        ``read_columns`` columns from index ``read_lo``.  A scalar table reads
-        its one row at column ``k - read_lo``.  A block table's grid has the
-        symbol's four entries in rows 0-3 and their negatives in rows 4-7, so
-        a term of weight -1 reads a negated entry; its terms stop at the most
-        any of its components has, and a row with fewer reads column 0, which
-        no term reads and stays zero."""
-        at = self.index[None]
-        if self.component.any():  # a block table
-            terms = max(int(np.count_nonzero(_TERM_WEIGHT, axis=1).take(self.component).max()), 1)
-            weight, shift, entry = (column.T[:terms].take(self.component, axis=1)
-                                    for column in (_TERM_WEIGHT, _TERM_SHIFT, _TERM_ENTRY))
-            at = at + shift
-            row = entry + 4 * (weight < 0)
-        else:
-            weight, row = np.ones_like(at), 0
+        ``read_columns`` columns from index ``read_lo``.  The grid has the
+        symbol's ``entries`` (1 for a scalar table, 4 for a block one) in its
+        first rows and their negatives in the next, so a term of weight -1
+        reads a negated entry; index ``k`` is at column ``k - read_lo``.  The
+        terms stop at the most any component has, and a side with fewer reads
+        column 0, which no term reads and stays zero."""
+        parsed = [terms(name) for name in self.components]
+        self.entries = 1 + max(entry for named in parsed for entry, _, _ in named)
+        width = max(map(len, parsed))
+        entry, weight, shift = np.array([named + [(0, 0, 0)] * (width - len(named))
+                                         for named in parsed]).T.take(self.component, axis=2)
+        at = self.index + shift
+        row = entry + self.entries * (weight < 0)
         # the padding's index, the row's own, may widen the grid, never narrow it
         lo = int(at.min(initial=1)) - 1
         self.read_lo, self.read_columns = lo, int(at.max(initial=lo)) - lo + 1
@@ -204,6 +199,9 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     """
     block = isinstance(symbol, MatrixSymbol)
     entries = symbol.entries
+    if len(entries) != table.entries:
+        kinds = ("scalar", "matrix") if block else ("block", "scalar")
+        raise ValueError("a %s relation cannot read a %s symbol" % kinds)
     keys = np.concatenate([entry.exponents for entry in entries])
     # the float view: a complex product by the scale would drop -0.0 parts
     parts = np.concatenate([entry.values for entry in entries]).view(float)
@@ -213,27 +211,22 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     values = parts.view(complex)
     norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
     tol = COEFF_TOL * max(math.ldexp(1.0, -e), norm)
-    vanish = table.vanish
-    if block and not (table.component[0].all() and (table.component[1] | vanish).all()):
-        raise ValueError("a scalar relation cannot read a matrix symbol")
-    if not block and table.component.any():
-        raise ValueError("a block relation cannot read a scalar symbol")
     # the coefficients the table reads, one grid row per entry and index k
-    # at column k - lo; a block table also reads the entries negated
-    lo, columns = table.read_lo, table.read_columns
-    grid = np.zeros((8 if block else 1, columns), dtype=complex)
-    at = keys - lo + np.repeat(np.arange(len(entries)) * columns,
+    # at column k - lo, then the entries negated
+    lo, columns, count = table.read_lo, table.read_columns, len(entries)
+    grid = np.zeros((2 * count, columns), dtype=complex)
+    at = keys - lo + np.repeat(np.arange(count) * columns,
                                [entry.values.size for entry in entries])
     inside = (keys > lo) & (keys < lo + columns)
     grid.reshape(-1)[at[inside]] = values[inside]
-    if block:
-        np.negative(grid[:4], out=grid[4:])
+    np.negative(grid[:count], out=grid[count:])
     lhs, value = _read(grid.reshape(-1), table, block)
     # Python's complex product, from real parts: numpy's complex multiply
     # may fuse a multiply and an add and round differently
     scale = table.rhs_scale
     rhs_re = scale.real * value.real - scale.imag * value.imag
     rhs_im = scale.real * value.imag + scale.imag * value.real
+    vanish = table.vanish
     rhs_re[vanish] = rhs_im[vanish] = 0.0
     diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
     # np.hypot is within an ulp of math.hypot, and the band around the
@@ -276,8 +269,9 @@ def _pair_rows(cells: Sequence[tuple[int, int, str]], p: int, band: int) -> Rela
     lhs, rhs = lhs[inside], rhs[inside]
     key = np.minimum(lhs, rhs) * (4 * window + 1) + np.maximum(lhs, rhs)
     first = np.sort(np.unique(key, return_index=True)[1])
-    return RelationTable(names, (np.broadcast_to(family[:, None], inside.shape)[inside][first],
-                                 False, _PHI, _PHI, lhs[first], rhs[first], 1))
+    return RelationTable(names, ("phi",),
+                         (np.broadcast_to(family[:, None], inside.shape)[inside][first],
+                          False, 0, 0, lhs[first], rhs[first], 1))
 
 
 def raw_relations_general(p: int, sigma: Sequence[int], band: int) -> RelationTable:
@@ -355,9 +349,8 @@ def _mirror_conditions(d: int, band: int) -> RelationTable:
     ``0 < k <= band`` with ``d | k``, ascending, and a ``vanish`` row for
     every other index in ``[-band, band]``."""
     k, mirror = np.arange(-band, band + 1), np.arange(d, band + 1, d)
-    return RelationTable(("multiples", "vanish"),
-                         (0, False, _PHI, _PHI, mirror, -mirror, 1),
-                         (1, True, _PHI, _PHI, k[k % d != 0], 0, 1))
+    return RelationTable(("multiples", "vanish"), ("phi",), (0, False, 0, 0, mirror, -mirror, 1),
+                         (1, True, 0, 0, k[k % d != 0], 0, 1))
 
 
 @PLAN_CACHE.memoize
@@ -366,7 +359,7 @@ def _twist_relations(lam: complex, band: int) -> RelationTable:
     n = np.arange(1, band + 1)
     # Python's powers: numpy's complex power rounds differently
     scale = np.array([lam**k for k in n.tolist()], dtype=complex)
-    return RelationTable(("twist",), (0, False, _PHI, _PHI, -n, n, scale))
+    return RelationTable(("twist",), ("phi",), (0, False, 0, 0, -n, n, scale))
 
 
 def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> ConditionReport:
@@ -376,27 +369,24 @@ def check_transposition(sym: LaurentSymbol, p: int, i: int, j: int) -> Condition
     return condition_reports(sym, Transposition(p, i, j))
 
 
-def _codes(*names: str) -> np.ndarray:
-    return np.array([_CODE[name] for name in names])
-
-
 @PLAN_CACHE.memoize
 def block_hadamard_relations(band: int) -> RelationTable:
     """The exact ``block_c`` list: ``phi1+phi2`` and ``phi3-phi4`` even-symmetric,
     the cross reflection ``(phi1-phi2)(2l) == (phi3+phi4)(-2l)``, odd ones zero."""
     half = band // 2
     even = 2 * np.arange(1, half + 1)
-    sum12, diff12, sum34, diff34 = _codes(*_HADAMARD_SIDES)
+    components = (*_ENTRIES, "phi1+phi2", "phi1-phi2", "phi3+phi4", "phi3-phi4")
+    sum12, diff12, sum34, diff34 = range(len(_ENTRIES), len(components))
     # sum12_even and diff34_even alternate, l by l
     pair = np.tile([sum12, diff34], half)
     reflect = 2 * np.arange(-half, half + 1)
     k = np.arange(-band, band + 1)
     odd = k[k % 2 != 0]
     return RelationTable(
-        ("sum12_even", "diff34_even", "cross_reflect", "odd_vanish"),
+        ("sum12_even", "diff34_even", "cross_reflect", "odd_vanish"), components,
         (np.tile([0, 1], half), False, pair, pair, np.repeat(even, 2), -np.repeat(even, 2), 1),
         (2, False, diff12, sum34, reflect, -reflect, 1),
-        (3, True, np.repeat(np.arange(1, 5), odd.size), _PHI, np.tile(odd, 4), 0, 1))
+        (3, True, np.repeat(np.arange(1, 5), odd.size), 0, np.tile(odd, 4), 0, 1))
 
 
 @PLAN_CACHE.memoize
@@ -417,10 +407,10 @@ def block_mixed_necessary_relations(band: int) -> RelationTable:
     names, rhs, shift = zip(("q22_00", 4, 0), ("q22_01", 4, 1), ("q22_10", 4, -1),
                             ("q22_11", 4, 0), ("q21_00", 2, 0), ("q21_10", 2, -1),
                             ("q21_11", 2, 0))
-    return RelationTable(names, (np.repeat(np.arange(len(names)), x.size), False,
-                                 np.repeat(_codes(*_MIXED_LHS), x.size), np.repeat(rhs, x.size),
-                                 np.tile(x, len(names)), (np.array(shift)[:, None] - x).ravel(),
-                                 2))
+    family = np.repeat(np.arange(len(names)), x.size)
+    return RelationTable(names, (*_ENTRIES, *_MIXED_LHS),
+                         (family, False, family + len(_ENTRIES), np.repeat(rhs, x.size),
+                          np.tile(x, len(names)), (np.array(shift)[:, None] - x).ravel(), 2))
 
 
 def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .conjugations import AntilinearOperator, ConjugationSpec, truncated_matrix
 from .symbols import LaurentSymbol, MatrixSymbol
-from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate
+# block_truncate is truncate, importable here for the callers that patch it
+from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncate  # noqa: F401
 
 SYMMETRY_TOL = 1e-10
 RESIDUAL_BUDGET_BYTES = 1 << 28
@@ -108,16 +109,16 @@ def _strips(order: int, period: int) -> tuple[np.ndarray, ...]:
     """The first block row and column of an ``order`` square matrix of
     ``period``-square blocks, ``(m, q)`` with ``m < period`` or ``q < period``:
     ``m``, ``q - q % period``, ``q % period``, the ``diagonals`` column of
-    ``c_(q-m)``, and (twice, for real and imaginary parts) the number of times
-    the block diagonal ``L`` of ``(m, q)`` repeats, ``order / period - |L|``,
-    and the length of each diagonal ``d``, ``order - |d|``."""
+    ``c_(q-m)``, the number of times the block diagonal ``L`` of ``(m, q)``
+    repeats, ``order / period - |L|``, and the length of each diagonal ``d``,
+    ``order - |d|``."""
     head = np.indices((period, order)).reshape(2, -1)
     side = np.indices((order - period, period)).reshape(2, -1) + [[period], [0]]
     rows, cols = np.concatenate([head, side], axis=1)
     residue = cols % period
     return (rows, cols - residue, residue, cols - rows + (order - 1),
-            np.repeat(order // period - rows // period - cols // period, 2),
-            np.repeat(order - abs(np.arange(1 - order, order)), 2))
+            order // period - rows // period - cols // period,
+            order - abs(np.arange(1 - order, order)))
 
 
 class ResidualPlan(NamedTuple):
@@ -201,8 +202,10 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
         np.multiply(c.left, terms, out=terms)
         terms *= c.right
     lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
-    sq = (np.square(lhs.view(float)) * c.repeats).sum()
-    norm_sq = (np.square(v.view(float)) * c.lengths).sum()
+    # each count weighs a real and an imaginary part: the squares in the
+    # float view's order, so the pairwise sums are those of the flat parts
+    sq = (np.square(lhs.view(float)).reshape(*lhs.shape, 2) * c.repeats[:, None]).sum()
+    norm_sq = (np.square(v.view(float)).reshape(*v.shape, 2) * c.lengths[:, None]).sum()
     return math.sqrt(sq) / max(scale, math.sqrt(norm_sq))
 
 
@@ -241,7 +244,7 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
         kind = "matrix" if block else "scalar"
         raise ValueError(f"spec {spec!r} requires a {kind} symbol")
     n = budgeted_order(symbol.bandwidth, spec)
-    t = block_truncate(symbol, n) if block else truncate(symbol, n)
+    t = truncate(symbol, n)
     plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
     r = residual(t, plan)
     verdict = SYMMETRIC if r <= tol else NOT_SYMMETRIC

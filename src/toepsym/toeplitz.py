@@ -55,15 +55,15 @@ class TruncatedToeplitz:
         return data
 
 
-def truncate(sym: LaurentSymbol, order: int) -> TruncatedToeplitz:
+def truncate(sym: LaurentSymbol | MatrixSymbol, order: int) -> TruncatedToeplitz:
     """Compression of multiplication by ``sym`` to the first ``order``
-    coefficients; constant along diagonals by construction."""
+    coefficients; constant along diagonals by construction.  A matrix
+    symbol's is the 2x2 grid of its entries' truncations."""
     return TruncatedToeplitz(sym.entries, order)
 
 
-def block_truncate(msym: MatrixSymbol, order: int) -> TruncatedToeplitz:
-    """2x2 grid of entry truncations, components ordered (first, second)."""
-    return TruncatedToeplitz(msym.entries, order)
+# the name of the block truncation, kept for callers that import it
+block_truncate = truncate
 
 
 def min_truncation(band: int, spec: ConjugationSpec) -> int:

@@ -62,11 +62,13 @@ def sums_relations(band: int) -> RelationTable:
     within each) and the exact list's ``odd_vanish`` rows."""
     half = band // 2
     even = 2 * np.arange(1, half + 1)
-    sums = np.repeat([conditions._CODE[name] for name in ("phi1+phi2", "phi1+phi3",
-                                                          "phi1+phi4")], half)
+    # phi and the entries first, as in the exact list, whose vanish rows
+    # keep their component codes
     exact = block_hadamard_relations(band)
+    components = (*exact.components[:5], "phi1+phi2", "phi1+phi3", "phi1+phi4")
+    sums = np.repeat([5, 6, 7], half)
     odd = exact.family == exact.names.index("odd_vanish")
-    return RelationTable(("sum12_even", "sum13_even", "sum14_even", "odd_vanish"),
+    return RelationTable(("sum12_even", "sum13_even", "sum14_even", "odd_vanish"), components,
                          (np.repeat([0, 1, 2], half), False, sums, sums,
                           np.tile(even, 3), -np.tile(even, 3), 1),
                          (3, True, *exact.component[:, odd], *exact.index[:, odd], 1))

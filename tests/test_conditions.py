@@ -47,7 +47,7 @@ from toepsym.symbols import (
 from toepsym.symmetry import is_c_symmetric
 from toepsym.toeplitz import block_truncate, min_truncation, truncate
 
-from solution_sets import basis_generators, involution_cases, sums_form
+from solution_sets import basis_generators, involution_cases, sums_form, sums_relations
 
 BIG = 1e6
 ZERO_BLOCK = MatrixSymbol(*[LaurentSymbol()] * 4)
@@ -466,18 +466,19 @@ class TestBlockMixedChecker(_PairBasisChecks):
             assert obj["violations_by_family"] == dict.fromkeys(report.table.families, 0)
 
     def test_combination_names_spell_their_terms(self):
-        # lhs_component prints the name, and the rows parsed from it are what
-        # the table reads: spelled back, the zero-weight padding left out,
-        # they give the name ("phi", the scalar symbol, has no terms)
-        rows = zip(conditions._TERM_ENTRY.tolist(), conditions._TERM_WEIGHT.tolist(),
-                   conditions._TERM_SHIFT.tolist())
-        for name, terms in zip(conditions.COMPONENTS, rows, strict=True):
-            terms = [term for term in zip(*terms) if term[1]]
+        # lhs_component prints the name, and the terms parsed from it are
+        # what the table reads: spelled back, they give the name ("phi", the
+        # scalar symbol, is one term on entry 0)
+        assert conditions.terms("phi") == [(0, 1, 0)]
+        tables = (block_hadamard_relations(4), block_mixed_necessary_relations(4),
+                  sums_relations(4))
+        for name in {name for table in tables for name in table.components} - {"phi"}:
+            terms = conditions.terms(name)
             assert all(weight in (-1, 1) for _, weight, _ in terms)
             spelled = "".join(f"{'+' if weight > 0 else '-'}phi{entry + 1}"
                               + (f"[{shift:+d}]" if shift else "")
                               for entry, weight, shift in terms)
-            assert (spelled.removeprefix("+") or "phi") == name
+            assert spelled.removeprefix("+") == name
 
 
 class TestEquivalenceTrials:

@@ -66,8 +66,8 @@ def _rows(table, at=slice(None)):
     columns, as ``(kind, lhs_index, rhs_index, lhs_component,
     rhs_component, rhs_scale, family)`` with Python values."""
     columns = (table.vanish, *table.index, *table.component, table.rhs_scale, table.family)
-    return [("vanish" if vanish else "equality", lhs, rhs, conditions.COMPONENTS[lc],
-             conditions.COMPONENTS[rc], complex(scale), table.names[family])
+    return [("vanish" if vanish else "equality", lhs, rhs, table.components[lc],
+             table.components[rc], complex(scale), table.names[family])
             for vanish, lhs, rhs, lc, rc, scale, family
             in zip(*(column[at].tolist() for column in columns))]
 
@@ -150,15 +150,10 @@ def test_block_mixed_nullspace_system_is_pinned():
 
 
 def _reference_read(coeffs, component, index):
-    """``component``'s terms from its parsed rows, the zero-weight padding
-    left out, summed from ``0j``."""
+    """``component``'s terms, parsed from its name, summed from ``0j``."""
     total = 0j
-    code = conditions._CODE[component]
-    terms = (conditions._TERM_ENTRY[code], conditions._TERM_WEIGHT[code],
-             conditions._TERM_SHIFT[code])
-    for entry, weight, shift in zip(*(column.tolist() for column in terms)):
-        if weight:
-            total += weight * coeffs[entry].get(index + shift, 0j)
+    for entry, weight, shift in conditions.terms(component):
+        total += weight * coeffs[entry].get(index + shift, 0j)
     return total
 
 
@@ -278,9 +273,9 @@ def test_other_tables_match_the_reference(compared):
 
 def _filtered(table, keep):
     """The rows of ``table`` where the mask ``keep`` holds, as a table."""
-    return RelationTable(table.names, (table.family[keep], table.vanish[keep],
-                                       *table.component[:, keep], *table.index[:, keep],
-                                       table.rhs_scale[keep]))
+    return RelationTable(table.names, table.components,
+                         (table.family[keep], table.vanish[keep], *table.component[:, keep],
+                          *table.index[:, keep], table.rhs_scale[keep]))
 
 
 def _in_families(table, pick):
