@@ -202,11 +202,12 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
         np.multiply(c.left, terms, out=terms)
         terms *= c.right
     lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
-    # each count weighs a real and an imaginary part: the squares in the
-    # float view's order, so the pairwise sums are those of the flat parts
-    sq = (np.square(lhs.view(float)).reshape(*lhs.shape, 2) * c.repeats[:, None]).sum()
-    norm_sq = (np.square(v.view(float)).reshape(*v.shape, 2) * c.lengths[:, None]).sum()
-    return math.sqrt(sq) / max(scale, math.sqrt(norm_sq))
+    sq, norm_sq = np.square(lhs.view(float)), np.square(v.view(float))
+    # a count weighs a real and an imaginary part, in place: the sums stay the float view's
+    for squares, counts in ((sq, c.repeats), (norm_sq, c.lengths)):
+        squares[..., ::2] *= counts
+        squares[..., 1::2] *= counts
+    return math.sqrt(sq.sum()) / max(scale, math.sqrt(norm_sq.sum()))
 
 
 def residual_bytes(order: int, spec: ConjugationSpec) -> int:
