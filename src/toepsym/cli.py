@@ -198,7 +198,7 @@ def _check_report(symbol: LaurentSymbol | MatrixSymbol, outcome: CheckOutcome) -
     report, oracle = outcome.condition, outcome.oracle
     t, at, e = report.table, _worst_rows(report), report.exponent
     columns = (t.family[at], t.vanish[at], *t.index[:, at], *t.component[:, at],
-               report.lhs.real[at], report.lhs.imag[at], report.rhs_re[at], report.rhs_im[at],
+               report.lhs.real[at], report.lhs.imag[at], report.rhs.real[at], report.rhs.imag[at],
                report.distance[at])
     worst = [{"family": t.names[family], "lhs": lhs, "rhs": None if vanish else rhs,
               "lhs_component": t.components[lc],

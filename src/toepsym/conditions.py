@@ -140,8 +140,8 @@ class RelationTable:
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """``table`` evaluated on a symbol: every row's ``lhs`` and ``rhs`` (as real
-    and imaginary parts) and ``distance`` between them, ``violations``, the
+    """``table`` evaluated on a symbol: every row's ``lhs`` and ``rhs``, one
+    complex column each, and ``distance`` between them, ``violations``, the
     indices of the rows whose distance passes ``tol``, ascending, and ``tol``,
     the tolerance scaled to the symbol.  The values, distances and ``tol`` are
     those of the coefficients times ``2**-exponent``."""
@@ -150,8 +150,7 @@ class ConditionReport:
     table: RelationTable
     violations: np.ndarray
     lhs: np.ndarray
-    rhs_re: np.ndarray
-    rhs_im: np.ndarray
+    rhs: np.ndarray
     distance: np.ndarray
     tol: float
     exponent: int
@@ -165,21 +164,6 @@ class ConditionReport:
 
     def family_ok(self, family: str) -> bool:
         return self.satisfied or not self.violations_by_family.get(family)
-
-
-def _read(grid: np.ndarray, table: RelationTable, block: bool) -> np.ndarray:
-    """Each side's value at each row of ``table``, read from the flat
-    ``grid`` by the table's plan.  A block value is summed term by term from
-    ``0j``: a negated entry is exact but for the sign of a zero, which the
-    sum from ``+0.0`` drops.  A scalar value is read directly, so a ``-0.0``
-    part survives."""
-    terms = grid.take(table.reads)
-    if not block:
-        return terms[0]
-    total = terms[0] + 0j
-    for term in terms[1:]:
-        total += term
-    return total
 
 
 def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
@@ -197,20 +181,19 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     tolerance scaled alike: exact, and no side overflows.  The report stays
     on that scale, with ``e`` as its ``exponent``.
     """
-    block = isinstance(symbol, MatrixSymbol)
     entries = symbol.entries
     if len(entries) != table.entries:
-        kinds = ("scalar", "matrix") if block else ("block", "scalar")
+        kinds = ("block", "scalar") if table.entries > 1 else ("scalar", "matrix")
         raise ValueError("a %s relation cannot read a %s symbol" % kinds)
     keys = np.concatenate([entry.exponents for entry in entries])
     # the float view: a complex product by the scale would drop -0.0 parts
     parts = np.concatenate([entry.values for entry in entries]).view(float)
     e = scale_exponent(parts)
-    if e:
-        parts *= math.ldexp(1.0, -e)
+    factor = math.ldexp(1.0, -e)
+    parts *= factor
     values = parts.view(complex)
     norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
-    tol = COEFF_TOL * max(math.ldexp(1.0, -e), norm)
+    tol = COEFF_TOL * max(factor, norm)
     # the coefficients the table reads, one grid row per entry and index k
     # at column k - lo, then the entries negated
     lo, columns, count = table.read_lo, table.read_columns, len(entries)
@@ -220,25 +203,27 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     inside = (keys > lo) & (keys < lo + columns)
     grid.reshape(-1)[at[inside]] = values[inside]
     np.negative(grid[:count], out=grid[count:])
-    lhs, value = _read(grid.reshape(-1), table, block)
+    # the table's entry count picks the read: a scalar side directly, so a
+    # -0.0 part survives, a block side its terms summed in order from 0j
+    read = grid.reshape(-1).take(table.reads)
+    lhs, value = read[0] if table.entries == 1 else read.sum(axis=0, initial=0j)
     # Python's complex product, from real parts: numpy's complex multiply
     # may fuse a multiply and an add and round differently
-    scale = table.rhs_scale
-    rhs_re = scale.real * value.real - scale.imag * value.imag
-    rhs_im = scale.real * value.imag + scale.imag * value.real
-    vanish = table.vanish
-    rhs_re[vanish] = rhs_im[vanish] = 0.0
-    diff_re, diff_im = lhs.real - rhs_re, lhs.imag - rhs_im
+    scale, rhs = table.rhs_scale, np.empty_like(value)
+    np.subtract(scale.real * value.real, scale.imag * value.imag, out=rhs.real)
+    np.add(scale.real * value.imag, scale.imag * value.real, out=rhs.imag)
+    rhs[table.vanish] = 0
+    diff = lhs - rhs
     # np.hypot is within an ulp of math.hypot, and the band around the
     # tolerance is about 4 ulp wide: numpy decides every row outside it,
     # math.hypot the rows inside
-    distance = np.hypot(diff_re, diff_im)
+    distance = np.hypot(diff.real, diff.imag)
     violated = distance > tol * (1 + 1e-15)
     near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
-    distance[near] = list(map(math.hypot, diff_re[near].tolist(), diff_im[near].tolist()))
+    distance[near] = list(map(math.hypot, diff.real[near].tolist(), diff.imag[near].tolist()))
     violated[near] = distance[near] > tol
     at = violated.nonzero()[0]
-    return ConditionReport(not at.size, table, at, lhs, rhs_re, rhs_im, distance, tol, e)
+    return ConditionReport(not at.size, table, at, lhs, rhs, distance, tol, e)
 
 
 # The names the checkers call by symbol kind; patching one (as a tracer does)

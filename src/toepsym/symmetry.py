@@ -16,6 +16,7 @@ per ``(spec, order)`` and kept in ``PLAN_CACHE``.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -94,9 +95,12 @@ class PlanCache:
 
     def memoize(self, fn):
         """``fn`` with its results kept here, keyed on the ``repr`` of its
-        arguments, which tells ``-0.0`` from ``0.0``."""
+        arguments, which tells ``-0.0`` from ``0.0``; keywords are first
+        bound to their positions, so ``f(4)`` and ``f(band=4)`` share a key."""
         @functools.wraps(fn)
-        def cached(*args):
+        def cached(*args, **kwargs):
+            if kwargs:
+                args = inspect.signature(fn).bind(*args, **kwargs).args
             return self.get((fn, repr(args)), lambda: fn(*args))
         return cached
 

@@ -9,6 +9,7 @@ import pytest
 import toepsym.conditions as conditions
 from toepsym.cli import _check_report, parse_spec_text
 from toepsym.conditions import (
+    RelationTable,
     block_hadamard_relations,
     block_mixed_necessary_relations,
     check_block_mixed_necessary,
@@ -45,7 +46,7 @@ from toepsym.symbols import (
     random_symbol,
 )
 from toepsym.symmetry import is_c_symmetric
-from toepsym.toeplitz import block_truncate, min_truncation, truncate
+from toepsym.toeplitz import min_truncation, truncate
 
 from solution_sets import basis_generators, involution_cases, sums_form, sums_relations
 
@@ -224,18 +225,7 @@ class TestMuLambdaChecker:
         # conjugate-linear, so its kernel is the conjugate of its matrix's.
         # exp(i) is not a root of unity: no power of lambda repeats
         spec = MuLambda(mu, lam)
-        table = conditions._twist_relations(spec.lam, band)
-        n = min_truncation(band, spec)
-        a = truncated_matrix(spec, n).matrix
-        rows, oracle = [], []
-        for k in range(-band, band + 1):
-            unit = LaurentSymbol({k: 1.0})
-            report = evaluate_relations(unit, table)
-            rows.append((report.lhs - (report.rhs_re + 1j * report.rhs_im))
-                        * math.ldexp(1.0, report.exponent))
-            t = truncate(unit, n).data
-            oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
-        rows, oracle = np.array(rows).T, np.conj(np.array(oracle).T)
+        rows, oracle = _rows_and_oracle(conditions._twist_relations(spec.lam, band), spec, band)
         basis = np.zeros((band + 1, 2 * band + 1), complex)
         basis[0, band] = 1
         for m in range(1, band + 1):
@@ -255,17 +245,35 @@ class TestMuLambdaChecker:
             [spec.lam**n for n in table.index[1].tolist()]
 
 
-def _unit_symbols(band):
-    """The unit coefficient symbols on ``[-band, band]``, entry by entry."""
-    for e in range(4):
+def _unit_symbols(band, count):
+    """The unit coefficient symbols on ``[-band, band]`` of ``count``
+    entries (1, a scalar symbol, or 4), entry by entry."""
+    for e in range(count):
         for k in range(-band, band + 1):
-            entries = [LaurentSymbol()] * 4
+            entries = [LaurentSymbol()] * count
             entries[e] = LaurentSymbol({k: 1.0})
-            yield MatrixSymbol(*entries)
+            yield MatrixSymbol(*entries) if count == 4 else entries[0]
+
+
+def _rows_and_oracle(table, spec, band):
+    """The kernel comparison's two matrices, one column per unit symbol on
+    ``[-band, band]``: ``table``'s row defects ``lhs - rhs`` (linear in the
+    coefficients) and the oracle's ``C T C - T^*`` (dense), conjugated.  The
+    oracle is conjugate-linear, so its kernel is the conjugate of its
+    matrix's: the two kernels are those of the two matrices."""
+    n = min_truncation(band, spec)
+    a = truncated_matrix(spec, n).matrix
+    rows, oracle = [], []
+    for unit in _unit_symbols(band, table.entries):
+        report = evaluate_relations(unit, table)
+        rows.append((report.lhs - report.rhs) * math.ldexp(1.0, report.exponent))
+        t = truncate(unit, n).data
+        oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
+    return np.array(rows).T, np.conj(np.array(oracle).T)
 
 
 def _kernel_dimension(matrix, tol=None):
-    return matrix.shape[1] - np.linalg.matrix_rank(matrix, tol)
+    return matrix.shape[1] - (np.linalg.matrix_rank(matrix, tol) if matrix.size else 0)
 
 
 class _PairBasisChecks:
@@ -280,18 +288,7 @@ class _PairBasisChecks:
         # oracle is conjugate-linear, so its kernel is the conjugate of its
         # matrix's; the basis is real, so containment and equal dimensions
         # make all three spans one
-        table = self.table(band)
-        rows = []
-        n = min_truncation(band, self.spec)
-        a = truncated_matrix(self.spec, n).matrix
-        oracle = []
-        for unit in _unit_symbols(band):
-            report = evaluate_relations(unit, table)
-            rows.append((report.lhs - (report.rhs_re + 1j * report.rhs_im))
-                        * math.ldexp(1.0, report.exponent))
-            t = block_truncate(unit, n).data
-            oracle.append((a @ np.conj(t) @ np.conj(a) - t.conj().T).ravel())
-        rows, oracle = np.array(rows).T, np.array(oracle).T
+        rows, oracle = _rows_and_oracle(self.table(band), self.spec, band)
         generator, entry, index, weight = self.basis(band)
         size, width = self.once + 4 * (band // 2), 2 * band + 1
         basis = np.zeros((size, 4 * width))
@@ -602,6 +599,64 @@ class TestOrbitTable:
                 ranks = [np.linalg.matrix_rank(m) if m.size else 0
                          for m in (mirror, raw, np.vstack([mirror, raw]))]
                 assert len(set(ranks)) == 1, (sigma, band, ranks)
+
+
+# --- single-point mutants of the closed-form tables ----------------------------
+
+MUTATED = ["reversal:2", "transposition:5:1:3", "mulambda:0,1:0.6,0.8", "block_c", "block_ctilde"]
+# a vanish row's right side is zero whatever its scale and index: these
+# mutants read the same rows as their table
+EQUIVALENT = {("reversal:2", "vanish", "negate"), ("reversal:2", "vanish", "shift"),
+              ("transposition:5:1:3", "vanish", "negate"),
+              ("transposition:5:1:3", "vanish", "shift"),
+              ("block_c", "odd_vanish", "negate"), ("block_c", "odd_vanish", "shift")}
+
+
+def _closed_form(spec, band):
+    """The table that ``condition_reports`` reads for ``spec`` at ``band``."""
+    unit = LaurentSymbol({band: 1.0})
+    return condition_reports(MatrixSymbol(unit, *[LaurentSymbol()] * 3) if spec.is_block
+                             else unit, spec).table
+
+
+def _mutant(table, family, kind):
+    """A copy of ``table`` with ``family``'s rows dropped (``drop``), their
+    right scale negated (``negate``) or their right index shifted by one
+    (``shift``)."""
+    at = table.family == table.names.index(family)
+    keep = ~at if kind == "drop" else np.ones(len(table), bool)
+    rhs_index = table.index[1] + (kind == "shift") * at
+    rhs_scale = np.where(at & (kind == "negate"), -table.rhs_scale, table.rhs_scale)
+    return RelationTable(table.names, table.components,
+                         (table.family[keep], table.vanish[keep], *table.component[:, keep],
+                          table.index[0, keep], rhs_index[keep], rhs_scale[keep]))
+
+
+def _kernels_differ(rows, oracle):
+    """Whether the kernel comparison tells ``rows`` from the ``oracle``."""
+    dimensions = {_kernel_dimension(m, 1e-9) for m in (rows, oracle, np.vstack([rows, oracle]))}
+    return len(dimensions) > 1
+
+
+def test_every_single_point_table_mutant_is_killed():
+    # each mutant of each closed-form table against the oracle's kernel at
+    # bands 0-8, killed at the first band where the two kernels differ; the
+    # tables themselves have the oracle's kernel at each band
+    mutants, killed = set(), set()
+    for text in MUTATED:
+        spec = parse_spec_text(text)
+        for band in range(9):
+            table = _closed_form(spec, band)
+            rows, oracle = _rows_and_oracle(table, spec, band)
+            assert not _kernels_differ(rows, oracle), (text, band)
+            for mutant in {(text, family, kind) for family in table.families
+                           for kind in ("drop", "negate", "shift")} - killed:
+                mutants.add(mutant)
+                rows, _ = _rows_and_oracle(_mutant(table, *mutant[1:]), spec, band)
+                if _kernels_differ(rows, oracle):
+                    killed.add(mutant)
+    assert mutants - killed == EQUIVALENT
+    assert len(killed) == 42 and sum(kind == "drop" for _, _, kind in killed) == 16
 
 
 class TestProjectToRaw:

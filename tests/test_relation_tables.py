@@ -9,6 +9,7 @@
 """
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -157,19 +158,21 @@ def _reference_read(coeffs, component, index):
     return total
 
 
-def _reference_violations(symbol, table):
-    """``(row, lhs, rhs)`` of every violated row of ``table``, read one row
-    at a time: block sides summed from ``0j`` term by term, scalar sides read
-    directly."""
+def _reference_reader(symbol):
+    """The per-row reference read of ``symbol``'s sides: block sides summed
+    from ``0j`` term by term, scalar sides read directly."""
     coeffs = [entry.coeffs for entry in symbol.entries]
     if isinstance(symbol, MatrixSymbol):
-        def value(component, index):
-            return _reference_read(coeffs, component, index)
-    else:
-        def value(component, index):
-            return coeffs[0].get(index, 0j)
+        return lambda component, index: _reference_read(coeffs, component, index)
+    return lambda component, index: coeffs[0].get(index, 0j)
+
+
+def _reference_violations(symbol, table):
+    """``(row, lhs, rhs)`` of every violated row of ``table``, read one row
+    at a time by :func:`_reference_reader`."""
+    value = _reference_reader(symbol)
     norm = math.hypot(*[math.hypot(v.real, v.imag)
-                        for entry in coeffs for v in entry.values()])
+                        for entry in symbol.entries for v in entry.coeffs.values()])
     tol = COEFF_TOL * min(max(1.0, norm), sys.float_info.max)
     out = []
     for row in _rows(table):
@@ -189,7 +192,7 @@ def _assert_same(symbol, table, report):
     at = report.violations
     # the report is on the scale 2**-exponent; np.ldexp scales it back exactly
     parts = [np.ldexp(part[at], report.exponent).tolist()
-             for part in (report.lhs.real, report.lhs.imag, report.rhs_re, report.rhs_im)]
+             for part in (report.lhs.real, report.lhs.imag, report.rhs.real, report.rhs.imag)]
     lhs, rhs = map(complex, *parts[:2]), map(complex, *parts[2:])
     got = list(zip(_rows(table, at), map(repr, lhs), map(repr, rhs)))
     assert got == expected
@@ -325,7 +328,7 @@ def test_difference_at_the_tolerance(compared, x, y):
     assert compared == [len(report.violations)]
 
 
-# --- every row of a block table, read by its plan ----------------------------
+# --- every row of a table, read by its plan ------------------------------------
 
 
 def _drawn_entry(rng, lo, hi, density=0.7):
@@ -353,26 +356,52 @@ def _plan_cases(band, seed):
     return cases + [_signed_zeros(cases[5])]
 
 
+def _scalar_plan_cases(band, seed):
+    """The scalar symbols that a table of ``band`` reads, as
+    :func:`_plan_cases`, with signed zeros on a one-sided, a narrow and a
+    wide one: a scalar side is read directly, so each ``-0.0`` part shows."""
+    rng, half = np.random.default_rng(seed), band // 2
+    cases = [_drawn_entry(rng, 0, band), _drawn_entry(rng, -band, 0),
+             _drawn_entry(rng, -half, half), _drawn_entry(rng, -band - 3, band + 3, 0.9),
+             LaurentSymbol()]
+    return cases + [_signed_zeros(case) for case in cases[1:4]]
+
+
 def _assert_rows_match_the_reference(symbol, table):
     """Every row's sides, not only the violated ones, ``repr``-equal to the
     per-row reference read."""
     report = evaluate_relations(symbol, table)
-    coeffs = [entry.coeffs for entry in symbol.entries]
+    value = _reference_reader(symbol)
     parts = [np.ldexp(part, report.exponent).tolist()
-             for part in (report.lhs.real, report.lhs.imag, report.rhs_re, report.rhs_im)]
+             for part in (report.lhs.real, report.lhs.imag, report.rhs.real, report.rhs.imag)]
     for row, lhs_re, lhs_im, rhs_re, rhs_im in zip(_rows(table), *parts, strict=True):
         kind, lhs_index, rhs_index, lhs_component, rhs_component, scale, _ = row
-        assert repr(complex(lhs_re, lhs_im)) == repr(
-            _reference_read(coeffs, lhs_component, lhs_index))
-        rhs = 0j if kind == "vanish" else scale * _reference_read(coeffs, rhs_component, rhs_index)
+        assert repr(complex(lhs_re, lhs_im)) == repr(value(lhs_component, lhs_index))
+        rhs = 0j if kind == "vanish" else scale * value(rhs_component, rhs_index)
         assert repr(complex(rhs_re, rhs_im)) == repr(rhs)
 
 
-@pytest.mark.parametrize("relations", [block_hadamard_relations, block_mixed_necessary_relations])
-def test_read_plans_match_the_reference_on_every_row(relations):
+# each builder of a band, with the cases it reads; the twist tables at the
+# spec's normalized lam, whose powers carry signed zeros for lam = -1
+PLANNED = {
+    "block_hadamard_relations": (block_hadamard_relations, _plan_cases),
+    "block_mixed_necessary_relations": (block_mixed_necessary_relations, _plan_cases),
+    "mirror_1": (functools.partial(conditions._mirror_conditions, 1), _scalar_plan_cases),
+    "mirror_3": (functools.partial(conditions._mirror_conditions, 3), _scalar_plan_cases),
+    "twist_-1": (functools.partial(conditions._twist_relations, MuLambda(1.0, -1.0).lam),
+                 _scalar_plan_cases),
+    "twist_0.6+0.8i": (functools.partial(conditions._twist_relations,
+                                         MuLambda(1.0, complex(0.6, 0.8)).lam),
+                       _scalar_plan_cases),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANNED))
+def test_read_plans_match_the_reference_on_every_row(name):
+    relations, cases = PLANNED[name]
     for band in range(41):
         table = relations(band)
-        for symbol in _plan_cases(band, band):
+        for symbol in cases(band, band):
             _assert_rows_match_the_reference(symbol, table)
             # the table at the symbol's own bandwidth, whose reads the
             # support may not reach on one side

@@ -344,6 +344,26 @@ class TestPlanCache:
         # a second call returns the kept table itself
         assert conditions.block_hadamard_relations(6) is tables[2]
 
+    def test_builders_take_keywords_on_the_positional_key(self, monkeypatch):
+        # a builder's signature names its arguments: a keyword call binds
+        # them to the positions a positional call keys on, so both share
+        # one entry, and a positional call keys as it always has
+        keys, get = [], symmetry.PLAN_CACHE.get
+        monkeypatch.setattr(symmetry.PLAN_CACHE, "get",
+                            lambda key, build: keys.append(key) or get(key, build))
+        symmetry.PLAN_CACHE.clear()
+        table = conditions.block_hadamard_relations(band=4)
+        assert conditions.block_hadamard_relations(4) is table
+        assert conditions.block_mixed_basis(band=4) is conditions.block_mixed_basis(4)
+        twist = conditions._twist_relations(1j, 3)
+        assert conditions._twist_relations(lam=1j, band=3) is twist
+        assert conditions._twist_relations(1j, band=3) is twist
+        assert len(symmetry.PLAN_CACHE) == 3
+        assert keys[:2] == [(conditions.block_hadamard_relations.__wrapped__, "(4,)")] * 2
+        assert keys[-1] == (conditions._twist_relations.__wrapped__, "(1j, 3)")
+        with pytest.raises(TypeError, match="multiple values for argument 'band'"):
+            conditions.block_hadamard_relations(4, band=4)
+
     def test_specs_of_one_family_keep_their_own_plans(self):
         # both swaps truncate z^3 + 2z^-1 at order 24: a key on the family
         # name would hand the second the first one's plan
