@@ -401,7 +401,7 @@ def block_mixed_necessary_relations(band: int) -> RelationTable:
 def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
     """The mixed block conjugation's condition report: the exact list of
     :func:`block_mixed_necessary_relations`, necessary and sufficient."""
-    return evaluate_block_relations(msym, block_mixed_necessary_relations(msym.bandwidth))
+    return condition_reports(msym, BlockMixed())
 
 
 # --- dispatch, cross-validation trials ----------------------------------------
@@ -411,8 +411,6 @@ def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
     """The condition report of ``symbol`` under ``spec``, from the family's
     exact table: a residue permutation's is the closed form of its
     ``mirror_period``.  Every table is necessary and sufficient."""
-    if isinstance(spec, BlockMixed):
-        return check_block_mixed_necessary(symbol)
     band = symbol.bandwidth
     if spec.sigma is not None:
         return evaluate_scalar_relations(symbol, _mirror_conditions(spec.mirror_period, band))
@@ -420,6 +418,8 @@ def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
         return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band))
     if isinstance(spec, BlockHadamard):
         return evaluate_block_relations(symbol, block_hadamard_relations(band))
+    if isinstance(spec, BlockMixed):
+        return evaluate_block_relations(symbol, block_mixed_necessary_relations(band))
     raise TypeError(f"not a conjugation spec: {spec!r}")
 
 

@@ -129,15 +129,15 @@ class ResidualPlan(NamedTuple):
     """What :func:`residual` reads of ``A`` at one order, for any symbol: the
     flat index into the coefficients of every term (``at``, axes ``(i, j, k,
     l, entry)``), its left and right weights, the index of the adjoint's
-    entry, and the repeat counts of the strips and of the diagonals.  Weights
-    that are one per grid block have one entry on the last axis, and weights
-    that are all 1 are ``None``."""
+    entry, and the repeat counts of the strips and of the diagonals.  The
+    weights are complex, one per grid block (one entry on the last axis) or
+    one per row."""
 
     grid: int
     order: int
     at: np.ndarray
-    left: np.ndarray | None
-    right: np.ndarray | None
+    left: np.ndarray
+    right: np.ndarray
     adjoint: np.ndarray
     repeats: np.ndarray
     lengths: np.ndarray
@@ -145,7 +145,8 @@ class ResidualPlan(NamedTuple):
 
 def residual_plan(c: AntilinearOperator) -> ResidualPlan:
     """The gather plan of :func:`residual` for the operator ``c``."""
-    n, g, perms, weights = c.size, c.perms.shape[0], c.perms, c.weights
+    # complex once here, not by numpy in every residual's products
+    n, g, perms, weights = c.size, c.perms.shape[0], c.perms, c.weights.astype(complex)
     rows, base, residue, adjoint_at, repeats, lengths = _strips(n, c.period)
     # column q of conj(A_lj) is the unit row perm_lj^-1(q) weighted conj(w);
     # the inverse commutes with period shifts too, so it comes from residues
@@ -155,9 +156,7 @@ def residual_plan(c: AntilinearOperator) -> ResidualPlan:
     # w_ik[m] conj(c^kl_(perm_ik[m] - inverse_lj[q])) conj(w_lj[inverse_lj[q]])
     at = block * (2 * n - 1) + (n - 1) + perms[:, None, :, None, rows] \
         - inverse.transpose(1, 0, 2)[None, :, None]
-    if (weights == 1).all():  # the residue families (and mu = lam = 1): no product
-        left = right = None
-    elif (weights == weights[..., :1]).all():  # +-1/sqrt 2 per pair block, or a twist's mu
+    if (weights == weights[..., :1]).all():  # 1, +-1/sqrt 2 per pair block, or a twist's mu
         left = weights[:, None, :, None, :1]
         right = np.conj(weights[..., :1]).transpose(1, 0, 2)[None, :, None]
     else:
@@ -202,9 +201,8 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     # left * v.take(at), in place: one term-sized temporary fewer.  A weight
     # of 1 changes no term but for the sign of a zero, which squaring drops
     terms = v.take(c.at)
-    if c.left is not None:
-        np.multiply(c.left, terms, out=terms)
-        terms *= c.right
+    np.multiply(c.left, terms, out=terms)
+    terms *= c.right
     lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
     sq, norm_sq = np.square(lhs.view(float)), np.square(v.view(float))
     # a count weighs a real and an imaginary part, in place: the sums stay the float view's

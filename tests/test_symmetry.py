@@ -276,6 +276,16 @@ class TestStructuredResidual:
                 assert abs(got - expected) <= DENSE_BOUND * max(1.0, expected)
                 assert got == 0.0 or not exact
 
+    @pytest.mark.parametrize("spec", [*SIX_FAMILIES, MuLambda(complex(0.6, 0.8), 1)],
+                             ids=lambda s: s.name)
+    def test_plan_weights_are_complex_per_block_or_per_row(self, spec):
+        # one weight per grid block where a family's weights are constant on
+        # each block, one per row otherwise: only a twist with lam != 1 varies
+        plan = symmetry.residual_plan(truncated_matrix(spec, min_truncation(6, spec)))
+        per_row = isinstance(spec, MuLambda) and spec.lam != 1
+        for weights in (plan.left, plan.right):
+            assert weights.dtype == complex and (weights.shape[-1] > 1) == per_row
+
     def test_check_path_builds_no_dense_operator(self, monkeypatch):
         def refuse(self):
             raise AssertionError("the check path built a dense A or T")
@@ -303,7 +313,7 @@ class TestStructuredResidual:
 # each family's residual, by float.hex, on generic and solution-set draws at
 # these bands, seeds 0-19, written before the residual plans held their
 # weights per grid block or dropped weights of 1; a twist with lam = 1 has
-# one weight, mu, throughout, so it takes the per-block or the no-weight path
+# one weight, mu, throughout, so it takes the per-block path
 PINNED_SPECS = [GeneralPermutation(6, (2, 1, 0, 4, 3, 5)), Transposition(4, 0, 2),
                 Transposition(5, 1, 3), Reversal(2), MuLambda(1j, complex(0.6, 0.8)),
                 BlockHadamard(), BlockMixed(), MuLambda(complex(0.6, 0.8), 1), MuLambda(1, 1)]
