@@ -5,8 +5,9 @@ built from a finitely supported symbol satisfies ``C T C = T*`` for a family
 of structured antilinear conjugations: symbolically, through coefficient
 conditions, and numerically, through an exact truncation residual.  The two
 routes cross-validate each other.  ``draw_symbol`` is the one seeded draw
-per family, random or on the family's solution set, and ``run_check`` the
-one check of a symbol; the CLI exposes single checks, batch trials, the
+per family, random or on the family's solution set, ``run_check`` the one
+check of a symbol and ``check_draws`` the same check of many draws, in
+stacks of one bandwidth; the CLI exposes single checks, batch trials, the
 residue-swap decision, a test of the exact block_ctilde list and a draw on
 any family's solution set (``gen``).
 """
@@ -45,6 +46,7 @@ from .symmetry import SymmetryReport, is_c_symmetric, residual
 from .conditions import (
     ConditionReport,
     check_block_mixed_necessary,
+    check_draws,
     condition_reports,
     draw_symbol,
     equivalence_trial,

@@ -37,8 +37,8 @@ from .conjugations import (
 from .conditions import (
     CheckOutcome,
     ConditionReport,
+    check_draws,
     draw_symbol,
-    equivalence_trial,
     explore_block_mixed,
     explore_transposition,
     run_check,
@@ -244,23 +244,26 @@ def _cmd_verify(args, spec):
 def _cmd_random_test(args, spec):
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
+
+    def draw(t):
+        satisfying = args.mode == "satisfying" or (args.mode == "mixed" and t % 2 == 1)
+        return args.seed + t, draw_symbol(spec, args.seed + t, args.band, args.density, satisfying)
+
     disagreements = []
     # trials by the decade of their residual, split by the oracle's verdict
     histogram = {"symmetric": {}, "not_symmetric": {}}
-    for t in range(args.trials):
-        seed = args.seed + t
-        satisfying = args.mode == "satisfying" or (args.mode == "mixed" and t % 2 == 1)
-        result = equivalence_trial(spec, seed, args.band, args.density,
-                                   tol=args.tol, satisfying=satisfying)
-        if not result.agree:
+    for seed, symbol, outcome in check_draws(spec, map(draw, range(args.trials)), args.tol):
+        if not outcome.agree:
             disagreements.append(seed)
-        counts = histogram["symmetric" if result.oracle_symmetric else "not_symmetric"]
-        decade = str(math.floor(math.log10(result.residual))) if result.residual else "zero"
+        residual = outcome.oracle.residual
+        counts = histogram[outcome.oracle.verdict]
+        decade = str(math.floor(math.log10(residual))) if residual else "zero"
         counts[decade] = counts.get(decade, 0) + 1
+        del symbol, outcome  # not held through the next stack's check
     payload = {"trials": args.trials, "seed": args.seed, "band": args.band,
                "density": args.density, "mode": args.mode,
                "agreements": args.trials - len(disagreements),
-               "disagreements": disagreements, "residual_log10": histogram}
+               "disagreements": sorted(disagreements), "residual_log10": histogram}
     return payload, EXIT_DISAGREE if disagreements else EXIT_OK
 
 

@@ -13,7 +13,8 @@ each block family's its condition list, whose solution set has an integer
 basis (:func:`block_hadamard_basis`, :func:`block_mixed_basis`) that the
 block samplers draw on.  :func:`draw_symbol` is the one function that maps a
 family to its draw, random or on its solution set, for ``random-test``,
-``explore`` and ``gen``, and :func:`run_check` the one check of a draw.  The
+``explore`` and ``gen``, and :func:`run_check` the one check of a draw,
+which :func:`check_draws` runs on many draws in stacks of one bandwidth.  The
 raw entry identities and the paper's rule sets for residue swaps are the
 tests' reference; no command reads them.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +60,8 @@ from .symmetry import (
     budgeted_order,
     is_c_symmetric,
     scale_exponent,
+    stack_size,
+    symmetry_reports,
 )
 
 COEFF_TOL = 1e-12
@@ -166,9 +169,70 @@ class ConditionReport:
         return self.satisfied or not self.violations_by_family.get(family)
 
 
+def evaluate_stack(symbols: Sequence[LaurentSymbol | MatrixSymbol],
+                   table: RelationTable) -> list[ConditionReport]:
+    """:func:`evaluate_relations` of each of ``symbols`` in one pass: the
+    grid, the gathers, the products and the distances hold the stack on
+    their last axis, and each symbol keeps its own ``2**-e``, its tolerance
+    and the recheck of its rows near it."""
+    count, lo, columns, stack = table.entries, table.read_lo, table.read_columns, len(symbols)
+    # the coefficients the table reads, symbol s in column s: a block of rows
+    # per entry, index k at row k - lo of its block, then the entries negated
+    grid = np.zeros((2 * count * columns, stack), dtype=complex)
+    exponents, tols = [], []
+    for symbol, column in zip(symbols, grid.T):
+        entries = symbol.entries
+        if len(entries) != count:
+            kinds = ("block", "scalar") if count > 1 else ("scalar", "matrix")
+            raise ValueError("a %s relation cannot read a %s symbol" % kinds)
+        keys = np.concatenate([entry.exponents for entry in entries])
+        # the float view: a complex product by the scale would drop -0.0 parts
+        parts = np.concatenate([entry.values for entry in entries]).view(float)
+        e = scale_exponent(parts)
+        factor = math.ldexp(1.0, -e)
+        parts *= factor
+        values = parts.view(complex)
+        norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
+        exponents.append(e)
+        tols.append(COEFF_TOL * max(factor, norm))
+        at = keys - lo + np.repeat(np.arange(count) * columns,
+                                   [entry.values.size for entry in entries])
+        inside = (keys > lo) & (keys < lo + columns)
+        column[at[inside]] = values[inside]
+    np.negative(grid[:count * columns], out=grid[count * columns:])
+    # the table's entry count picks the read: a scalar side directly, so a
+    # -0.0 part survives, a block side its terms summed in order from 0j.
+    # Row r of symbol s is at r * stack + s: every row operation is 1-D
+    read = grid.take(table.reads, axis=0)
+    lhs, value = (read[0] if count == 1 else read.sum(axis=0, initial=0j)).reshape(2, -1)
+    # Python's complex product, from real parts: numpy's complex multiply
+    # may fuse a multiply and an add and round differently
+    scale, rhs = table.rhs_scale.repeat(stack), np.empty_like(value)
+    np.subtract(scale.real * value.real, scale.imag * value.imag, out=rhs.real)
+    np.add(scale.real * value.imag, scale.imag * value.real, out=rhs.imag)
+    np.copyto(rhs, 0, where=table.vanish.repeat(stack))
+    diffs = lhs - rhs
+    distances = np.hypot(diffs.real, diffs.imag)
+    reports = []
+    for s, (e, tol) in enumerate(zip(exponents, tols)):
+        diff, distance = diffs[s::stack], distances[s::stack]
+        # np.hypot is within an ulp of math.hypot, and the band around the
+        # tolerance is about 4 ulp wide: numpy decides every row outside it,
+        # math.hypot the rows inside
+        violated = distance > tol * (1 + 1e-15)
+        near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
+        distance[near] = list(map(math.hypot, diff.real[near].tolist(), diff.imag[near].tolist()))
+        violated[near] = distance[near] > tol
+        at = violated.nonzero()[0]
+        reports.append(ConditionReport(not at.size, table, at, lhs[s::stack], rhs[s::stack],
+                                       distance, tol, e))
+    return reports
+
+
 def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
                        table: RelationTable) -> ConditionReport:
-    """Evaluate the relation ``table`` on a scalar or a 2x2 matrix symbol.
+    """Evaluate the relation ``table`` on a scalar or a 2x2 matrix symbol:
+    :func:`evaluate_stack` of a stack of one.
 
     A relation holds when its two sides differ by at most
     ``COEFF_TOL * max(1, ||c||_2)``, with ``||c||_2`` taken over every
@@ -181,53 +245,12 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     tolerance scaled alike: exact, and no side overflows.  The report stays
     on that scale, with ``e`` as its ``exponent``.
     """
-    entries = symbol.entries
-    if len(entries) != table.entries:
-        kinds = ("block", "scalar") if table.entries > 1 else ("scalar", "matrix")
-        raise ValueError("a %s relation cannot read a %s symbol" % kinds)
-    keys = np.concatenate([entry.exponents for entry in entries])
-    # the float view: a complex product by the scale would drop -0.0 parts
-    parts = np.concatenate([entry.values for entry in entries]).view(float)
-    e = scale_exponent(parts)
-    factor = math.ldexp(1.0, -e)
-    parts *= factor
-    values = parts.view(complex)
-    norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
-    tol = COEFF_TOL * max(factor, norm)
-    # the coefficients the table reads, one grid row per entry and index k
-    # at column k - lo, then the entries negated
-    lo, columns, count = table.read_lo, table.read_columns, len(entries)
-    grid = np.zeros((2 * count, columns), dtype=complex)
-    at = keys - lo + np.repeat(np.arange(count) * columns,
-                               [entry.values.size for entry in entries])
-    inside = (keys > lo) & (keys < lo + columns)
-    grid.reshape(-1)[at[inside]] = values[inside]
-    np.negative(grid[:count], out=grid[count:])
-    # the table's entry count picks the read: a scalar side directly, so a
-    # -0.0 part survives, a block side its terms summed in order from 0j
-    read = grid.reshape(-1).take(table.reads)
-    lhs, value = read[0] if table.entries == 1 else read.sum(axis=0, initial=0j)
-    # Python's complex product, from real parts: numpy's complex multiply
-    # may fuse a multiply and an add and round differently
-    scale, rhs = table.rhs_scale, np.empty_like(value)
-    np.subtract(scale.real * value.real, scale.imag * value.imag, out=rhs.real)
-    np.add(scale.real * value.imag, scale.imag * value.real, out=rhs.imag)
-    rhs[table.vanish] = 0
-    diff = lhs - rhs
-    # np.hypot is within an ulp of math.hypot, and the band around the
-    # tolerance is about 4 ulp wide: numpy decides every row outside it,
-    # math.hypot the rows inside
-    distance = np.hypot(diff.real, diff.imag)
-    violated = distance > tol * (1 + 1e-15)
-    near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
-    distance[near] = list(map(math.hypot, diff.real[near].tolist(), diff.imag[near].tolist()))
-    violated[near] = distance[near] > tol
-    at = violated.nonzero()[0]
-    return ConditionReport(not at.size, table, at, lhs, rhs, distance, tol, e)
+    return evaluate_stack([symbol], table)[0]
 
 
-# The names the checkers call by symbol kind; patching one (as a tracer does)
-# sees every scalar or every block evaluation.
+# The names the single checks call by symbol kind; patching one (as a tracer
+# does) sees every scalar or every block evaluation but the stacked ones,
+# which call evaluate_stack.
 evaluate_scalar_relations = evaluate_relations
 evaluate_block_relations = evaluate_relations
 
@@ -407,20 +430,26 @@ def check_block_mixed_necessary(msym: MatrixSymbol) -> ConditionReport:
 # --- dispatch, cross-validation trials ----------------------------------------
 
 
+def relation_table(spec: ConjugationSpec, band: int) -> RelationTable:
+    """The exact table of ``spec``'s family at ``band``: a residue
+    permutation's is the closed form of its ``mirror_period``.  Every table
+    is necessary and sufficient."""
+    if spec.sigma is not None:
+        return _mirror_conditions(spec.mirror_period, band)
+    if isinstance(spec, MuLambda):
+        return _twist_relations(spec.lam, band)
+    if isinstance(spec, BlockHadamard):
+        return block_hadamard_relations(band)
+    if isinstance(spec, BlockMixed):
+        return block_mixed_necessary_relations(band)
+    raise TypeError(f"not a conjugation spec: {spec!r}")
+
+
 def condition_reports(symbol, spec: ConjugationSpec) -> ConditionReport:
     """The condition report of ``symbol`` under ``spec``, from the family's
-    exact table: a residue permutation's is the closed form of its
-    ``mirror_period``.  Every table is necessary and sufficient."""
-    band = symbol.bandwidth
-    if spec.sigma is not None:
-        return evaluate_scalar_relations(symbol, _mirror_conditions(spec.mirror_period, band))
-    if isinstance(spec, MuLambda):
-        return evaluate_scalar_relations(symbol, _twist_relations(spec.lam, band))
-    if isinstance(spec, BlockHadamard):
-        return evaluate_block_relations(symbol, block_hadamard_relations(band))
-    if isinstance(spec, BlockMixed):
-        return evaluate_block_relations(symbol, block_mixed_necessary_relations(band))
-    raise TypeError(f"not a conjugation spec: {spec!r}")
+    :func:`relation_table`."""
+    evaluate = evaluate_block_relations if spec.is_block else evaluate_scalar_relations
+    return evaluate(symbol, relation_table(spec, symbol.bandwidth))
 
 
 @dataclass(frozen=True)
@@ -436,6 +465,39 @@ def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL) -> Check
     return CheckOutcome(condition, oracle, condition.satisfied == oracle.symmetric)
 
 
+def check_stack(symbols: Sequence[LaurentSymbol | MatrixSymbol], spec: ConjugationSpec,
+                tol: float = SYMMETRY_TOL) -> list[CheckOutcome]:
+    """:func:`run_check` of each of ``symbols``, all of one bandwidth, bit for
+    bit, from one :func:`symmetry.symmetry_reports` and one :func:`evaluate_stack`."""
+    oracles = symmetry_reports(symbols, spec, tol)
+    reports = evaluate_stack(symbols, relation_table(spec, symbols[0].bandwidth))
+    return [CheckOutcome(c, o, c.satisfied == o.symmetric) for c, o in zip(reports, oracles)]
+
+
+def check_draws(spec: ConjugationSpec, draws: Iterable[tuple], tol: float = SYMMETRY_TOL
+                ) -> Iterator[tuple]:
+    """``(key, symbol, outcome)`` for each ``(key, symbol)`` of ``draws``, in
+    :func:`check_stack` stacks of one bandwidth: a stack is checked once it
+    holds ``symmetry.stack_size`` draws, and the rest after the last draw, so
+    the outcomes come in stack order and no more than ``stack_size`` draws of
+    one bandwidth wait at a time."""
+    pending: dict[int, list] = {}
+
+    def check(stack):
+        keys, symbols = zip(*stack)
+        return zip(keys, symbols, check_stack(symbols, spec, tol))
+
+    for key, symbol in draws:
+        band = symbol.bandwidth
+        stack = pending.setdefault(band, [])
+        stack.append((key, symbol))
+        if len(stack) == stack_size(band, spec):
+            yield from check(pending.pop(band))
+        del symbol, stack  # a checked draw is not held through the next draw
+    for stack in pending.values():
+        yield from check(stack)
+
+
 @dataclass(frozen=True)
 class TrialResult:
     agree: bool
@@ -446,11 +508,13 @@ class TrialResult:
 
 def draw_symbol(spec: ConjugationSpec, seed: int, band: int, density: float, satisfying: bool):
     """The one draw per family: random, or with ``satisfying`` on its solution
-    set.  A block band over the residual's budget raises before the draw."""
+    set.  A band or density that :func:`symbols.check_draw` refuses, then a
+    band over the residual's budget, raises before the draw."""
+    check_draw(band, density)
+    budgeted_order(band, spec)
     if not spec.is_block:
         sym = random_symbol(seed, band, density)
         return project_to_conditions(sym, spec) if satisfying else sym
-    budgeted_order(band, spec)
     if not satisfying:
         return random_matrix_symbol(seed, band, density)
     if isinstance(spec, BlockHadamard):
@@ -464,7 +528,6 @@ def equivalence_trial(spec: ConjugationSpec, seed: int, band: int,
     """One seeded cross-validation trial: the condition verdict against the
     oracle's on a :func:`draw_symbol` draw.  A band over the residual's budget
     raises ``ValueError`` before the draw."""
-    budgeted_order(band, spec)
     outcome = run_check(draw_symbol(spec, seed, band, density, satisfying), spec, tol)
     return TrialResult(outcome.agree, outcome.condition.satisfied,
                        outcome.oracle.symmetric, outcome.oracle.residual)
@@ -633,21 +696,25 @@ def explore_transposition(p: int, i: int, j: int, band: int, trials: int, seed: 
 def explore_block_mixed(band: int, trials: int, seed: int,
                         tol: float = SYMMETRY_TOL) -> dict:
     """Check the ``block_ctilde`` list against the oracle on its solution set,
-    :func:`run_check` on trial ``t``'s :func:`draw_symbol` at ``seed + t`` and
-    density 1: a candidate satisfies the list but not the oracle, an anomaly
-    fails the list.  Both stay empty, as the list is exact.  ``nullspace_dim``
-    is the basis size.  A band over the residual's budget raises before any draw."""
+    :func:`check_draws` of trial ``t``'s :func:`draw_symbol` at ``seed + t``
+    and density 1: a candidate satisfies the list but not the oracle, an
+    anomaly fails the list; both are listed by seed, and both stay empty, as
+    the list is exact.  ``nullspace_dim`` is the basis size.  A band over the
+    residual's budget raises before any draw."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     candidates, anomalies = [], []
-    for s in range(seed, seed + trials):
-        msym = draw_symbol(BlockMixed(), s, band, 1.0, satisfying=True)
-        outcome = run_check(msym, BlockMixed(), tol)
+    draws = ((s, draw_symbol(BlockMixed(), s, band, 1.0, satisfying=True))
+             for s in range(seed, seed + trials))
+    for s, msym, outcome in check_draws(BlockMixed(), draws, tol):
         if not outcome.condition.satisfied:
             anomalies.append(s)
         elif not outcome.oracle.symmetric:
             candidates.append({"seed": s, "residual": outcome.oracle.residual,
                                "symbol": msym.to_json()})
+        del msym, outcome  # not held through the next stack's check
+    anomalies.sort()
+    candidates.sort(key=lambda candidate: candidate["seed"])
     return {"family": BlockMixed.name, "band": band, "trials": trials, "seed": seed,
             "nullspace_dim": int(block_mixed_basis(band)[0].max()) + 1,
             "candidates": candidates, "anomalies": anomalies}

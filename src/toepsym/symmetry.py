@@ -10,7 +10,9 @@ Toeplitz, so its first block row and column carry every distinct block.  It
 agrees with the dense formula to rounding (the tests hold it to
 ``1e-12 * max(1, dense)``), not bit for bit.  What the residual reads of the
 operator depends only on the conjugation and the order, so it is planned once
-per ``(spec, order)`` and kept in ``PLAN_CACHE``.
+per ``(spec, order)`` and kept in ``PLAN_CACHE``; :func:`residuals` reads a
+stack of truncations of one order in one pass, and a single residual is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import inspect
 import math
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +34,9 @@ from .toeplitz import TruncatedToeplitz, block_truncate, min_truncation, truncat
 
 SYMMETRY_TOL = 1e-10
 RESIDUAL_BUDGET_BYTES = 1 << 28
+# a residual stack's arrays, by residual_bytes, stay under this: stacks gain
+# at small bands, and a truncation whose residual passes it is a stack of one
+STACK_BYTES = 1 << 20
 PLAN_CACHE_BYTES = 1 << 22
 
 SYMMETRIC = "symmetric"
@@ -177,9 +183,43 @@ def scale_exponent(parts: np.ndarray) -> int:
     return max(0, math.frexp(np.abs(parts).max(initial=0.0))[1])
 
 
+def residuals(ts: Sequence[TruncatedToeplitz], c: AntilinearOperator | ResidualPlan) -> list[float]:
+    """:func:`residual` of each truncation of the stack ``ts``, all of one
+    order, in one pass: every gather, product and sum gains a leading stack
+    axis, and each truncation keeps its own ``diagonals`` and ``2**-e``."""
+    if isinstance(c, AntilinearOperator):
+        c = residual_plan(c)
+    for t in ts:
+        if (t.grid, t.order) != (c.grid, c.order):
+            raise ValueError(f"shape mismatch: operator has {c.grid}-square grid of size "
+                             f"{c.order}, matrix {t.grid}-square grid of order {t.order}")
+    scales = [math.ldexp(1.0, -scale_exponent(t.diagonals.view(float))) for t in ts]
+    # conj(2**-e T) of truncation s: entry e's c_d at [s, e, d + n - 1]
+    v = np.empty((len(ts), *ts[0].diagonals.shape), complex)
+    for row, t, scale in zip(v, ts, scales):
+        np.multiply(t.diagonals, scale, out=row)
+    flat = np.conj(v, out=v).reshape(len(ts), -1)
+    # left * flat.take(at), in place: one term-sized temporary fewer.  A weight
+    # of 1 changes no term but for the sign of a zero, which squaring drops
+    terms = flat.take(c.at, axis=1)
+    np.multiply(c.left, terms, out=terms)
+    terms *= c.right
+    lhs = terms.sum(axis=(3, 4)) - flat.take(c.adjoint, axis=1)
+    del terms  # summed: not held through the squares
+    sq, norm_sq = np.square(lhs.view(float)), np.square(v.view(float))
+    # a count weighs a real and an imaginary part, in place: the sums stay the float view's
+    for squares, counts in ((sq, c.repeats), (norm_sq, c.lengths)):
+        pairs = squares.reshape(*squares.shape[:-1], -1, 2)
+        pairs *= counts[:, None]
+    sums = [np.add.reduce(squares.reshape(len(ts), -1), axis=1).tolist()
+            for squares in (sq, norm_sq)]
+    return [math.sqrt(r) / max(scale, math.sqrt(norm)) for r, norm, scale in zip(*sums, scales)]
+
+
 def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> float:
     """``||A conj(T) conj(A) - T^*||_F / max(1, ||T||_F)``, from coefficients;
-    ``c`` is the operator ``A`` or its :func:`residual_plan`.
+    ``c`` is the operator ``A`` or its :func:`residual_plan`.  A stack of one
+    of :func:`residuals`.
 
     ``A``'s blocks commute with shifts by ``c.period``, so each quadrant of
     ``R = A conj(T) conj(A) - T^*`` is block Toeplitz, ``K`` period-square
@@ -190,26 +230,7 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     by ``2**-e`` (:func:`scale_exponent`), so huge symbols do not overflow;
     numpy's pairwise sums do not depend on the BLAS thread count.
     """
-    n, g = t.order, t.grid
-    if isinstance(c, AntilinearOperator):
-        c = residual_plan(c)
-    if (g, n) != (c.grid, c.order):
-        raise ValueError(f"shape mismatch: operator has {c.grid}-square grid of size "
-                         f"{c.order}, matrix {g}-square grid of order {n}")
-    scale = math.ldexp(1.0, -scale_exponent(t.diagonals.view(float)))
-    v = np.conj(t.diagonals * scale)  # conj(2**-e T): entry e's c_d at [e, d + n - 1]
-    # left * v.take(at), in place: one term-sized temporary fewer.  A weight
-    # of 1 changes no term but for the sign of a zero, which squaring drops
-    terms = v.take(c.at)
-    np.multiply(c.left, terms, out=terms)
-    terms *= c.right
-    lhs = terms.sum(axis=(2, 3)) - v.take(c.adjoint)
-    sq, norm_sq = np.square(lhs.view(float)), np.square(v.view(float))
-    # a count weighs a real and an imaginary part, in place: the sums stay the float view's
-    for squares, counts in ((sq, c.repeats), (norm_sq, c.lengths)):
-        squares[..., ::2] *= counts
-        squares[..., 1::2] *= counts
-    return math.sqrt(sq.sum()) / max(scale, math.sqrt(norm_sq.sum()))
+    return residuals([t], c)[0]
 
 
 def residual_bytes(order: int, spec: ConjugationSpec) -> int:
@@ -230,25 +251,48 @@ def budgeted_order(band: int, spec: ConjugationSpec) -> int:
     return n
 
 
+def stack_size(band: int, spec: ConjugationSpec) -> int:
+    """How many symbols of bandwidth ``band`` one :func:`residuals` stack
+    holds: as many as fit, by :func:`residual_bytes`, under ``STACK_BYTES``
+    and the residual's budget, and one at least."""
+    need = residual_bytes(min_truncation(band, spec), spec)
+    return max(1, min(STACK_BYTES, RESIDUAL_BUDGET_BYTES) // need)
+
+
+def symmetry_reports(symbols: Sequence[LaurentSymbol | MatrixSymbol], spec: ConjugationSpec,
+                     tol: float = SYMMETRY_TOL) -> list[SymmetryReport]:
+    """:func:`is_c_symmetric` of each of ``symbols``, all of one bandwidth,
+    from one stack of :func:`residuals` of at most :func:`stack_size`."""
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError("tol must be finite and positive")
+    block = spec.is_block
+    for symbol in symbols:
+        if block != isinstance(symbol, MatrixSymbol):
+            kind = "matrix" if block else "scalar"
+            raise ValueError(f"spec {spec!r} requires a {kind} symbol")
+    band = symbols[0].bandwidth
+    for symbol in symbols[1:]:
+        if symbol.bandwidth != band:
+            raise ValueError(f"a stack needs symbols of one bandwidth, not {band} "
+                             f"and {symbol.bandwidth}")
+    n = budgeted_order(band, spec)
+    if len(symbols) > 1 and len(symbols) > stack_size(band, spec):  # one always fits
+        raise ValueError(f"a stack of {len(symbols)} truncations of order {n} passes its byte cap")
+    ts = [truncate(symbol, n) for symbol in symbols]
+    plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
+    # a stack of one through residual, the name a tracer wraps
+    values = residuals(ts, plan) if len(ts) > 1 else [residual(ts[0], plan)]
+    return [SymmetryReport(r, n, SYMMETRIC if r <= tol else NOT_SYMMETRIC, tol) for r in values]
+
+
 def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
                    tol: float = SYMMETRY_TOL) -> SymmetryReport:
     """Build the truncation pair for ``symbol`` under ``spec``, of order
     :func:`min_truncation` of the symbol's bandwidth, and report the residual
-    verdict.  Block specs require a :class:`MatrixSymbol` and scalar specs a
-    :class:`LaurentSymbol`.  An order whose residual would pass
-    ``RESIDUAL_BUDGET_BYTES`` raises ``ValueError`` before any allocation.
-    The residual's plan comes from ``PLAN_CACHE``, keyed on ``spec`` and the
-    order.
+    verdict: :func:`symmetry_reports` of a stack of one.  Block specs require
+    a :class:`MatrixSymbol` and scalar specs a :class:`LaurentSymbol`.  An
+    order whose residual would pass ``RESIDUAL_BUDGET_BYTES`` raises
+    ``ValueError`` before any allocation.  The residual's plan comes from
+    ``PLAN_CACHE``, keyed on ``spec`` and the order.
     """
-    if not 0 < tol < math.inf:  # also false for NaN
-        raise ValueError("tol must be finite and positive")
-    block = spec.is_block
-    if block != isinstance(symbol, MatrixSymbol):
-        kind = "matrix" if block else "scalar"
-        raise ValueError(f"spec {spec!r} requires a {kind} symbol")
-    n = budgeted_order(symbol.bandwidth, spec)
-    t = truncate(symbol, n)
-    plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
-    r = residual(t, plan)
-    verdict = SYMMETRIC if r <= tol else NOT_SYMMETRIC
-    return SymmetryReport(r, n, verdict, tol)
+    return symmetry_reports([symbol], spec, tol)[0]

@@ -619,7 +619,8 @@ class TestResidualBudget:
     def test_exits_three_without_allocating(self, capsys, monkeypatch, symbol, spec):
         def refuse(*args):
             raise AssertionError("the budget check came too late")
-        for name in ("truncate", "block_truncate", "truncated_matrix", "residual"):
+        # what a check's stack of one calls after its budget check
+        for name in ("truncate", "truncated_matrix", "residual_plan", "residual", "residuals"):
             monkeypatch.setattr(symmetry, name, refuse)
         code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", spec)
         assert (code, out) == (3, "")
@@ -645,6 +646,20 @@ class TestResidualBudget:
                                  "--trials", "1", "--mode", mode)
         assert (code, out) == (3, "")
         assert "over its budget" in err
+
+    @pytest.mark.parametrize("spec", ["reversal:2", "mulambda:0,1:0.6,0.8", "block_c"])
+    def test_gen_exits_three_before_drawing(self, capsys, monkeypatch, spec):
+        # gen's symbol must be one that check accepts
+        def refuse(*args, **kwargs):
+            raise AssertionError("the budget check came too late")
+        for name in ("draw_coeffs", "random_symbol", "random_matrix_symbol"):
+            monkeypatch.setattr(conditions, name, refuse)
+        code, out, err = run_cli(capsys, "gen", "--spec", spec, "--band", "600000")
+        assert (code, out) == (3, "")
+        order = symmetry.min_truncation(600000, parse_spec_text(spec))
+        assert err == (f"toepsym: error: the residual at order {order} needs "
+                       f"{symmetry.residual_bytes(order, parse_spec_text(spec)) >> 20} MiB, "
+                       "over its budget\n")
 
     @staticmethod
     def _lower_budget(monkeypatch, spec, band):
@@ -763,20 +778,43 @@ print(code, status("VmHWM:") - before)
 """
 
 
+# Prints a spec's mirror period and the peak of a solution-set draw at band 6
+# under it, the walk gen took before its budget check, above the memory in
+# use before it.
+_MIRROR_PEAK = """
+import sys
+from toepsym.cli import parse_spec_text
+from toepsym.symbols import project_to_conditions, random_symbol
+""" + _STATUS + """
+before = status("VmRSS:")
+spec = parse_spec_text(sys.argv[1])
+project_to_conditions(random_symbol(0, 6, 0.5), spec)
+print(spec.mirror_period, status("VmHWM:") - before)
+"""
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_swap_orbit_walk_memory_does_not_grow_with_the_period_squared():
+def test_swap_orbit_walk_memory_does_not_grow_with_the_period_squared(capsys):
     # two lists of 2 p^2 ints took about 550 MB at p = 2000, and a walk over
     # the p^2 residue pairs ran for minutes at p = 200000; the mirror period
     # reads O(p) per divisor of p
     for argv in (["explore", "--spec", "transposition:2000:0:1", "--band", "2", "--trials", "1"],
                  ["explore", "--spec", "transposition:200000:0:1", "--band", "2",
-                  "--trials", "1"],
-                 ["gen", "--spec", "reversal:200000", "--band", "6"]):
+                  "--trials", "1"]):
         proc = subprocess.run([sys.executable, "-c", _COMMAND_PEAK, *argv],
                               capture_output=True, text=True, env=_module_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         code, peak = map(int, proc.stdout.split())
         assert code == 0 and peak <= 32 << 20, (argv, peak)
+    # gen refuses the period's residual by its budget, so the walk it took
+    # before drawing is held to the bound in process
+    proc = subprocess.run([sys.executable, "-c", _MIRROR_PEAK, "reversal:200000"],
+                          capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    period, peak = map(int, proc.stdout.split())
+    assert period == 200000 and peak <= 32 << 20, peak
+    code, out, err = run_cli(capsys, "gen", "--spec", "reversal:200000", "--band", "6")
+    assert (code, out) == (3, "") and "over its budget" in err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

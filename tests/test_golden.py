@@ -68,6 +68,17 @@ COMMANDS = {
     "verify": (0, ["verify", "--spec", "block_ctilde", "--size", "8"]),
     "random_test": (0, ["random-test", "--spec", GENERAL, "--trials", "20", "--seed", "2",
                         "--band", "8"]),
+    # draws of mixed bandwidths, checked in stacks of one bandwidth each:
+    # the histogram must not depend on how the trials are grouped
+    "random_test_block_c": (0, ["random-test", "--spec", "block_c", "--trials", "20",
+                                "--seed", "2", "--band", "8", "--mode", "mixed",
+                                "--density", "0.5"]),
+    "random_test_block_ctilde": (0, ["random-test", "--spec", "block_ctilde", "--trials", "20",
+                                     "--seed", "2", "--band", "8", "--mode", "mixed",
+                                     "--density", "0.5"]),
+    "random_test_mulambda": (0, ["random-test", "--spec", "mulambda:0,1:0.6,0.8",
+                                 "--trials", "20", "--seed", "2", "--band", "8",
+                                 "--mode", "mixed", "--density", "0.5"]),
     "explore": (0, ["explore", "--spec", "transposition:5:1:3", "--trials", "5",
                     "--band", "7", "--seed", "1"]),
     # draws from the integer basis of the block_ctilde list's solution set: the
