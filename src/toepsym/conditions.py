@@ -21,9 +21,10 @@ tests' reference; no command reads them.
 A :class:`ConditionReport` is the evaluated table, its row values and the
 indices of its violated rows, read, as the oracle's residual, from the
 coefficients times ``2**-e`` for the least ``e >= 0`` that brings every part
-below 1, so no side overflows; it stays on that scale, and :mod:`toepsym.cli`
-unscales what it prints.  Tables and bases depend only on their builders'
-arguments and are kept, read-only, in ``symmetry.PLAN_CACHE``.
+below 1, so no side overflows: a check's two routes read the same scaled
+coefficients of the same truncation.  A report stays on that scale, and
+:mod:`toepsym.cli` unscales what it prints.  Tables and bases depend only on
+their builders' arguments and are kept, read-only, in ``symmetry.PLAN_CACHE``.
 """
 
 from __future__ import annotations
@@ -53,16 +54,18 @@ from .symbols import (
     random_matrix_symbol,
     random_symbol,
 )
-from .symmetry import (
+# is_c_symmetric is not called here; a tracer wraps the name
+from .symmetry import (  # noqa: F401
     PLAN_CACHE,
     SYMMETRY_TOL,
     SymmetryReport,
     budgeted_order,
     is_c_symmetric,
-    scale_exponent,
     stack_size,
     symmetry_reports,
+    truncations,
 )
+from .toeplitz import TruncatedToeplitz
 
 COEFF_TOL = 1e-12
 
@@ -169,69 +172,69 @@ class ConditionReport:
         return self.satisfied or not self.violations_by_family.get(family)
 
 
-def evaluate_stack(symbols: Sequence[LaurentSymbol | MatrixSymbol],
+def evaluate_stack(symbols: Sequence[LaurentSymbol | MatrixSymbol | TruncatedToeplitz],
                    table: RelationTable) -> list[ConditionReport]:
-    """:func:`evaluate_relations` of each of ``symbols`` in one pass: the
-    grid, the gathers, the products and the distances hold the stack on
-    their last axis, and each symbol keeps its own ``2**-e``, its tolerance
-    and the recheck of its rows near it."""
+    """:func:`evaluate_relations` of each of ``symbols``, symbols or their
+    truncations, in one pass: the grid, the gathers, the products and the
+    distances hold the stack on their first axis, and each symbol keeps its
+    own ``2**-e``, its tolerance and the recheck of its rows near it."""
     count, lo, columns, stack = table.entries, table.read_lo, table.read_columns, len(symbols)
-    # the coefficients the table reads, symbol s in column s: a block of rows
-    # per entry, index k at row k - lo of its block, then the entries negated
-    grid = np.zeros((2 * count * columns, stack), dtype=complex)
+    # the window of the scaled coefficients that the table reads, symbol s
+    # at [s]: a row per entry, index k at column k - lo, then the entries
+    # negated.  Column 0, which only the padding reads, stays zero
+    grid = np.zeros((stack, 2 * count, columns), dtype=complex)
     exponents, tols = [], []
-    for symbol, column in zip(symbols, grid.T):
-        entries = symbol.entries
-        if len(entries) != count:
+    for symbol, block in zip(symbols, grid):
+        if len(symbol.entries) != count:
             kinds = ("block", "scalar") if count > 1 else ("scalar", "matrix")
             raise ValueError("a %s relation cannot read a %s symbol" % kinds)
-        keys = np.concatenate([entry.exponents for entry in entries])
-        # the float view: a complex product by the scale would drop -0.0 parts
-        parts = np.concatenate([entry.values for entry in entries]).view(float)
-        e = scale_exponent(parts)
-        factor = math.ldexp(1.0, -e)
-        parts *= factor
-        values = parts.view(complex)
+        if not isinstance(symbol, TruncatedToeplitz):  # one that holds every coefficient
+            symbol = TruncatedToeplitz(symbol.entries, symbol.bandwidth + 1)
+        (rows, e), n = symbol.scaled, symbol.order
+        # the indices both hold, k in [first, stop): at k + n - 1 in the rows
+        first, stop = max(lo + 1, 1 - n), min(lo + columns, n)
+        if first < stop:
+            block[:count, first - lo:stop - lo] = rows[:, first + n - 1:stop + n - 1]
+        # the coefficients in entry and index order, as math.hypot reads them
+        values = rows[rows != 0]
         norm = math.hypot(*map(math.hypot, values.real.tolist(), values.imag.tolist()))
         exponents.append(e)
-        tols.append(COEFF_TOL * max(factor, norm))
-        at = keys - lo + np.repeat(np.arange(count) * columns,
-                                   [entry.values.size for entry in entries])
-        inside = (keys > lo) & (keys < lo + columns)
-        column[at[inside]] = values[inside]
-    np.negative(grid[:count * columns], out=grid[count * columns:])
+        tols.append(COEFF_TOL * max(math.ldexp(1.0, -e), norm))
+    np.negative(grid[:, :count], out=grid[:, count:])
     # the table's entry count picks the read: a scalar side directly, so a
-    # -0.0 part survives, a block side its terms summed in order from 0j.
-    # Row r of symbol s is at r * stack + s: every row operation is 1-D
-    read = grid.take(table.reads, axis=0)
-    lhs, value = (read[0] if count == 1 else read.sum(axis=0, initial=0j)).reshape(2, -1)
+    # -0.0 part survives, a block side its terms summed in order from 0j
+    read = grid.reshape(stack, -1).take(table.reads, axis=1)
+    sides = read[:, 0] if count == 1 else read.sum(axis=1, initial=0j)
+    lhs, value = sides[:, 0], sides[:, 1]
     # Python's complex product, from real parts: numpy's complex multiply
     # may fuse a multiply and an add and round differently
-    scale, rhs = table.rhs_scale.repeat(stack), np.empty_like(value)
+    scale, rhs = table.rhs_scale, np.empty(value.shape, complex)
     np.subtract(scale.real * value.real, scale.imag * value.imag, out=rhs.real)
     np.add(scale.real * value.imag, scale.imag * value.real, out=rhs.imag)
-    np.copyto(rhs, 0, where=table.vanish.repeat(stack))
+    np.copyto(rhs, 0, where=table.vanish)
     diffs = lhs - rhs
     distances = np.hypot(diffs.real, diffs.imag)
     reports = []
     for s, (e, tol) in enumerate(zip(exponents, tols)):
-        diff, distance = diffs[s::stack], distances[s::stack]
+        diff, distance = diffs[s], distances[s]
         # np.hypot is within an ulp of math.hypot, and the band around the
         # tolerance is about 4 ulp wide: numpy decides every row outside it,
         # math.hypot the rows inside
         violated = distance > tol * (1 + 1e-15)
         near = ((distance >= tol * (1 - 1e-15)) & ~violated).nonzero()[0]
-        distance[near] = list(map(math.hypot, diff.real[near].tolist(), diff.imag[near].tolist()))
-        violated[near] = distance[near] > tol
+        if near.size:
+            distance[near] = list(map(math.hypot, diff.real[near].tolist(),
+                                      diff.imag[near].tolist()))
+            violated[near] = distance[near] > tol
         at = violated.nonzero()[0]
-        reports.append(ConditionReport(not at.size, table, at, lhs[s::stack], rhs[s::stack],
-                                       distance, tol, e))
+        reports.append(ConditionReport(not at.size, table, at, lhs[s], rhs[s], distance, tol, e))
     return reports
 
 
-def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
+def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol | TruncatedToeplitz,
                        table: RelationTable) -> ConditionReport:
-    """Evaluate the relation ``table`` on a scalar or a 2x2 matrix symbol:
+    """Evaluate the relation ``table`` on a scalar or a 2x2 matrix symbol, or
+    on its truncation, whose coefficients inside its order it reads:
     :func:`evaluate_stack` of a stack of one.
 
     A relation holds when its two sides differ by at most
@@ -241,16 +244,17 @@ def evaluate_relations(symbol: LaurentSymbol | MatrixSymbol,
     Python's complex arithmetic and ``math.hypot``, row by row.
 
     Rows are read from the coefficients times ``2**-e``, ``e`` their
-    ``symmetry.scale_exponent`` as in ``symmetry.residual``, against the
-    tolerance scaled alike: exact, and no side overflows.  The report stays
-    on that scale, with ``e`` as its ``exponent``.
+    ``toeplitz.scale_exponent``: the truncation's ``scaled`` rows, which
+    ``symmetry.residual`` reads too, against the tolerance scaled alike:
+    exact, and no side overflows.  The report stays on that scale, with
+    ``e`` as its ``exponent``.
     """
     return evaluate_stack([symbol], table)[0]
 
 
 # The names the single checks call by symbol kind; patching one (as a tracer
-# does) sees every scalar or every block evaluation but the stacked ones,
-# which call evaluate_stack.
+# does) sees every scalar or every block evaluation but those of stacks of
+# more than one, which call evaluate_stack.
 evaluate_scalar_relations = evaluate_relations
 evaluate_block_relations = evaluate_relations
 
@@ -460,17 +464,23 @@ class CheckOutcome:
 
 
 def run_check(symbol, spec: ConjugationSpec, tol: float = SYMMETRY_TOL) -> CheckOutcome:
-    oracle = is_c_symmetric(symbol, spec, tol)
-    condition = condition_reports(symbol, spec)
-    return CheckOutcome(condition, oracle, condition.satisfied == oracle.symmetric)
+    """:func:`symmetry.is_c_symmetric` and :func:`condition_reports` of
+    ``symbol``, bit for bit: :func:`check_stack` of a stack of one."""
+    return check_stack([symbol], spec, tol)[0]
 
 
 def check_stack(symbols: Sequence[LaurentSymbol | MatrixSymbol], spec: ConjugationSpec,
                 tol: float = SYMMETRY_TOL) -> list[CheckOutcome]:
-    """:func:`run_check` of each of ``symbols``, all of one bandwidth, bit for
-    bit, from one :func:`symmetry.symmetry_reports` and one :func:`evaluate_stack`."""
-    oracles = symmetry_reports(symbols, spec, tol)
-    reports = evaluate_stack(symbols, relation_table(spec, symbols[0].bandwidth))
+    """The check of each of ``symbols``, all of one bandwidth: one stack of
+    :func:`symmetry.truncations`, whose scaled coefficients both the
+    residuals (:func:`symmetry.symmetry_reports`) and the table's
+    :func:`evaluate_stack` read."""
+    ts = truncations(symbols, spec)
+    oracles = symmetry_reports(ts, spec, tol)
+    table = relation_table(spec, symbols[0].bandwidth)
+    # a stack of one through the name a tracer wraps
+    evaluate = evaluate_block_relations if spec.is_block else evaluate_scalar_relations
+    reports = evaluate_stack(ts, table) if len(ts) > 1 else [evaluate(ts[0], table)]
     return [CheckOutcome(c, o, c.satisfied == o.symmetric) for c, o in zip(reports, oracles)]
 
 

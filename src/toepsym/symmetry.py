@@ -12,7 +12,8 @@ agrees with the dense formula to rounding (the tests hold it to
 operator depends only on the conjugation and the order, so it is planned once
 per ``(spec, order)`` and kept in ``PLAN_CACHE``; :func:`residuals` reads a
 stack of truncations of one order in one pass, and a single residual is a
-stack of one.
+stack of one.  A truncation's scaled coefficients (``scaled``) are built once
+and kept on it, so a check's condition evaluation reads the same ones.
 """
 
 from __future__ import annotations
@@ -177,28 +178,23 @@ def residual_plan(c: AntilinearOperator) -> ResidualPlan:
                         repeats.astype(small), lengths.astype(small))
 
 
-def scale_exponent(parts: np.ndarray) -> int:
-    """The least ``e >= 0`` with every element of the float array ``parts``
-    below ``2**e`` in modulus: times ``2**-e``, exactly, each lies below 1."""
-    return max(0, math.frexp(np.abs(parts).max(initial=0.0))[1])
-
-
 def residuals(ts: Sequence[TruncatedToeplitz], c: AntilinearOperator | ResidualPlan) -> list[float]:
     """:func:`residual` of each truncation of the stack ``ts``, all of one
     order, in one pass: every gather, product and sum gains a leading stack
-    axis, and each truncation keeps its own ``diagonals`` and ``2**-e``."""
+    axis, and each truncation keeps its own ``scaled`` coefficients and ``2**-e``."""
     if isinstance(c, AntilinearOperator):
         c = residual_plan(c)
     for t in ts:
         if (t.grid, t.order) != (c.grid, c.order):
             raise ValueError(f"shape mismatch: operator has {c.grid}-square grid of size "
                              f"{c.order}, matrix {t.grid}-square grid of order {t.order}")
-    scales = [math.ldexp(1.0, -scale_exponent(t.diagonals.view(float))) for t in ts]
+    scaled = [t.scaled for t in ts]
+    scales = [math.ldexp(1.0, -e) for _, e in scaled]
     # conj(2**-e T) of truncation s: entry e's c_d at [s, e, d + n - 1]
-    v = np.empty((len(ts), *ts[0].diagonals.shape), complex)
-    for row, t, scale in zip(v, ts, scales):
-        np.multiply(t.diagonals, scale, out=row)
-    flat = np.conj(v, out=v).reshape(len(ts), -1)
+    v = np.empty((len(ts), *scaled[0][0].shape), complex)
+    for row, (rows, _) in zip(v, scaled):
+        np.conjugate(rows, out=row)
+    flat = v.reshape(len(ts), -1)
     # left * flat.take(at), in place: one term-sized temporary fewer.  A weight
     # of 1 changes no term but for the sign of a zero, which squaring drops
     terms = flat.take(c.at, axis=1)
@@ -209,7 +205,7 @@ def residuals(ts: Sequence[TruncatedToeplitz], c: AntilinearOperator | ResidualP
     sq, norm_sq = np.square(lhs.view(float)), np.square(v.view(float))
     # a count weighs a real and an imaginary part, in place: the sums stay the float view's
     for squares, counts in ((sq, c.repeats), (norm_sq, c.lengths)):
-        pairs = squares.reshape(*squares.shape[:-1], -1, 2)
+        pairs = squares.reshape(-1, counts.size, 2)
         pairs *= counts[:, None]
     sums = [np.add.reduce(squares.reshape(len(ts), -1), axis=1).tolist()
             for squares in (sq, norm_sq)]
@@ -225,9 +221,9 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     ``R = A conj(T) conj(A) - T^*`` is block Toeplitz, ``K`` period-square
     blocks a side, and ``||R||_F^2 = sum_L (K - |L|) ||R_L||_F^2`` over the
     blocks of its first block row and column: O(period * order) entries, each
-    a sum of ``w c w'`` terms read from ``c`` and ``t.diagonals``.
+    a sum of ``w c w'`` terms read from ``c`` and ``t.scaled``.
     ``||T||_F^2 = sum_d (order - |d|) |c_d|^2``.  The coefficients are scaled
-    by ``2**-e`` (:func:`scale_exponent`), so huge symbols do not overflow;
+    by ``2**-e`` (``toeplitz.scale_exponent``), so huge symbols do not overflow;
     numpy's pairwise sums do not depend on the BLAS thread count.
     """
     return residuals([t], c)[0]
@@ -259,12 +255,12 @@ def stack_size(band: int, spec: ConjugationSpec) -> int:
     return max(1, min(STACK_BYTES, RESIDUAL_BUDGET_BYTES) // need)
 
 
-def symmetry_reports(symbols: Sequence[LaurentSymbol | MatrixSymbol], spec: ConjugationSpec,
-                     tol: float = SYMMETRY_TOL) -> list[SymmetryReport]:
-    """:func:`is_c_symmetric` of each of ``symbols``, all of one bandwidth,
-    from one stack of :func:`residuals` of at most :func:`stack_size`."""
-    if not 0 < tol < math.inf:  # also false for NaN
-        raise ValueError("tol must be finite and positive")
+def truncations(symbols: Sequence[LaurentSymbol | MatrixSymbol],
+                spec: ConjugationSpec) -> list[TruncatedToeplitz]:
+    """The stack of truncations that :func:`symmetry_reports` reads: each of
+    ``symbols``, all of one bandwidth and of ``spec``'s kind, at the
+    :func:`budgeted_order` of that bandwidth, at most :func:`stack_size` of
+    them.  Otherwise ``ValueError``, before any truncation."""
     block = spec.is_block
     for symbol in symbols:
         if block != isinstance(symbol, MatrixSymbol):
@@ -278,7 +274,16 @@ def symmetry_reports(symbols: Sequence[LaurentSymbol | MatrixSymbol], spec: Conj
     n = budgeted_order(band, spec)
     if len(symbols) > 1 and len(symbols) > stack_size(band, spec):  # one always fits
         raise ValueError(f"a stack of {len(symbols)} truncations of order {n} passes its byte cap")
-    ts = [truncate(symbol, n) for symbol in symbols]
+    return [truncate(symbol, n) for symbol in symbols]
+
+
+def symmetry_reports(ts: Sequence[TruncatedToeplitz], spec: ConjugationSpec,
+                     tol: float = SYMMETRY_TOL) -> list[SymmetryReport]:
+    """The residual verdict of each of the :func:`truncations` ``ts`` under
+    ``spec``, from one stack of :func:`residuals`."""
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError("tol must be finite and positive")
+    n = ts[0].order
     plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
     # a stack of one through residual, the name a tracer wraps
     values = residuals(ts, plan) if len(ts) > 1 else [residual(ts[0], plan)]
@@ -295,4 +300,4 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     ``ValueError`` before any allocation.  The residual's plan comes from
     ``PLAN_CACHE``, keyed on ``spec`` and the order.
     """
-    return symmetry_reports([symbol], spec, tol)[0]
+    return symmetry_reports(truncations([symbol], spec), spec, tol)[0]

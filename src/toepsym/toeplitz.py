@@ -3,12 +3,14 @@
 The truncation of a scalar symbol is the ``order x order`` matrix with entry
 ``(m, n) = c_(m-n)``; a 2x2 matrix symbol yields the ``2*order`` square array
 of the four entry truncations.  A truncation holds only the symbol's entries
-and its order; the oracle reads their coefficients (``diagonals``), and the
-dense ``data`` is built on first use only.
+and its order.  Both of a check's routes read its coefficients times
+``2**-e`` (``scaled``), built once per truncation; the dense ``data``, the
+tests' reference, is built from the unscaled ``diagonals`` on first use only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +18,24 @@ import numpy as np
 
 from .conjugations import ConjugationSpec
 from .symbols import LaurentSymbol, MatrixSymbol
+
+
+def scale_exponent(parts: np.ndarray) -> int:
+    """The least ``e >= 0`` with every element of the float array ``parts``
+    below ``2**e`` in modulus: times ``2**-e``, exactly, each lies below 1."""
+    return max(0, math.frexp(np.abs(parts).max(initial=0.0))[1])
+
+
+def _rows(entries: tuple[LaurentSymbol, ...], n: int) -> np.ndarray:
+    """Row ``e`` holds entry ``e``'s ``c_d`` at ``d + n - 1``, ``|d| < n``."""
+    out = np.zeros((len(entries), 2 * n - 1), dtype=complex)
+    for row, sym in zip(out, entries):
+        keys, values = sym.exponents, sym.values
+        if keys.size and (keys[0] <= -n or keys[-1] >= n):
+            inside = slice(*keys.searchsorted((1 - n, n)))
+            keys, values = keys[inside], values[inside]
+        row[keys + (n - 1)] = values
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,13 +57,22 @@ class TruncatedToeplitz:
     @cached_property
     def diagonals(self) -> np.ndarray:
         """Row ``e`` holds entry ``e``'s ``c_d`` at ``d + order - 1``, ``|d| < order``."""
-        n = self.order
-        out = np.zeros((len(self.entries), 2 * n - 1), dtype=complex)
-        for row, sym in zip(out, self.entries):
-            inside = slice(*sym.exponents.searchsorted((1 - n, n)))
-            row[sym.exponents[inside] + (n - 1)] = sym.values[inside]
+        out = _rows(self.entries, self.order)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, int]:
+        """``(rows, e)``: ``diagonals`` times ``2**-e``, ``e`` their
+        :func:`scale_exponent`, so every part lies below 1.  Scaled on the
+        float view, part by part: exact, and a ``-0.0`` part stays one."""
+        rows = _rows(self.entries, self.order)
+        parts = rows.view(float)
+        e = scale_exponent(parts)
+        if e:
+            parts *= math.ldexp(1.0, -e)
+        rows.setflags(write=False)
+        return rows, e
 
     @cached_property
     def data(self) -> np.ndarray:

@@ -32,6 +32,7 @@ from toepsym.conjugations import (
     spec_from_json,
 )
 from toepsym.symbols import random_matrix_symbol
+from toepsym.toeplitz import TruncatedToeplitz
 
 
 def run_cli(capsys, *argv):
@@ -619,9 +620,11 @@ class TestResidualBudget:
     def test_exits_three_without_allocating(self, capsys, monkeypatch, symbol, spec):
         def refuse(*args):
             raise AssertionError("the budget check came too late")
-        # what a check's stack of one calls after its budget check
+        # what a check's stack of one calls after its budget check, and the
+        # scaled coefficients that both of its routes read
         for name in ("truncate", "truncated_matrix", "residual_plan", "residual", "residuals"):
             monkeypatch.setattr(symmetry, name, refuse)
+        monkeypatch.setattr(TruncatedToeplitz, "scaled", property(refuse))
         code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", spec)
         assert (code, out) == (3, "")
         assert "over its budget" in err

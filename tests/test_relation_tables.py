@@ -33,8 +33,10 @@ from toepsym.conditions import (
     interchange_sign_relations,
     project_to_raw,
     random_block_hadamard_symmetric,
+    random_block_mixed_symmetric,
     raw_relations_general,
     raw_relations_transposition,
+    relation_table,
     run_check,
 )
 from toepsym.conjugations import (
@@ -51,6 +53,7 @@ from toepsym.symbols import (
     random_matrix_symbol,
     random_symbol,
 )
+from toepsym.toeplitz import truncate
 
 from solution_sets import sums_form, sums_relations, symmetric_symbol
 
@@ -299,6 +302,67 @@ def test_filtered_lists_match_the_reference():
     _assert_same(m, block, evaluate_relations(m, block))
     empty = _filtered(full, np.zeros(len(full), bool))
     assert evaluate_relations(m, empty).satisfied and evaluate_relations(m, empty).table.families == ()
+
+
+# The report of a symbol wider than its table, with a coefficient at the
+# table's read_lo, the index of the padding column that a side with fewer
+# terms than the table's widest reads: sha256 of its lhs, rhs and distance
+# bytes and its violations as little-endian int64 (the first 16 hex digits),
+# its tol and its exponent, and whether it is satisfied.  Written before the
+# evaluator read its window from a truncation's scaled coefficients.
+PADDING_REPORTS = {
+    "reversal:2@6 seed 1": ("70219a6db39223a2", "0x1.f8b7a096f1935p-39", 0, False),
+    "reversal:2@6 seed 1 x 1e300": ("6c714b09dc87b46f", "0x1.78d3d27e11dfap-39", 997, False),
+    "reversal:2@6 seed 2": ("41876f2ddf9c5b2d", "0x1.000c755546a9ep-38", 0, False),
+    "reversal:2@6 seed 2 x 1e300": ("c66e9853530135c3", "0x1.7e5662e1be026p-39", 997, False),
+    "block_ctilde@6 seed 3": ("689a9156a4f68d3d", "0x1.de61711831fd3p-38", 0, False),
+    "block_c@6 seed 3": ("7b2d1857804cea46", "0x1.de61711831fd3p-38", 0, False),
+    "block_ctilde@6 solution": ("c17a53a39e3c5347", "0x1.09526ce1f9735p-39", 2, True),
+    "block_c@6 solution": ("6e6fc007df8e073f", "0x1.aba8d9ed65f13p-39", 1, True),
+}
+
+
+def _padding_cases():
+    """``(key, symbol, table)``: band-10 draws against the band-6 tables, and
+    band-6 solution-set draws with ``1 + 1j`` put on ``phi1`` at the table's
+    ``read_lo``, which only the padding column holds."""
+    scalar = relation_table(Reversal(2), 6)
+    for seed in (1, 2):
+        for factor in (1.0, 1e300):
+            suffix = "" if factor == 1.0 else " x 1e300"
+            symbol = random_symbol(seed, 10, 1.0) * factor
+            yield f"reversal:2@6 seed {seed}{suffix}", symbol, scalar
+    tables = {"block_ctilde": block_mixed_necessary_relations(6),
+              "block_c": block_hadamard_relations(6)}
+    for name, table in tables.items():
+        yield f"{name}@6 seed 3", random_matrix_symbol(3, 10, 1.0), table
+    for name, draw in (("block_ctilde", random_block_mixed_symmetric),
+                       ("block_c", random_block_hadamard_symmetric)):
+        table = tables[name]
+        first, *rest = draw(4, 6, 1.0).entries
+        wide = LaurentSymbol({**first.coeffs, table.read_lo: 1 + 1j})
+        yield f"{name}@6 solution", MatrixSymbol(wide, *rest), table
+
+
+def _padding_digest(report):
+    h = hashlib.sha256()
+    for array in (report.lhs, report.rhs, report.distance):
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(np.asarray(report.violations, "<i8").tobytes())
+    return h.hexdigest()[:16], report.tol.hex(), report.exponent, report.satisfied
+
+
+def test_the_padding_column_reads_zero():
+    cases = list(_padding_cases())
+    assert [key for key, _, _ in cases] == list(PADDING_REPORTS)
+    for key, symbol, table in cases:
+        assert symbol.bandwidth >= -table.read_lo and symbol.entries[0].coeffs.get(table.read_lo)
+        # after a symbol narrower than the window, in a stack
+        narrow = random_symbol(0, 3) if len(symbol.entries) == 1 else random_matrix_symbol(0, 3)
+        reports = [evaluate_relations(symbol, table),
+                   evaluate_relations(truncate(symbol, 2 * symbol.bandwidth + 4), table),
+                   conditions.evaluate_stack([narrow, symbol], table)[1]]
+        assert [_padding_digest(report) for report in reports] == [PADDING_REPORTS[key]] * 3, key
 
 
 def test_a_table_of_the_other_kind_is_rejected():

@@ -1,11 +1,13 @@
-"""Stacked checks against single ones.
+"""Stacked checks against single ones, and a check against its two routes.
 
 ``random-test`` and ``explore`` check their draws through
 ``conditions.check_draws``, in stacks of one bandwidth, one residual and one
 table evaluation per stack; ``check`` and the single-symbol functions take
 stacks of one.  Each symbol of a stack must get what ``run_check`` gives it
 alone, bit for bit, and a command's output must not depend on how its draws
-were grouped.
+were grouped.  A check reads one truncation's scaled coefficients for both
+verdicts, so ``run_check`` must also give what the oracle and the condition
+table give when each is run on its own.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import pytest
 
 from toepsym import symmetry
 from toepsym.cli import main, parse_spec_text
-from toepsym.conditions import check_draws, check_stack, draw_symbol, run_check
+from toepsym.conditions import check_draws, check_stack, condition_reports, draw_symbol, run_check
 from toepsym.symbols import LaurentSymbol
 from toepsym.toeplitz import min_truncation
 
@@ -27,6 +29,27 @@ BANDS = [*range(13), 200]
 
 def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _assert_same_check(got, oracle, condition, key):
+    """``got``, a check's outcome, holds ``oracle`` and ``condition`` bit for
+    bit, and their agreement."""
+    assert got.oracle.residual.hex() == oracle.residual.hex(), key
+    assert (got.oracle.order, got.oracle.verdict, got.oracle.tol) == \
+        (oracle.order, oracle.verdict, oracle.tol), key
+    assert got.agree == (condition.satisfied == oracle.symmetric), key
+    a, b = got.condition, condition
+    assert a.table is b.table and a.satisfied == b.satisfied, key
+    assert (a.tol.hex(), a.exponent) == (b.tol.hex(), b.exponent), key
+    for name in ("lhs", "rhs", "distance", "violations"):
+        assert _same_bits(getattr(a, name), getattr(b, name)), (key, name)
+
+
+def _draws(spec):
+    # generic and solution-set draws at density 0.5, so that one call mixes
+    # bandwidths and every group ends in a part stack
+    return [((band, seed), draw_symbol(spec, seed, band, 0.5, satisfying=seed % 2 == 1))
+            for band in BANDS for seed in range(12)]
 
 
 @pytest.fixture
@@ -43,25 +66,25 @@ def stack_sizes(monkeypatch):
 
 @pytest.mark.parametrize("text", SPECS)
 def test_stacked_checks_equal_single_ones(text, stack_sizes):
-    # generic and solution-set draws at density 0.5, so that one call mixes
-    # bandwidths and every group ends in a part stack
     spec = parse_spec_text(text)
-    draws = [((band, seed), draw_symbol(spec, seed, band, 0.5, satisfying=seed % 2 == 1))
-             for band in BANDS for seed in range(12)]
+    draws = _draws(spec)
     keys = []
     for key, symbol, stacked in check_draws(spec, iter(draws)):
         keys.append(key)
         single = run_check(symbol, spec)
-        assert stacked.oracle.residual.hex() == single.oracle.residual.hex(), key
-        assert (stacked.oracle.order, stacked.oracle.verdict, stacked.agree) == \
-            (single.oracle.order, single.oracle.verdict, single.agree)
-        a, b = stacked.condition, single.condition
-        assert a.table is b.table and a.satisfied == b.satisfied
-        assert (a.tol.hex(), a.exponent) == (b.tol.hex(), b.exponent), key
-        for name in ("lhs", "rhs", "distance", "violations"):
-            assert _same_bits(getattr(a, name), getattr(b, name)), (key, name)
+        _assert_same_check(stacked, single.oracle, single.condition, key)
     assert sorted(keys) == sorted(key for key, _ in draws)
     assert max(stack_sizes) > 1
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_a_check_equals_its_routes_run_apart(text):
+    # the oracle truncates the symbol at its check order, the table route at
+    # one past its bandwidth: each reads its own scaled coefficients
+    spec = parse_spec_text(text)
+    for key, symbol in _draws(spec):
+        _assert_same_check(run_check(symbol, spec), symmetry.is_c_symmetric(symbol, spec),
+                           condition_reports(symbol, spec), key)
 
 
 def test_a_stack_holds_one_bandwidth_under_its_cap():

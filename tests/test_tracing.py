@@ -4,7 +4,7 @@
 in traced benchmark runs, and counts relations and violations from what the
 wrapped calls return.  A renamed or reshaped name breaks only those runs, so
 this runs one traced ``check`` and holds the tracer's counters to the
-printed report.
+printed report, and its spans to the layers a check passes through.
 """
 
 import importlib
@@ -35,3 +35,5 @@ def test_traced_check_counts_what_the_report_lists(monkeypatch, tmp_path, capsys
     assert code == 1 and reported > 0
     assert tracer.counters["conditions.violations"] == reported
     assert tracer.counters["conditions.relations"] > 0
+    names = [span[3] for span in tracer.spans]
+    assert names.count("symmetry.residual") >= 1 and names.count("toeplitz.truncate") >= 1
