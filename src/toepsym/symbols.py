@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -185,18 +185,17 @@ class MatrixSymbol:
     phi2: LaurentSymbol
     phi3: LaurentSymbol
     phi4: LaurentSymbol
+    # the largest entry's, set once here: equality, repr and replace read the entries alone
+    bandwidth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(isinstance(e, LaurentSymbol) for e in self.entries):
             raise TypeError("MatrixSymbol entries must be LaurentSymbol")
+        object.__setattr__(self, "bandwidth", max(e.bandwidth for e in self.entries))
 
     @property
     def entries(self) -> tuple[LaurentSymbol, ...]:
         return self.phi1, self.phi2, self.phi3, self.phi4
-
-    @property
-    def bandwidth(self) -> int:
-        return max(e.bandwidth for e in self.entries)
 
     def to_json(self) -> dict[str, dict[str, list[float]]]:
         return {f"phi{i}": e.to_json() for i, e in enumerate(self.entries, start=1)}

@@ -9,11 +9,15 @@ Both norms come from the symbol's coefficients: the difference is block
 Toeplitz, so its first block row and column carry every distinct block.  It
 agrees with the dense formula to rounding (the tests hold it to
 ``1e-12 * max(1, dense)``), not bit for bit.  What the residual reads of the
-operator depends only on the conjugation and the order, so it is planned once
-per ``(spec, order)`` and kept in ``PLAN_CACHE``; :func:`residuals` reads a
-stack of truncations of one order in one pass, and a single residual is a
-stack of one.  A truncation's scaled coefficients (``scaled``) are built once
-and kept on it, so a check's condition evaluation reads the same ones.
+operator depends only on the conjugation, the order and the symbol's
+bandwidth ``B``: a term ``c_d`` with ``|d| > B`` is zero, so the plan keeps
+only the cells some term or the adjoint can reach, O(g**4 * period * B) of
+them rather than the O(period * order) of the whole first block row and
+column.  It is planned once per ``(spec, order, B)`` and kept in
+``PLAN_CACHE``; :func:`residuals` reads a stack of truncations of one order
+and bandwidth in one pass, and a single residual is a stack of one.  A
+truncation's scaled coefficients (``scaled``) are built once and kept on it,
+so a check's condition evaluation reads the same ones.
 """
 
 from __future__ import annotations
@@ -116,32 +120,51 @@ class PlanCache:
 PLAN_CACHE = PlanCache(PLAN_CACHE_BYTES)
 
 
-def _strips(order: int, period: int) -> tuple[np.ndarray, ...]:
-    """The first block row and column of an ``order`` square matrix of
-    ``period``-square blocks, ``(m, q)`` with ``m < period`` or ``q < period``:
-    ``m``, ``q - q % period``, ``q % period``, the ``diagonals`` column of
-    ``c_(q-m)``, the number of times the block diagonal ``L`` of ``(m, q)``
-    repeats, ``order / period - |L|``, and the length of each diagonal ``d``,
-    ``order - |d|``."""
-    head = np.indices((period, order)).reshape(2, -1)
-    side = np.indices((order - period, period)).reshape(2, -1) + [[period], [0]]
-    rows, cols = np.concatenate([head, side], axis=1)
-    residue = cols % period
-    return (rows, cols - residue, residue, cols - rows + (order - 1),
-            order // period - rows // period - cols // period,
-            order - abs(np.arange(1 - order, order)))
+def _near(perms: np.ndarray, period: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each ``x < period``, every ``y`` that a symbol of bandwidth
+    ``band`` can reach at cell ``(x, y)``, as flat ``(x, y)`` pairs with
+    repeats: ``y = perms[b, r]`` for each ``r`` within ``band`` of some
+    ``perms[a, x]``, and ``y = x + d`` for ``|d| <= band``.  ``perms`` holds
+    ``k`` permutations of ``0 .. n - 1``; an ``r`` or ``y`` past either end is
+    clipped to it, which keeps it in its window.  At most ``(k**2 + 1) *
+    period * (2 * band + 1)`` pairs."""
+    k, n = perms.shape
+    near = np.arange(-min(band, n - 1), min(band, n - 1) + 1)
+    x = np.arange(period)[:, None]
+    r = np.clip(perms[:, :period, None] + near, 0, n - 1)
+    y = np.concatenate([perms[:, r].reshape(k * k, period, -1),
+                        np.clip(x + near, 0, n - 1)[None]])
+    return np.broadcast_to(x, y.shape).ravel(), y.ravel()
+
+
+def _cells(c: AntilinearOperator, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells ``(m, q)`` of the first block row and column, ``m <
+    period`` or ``q < period``, where a term ``c_(perm_ik[m] -
+    inverse_lj[q])`` or the adjoint's ``c_(q - m)`` can be nonzero for a
+    symbol of bandwidth ``band``, row-major: the first block row's from
+    :func:`_near` of the distinct permutations, the first block column's
+    from :func:`_near` of their inverses."""
+    n = c.size
+    perms = np.array(list({row.tobytes(): row for row in c.perms.reshape(-1, n)}.values()))
+    inverses = np.empty_like(perms)
+    inverses[np.arange(len(perms))[:, None], perms] = np.arange(n)
+    (m, q), (q_side, m_side) = _near(perms, c.period, band), _near(inverses, c.period, band)
+    cells = np.sort(np.concatenate([m * n + q, m_side * n + q_side]))
+    # sorted, each once: np.unique of numpy 2 hashes, many times slower here
+    return np.divmod(cells[np.append(True, cells[1:] != cells[:-1])], n)
 
 
 class ResidualPlan(NamedTuple):
-    """What :func:`residual` reads of ``A`` at one order, for any symbol: the
-    flat index into the coefficients of every term (``at``, axes ``(i, j, k,
-    l, entry)``), its left and right weights, the index of the adjoint's
-    entry, and the repeat counts of the strips and of the diagonals.  The
-    weights are complex, one per grid block (one entry on the last axis) or
-    one per row."""
+    """What :func:`residual` reads of ``A`` at one order for any symbol of
+    bandwidth at most ``band``: the flat index into the coefficients of every
+    term (``at``, axes ``(i, j, k, l, cell)``), its left and right weights,
+    the index of the adjoint's entry, and the repeat counts of the cells and
+    of the diagonals.  The weights are complex, one per grid block (one entry
+    on the last axis) or one per row."""
 
     grid: int
     order: int
+    band: int
     at: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -150,16 +173,19 @@ class ResidualPlan(NamedTuple):
     lengths: np.ndarray
 
 
-def residual_plan(c: AntilinearOperator) -> ResidualPlan:
-    """The gather plan of :func:`residual` for the operator ``c``."""
+def residual_plan(c: AntilinearOperator, band: int) -> ResidualPlan:
+    """The gather plan of :func:`residual` for the operator ``c`` and
+    symbols of bandwidth at most ``band``: only the :func:`_cells` they can
+    reach."""
     # complex once here, not by numpy in every residual's products
-    n, g, perms, weights = c.size, c.perms.shape[0], c.perms, c.weights.astype(complex)
-    rows, base, residue, adjoint_at, repeats, lengths = _strips(n, c.period)
+    n, g, p, perms, weights = c.size, c.perms.shape[0], c.period, c.perms, c.weights.astype(complex)
+    rows, cols = _cells(c, band)
+    residue = cols % p
     # column q of conj(A_lj) is the unit row perm_lj^-1(q) weighted conj(w);
     # the inverse commutes with period shifts too, so it comes from residues
-    inverse = perms[..., :c.period].argsort().take(residue, axis=2) + base
+    inverse = perms[..., :p].argsort().take(residue, axis=2) + (cols - residue)
     block = np.arange(g * g).reshape(g, g, 1)  # flat index of grid block (k, l)
-    # term (k, l) of quadrant (i, j), axes (i, j, k, l, entry), broadcast:
+    # term (k, l) of quadrant (i, j), axes (i, j, k, l, cell), broadcast:
     # w_ik[m] conj(c^kl_(perm_ik[m] - inverse_lj[q])) conj(w_lj[inverse_lj[q]])
     at = block * (2 * n - 1) + (n - 1) + perms[:, None, :, None, rows] \
         - inverse.transpose(1, 0, 2)[None, :, None]
@@ -170,24 +196,33 @@ def residual_plan(c: AntilinearOperator) -> ResidualPlan:
         left = weights[:, None, :, None, rows]
         right = np.conj(weights.take(inverse + block * n)).transpose(1, 0, 2)[None, :, None]
     # (T^*)_ij[m, q] = conj(c^ji_(q - m))
-    adjoint = block.transpose(1, 0, 2) * (2 * n - 1) + adjoint_at
+    adjoint = block.transpose(1, 0, 2) * (2 * n - 1) + (cols - rows + (n - 1))
+    # the block diagonal L of (m, q) repeats K - |L| times, and diagonal d
+    # of a truncation order - |d| times
+    repeats = n // p - rows // p - cols // p
+    lengths = n - abs(np.arange(1 - n, n))
     # every index and count is below g**2 * (2n - 1): int32 halves the
     # cached bytes, and the values, so the sums, stay the same
     small = np.int32 if g * g * 2 * n < 2**31 else np.intp
-    return ResidualPlan(g, n, at.astype(small), left, right, adjoint.astype(small),
+    return ResidualPlan(g, n, band, at.astype(small), left, right, adjoint.astype(small),
                         repeats.astype(small), lengths.astype(small))
 
 
 def residuals(ts: Sequence[TruncatedToeplitz], c: AntilinearOperator | ResidualPlan) -> list[float]:
     """:func:`residual` of each truncation of the stack ``ts``, all of one
     order, in one pass: every gather, product and sum gains a leading stack
-    axis, and each truncation keeps its own ``scaled`` coefficients and ``2**-e``."""
+    axis, and each truncation keeps its own ``scaled`` coefficients and
+    ``2**-e``.  An operator ``c`` is planned for the widest of ``ts``; a plan
+    must reach each one's bandwidth, or ``ValueError``."""
     if isinstance(c, AntilinearOperator):
-        c = residual_plan(c)
+        c = residual_plan(c, max(t.bandwidth for t in ts))
     for t in ts:
         if (t.grid, t.order) != (c.grid, c.order):
             raise ValueError(f"shape mismatch: operator has {c.grid}-square grid of size "
                              f"{c.order}, matrix {t.grid}-square grid of order {t.order}")
+        if t.bandwidth > c.band:
+            raise ValueError(f"a truncation of bandwidth {t.bandwidth} passes its plan's "
+                             f"band {c.band}")
     scaled = [t.scaled for t in ts]
     scales = [math.ldexp(1.0, -e) for _, e in scaled]
     # conj(2**-e T) of truncation s: entry e's c_d at [s, e, d + n - 1]
@@ -220,8 +255,10 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     ``A``'s blocks commute with shifts by ``c.period``, so each quadrant of
     ``R = A conj(T) conj(A) - T^*`` is block Toeplitz, ``K`` period-square
     blocks a side, and ``||R||_F^2 = sum_L (K - |L|) ||R_L||_F^2`` over the
-    blocks of its first block row and column: O(period * order) entries, each
-    a sum of ``w c w'`` terms read from ``c`` and ``t.scaled``.
+    blocks of its first block row and column.  A symbol of bandwidth ``B``
+    reaches O(g**4 * period * B) of their cells (:func:`_cells`), each a sum
+    of ``w c w'`` terms read from ``c`` and ``t.scaled``; the plan that
+    ``residual`` builds from an operator reaches ``t``'s bandwidth.
     ``||T||_F^2 = sum_d (order - |d|) |c_d|^2``.  The coefficients are scaled
     by ``2**-e`` (``toeplitz.scale_exponent``), so huge symbols do not overflow;
     numpy's pairwise sums do not depend on the BLAS thread count.
@@ -229,19 +266,22 @@ def residual(t: TruncatedToeplitz, c: AntilinearOperator | ResidualPlan) -> floa
     return residuals([t], c)[0]
 
 
-def residual_bytes(order: int, spec: ConjugationSpec) -> int:
-    """The residual's estimated peak allocation at truncation ``order``, per
-    entry of its ``period * (2 * order - period)`` strips: 144 bytes for their
-    int64 columns and the gathers' temporaries, about 40 per grid block and 40
-    per term."""
+def residual_bytes(order: int, spec: ConjugationSpec, band: int) -> int:
+    """The residual's estimated peak allocation at truncation ``order`` for a
+    symbol of bandwidth ``band``, per cell it can reach: 144 bytes for the
+    cells' int64 columns and the gathers' temporaries, about 40 per grid block
+    and 40 per term.  A row of the first block row, or a column of the first
+    block column, reaches at most ``(g**4 + 1) * (2 * band + 1)`` cells
+    (:func:`_near`), and never more than it holds."""
     g, p = (2 if spec.is_block else 1), spec.period
-    return (144 + 40 * g**2 + 40 * g**4) * p * (2 * order - p)
+    reach = (g**4 + 1) * (2 * band + 1)
+    return (144 + 40 * g**2 + 40 * g**4) * p * (min(order, reach) + min(order - p, reach))
 
 
 def budgeted_order(band: int, spec: ConjugationSpec) -> int:
     """:func:`min_truncation` of ``band``; ``ValueError`` if its residual passes the budget."""
     n = min_truncation(band, spec)
-    need = residual_bytes(n, spec)
+    need = residual_bytes(n, spec, band)
     if need > RESIDUAL_BUDGET_BYTES:
         raise ValueError(f"the residual at order {n} needs {need >> 20} MiB, over its budget")
     return n
@@ -251,7 +291,7 @@ def stack_size(band: int, spec: ConjugationSpec) -> int:
     """How many symbols of bandwidth ``band`` one :func:`residuals` stack
     holds: as many as fit, by :func:`residual_bytes`, under ``STACK_BYTES``
     and the residual's budget, and one at least."""
-    need = residual_bytes(min_truncation(band, spec), spec)
+    need = residual_bytes(min_truncation(band, spec), spec, band)
     return max(1, min(STACK_BYTES, RESIDUAL_BUDGET_BYTES) // need)
 
 
@@ -283,8 +323,8 @@ def symmetry_reports(ts: Sequence[TruncatedToeplitz], spec: ConjugationSpec,
     ``spec``, from one stack of :func:`residuals`."""
     if not 0 < tol < math.inf:  # also false for NaN
         raise ValueError("tol must be finite and positive")
-    n = ts[0].order
-    plan = PLAN_CACHE.get((spec, n), lambda: residual_plan(truncated_matrix(spec, n)))
+    n, band = ts[0].order, max(t.bandwidth for t in ts)
+    plan = PLAN_CACHE.get((spec, n, band), lambda: residual_plan(truncated_matrix(spec, n), band))
     # a stack of one through residual, the name a tracer wraps
     values = residuals(ts, plan) if len(ts) > 1 else [residual(ts[0], plan)]
     return [SymmetryReport(r, n, SYMMETRIC if r <= tol else NOT_SYMMETRIC, tol) for r in values]
@@ -298,6 +338,6 @@ def is_c_symmetric(symbol: LaurentSymbol | MatrixSymbol, spec: ConjugationSpec,
     a :class:`MatrixSymbol` and scalar specs a :class:`LaurentSymbol`.  An
     order whose residual would pass ``RESIDUAL_BUDGET_BYTES`` raises
     ``ValueError`` before any allocation.  The residual's plan comes from
-    ``PLAN_CACHE``, keyed on ``spec`` and the order.
+    ``PLAN_CACHE``, keyed on ``spec``, the order and the bandwidth.
     """
     return symmetry_reports(truncations([symbol], spec), spec, tol)[0]

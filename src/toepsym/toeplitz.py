@@ -55,6 +55,11 @@ class TruncatedToeplitz:
         return 1 if len(self.entries) == 1 else 2
 
     @cached_property
+    def bandwidth(self) -> int:
+        """The largest bandwidth of ``entries``, which the residual's plan must reach."""
+        return max(e.bandwidth for e in self.entries)
+
+    @cached_property
     def diagonals(self) -> np.ndarray:
         """Row ``e`` holds entry ``e``'s ``c_d`` at ``d + order - 1``, ``|d| < order``."""
         out = _rows(self.entries, self.order)

@@ -615,14 +615,16 @@ class TestResidualBudget:
 
     @pytest.mark.parametrize("symbol, spec", [
         ("z^1000000;0;0;0", "block_c"),
-        ("1", "general:2000:" + ",".join(map(str, range(2000)))),
+        # the cells a band reaches: at band 0 this period fits, at band 100 it does not
+        ("z^100", "general:2000:" + ",".join(map(str, range(2000)))),
     ], ids=["block_c-band-1e6", "general-period-2000"])
     def test_exits_three_without_allocating(self, capsys, monkeypatch, symbol, spec):
         def refuse(*args):
             raise AssertionError("the budget check came too late")
         # what a check's stack of one calls after its budget check, and the
         # scaled coefficients that both of its routes read
-        for name in ("truncate", "truncated_matrix", "residual_plan", "residual", "residuals"):
+        for name in ("truncate", "truncated_matrix", "residual_plan", "_cells", "_near",
+                     "residual", "residuals"):
             monkeypatch.setattr(symmetry, name, refuse)
         monkeypatch.setattr(TruncatedToeplitz, "scaled", property(refuse))
         code, out, err = run_cli(capsys, "check", "--symbol", symbol, "--spec", spec)
@@ -660,14 +662,14 @@ class TestResidualBudget:
         code, out, err = run_cli(capsys, "gen", "--spec", spec, "--band", "600000")
         assert (code, out) == (3, "")
         order = symmetry.min_truncation(600000, parse_spec_text(spec))
-        assert err == (f"toepsym: error: the residual at order {order} needs "
-                       f"{symmetry.residual_bytes(order, parse_spec_text(spec)) >> 20} MiB, "
+        need = symmetry.residual_bytes(order, parse_spec_text(spec), 600000)
+        assert err == (f"toepsym: error: the residual at order {order} needs {need >> 20} MiB, "
                        "over its budget\n")
 
     @staticmethod
     def _lower_budget(monkeypatch, spec, band):
         """A budget that admits ``spec`` up to ``band`` and no further."""
-        need = symmetry.residual_bytes(symmetry.min_truncation(band, spec), spec)
+        need = symmetry.residual_bytes(symmetry.min_truncation(band, spec), spec, band)
         monkeypatch.setattr(symmetry, "RESIDUAL_BUDGET_BYTES", need)
 
     @pytest.mark.parametrize("text", ["reversal:2", "block_c"])
@@ -686,7 +688,7 @@ class TestResidualBudget:
         # the message the residual's own budget check gives for that band
         order = symmetry.min_truncation(band + 1, spec)
         assert (out, err) == ("", f"toepsym: error: the residual at order {order} needs "
-                                  f"{symmetry.residual_bytes(order, spec) >> 20} MiB, "
+                                  f"{symmetry.residual_bytes(order, spec, band + 1) >> 20} MiB, "
                                   f"over its budget\n")
 
     def test_symbol_file_over_the_bound_is_refused_within_a_few_chunks(
@@ -749,7 +751,8 @@ c = truncated_matrix(spec, n)
 """ + _STATUS + """
 before = status("VmRSS:")
 residual(t, c)
-print(json.dumps({"peak": status("VmHWM:") - before, "estimate": residual_bytes(n, spec)}))
+print(json.dumps({"peak": status("VmHWM:") - before,
+                  "estimate": residual_bytes(n, spec, symbol.bandwidth)}))
 """
 
 
@@ -758,7 +761,8 @@ print(json.dumps({"peak": status("VmHWM:") - before, "estimate": residual_bytes(
     ("z^50000 + z^-50000", "reversal:2"),
     ("z^200000 + z^-200000", "reversal:2"),
     ("z^20000 + z^-20000;0;0;z^20000 + z^-20000", "block_c"),
-], ids=["reversal-50000", "reversal-200000", "block_c-20000"])
+    ("z^6 + z^-6", "reversal:10000"),
+], ids=["reversal-50000", "reversal-200000", "block_c-20000", "period-10000"])
 def test_residual_memory_estimate_bounds_its_peak(symbol, spec):
     # the estimate the budget reads must not fall below what the residual takes
     proc = subprocess.run([sys.executable, "-c", _PEAK, symbol, spec],

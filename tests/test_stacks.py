@@ -114,7 +114,7 @@ def _run(argv) -> tuple[int, str]:
 ], ids=["explore", "random-test-block", "random-test-scalar"])
 def test_output_does_not_depend_on_the_stacks(argv, monkeypatch, stack_sizes):
     spec, band = parse_spec_text(argv[2]), 8
-    need = symmetry.residual_bytes(min_truncation(band, spec), spec)
+    need = symmetry.residual_bytes(min_truncation(band, spec), spec, band)
     expected = _run(argv)
     assert expected[0] == 0 and max(stack_sizes) > 3
     # a budget of two residuals, then a cap of three, splits each group

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 from collections.abc import Mapping
@@ -347,6 +348,40 @@ class TestMatrixSymbol:
         m = MatrixSymbol(LaurentSymbol({5: 1}), LaurentSymbol(),
                          LaurentSymbol({-2: 1}), LaurentSymbol())
         assert m.bandwidth == 5
+
+    @staticmethod
+    def _entries():
+        return (LaurentSymbol({5: 1}), LaurentSymbol(), LaurentSymbol({-2: 1j}), LaurentSymbol())
+
+    def test_bandwidth_is_read_from_the_entries_once(self, monkeypatch):
+        entries, reads, bandwidth = self._entries(), [], LaurentSymbol.bandwidth
+        monkeypatch.setattr(LaurentSymbol, "bandwidth",
+                            property(lambda e: reads.append(e) or bandwidth.fget(e)))
+        m = MatrixSymbol(*entries)
+        assert len(reads) == 4
+        assert [m.bandwidth for _ in range(3)] == [5] * 3 and len(reads) == 4
+
+    def test_equality_and_hash_read_the_entries_alone(self):
+        m, same = MatrixSymbol(*self._entries()), MatrixSymbol(*self._entries())
+        assert m == same and hash(m) == hash(same)
+        assert m != MatrixSymbol(LaurentSymbol({5: 2}), *self._entries()[1:])
+
+    def test_repr_names_the_four_entries(self):
+        m = MatrixSymbol(*self._entries())
+        assert repr(m) == ("MatrixSymbol(phi1=LaurentSymbol({5: (1+0j)}), phi2=LaurentSymbol({}), "
+                           "phi3=LaurentSymbol({-2: 1j}), phi4=LaurentSymbol({}))")
+
+    def test_pickle_keeps_the_bandwidth(self):
+        m = MatrixSymbol(*self._entries())
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back.bandwidth == 5
+
+    def test_replace_recomputes_the_bandwidth(self):
+        m = MatrixSymbol(*self._entries())
+        assert dataclasses.replace(m, phi4=LaurentSymbol({-9: 1})).bandwidth == 9
+        assert dataclasses.replace(m, phi1=LaurentSymbol()).bandwidth == 2
+        with pytest.raises(ValueError, match="bandwidth"):
+            dataclasses.replace(m, bandwidth=1)
 
 
 _coeff = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,

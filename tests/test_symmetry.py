@@ -281,7 +281,7 @@ class TestStructuredResidual:
     def test_plan_weights_are_complex_per_block_or_per_row(self, spec):
         # one weight per grid block where a family's weights are constant on
         # each block, one per row otherwise: only a twist with lam != 1 varies
-        plan = symmetry.residual_plan(truncated_matrix(spec, min_truncation(6, spec)))
+        plan = symmetry.residual_plan(truncated_matrix(spec, min_truncation(6, spec)), 6)
         per_row = isinstance(spec, MuLambda) and spec.lam != 1
         for weights in (plan.left, plan.right):
             assert weights.dtype == complex and (weights.shape[-1] > 1) == per_row
@@ -310,15 +310,84 @@ class TestStructuredResidual:
         assert peak < 8 * report.order ** 2
 
 
+# periods whose dense check still fits (order 300 or 500 at band 6); the
+# six families at bands 0-13, 20, 50 and 200 are TestStructuredResidual's
+LARGE_PERIODS = [Reversal(100), Transposition(60, 0, 1),
+                 GeneralPermutation(60, tuple(59 - m if m < 20 or m >= 40 else m
+                                              for m in range(60)))]
+
+
+class TestWindowedPlan:
+    """A plan keeps only the cells a symbol of its bandwidth can reach."""
+
+    @pytest.mark.parametrize("spec", LARGE_PERIODS, ids=lambda s: s.name)
+    def test_large_periods_match_dense_product(self, spec):
+        n = min_truncation(6, spec)
+        c = truncated_matrix(spec, n)
+        for seed in range(3):
+            for base in (symmetric_symbol(spec, seed, 6, 0.5), _generic_symbol(spec, seed, 6)):
+                order = min_truncation(base.bandwidth, spec)
+                fresh = residual(_truncation(base, spec, order), truncated_matrix(spec, order))
+                assert is_c_symmetric(base, spec).residual == fresh
+                t = _truncation(base, spec, n)
+                expected = _unscaled_residual(t, c)
+                assert abs(residual(t, c) - expected) <= DENSE_BOUND * max(1.0, expected)
+
+    @pytest.mark.parametrize("spec", [*SIX_FAMILIES, *LARGE_PERIODS], ids=lambda s: s.name)
+    @pytest.mark.parametrize("band", [0, 3, 12, 50])
+    def test_twice_the_check_order_matches_dense_product(self, spec, band):
+        # the window is the truncation's bandwidth, not the slack in its order
+        for base in (symmetric_symbol(spec, 7, band, 0.5), _generic_symbol(spec, 7, band)):
+            n = 2 * min_truncation(base.bandwidth, spec)
+            t, c = _truncation(base, spec, n), truncated_matrix(spec, n)
+            expected = _unscaled_residual(t, c)
+            assert abs(residual(t, c) - expected) <= DENSE_BOUND * max(1.0, expected)
+
+    def test_cells_grow_with_the_period_not_its_square(self):
+        # reversal:p at band 6, p = 10**2, 10**3, 10**4: orders 500 to 50000,
+        # where the whole first block row and column held p * (2n - p) cells
+        cells = []
+        for p in (100, 1000, 10000):
+            spec = Reversal(p)
+            n = min_truncation(6, spec)
+            c = truncated_matrix(spec, n)
+            tracemalloc.start()
+            try:
+                plan = symmetry.residual_plan(c, 6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            cells.append(plan.repeats.size)
+            # the budget's count bounds the plan's, at 224 bytes a cell for g = 1
+            assert 224 * plan.repeats.size <= symmetry.residual_bytes(n, spec, 6)
+        assert all(9 <= b / a <= 11 for a, b in zip(cells, cells[1:])), cells
+        # linear in p * band: about 140 bytes per p * (2 * band + 1), where
+        # one int64 per cell of p * order would take 4 GB
+        assert peak <= 200 * 10000 * 13, peak
+
+    def test_residuals_refuse_a_truncation_wider_than_the_plan(self):
+        spec = Reversal(2)
+        n = min_truncation(4, spec)
+        plan = symmetry.residual_plan(truncated_matrix(spec, n), 3)
+        assert symmetry.residuals([truncate(parse_symbol("z^2 + z^-2"), n)], plan) == [0.0]
+        wide = truncate(parse_symbol("z^2 + z^-4"), n)
+        with pytest.raises(ValueError, match="bandwidth 4 passes its plan's band 3"):
+            symmetry.residuals([wide], plan)
+        # an operator is planned for the widest truncation of the stack
+        assert residual(wide, truncated_matrix(spec, n)) > 0.1
+
+
 # each family's residual, by float.hex, on generic and solution-set draws at
-# these bands, seeds 0-19, written before the residual plans held their
-# weights per grid block or dropped weights of 1; a twist with lam = 1 has
-# one weight, mu, throughout, so it takes the per-block path
+# these bands, seeds 0-19; a twist with lam = 1 has one weight, mu,
+# throughout, so it takes the per-block path.  Rewritten once when the plans
+# came to keep only the cells a symbol's bandwidth reaches, which regroups
+# the sums: 491 of the 5,400 values moved, by at most 3.9e-16 * max(1, r),
+# each within 1e-12 * max(1, dense) of the dense product, and no verdict moved
 PINNED_SPECS = [GeneralPermutation(6, (2, 1, 0, 4, 3, 5)), Transposition(4, 0, 2),
                 Transposition(5, 1, 3), Reversal(2), MuLambda(1j, complex(0.6, 0.8)),
                 BlockHadamard(), BlockMixed(), MuLambda(complex(0.6, 0.8), 1), MuLambda(1, 1)]
 PINNED_BANDS = [0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 23, 30, 39, 200]
-RESIDUAL_BITS = "db264b88237b0409f04b30c4036a2962fa4a057db6059d76abb2f676a2d55a65"
+RESIDUAL_BITS = "fe274619a88ee860f4cf62b8db9165cd7db4d892b3444d315238ab196806f852"
 
 
 def test_residuals_are_pinned_bit_for_bit():
@@ -426,11 +495,11 @@ class TestPlanCache:
         assert symmetry.PLAN_CACHE.nbytes <= symmetry.PLAN_CACHE_BYTES
 
     def test_plan_over_the_budget_is_not_kept(self):
-        # the plan at band 6500 holds about 4.3 MiB; 6092 is the last band kept
-        spec, band = BlockHadamard(), 6500
+        # the plan at band 13000 holds about 4.4 MiB; 11914 is the last band kept
+        spec, band = BlockHadamard(), 13000
         n = min_truncation(band, spec)
-        plan = symmetry.residual_plan(truncated_matrix(spec, n))
-        assert sum(array.nbytes for array in plan[2:]) > symmetry.PLAN_CACHE_BYTES
+        plan = symmetry.residual_plan(truncated_matrix(spec, n), band)
+        assert sum(array.nbytes for array in plan[3:]) > symmetry.PLAN_CACHE_BYTES
         entry = parse_symbol(f"z^{band}")
         symmetry.PLAN_CACHE.clear()
         report = is_c_symmetric(MatrixSymbol(entry, entry, entry, entry), spec)
